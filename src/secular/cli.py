@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +29,7 @@ from .floquet import (
     characteristic_exponents,
     classify_periodic_stability,
     hill_system,
+    integrate,
     monodromy,
 )
 from .jordan import classify_3x3, jordan_form
@@ -52,6 +52,7 @@ from .matrixcore import (
 )
 from .pcr3bp import (
     STABLE,
+    _flow_rhs,
     correct_periodic,
     jacobi_constant,
     libration_points,
@@ -59,9 +60,9 @@ from .pcr3bp import (
     lyapunov_seed,
     orbit_exponents,
 )
-from .floquet import integrate
-from .pcr3bp import _flow_rhs
 from .ratpoly import (
+    NEG_INF,
+    POS_INF,
     RationalPolynomial,
     RootInterval,
     count_real_roots,
@@ -132,9 +133,13 @@ def _poly_arg(text: str) -> RationalPolynomial:
     return RationalPolynomial([Fraction(c) for c in text.split(",")])
 
 
-def _matrix_arg(path: str) -> SquareMatrix:
-    with open(path) as fh:
-        return SquareMatrix.from_json(fh.read())
+def _matrix_arg(text: str) -> SquareMatrix:
+    """Matrix from inline JSON (a list of rows or an object) or a file path."""
+    text = text.strip()
+    if not text.startswith(("[", "{")):
+        with open(text) as fh:
+            text = fh.read()
+    return SquareMatrix.from_json(text)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -165,13 +170,9 @@ def _emit_csv(cfg: RunConfig, header: str, rows) -> None:
 def _cmd_sturm(args, cfg: RunConfig) -> int:
     p = _poly_arg(args.poly)
     if args.action == "count":
-        lo = Fraction(args.lo) if args.lo is not None else None
-        hi = Fraction(args.hi) if args.hi is not None else None
-        if lo is None and hi is None:
-            n = count_real_roots(p)
-        else:
-            n = count_real_roots(p, lo, hi)
-        _emit(cfg, f"{n}\n")
+        lo = NEG_INF if args.lo is None else Fraction(args.lo)
+        hi = POS_INF if args.hi is None else Fraction(args.hi)
+        _emit(cfg, f"{count_real_roots(p, lo, hi)}\n")
         return 0
     if args.action == "isolate":
         ivs = isolate_real_roots(p)
@@ -297,20 +298,12 @@ def _cmd_floquet(args, cfg: RunConfig) -> int:
             q_vals = np.linspace(float(q0), float(q1), int(nq))
         except ValueError as e:
             raise DomainError(f"bad --grid spec (a0:a1:na,q0:q1:nq): {e}")
-        cells = [(a, q) for a in a_vals for q in q_vals]
-        workers = max(1, int(os.environ.get("SECULAR_THREADS", "1")))
-
-        def work(cell):
-            a, q = cell
-            exps, verdict = _hill_point(a, q, cfg)
-            smax = max(abs(s) for s in exps.multipliers)
-            return (float(a), float(q), float(smax), verdict.tag)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(work, cells))
-        else:
-            rows = [work(c) for c in cells]
+        rows = []
+        for a in a_vals:
+            for q in q_vals:
+                exps, verdict = _hill_point(a, q, cfg)
+                smax = max(abs(s) for s in exps.multipliers)
+                rows.append((float(a), float(q), float(smax), verdict.tag))
         _emit_csv(cfg, "a,q,smax,verdict", rows)
         return 0
     if args.a is None or args.q is None:
@@ -464,21 +457,22 @@ def _build_parser() -> _Parser:
                    help="refinement tolerance (refine only)")
     p.set_defaults(fn=_cmd_sturm)
 
+    matrix_help = "matrix as inline JSON or a JSON file path"
     for name, fn in (("charpoly", _cmd_charpoly), ("inertia", _cmd_inertia),
                      ("hermite-count", _cmd_hermite_count),
                      ("interlace", _cmd_interlace)):
         p = sub.add_parser(name)
-        p.add_argument("--matrix", required=True, help="matrix JSON file")
+        p.add_argument("--matrix", required=True, help=matrix_help)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("jordan", help="Jordan canonical form")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", required=True, help=matrix_help)
     p.add_argument("--flavor", choices=("exact", "numeric"), default=None)
     p.add_argument("--classify3", action="store_true")
     p.set_defaults(fn=_cmd_jordan)
 
     p = sub.add_parser("linsolve", help="closed-form linear ODE solution")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", required=True, help=matrix_help)
     p.add_argument("--x0", required=True, help="initial state, CSV rationals")
     p.add_argument("--v0", default=None, help="initial velocity (second form)")
     p.add_argument("--method", choices=("jordan", "residue"), default="jordan")
@@ -521,11 +515,21 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _writes_csv(args) -> bool:
+    """Whether the subcommand prints CSV; the others print JSON or a value."""
+    return ((args.command == "floquet" and args.grid is not None)
+            or (args.command == "section" and args.action == "crossings")
+            or (args.command == "pcr3bp" and args.action == "propagate"))
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = RunConfig(args.tol, args.cluster_tol, args.format, args.output)
+        if cfg.fmt == "csv" and not _writes_csv(args):
+            raise DomainError("usage: --format csv applies only to floquet "
+                              "--grid, section crossings and pcr3bp propagate")
         if args.command == "pcr3bp":
             if args.action == "propagate" and (args.state is None
                                                or args.t is None):

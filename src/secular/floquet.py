@@ -89,16 +89,21 @@ class Monodromy:
         return self.M.shape[0]
 
 
-def monodromy(sys: PeriodicLinearSystem, tol=DEFAULT_TOL) -> Monodromy:
-    """Fundamental solution at one period with identity initial condition."""
-    probe = np.asarray(sys.A_of_t(0.0), dtype=float)
-    n = probe.shape[0]
+def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
+                        tol: float) -> tuple[int, Trajectory]:
+    """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major."""
+    n = np.asarray(sys.A_of_t(0.0), dtype=float).shape[0]
 
     def rhs(t, flat):
         X = flat.reshape(n, n)
         return (np.asarray(sys.A_of_t(t), dtype=float) @ X).ravel()
 
-    traj = integrate(rhs, np.eye(n).ravel(), (0.0, sys.period), tol)
+    return n, integrate(rhs, np.eye(n).ravel(), (0.0, t_end), tol)
+
+
+def monodromy(sys: PeriodicLinearSystem, tol=DEFAULT_TOL) -> Monodromy:
+    """Fundamental solution at one period with identity initial condition."""
+    n, traj = _fundamental_flight(sys, sys.period, tol)
     return Monodromy(traj.final.reshape(n, n), sys.period, tol)
 
 
@@ -185,14 +190,7 @@ def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
             "clustered multipliers: factorization with multiple multipliers "
             "is unsupported; inspect the exponent block report instead"
         )
-    n = M.dim
-
-    def rhs(t, flat):
-        X = flat.reshape(n, n)
-        return (np.asarray(sys.A_of_t(t), dtype=float) @ X).ravel()
-
-    span = (0.0, (n_periods + 1) * T)
-    traj = integrate(rhs, np.eye(n).ravel(), span, tol)
+    n, traj = _fundamental_flight(sys, (n_periods + 1) * T, tol)
     ts = np.linspace(0.0, T, n_samples, endpoint=False)
     alphas = [cmath.log(complex(s)) / T for s in mults]
     factors = np.zeros((n, n, n_samples), dtype=complex)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .jordan import jordan_form, multiplicity, rational_roots
 from .matrixcore import EXACT, NUMERIC, SquareMatrix, char_poly
-from .ratpoly import RationalPolynomial
+from .ratpoly import RationalPolynomial, _to_frac
 
 _ZERO_TOL = 1e-12
 
@@ -113,8 +113,7 @@ def solve_constant(A: SquareMatrix, x0) -> LinearSolution:
     spectrum = _exact_spectrum(A)
     if spectrum is not None:
         dec = jordan_form(A)
-        y0 = dec.P.inverse().matvec([Fraction(x) if not isinstance(x, Fraction) else x
-                                     for x in _as_fracs(x0)])
+        y0 = dec.P.inverse().matvec([_to_frac(x) for x in x0])
         raw = []
         pos = 0
         Pcols = dec.P.rows
@@ -161,13 +160,6 @@ def solve_constant(A: SquareMatrix, x0) -> LinearSolution:
             raw.append((lam, coeffs))
             pos += s
     return _canonical_terms(raw, n, drop_tol=_ZERO_TOL)
-
-
-def _as_fracs(x0):
-    out = []
-    for x in x0:
-        out.append(x if isinstance(x, Fraction) else Fraction(x))
-    return out
 
 
 # -- residue route ----------------------------------------------------------------
@@ -226,7 +218,7 @@ def solve_residue(A: SquareMatrix, x0) -> LinearSolution:
     if spectrum is not None:
         Ms = _resolvent_numerator(A)
         cp = char_poly(A).poly
-        x = _as_fracs(x0)
+        x = [_to_frac(x) for x in x0]
         # numerator vector polynomial: N(s) = sum_k (M_k x0) s^{n-1-k}
         numer = [[Fraction(0)] * n for _ in range(n)]  # numer[deg][component]
         for k, Mk in enumerate(Ms):

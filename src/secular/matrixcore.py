@@ -18,6 +18,7 @@ from .errors import DomainError, NonConvergenceError, UnsupportedFlavorError
 from .ratpoly import (
     RationalPolynomial,
     RootInterval,
+    _to_frac,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -28,14 +29,6 @@ from .ratpoly import (
 
 EXACT = "exact"
 NUMERIC = "numeric"
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
 
 
 class SquareMatrix:
@@ -53,7 +46,7 @@ class SquareMatrix:
         self.n = n
         self.flavor = flavor
         if flavor == EXACT:
-            self.rows = tuple(tuple(_frac(x) for x in r) for r in rows)
+            self.rows = tuple(tuple(_to_frac(x) for x in r) for r in rows)
         else:
             self.rows = np.array(rows, dtype=complex)
 
@@ -72,11 +65,21 @@ class SquareMatrix:
     @classmethod
     def from_json(cls, text: str) -> "SquareMatrix":
         data = json.loads(text)
+        if isinstance(data, list):  # bare rows: an exact matrix
+            data = {"rows": data}
+        rows = data.get("rows") if isinstance(data, dict) else None
+        if not (isinstance(rows, list)
+                and all(isinstance(r, list) for r in rows)):
+            raise DomainError('matrix JSON must be a list of rows, or an '
+                              'object with "rows", each row a list')
         flavor = data.get("flavor", EXACT)
-        if flavor == EXACT:
-            rows = [[Fraction(x) for x in r] for r in data["rows"]]
-        else:
-            rows = [[complex(x[0], x[1]) for x in r] for r in data["rows"]]
+        try:
+            if flavor == EXACT:
+                rows = [[Fraction(x) for x in r] for r in rows]
+            else:
+                rows = [[complex(x[0], x[1]) for x in r] for r in rows]
+        except TypeError as e:
+            raise DomainError(f"bad matrix entry: {e}") from e
         m = cls(rows, flavor)
         if "n" in data and data["n"] != m.n:
             raise DomainError("declared dimension does not match rows")
@@ -168,13 +171,13 @@ class SquareMatrix:
     def matvec(self, v):
         self._require_exact()
         return [
-            sum(self.rows[i][k] * _frac(v[k]) for k in range(self.n))
+            sum(self.rows[i][k] * _to_frac(v[k]) for k in range(self.n))
             for i in range(self.n)
         ]
 
     def scale(self, k) -> "SquareMatrix":
         self._require_exact()
-        k = _frac(k)
+        k = _to_frac(k)
         return SquareMatrix([[k * x for x in r] for r in self.rows])
 
     def transpose(self) -> "SquareMatrix":
@@ -187,7 +190,7 @@ class SquareMatrix:
     def shift(self, lam) -> "SquareMatrix":
         """A - lam*I (exact flavor)."""
         self._require_exact()
-        lam = _frac(lam)
+        lam = _to_frac(lam)
         rows = [list(r) for r in self.rows]
         for i in range(self.n):
             rows[i][i] -= lam
@@ -386,7 +389,7 @@ def lagrange_eigenvector(A: SquareMatrix, lam) -> list[Fraction]:
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("lagrange_eigenvector expects a symmetric matrix")
-    lam = _frac(lam)
+    lam = _to_frac(lam)
     cp = char_poly(A).poly
     if cp.eval_frac(lam) != 0:
         raise DomainError(f"{lam} is not an eigenvalue")

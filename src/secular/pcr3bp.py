@@ -5,6 +5,11 @@ total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  The
 collinear libration points are located exactly: the axis equilibrium
 condition becomes a quintic with rational coefficients on each axis
 segment, isolated with a Sturm chain and refined to 1e-12.
+
+The flow is stated once, in `_flow_rhs`; `_var_rhs` adds the
+state-transition matrix to it.  `_flow_to_crossing` is the one y = 0
+section-crossing locator, shared by the differential corrector here and
+by the return maps in `secular.section`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .floquet import integrate
 from .ratpoly import RationalPolynomial, isolate_real_roots, refine_root
 
 COLLISION_RADIUS = 1e-6
+CROSSING_Y_TOL = 1e-12
 
 
 def _check_mu(mu: float) -> float:
@@ -70,12 +76,23 @@ def _omega_hessian(x, y, mu):
     return oxx, oxy, oyy
 
 
+def _flow_rhs(mu):
+    """The equations of motion as an integrator right-hand side.
+
+    The one statement of the flow.  mu is not checked here: a manifolds
+    run makes about a million calls, so the closure does no work beyond
+    the derivative itself.
+    """
+    def rhs(t, z):
+        x, y, vx, vy = z
+        ox, oy = _omega_gradient(x, y, mu)
+        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+    return rhs
+
+
 def eom(state, mu):
     """Rotating-frame equations of motion (x, y, vx, vy) -> derivative."""
-    mu = _check_mu(mu)
-    x, y, vx, vy = state
-    ox, oy = _omega_gradient(x, y, mu)
-    return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+    return _flow_rhs(_check_mu(mu))(0.0, state)
 
 
 def jacobi_constant(state, mu):
@@ -211,25 +228,50 @@ def _variational_matrix(x, y, mu) -> np.ndarray:
     ])
 
 
-def _flow_rhs(mu):
-    def rhs(t, z):
-        x, y, vx, vy = z
-        ox, oy = _omega_gradient(x, y, mu)
-        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
-    return rhs
-
-
 def _var_rhs(mu):
     """x' = f(x) jointly with STM' = A(x) STM, packed as 20 floats."""
+    f = _flow_rhs(mu)
+
     def rhs(t, z):
-        x, y, vx, vy = z[:4]
-        ox, oy = _omega_gradient(x, y, mu)
-        A = _variational_matrix(x, y, mu)
-        dPhi = A @ z[4:].reshape(4, 4)
-        return np.concatenate(
-            ([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy], dPhi.ravel())
-        )
+        A = _variational_matrix(z[0], z[1], mu)
+        return np.concatenate((f(t, z[:4]), (A @ z[4:].reshape(4, 4)).ravel()))
     return rhs
+
+
+def _with_stm(state) -> np.ndarray:
+    """The start of a joint state and STM flight: state (+) I4."""
+    return np.concatenate((np.asarray(state, dtype=float), np.eye(4).ravel()))
+
+
+def _flow_to_crossing(rhs, z0, t_end, tol, direction):
+    """Fly z0 to its first y = 0 crossing; returns (t, z) there.
+
+    ``direction`` is the scipy event direction: the sign of dy/dt times
+    the sign of t_end.  A start on the axis that already moves in that
+    direction registers a spurious event at t = 0, which is allowed for
+    and discarded.  The event time is landed by Newton on the dense
+    output (ydot = vy) to CROSSING_Y_TOL.
+    """
+    def crossing(t, z):
+        return z[1]
+    moving = math.copysign(1.0, z0[3]) * math.copysign(1.0, t_end)
+    at_start = abs(z0[1]) <= 10.0 * CROSSING_Y_TOL and moving == direction
+    crossing.terminal = 2 if at_start else 1
+    crossing.direction = direction
+
+    traj = integrate(rhs, z0, (0.0, t_end), tol, events=crossing)
+    hits = [t for t in traj.t_events[0] if not at_start or abs(t) > 1e-9]
+    if not hits:
+        raise NonConvergenceError(
+            "no section crossing within the time budget", best=traj.final
+        )
+    t = float(hits[0])
+    for _ in range(6):
+        z = traj(t)
+        if abs(z[1]) <= CROSSING_Y_TOL:
+            return t, z
+        t -= z[1] / z[3]
+    raise NonConvergenceError("crossing refinement stalled", best=z)
 
 
 def variational_flow(state0, mu, T, tol=1e-12):
@@ -237,8 +279,7 @@ def variational_flow(state0, mu, T, tol=1e-12):
     mu = _check_mu(mu)
     if T == 0.0:
         return np.asarray(state0, dtype=float), np.eye(4)
-    z0 = np.concatenate((np.asarray(state0, dtype=float), np.eye(4).ravel()))
-    traj = integrate(_var_rhs(mu), z0, (0.0, T), tol)
+    traj = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol)
     zf = traj.final
     return zf[:4], zf[4:].reshape(4, 4)
 
@@ -288,28 +329,18 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
         raise DomainError("corrector requires a perpendicular x-axis start "
                           "(x0, 0, 0, vy0)")
     rhs = _var_rhs(mu)
-    sign0 = 1.0 if state[3] >= 0 else -1.0
-
-    def crossing(t, z):
-        return z[1]
-    crossing.terminal = True
-    crossing.direction = -sign0
-
     best = state.copy()
     best_resid = math.inf
-    t_half = half_period
     for _ in range(max_iter):
-        z0 = np.concatenate((state, np.eye(4).ravel()))
-        traj = integrate(rhs, z0, (0.0, 4.0 * half_period), integrator_tol,
-                         events=crossing)
-        if traj.t_events is None or len(traj.t_events[0]) == 0:
-            raise NonConvergenceError(
-                "no x-axis return crossing found within the time budget",
-                best=best,
-            )
-        t_half = float(traj.t_events[0][0])
-        zc = traj.y_events[0][0]
-        xc, vx, vy = zc[0], zc[2], zc[3]
+        # the return crossing runs against the current start's vy
+        direction = -1.0 if state[3] >= 0 else 1.0
+        try:
+            t_half, zc = _flow_to_crossing(rhs, _with_stm(state),
+                                           4.0 * half_period, integrator_tol,
+                                           direction)
+        except NonConvergenceError as e:
+            raise NonConvergenceError(str(e), best=best) from e
+        vx, vy = zc[2], zc[3]
         if abs(vx) < best_resid:
             best_resid, best = abs(vx), state.copy()
         if abs(vx) <= tol:
@@ -333,8 +364,7 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
 
 
 def _finish_orbit(state, T, mu, resid, integrator_tol, n_samples) -> OrbitRecord:
-    z0 = np.concatenate((state, np.eye(4).ravel()))
-    traj = integrate(_var_rhs(mu), z0, (0.0, T), integrator_tol)
+    traj = integrate(_var_rhs(mu), _with_stm(state), (0.0, T), integrator_tol)
     ts = np.linspace(0.0, T, n_samples)
     samples = np.array([traj(t)[:4] for t in ts]).T
     M = traj.final[4:].reshape(4, 4)

@@ -22,11 +22,7 @@ POS_INF = object()
 
 
 def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class RationalPolynomial:
@@ -289,7 +285,7 @@ def _gcd_int(a, b):
     return math.gcd(int(a), int(b))
 
 
-def _nudge_endpoint(chain: SturmChain, e: Fraction, p: RationalPolynomial) -> Fraction:
+def _nudge_endpoint(e: Fraction, p: RationalPolynomial) -> Fraction:
     """Shift an endpoint that is a root of the square-free part.
 
     Moves by half the exact minimal-gap bound so no other root is crossed;
@@ -312,9 +308,9 @@ def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
     a = lo if lo is NEG_INF else _to_frac(lo)
     b = hi if hi is POS_INF else _to_frac(hi)
     if a is not NEG_INF and f.sign_at(a) == 0:
-        a = _nudge_endpoint(chain, a, p)
+        a = _nudge_endpoint(a, p)
     if b is not POS_INF and f.sign_at(b) == 0:
-        b = _nudge_endpoint(chain, b, p)
+        b = _nudge_endpoint(b, p)
     return chain.variations(a) - chain.variations(b)
 
 
@@ -376,7 +372,7 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
             continue
         m = (a + b) / 2
         if f.sign_at(m) == 0:
-            m = _nudge_endpoint(chain, m, f)
+            m = _nudge_endpoint(m, f)
         vm = chain.variations(m)
         left = chain.variations(a) - vm
         stack.append((m, b, cnt - left))

@@ -3,7 +3,8 @@
 The section is the plane y = 0 with a required sign of vy at each
 crossing; the Jacobi constant C is held fixed, so a section point is the
 pair (x, vx) and vy is reconstructed from C.  The induced return map
-preserves area in (x, vx).
+preserves area in (x, vx).  Every flight to the section, with or without
+the state-transition matrix, goes through `pcr3bp._flow_to_crossing`.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, SingularityError
-from .floquet import integrate
 from .pcr3bp import (
     _flow_rhs,
+    _flow_to_crossing,
     _omega_gradient,
     _var_rhs,
+    _with_stm,
     effective_potential,
     eom,
-    jacobi_constant,
 )
-
-CROSSING_Y_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,64 +58,14 @@ def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
     return np.array([p.x, 0.0, p.vx, sd.direction * math.sqrt(vy2)])
 
 
-def _polish_crossing(dense, t0: float, direction: int) -> tuple[float, np.ndarray]:
-    """Refine a crossing time on the dense output: bisection then Newton."""
-    # bracket around the event time with the correct sign change
-    h = 1e-9
-    a, b = t0 - h, t0 + h
-    while np.sign(dense(a)[1]) == np.sign(dense(b)[1]) and h < 1e-2:
-        h *= 4.0
-        a, b = t0 - h, t0 + h
-    ya, yb = dense(a)[1], dense(b)[1]
-    if np.sign(ya) != np.sign(yb):
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            ym = dense(m)[1]
-            if abs(ym) <= 1e-9:
-                t0 = m
-                break
-            if np.sign(ym) == np.sign(ya):
-                a, ya = m, ym
-            else:
-                b, yb = m, ym
-        else:
-            t0 = 0.5 * (a + b)
-    for _ in range(4):  # Newton polish on y(t) with ydot = vy
-        z = dense(t0)
-        if abs(z[1]) <= CROSSING_Y_TOL:
-            break
-        t0 -= z[1] / z[3]
-    z = dense(t0)
-    if abs(z[1]) > CROSSING_Y_TOL:
-        raise NonConvergenceError("crossing refinement stalled", best=t0)
-    return t0, z
-
-
 def _next_crossing(state: np.ndarray, mu: float, sd: SectionDef,
                    forward: bool = True, tol: float = 1e-12,
                    max_time: float = 100.0) -> np.ndarray:
     """Flow from state to the next section crossing (forward or backward)."""
     # event direction is the sign of dy/dtau along the integration parameter
     ev_dir = sd.direction if forward else -sd.direction
-
-    def crossing(t, z):
-        return z[1]
-    # a start already on the section registers an event at t = 0: allow a
-    # second occurrence before terminating, then discard the spurious one
-    on_section = abs(state[1]) <= 10.0 * CROSSING_Y_TOL
-    crossing.terminal = 2 if on_section else 1
-    crossing.direction = ev_dir
-
     t_end = max_time if forward else -max_time
-    traj = integrate(_flow_rhs(mu), state, (0.0, t_end), tol, events=crossing)
-    hits = [t for t in traj.t_events[0]] if traj.t_events else []
-    hits = [t for t in hits if abs(t) > 1e-9]
-    if not hits:
-        raise NonConvergenceError(
-            "no section crossing within the time budget", best=traj.final
-        )
-    t0, z = _polish_crossing(traj.dense, float(hits[0]), ev_dir)
-    return z
+    return _flow_to_crossing(_flow_rhs(mu), state, t_end, tol, ev_dir)[1]
 
 
 def section_crossings(start: SectionPoint, mu: float, sd: SectionDef,
@@ -177,27 +126,8 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
     correction dt = -dy / vy).
     """
     z0 = lift(p, mu, sd)
-    ev_dir = sd.direction
-
-    def crossing(t, z):
-        return z[1]
-    crossing.terminal = 2 if abs(z0[1]) <= 10.0 * CROSSING_Y_TOL else 1
-    crossing.direction = ev_dir
-
-    zfull = np.concatenate((z0, np.eye(4).ravel()))
-    traj = integrate(_var_rhs(mu), zfull, (0.0, 100.0), tol, events=crossing)
-    hits = [t for t in (traj.t_events[0] if traj.t_events else []) if t > 1e-9]
-    if not hits:
-        raise NonConvergenceError(
-            "no section crossing within the time budget", best=traj.final
-        )
-    tc = float(hits[0])
-    for _ in range(6):  # Newton on y(t) along the dense output
-        z = traj(tc)
-        if abs(z[1]) <= CROSSING_Y_TOL:
-            break
-        tc -= z[1] / z[3]
-    zc = traj(tc)
+    _, zc = _flow_to_crossing(_var_rhs(mu), _with_stm(z0), 100.0, tol,
+                              sd.direction)
     M = zc[4:].reshape(4, 4)
 
     ox0, _ = _omega_gradient(z0[0], 0.0, mu)

@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,38 @@ class TestExitCodes:
         ])
         assert code == 2
         assert err.startswith("error: non-convergence:")
+
+    def test_sturm_count_half_bounded(self, capsys):
+        # x^2 - 2 has one root in (0, inf) and one in (-inf, 0]
+        for bound in (["--lo", "0"], ["--hi", "0"]):
+            code, out, _ = invoke(capsys, ["sturm", "count", "--poly=-2,0,1",
+                                           *bound])
+            assert code == 0
+            assert out == "1\n"
+
+    def test_csv_rejected_on_json_output(self, capsys):
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "pcr3bp", "lagrange", "--mu", "0.0121",
+        ])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: input: usage:")
+        assert err.count("\n") == 1
+
+    def test_bare_list_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('[["1","0"],["0","1"]]')
+        code, out, _ = invoke(capsys, ["charpoly", "--matrix", str(path)])
+        assert code == 0
+        assert json.loads(out)["char_poly"]["coeffs"] == ["1/1", "-2/1", "1/1"]
+
+    @pytest.mark.parametrize("text", ['"5"', "[1,2]", '["12","34"]',
+                                      "[[null]]", '{"rows": 5}'])
+    def test_malformed_inline_matrix_is_input_error(self, capsys, text):
+        code, _, err = invoke(capsys, ["charpoly", "--matrix", text])
+        assert code == 1
+        assert err.startswith("error: input:")
+        assert err.count("\n") == 1
 
     def test_version(self):
         out = subprocess.run(
@@ -176,3 +210,18 @@ class TestSection:
         assert code == 0
         assert out == ""
         assert json.loads(dest.read_text())["inertia"]["pos"] == 2
+
+
+def _readme_cli_lines():
+    """Every `secular ...` command of the README's CLI block, as written."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("secular ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_example_runs(capsys, line):
+    code, out, err = invoke(capsys, shlex.split(line)[1:])
+    assert code == 0, err
+    assert out

@@ -1,11 +1,14 @@
 """Tests for the planar circular restricted three-body module."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from secular.cli import run
 from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.floquet import integrate
 from secular.pcr3bp import (
@@ -182,6 +185,31 @@ class TestCorrection:
         # fast escape: no x-axis return inside the time budget
         with pytest.raises((NonConvergenceError, SingularityError, DomainError)):
             correct_periodic([0.5, 0.0, 0.0, 1.8], 0.3, MU_EM, max_iter=8)
+
+    def test_large_amplitude_never_input_error(self, capsys):
+        # a Newton step here flips the sign of vy0; the return crossing
+        # must then still be sought away from the start, never at t = 0
+        code = run(["pcr3bp", "orbit", "--mu", repr(MU_EM), "--point", "L1",
+                    "--seed-amplitude", "2e-2"])
+        out = capsys.readouterr().out
+        assert code in (0, 2)
+        if code == 2:
+            return
+        payload = json.loads(out)
+        x0, T = np.array(payload["x0"]), payload["T"]
+        assert T > 1.0
+
+        def f(t, z):  # the rotating-frame flow, stated independently
+            x, y, vx, vy = z
+            r1 = math.hypot(x + MU_EM, y) ** 3
+            r2 = math.hypot(x - 1.0 + MU_EM, y) ** 3
+            ax = x - (1 - MU_EM) * (x + MU_EM) / r1 - MU_EM * (x - 1 + MU_EM) / r2
+            ay = y - (1 - MU_EM) * y / r1 - MU_EM * y / r2
+            return [vx, vy, 2.0 * vy + ax, -2.0 * vx + ay]
+
+        sol = solve_ivp(f, (0.0, T), x0, method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(sol.y[:, -1] - x0)) < 1e-9
 
 
 @pytest.fixture(scope="module")
