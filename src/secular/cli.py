@@ -73,6 +73,7 @@ from .section import (
     SectionDef,
     SectionPoint,
     homoclinic_intersection,
+    linearize_map,
     manifold_segment,
     section_crossings,
 )
@@ -394,8 +395,9 @@ def _cmd_section(args, cfg: RunConfig) -> int:
     if args.action == "manifolds":
         x, vx = _parse_state(args.fixed, 2)
         p = SectionPoint(x, vx)
+        lin = linearize_map(p, args.mu, sd, tol=cfg.tol, method="stm")
         kw = dict(steps=args.steps, seeds=args.seeds,
-                  seed_offset=args.seed_offset, tol=cfg.tol)
+                  seed_offset=args.seed_offset, tol=cfg.tol, lin=lin)
         unstable = manifold_segment(p, args.mu, sd, "unstable+", **kw)
         stable = manifold_segment(p, args.mu, sd, "stable+", **kw)
         rep = homoclinic_intersection(unstable, stable)

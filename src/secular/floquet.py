@@ -1,9 +1,11 @@
 """Periodic-coefficient linear systems: monodromy, multipliers, exponents.
 
-The shared adaptive integrator (`integrate`) wraps an embedded
-Runge-Kutta 5(4) pair with dense output; it is fully deterministic for a
-given (f, x0, t_span, tol) and is reused by the three-body and
-surface-of-section modules.
+The shared adaptive integrator (`integrate`) wraps the Dormand-Prince
+8(5,3) pair (scipy's DOP853); it is fully deterministic for a given
+(f, x0, t_span, tol) and is reused by the three-body and
+surface-of-section modules.  Its dense output costs three extra
+right-hand-side calls per step, so only the flights that evaluate the
+trajectory between steps build it.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ DEFAULT_TOL = 1e-10
 class Trajectory:
     t: np.ndarray
     y: np.ndarray  # shape (dim, len(t))
-    dense: object  # scipy OdeSolution: callable t -> state
+    dense: object  # scipy OdeSolution (callable t -> state), or None
     t_events: tuple | None = None
     y_events: tuple | None = None
 
     def __call__(self, t):
+        if self.dense is None:
+            raise DomainError("trajectory has no dense output to evaluate: "
+                              "it was integrated with dense=False")
         return self.dense(t)
 
     @property
@@ -40,19 +45,23 @@ class Trajectory:
 
 
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
-              max_step=np.inf) -> Trajectory:
-    """Adaptive RK5(4) integration with dense output.
+              max_step=np.inf, dense=True) -> Trajectory:
+    """Adaptive DOP853 integration, with dense output if ``dense``.
 
     Per-step relative error is bounded by tol (atol scaled to tol * 1e-2
-    to keep small components honest).  Step-size underflow surfaces as a
-    SingularityError carrying the failure location.
+    to keep small components honest).  With dense=False the trajectory
+    cannot be called between steps, but events are still located on the
+    interpolant of the step that holds them, so ``t_events``,
+    ``y_events`` and ``final`` are bit-identical to a dense flight.
+    Step-size underflow surfaces as a SingularityError carrying the
+    failure location.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     sol = solve_ivp(
         f, tuple(t_span), np.asarray(x0, dtype=float),
-        method="RK45", rtol=tol, atol=tol * 1e-2,
-        dense_output=True, events=events, max_step=max_step,
+        method="DOP853", rtol=tol, atol=tol * 1e-2,
+        dense_output=dense, events=events, max_step=max_step,
     )
     if not sol.success:
         t_fail = sol.t[-1] if len(sol.t) else t_span[0]
@@ -90,7 +99,7 @@ class Monodromy:
 
 
 def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
-                        tol: float) -> tuple[int, Trajectory]:
+                        tol: float, dense: bool) -> tuple[int, Trajectory]:
     """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major."""
     n = np.asarray(sys.A_of_t(0.0), dtype=float).shape[0]
 
@@ -98,12 +107,13 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
         X = flat.reshape(n, n)
         return (np.asarray(sys.A_of_t(t), dtype=float) @ X).ravel()
 
-    return n, integrate(rhs, np.eye(n).ravel(), (0.0, t_end), tol)
+    return n, integrate(rhs, np.eye(n).ravel(), (0.0, t_end), tol,
+                        dense=dense)
 
 
 def monodromy(sys: PeriodicLinearSystem, tol=DEFAULT_TOL) -> Monodromy:
     """Fundamental solution at one period with identity initial condition."""
-    n, traj = _fundamental_flight(sys, sys.period, tol)
+    n, traj = _fundamental_flight(sys, sys.period, tol, dense=False)
     return Monodromy(traj.final.reshape(n, n), sys.period, tol)
 
 
@@ -190,7 +200,8 @@ def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
             "clustered multipliers: factorization with multiple multipliers "
             "is unsupported; inspect the exponent block report instead"
         )
-    n, traj = _fundamental_flight(sys, (n_periods + 1) * T, tol)
+    n, traj = _fundamental_flight(sys, (n_periods + 1) * T, tol,
+                                  dense=True)
     ts = np.linspace(0.0, T, n_samples, endpoint=False)
     alphas = [cmath.log(complex(s)) / T for s in mults]
     factors = np.zeros((n, n, n_samples), dtype=complex)

@@ -249,8 +249,10 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     ``direction`` is the scipy event direction: the sign of dy/dt times
     the sign of t_end.  A start on the axis that already moves in that
     direction registers a spurious event at t = 0, which is allowed for
-    and discarded.  The event time is landed by Newton on the dense
-    output (ydot = vy) to CROSSING_Y_TOL.
+    and discarded.  The landing starts from the event state, which scipy
+    evaluates on the interpolant of the step that holds the event (so the
+    flight needs no dense output of its own); while |y| > CROSSING_Y_TOL
+    it takes first-order steps dt = -y / vy along the flow.
     """
     def crossing(t, z):
         return z[1]
@@ -259,18 +261,19 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     crossing.terminal = 2 if at_start else 1
     crossing.direction = direction
 
-    traj = integrate(rhs, z0, (0.0, t_end), tol, events=crossing)
-    hits = [t for t in traj.t_events[0] if not at_start or abs(t) > 1e-9]
+    traj = integrate(rhs, z0, (0.0, t_end), tol, events=crossing, dense=False)
+    hits = [(float(t), z) for t, z in zip(traj.t_events[0], traj.y_events[0])
+            if not at_start or abs(t) > 1e-9]
     if not hits:
         raise NonConvergenceError(
             "no section crossing within the time budget", best=traj.final
         )
-    t = float(hits[0])
+    t, z = hits[0]
     for _ in range(6):
-        z = traj(t)
         if abs(z[1]) <= CROSSING_Y_TOL:
             return t, z
-        t -= z[1] / z[3]
+        dt = -z[1] / z[3]
+        t, z = t + dt, z + dt * rhs(t, z)
     raise NonConvergenceError("crossing refinement stalled", best=z)
 
 
@@ -279,8 +282,8 @@ def variational_flow(state0, mu, T, tol=1e-12):
     mu = _check_mu(mu)
     if T == 0.0:
         return np.asarray(state0, dtype=float), np.eye(4)
-    traj = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol)
-    zf = traj.final
+    zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol,
+                   dense=False).final
     return zf[:4], zf[4:].reshape(4, 4)
 
 

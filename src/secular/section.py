@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, SingularityError
 from .pcr3bp import (
+    _check_mu,
     _flow_rhs,
     _flow_to_crossing,
     _omega_gradient,
@@ -48,7 +49,12 @@ class SectionPoint:
 
 
 def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
-    """Full rotating-frame state on the section: vy from C with sd's sign."""
+    """Full rotating-frame state on the section: vy from C with sd's sign.
+
+    Every flight from a section point starts here, so this is where the
+    section functions check the mass ratio.
+    """
+    mu = _check_mu(mu)
     vy2 = 2.0 * effective_potential(p.x, 0.0, mu) - p.vx ** 2 - sd.C
     if vy2 < 0.0:
         raise DomainError(
@@ -233,17 +239,20 @@ _BRANCHES = ("unstable+", "unstable-", "stable+", "stable-")
 def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
                      steps: int = 30, seeds: int = 200,
                      seed_offset: float = 1e-6, tol: float = 1e-12,
-                     escape_radius: float = 5.0) -> ManifoldBranch:
+                     escape_radius: float = 5.0,
+                     lin: MapLinearization | None = None) -> ManifoldBranch:
     """Trace one manifold branch of a hyperbolic fixed point.
 
     Seeds fill a fundamental domain [offset, |lambda| * offset] along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
     reversed-time (stable) return map; escape or collision truncates the
-    polyline and is recorded, not raised.
+    polyline and is recorded, not raised.  ``lin`` is the fixed point's
+    STM linearization at ``tol``; pass it to share one between branches.
     """
     if branch not in _BRANCHES:
         raise DomainError(f"branch must be one of {_BRANCHES}")
-    lin = linearize_map(p, mu, sd, tol=tol, method="stm")
+    if lin is None:
+        lin = linearize_map(p, mu, sd, tol=tol, method="stm")
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)

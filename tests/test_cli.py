@@ -11,6 +11,7 @@ import pytest
 from secular.cli import run
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import RationalPolynomial
+from secular.section import linearize_map
 
 WORKED = ('{"n":3,"flavor":"exact","rows":'
           '[["1","-1","0"],["-1","2","1"],["0","1","1"]]}')
@@ -201,6 +202,32 @@ class TestSection:
         lines = out.splitlines()
         assert lines[1] == "i,x,vx"
         assert len(lines) == 4
+
+    def test_bad_mass_ratio_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "section", "crossings", "--mu", "0.9",
+            "--C", "3.0", "--start", "0.3,0.0", "--n", "1",
+        ])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: input: mass ratio")
+
+    def test_manifolds_linearize_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linearize_map(*args, **kwargs)
+        for module in ("secular.section", "secular.cli"):
+            monkeypatch.setattr(f"{module}.linearize_map", counted,
+                                raising=False)
+        code, _, _ = invoke(capsys, [
+            "section", "manifolds", "--mu", "0.012150585",
+            "--C", "3.1882812173139823", "--fixed", "0.8359151287720265,0.0",
+            "--steps", "1", "--seeds", "2",
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_output_file(self, capsys, tmp_path, worked_matrix):
         dest = tmp_path / "out.json"

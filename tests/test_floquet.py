@@ -34,6 +34,15 @@ class TestIntegrate:
         t = 1.2345
         assert np.allclose(traj(t), [math.cos(t), -math.sin(t)], atol=1e-9)
 
+    def test_call_without_dense_output(self):
+        f = lambda t, y: np.array([y[1], -y[0]])
+        traj = integrate(f, [1.0, 0.0], (0.0, 1.0), tol=1e-12, dense=False)
+        assert np.allclose(traj.final, [math.cos(1.0), -math.sin(1.0)],
+                           atol=1e-9)
+        with pytest.raises(DomainError, match="dense=False") as e:
+            traj(0.5)
+        assert "\n" not in str(e.value)
+
     def test_event_detection(self):
         f = lambda t, y: np.array([y[1], -y[0]])
         ev = lambda t, y: y[0]

@@ -13,8 +13,13 @@ from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.floquet import integrate
 from secular.pcr3bp import (
     COMPLEX_UNSTABLE,
+    CROSSING_Y_TOL,
     SADDLE_CENTER,
     STABLE,
+    _flow_rhs,
+    _flow_to_crossing,
+    _var_rhs,
+    _with_stm,
     correct_periodic,
     eom,
     jacobi_constant,
@@ -210,6 +215,52 @@ class TestCorrection:
         sol = solve_ivp(f, (0.0, T), x0, method="DOP853",
                         rtol=1e-13, atol=1e-13)
         assert np.max(np.abs(sol.y[:, -1] - x0)) < 1e-9
+
+
+def _crossing_flight(case):
+    """(rhs, z0, t_end, direction, terminal) of one y = 0 crossing flight
+    from the L1 Lyapunov seed, which starts on the axis."""
+    state, t_half = lyapunov_seed(MU_EM, libration_points(MU_EM)[0], 1e-3)
+    s = math.copysign(1.0, state[3])
+    rhs, z0, t_end, direction = _flow_rhs(MU_EM), state, 4.0 * t_half, -s
+    if case == "backward":
+        t_end, direction = -t_end, s
+    elif case == "stm":
+        rhs, z0 = _var_rhs(MU_EM), _with_stm(state)
+    elif case == "t0_hit":  # moves in the event direction: hit at t = 0
+        direction = s
+    return rhs, z0, t_end, direction, 2 if case == "t0_hit" else 1
+
+
+CROSSING_CASES = ("forward", "backward", "stm", "t0_hit")
+
+
+class TestCrossingLocator:
+    @pytest.mark.parametrize("case", CROSSING_CASES)
+    def test_events_need_no_dense_output(self, case):
+        rhs, z0, t_end, direction, terminal = _crossing_flight(case)
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal, crossing.direction = terminal, direction
+        sparse, dense = [integrate(rhs, z0, (0.0, t_end), 1e-10,
+                                   events=crossing, dense=d)
+                         for d in (False, True)]
+        assert len(dense.t_events[0]) == terminal
+        assert (dense.t_events[0][0] == 0.0) == (case == "t0_hit")
+        assert np.array_equal(sparse.t_events[0], dense.t_events[0])
+        assert np.array_equal(sparse.y_events[0], dense.y_events[0])
+        assert np.array_equal(sparse.final, dense.final)
+        for t, z in zip(dense.t_events[0], dense.y_events[0]):
+            assert np.array_equal(z, dense(t))
+
+    @pytest.mark.parametrize("case", CROSSING_CASES)
+    def test_lands_on_section(self, case):
+        rhs, z0, t_end, direction, _ = _crossing_flight(case)
+        t, z = _flow_to_crossing(rhs, z0, t_end, 1e-10, direction)
+        assert t / t_end > 0.1  # never the start itself
+        assert abs(z[1]) <= CROSSING_Y_TOL
+        assert z.shape == z0.shape
 
 
 @pytest.fixture(scope="module")
