@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     DomainError,
+    InternalInconsistencyError,
     NonConvergenceError,
     SecularError,
     SingularityError,
@@ -365,7 +366,7 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
         orbit = correct_periodic(seed, t_half, args.mu,
                                  integrator_tol=cfg.tol)
         rep = orbit_exponents(orbit)
-        unstable = any(abs(s) > 1.0 + 1e-6 for s in orbit.multipliers)
+        unstable = any(abs(s) > 1.0 + 1e-6 for s in rep.nontrivial)
         _emit_json(cfg, {
             "mu": args.mu,
             "x0": [float(v) for v in orbit.initial_state],
@@ -545,6 +546,9 @@ def run(argv=None) -> int:
     except (NonConvergenceError, SingularityError) as e:
         print(f"error: non-convergence: {e}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as e:
+        print(f"error: internal: {e}", file=sys.stderr)
+        return 3
     except (SecularError, OSError, ValueError, ZeroDivisionError,
             json.JSONDecodeError, KeyError) as e:
         print(f"error: input: {e}", file=sys.stderr)

@@ -33,4 +33,4 @@ class UnsupportedFlavorError(SecularError):
 
 
 class InternalInconsistencyError(SecularError):
-    """A theorem-level invariant failed; indicates a bug."""
+    """An internal invariant failed; indicates a bug, not bad input."""

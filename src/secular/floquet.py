@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, InternalInconsistencyError, SingularityError
 from .jordan import _cluster, jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
@@ -35,8 +35,9 @@ class Trajectory:
 
     def __call__(self, t):
         if self.dense is None:
-            raise DomainError("trajectory has no dense output to evaluate: "
-                              "it was integrated with dense=False")
+            raise InternalInconsistencyError(
+                "trajectory has no dense output to evaluate: "
+                "it was integrated with dense=False")
         return self.dense(t)
 
     @property

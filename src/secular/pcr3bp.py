@@ -251,8 +251,9 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     direction registers a spurious event at t = 0, which is allowed for
     and discarded.  The landing starts from the event state, which scipy
     evaluates on the interpolant of the step that holds the event (so the
-    flight needs no dense output of its own); while |y| > CROSSING_Y_TOL
-    it takes first-order steps dt = -y / vy along the flow.
+    flight needs no dense output of its own); if |y| > CROSSING_Y_TOL
+    there, one first-order step dt = -y / vy along the flow sets y to
+    zero up to rounding.
     """
     def crossing(t, z):
         return z[1]
@@ -269,12 +270,10 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
             "no section crossing within the time budget", best=traj.final
         )
     t, z = hits[0]
-    for _ in range(6):
-        if abs(z[1]) <= CROSSING_Y_TOL:
-            return t, z
+    if abs(z[1]) > CROSSING_Y_TOL:
         dt = -z[1] / z[3]
         t, z = t + dt, z + dt * rhs(t, z)
-    raise NonConvergenceError("crossing refinement stalled", best=z)
+    return t, z
 
 
 def variational_flow(state0, mu, T, tol=1e-12):
@@ -390,6 +389,7 @@ class ExponentReport:
     reciprocal_ok: bool
     det_ok: bool
     flags: tuple[str, ...]
+    nontrivial: tuple[complex, ...]  # the two multipliers farthest from 1
 
 
 def orbit_exponents(orbit: OrbitRecord, unit_tol=1e-5) -> ExponentReport:
@@ -399,6 +399,8 @@ def orbit_exponents(orbit: OrbitRecord, unit_tol=1e-5) -> ExponentReport:
     autonomous flow plus the energy integral), the remaining pair
     reciprocal (Lambda, 1/Lambda), and det M = 1.  Failures are flagged,
     not fatal, since near-bifurcation orbits cluster all four near 1.
+    The orbit's stability is read from ``nontrivial`` alone: the unit
+    pair only splits by integration error.
     """
     mults = orbit.multipliers
     lam_max = max(abs(s) for s in mults)
@@ -420,5 +422,5 @@ def orbit_exponents(orbit: OrbitRecord, unit_tol=1e-5) -> ExponentReport:
         flags.append(f"det M = {det} differs from 1")
     return ExponentReport(
         mults, orbit.exponents, unit_pair_ok, reciprocal_ok, det_ok,
-        tuple(flags),
+        tuple(flags), tuple(others),
     )

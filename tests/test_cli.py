@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from secular.cli import run
+from secular.floquet import integrate
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import RationalPolynomial
 from secular.section import linearize_map
@@ -64,6 +65,20 @@ class TestExitCodes:
         ])
         assert code == 2
         assert err.startswith("error: non-convergence:")
+
+    def test_internal_error_is_not_input_error(self, capsys, monkeypatch):
+        # a flight that wrongly skips dense output is a bug, not bad input
+        def sparse(*args, **kwargs):
+            return integrate(*args, **{**kwargs, "dense": False})
+        monkeypatch.setattr("secular.cli.integrate", sparse)
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+            "--state", "0.5,0.3,0.2,-0.1", "--t", "1.0",
+        ])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal:")
+        assert "dense=False" in err
 
     def test_sturm_count_half_bounded(self, capsys):
         # x^2 - 2 has one root in (0, inf) and one in (-inf, 0]

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from secular.errors import DomainError, SingularityError
+from secular.errors import (
+    DomainError,
+    InternalInconsistencyError,
+    SingularityError,
+)
 from secular.floquet import (
     BOUNDED,
     SECULAR,
@@ -39,7 +43,7 @@ class TestIntegrate:
         traj = integrate(f, [1.0, 0.0], (0.0, 1.0), tol=1e-12, dense=False)
         assert np.allclose(traj.final, [math.cos(1.0), -math.sin(1.0)],
                            atol=1e-9)
-        with pytest.raises(DomainError, match="dense=False") as e:
+        with pytest.raises(InternalInconsistencyError, match="dense=False") as e:
             traj(0.5)
         assert "\n" not in str(e.value)
 

@@ -216,6 +216,22 @@ class TestCorrection:
                         rtol=1e-13, atol=1e-13)
         assert np.max(np.abs(sol.y[:, -1] - x0)) < 1e-9
 
+    @pytest.mark.parametrize("amplitude,verdict", [("1e-3", "unstable"),
+                                                   ("2e-2", "stable")])
+    def test_orbit_verdict_ignores_unit_pair(self, capsys, amplitude,
+                                             verdict):
+        # at 2e-2 the unit pair splits off the circle by integration
+        # error while the nontrivial pair lies on it: stable
+        code = run(["pcr3bp", "orbit", "--mu", repr(MU_EM), "--point", "L1",
+                    "--seed-amplitude", amplitude])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == verdict
+        mults = [complex(*s) for s in payload["multipliers"]]
+        pair = sorted(mults, key=lambda s: abs(s - 1.0))[2:]
+        assert (max(abs(s) for s in pair) > 1.0 + 1e-6) == (
+            verdict == "unstable")
+
 
 def _crossing_flight(case):
     """(rhs, z0, t_end, direction, terminal) of one y = 0 crossing flight
