@@ -56,6 +56,7 @@ from .pcr3bp import (
     _flow_rhs,
     correct_periodic,
     jacobi_constant,
+    libration_point,
     libration_points,
     libration_stability,
     lyapunov_seed,
@@ -342,10 +343,8 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
         })
         return 0
     if args.action == "stability":
-        pts = {p.label: p for p in libration_points(args.mu)}
-        if args.point not in pts:
-            raise DomainError(f"unknown libration point {args.point!r}")
-        st = libration_stability(args.mu, pts[args.point])
+        st = libration_stability(args.mu,
+                                 libration_point(args.mu, args.point))
         _emit_json(cfg, {
             "mu": args.mu,
             "point": args.point,
@@ -358,10 +357,8 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
         })
         return 0
     if args.action == "orbit":
-        pts = {p.label: p for p in libration_points(args.mu)}
-        if args.point not in pts:
-            raise DomainError(f"unknown libration point {args.point!r}")
-        seed, t_half = lyapunov_seed(args.mu, pts[args.point],
+        seed, t_half = lyapunov_seed(args.mu,
+                                     libration_point(args.mu, args.point),
                                      args.seed_amplitude)
         orbit = correct_periodic(seed, t_half, args.mu,
                                  integrator_tol=cfg.tol)

@@ -21,11 +21,16 @@ class NonConvergenceError(SecularError):
 
 
 class SingularityError(SecularError):
-    """Trajectory approached a singularity (collision or blow-up)."""
+    """Trajectory approached a singularity (collision or blow-up).
 
-    def __init__(self, message, t=None):
+    In a flight of stacked states, ``members`` holds the stack positions
+    of the states at fault when they are known.
+    """
+
+    def __init__(self, message, t=None, members=()):
         super().__init__(message)
         self.t = t
+        self.members = members
 
 
 class UnsupportedFlavorError(SecularError):

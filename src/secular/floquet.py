@@ -1,11 +1,14 @@
 """Periodic-coefficient linear systems: monodromy, multipliers, exponents.
 
-The shared adaptive integrator (`integrate`) wraps the Dormand-Prince
-8(5,3) pair (scipy's DOP853); it is fully deterministic for a given
-(f, x0, t_span, tol) and is reused by the three-body and
-surface-of-section modules.  Its dense output costs three extra
-right-hand-side calls per step, so only the flights that evaluate the
-trajectory between steps build it.
+The shared adaptive integrator (`integrate`) steps the Dormand-Prince
+8(5,3) pair (scipy's DOP853 stepper) with the event semantics of
+`solve_ivp`; it is fully deterministic for a given (f, x0, t_span, tol)
+and is reused by the three-body and surface-of-section modules.  Its
+dense output costs three extra right-hand-side calls per step, so only
+the flights that evaluate the trajectory between steps build it.  It
+also flies a stack of starts of one system as a single system, each
+member leaving the stack at its own terminal event: a manifold layer is
+one such flight instead of one flight per seed.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
 
 from .errors import DomainError, InternalInconsistencyError, SingularityError
 from .jordan import _cluster, jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
 DEFAULT_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -45,34 +50,139 @@ class Trajectory:
         return self.y[:, -1]
 
 
+def _dop853(f, t0, y0, t_end, tol, k, first_step=None) -> DOP853:
+    """The stepper for k stacked members: rtol tol / sqrt(k), atol 1e-2 of
+    that, since the step's error norm is an RMS over all components."""
+    rtol = tol / math.sqrt(k)
+    return DOP853(f, t0, y0, t_end, rtol=rtol, atol=rtol * 1e-2,
+                  first_step=first_step)
+
+
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
-              max_step=np.inf, dense=True) -> Trajectory:
+              dense=True) -> Trajectory:
     """Adaptive DOP853 integration, with dense output if ``dense``.
 
     Per-step relative error is bounded by tol (atol scaled to tol * 1e-2
-    to keep small components honest).  With dense=False the trajectory
-    cannot be called between steps, but events are still located on the
-    interpolant of the step that holds them, so ``t_events``,
-    ``y_events`` and ``final`` are bit-identical to a dense flight.
-    Step-size underflow surfaces as a SingularityError carrying the
-    failure location.
+    to keep small components honest).  Events follow `solve_ivp`: each is
+    a function g(t, x) with optional ``terminal`` and ``direction``, its
+    roots are found by brentq on the interpolant of the step that holds
+    them, and a terminal one ends the flight at its root.  With
+    dense=False the trajectory cannot be called between steps, but
+    ``t_events``, ``y_events`` and ``final`` are bit-identical to a dense
+    flight.  Step-size underflow surfaces as a SingularityError carrying
+    the failure location.
+
+    x0 of shape (n, m) is a stack of m starts of one n-dimensional
+    system, flown as one system of n*m equations: f takes and returns the
+    flattened (n, k) row-major stack of the k members still flying.  The
+    stack flies at tol / sqrt(k), so that no member's error is looser
+    than in a flight of its own.  ``events`` then holds one event per
+    member, called with that member's state; when it ends, its member
+    leaves the stack at the root and the others fly on from the step's
+    end.  ``final`` holds each member's last state, and a stacked flight
+    has no dense output.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    sol = solve_ivp(
-        f, tuple(t_span), np.asarray(x0, dtype=float),
-        method="DOP853", rtol=tol, atol=tol * 1e-2,
-        dense_output=dense, events=events, max_step=max_step,
-    )
-    if not sol.success:
-        t_fail = sol.t[-1] if len(sol.t) else t_span[0]
-        raise SingularityError(
-            f"integration failed near t={t_fail:.6g}: {sol.message}", t=t_fail
-        )
+    x0 = np.asarray(x0, dtype=float)
+    stacked = x0.ndim == 2
+    n, m = x0.shape if stacked else (len(x0), 1)
+    events = () if events is None else \
+        (events,) if callable(events) else tuple(events)
+    if stacked and (dense or len(events) not in (0, m)):
+        raise DomainError("a stacked flight takes no dense output and "
+                          "one event per member")
+    owner = list(range(m)) if stacked else [0] * len(events)
+    # occurrences of each event that end its member's flight
+    max_events = np.array([getattr(e, "terminal", None) or math.inf
+                           for e in events], dtype=float)
+    ev_dir = np.array([getattr(e, "direction", 0) for e in events],
+                      dtype=float)
+    t0, t_end = map(float, t_span)
+
+    frame = x0.reshape(n, m).copy()  # every member's latest state
+    live = list(range(m))
+    solver = _dop853(f, t0, frame.ravel().copy(), t_end, tol, m)
+    ts, ys, interpolants = [t0], [frame.ravel().copy()], []
+    g = np.array([ev(t0, frame[:, owner[e]]) for e, ev in enumerate(events)])
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    count = np.zeros(len(events))
+    watched = list(range(len(events)))  # the events of members in flight
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            raise SingularityError(
+                f"integration failed near t={ts[-1]:.6g}: {message}", t=ts[-1])
+        if solver.status == "finished":
+            status = 0
+        t_old, t, y, k = solver.t_old, solver.t, solver.y, len(live)
+        if stacked:
+            frame[:, live] = y.reshape(n, k)
+        sol = solver.dense_output() if dense else None
+        if dense:
+            interpolants.append(sol)
+        exits = {}  # member -> (time, state) where a terminal event ended it
+        if watched:
+            Y = frame if stacked else y.reshape(n, 1)
+            g_new = np.array([events[e](t, Y[:, owner[e]]) for e in watched])
+            g_old, d = g[watched], ev_dir[watched]
+            up = (g_old <= 0) & (g_new >= 0)
+            down = (g_old >= 0) & (g_new <= 0)
+            hit = up & (d > 0) | down & (d < 0) | (up | down) & (d == 0)
+            active = np.asarray(watched)[hit]
+            g[watched] = g_new
+            if active.size:
+                if sol is None:
+                    sol = solver.dense_output()
+                count[active] += 1
+                for j in dict.fromkeys(owner[e] for e in active):
+                    p = live.index(j)
+
+                    def at(tt):
+                        return sol(tt).reshape(n, k)[:, p]
+                    act = np.array([e for e in active if owner[e] == j])
+                    roots = np.asarray([
+                        brentq(lambda tt: events[e](tt, at(tt)), t_old, t,
+                               xtol=4 * _EPS, rtol=4 * _EPS)
+                        for e in act])
+                    if np.any(count[act] >= max_events[act]):
+                        order = np.argsort(roots) if t > t_old \
+                            else np.argsort(-roots)
+                        act, roots = act[order], roots[order]
+                        last = np.nonzero(count[act] >= max_events[act])[0][0]
+                        act, roots = act[:last + 1], roots[:last + 1]
+                        exits[j] = roots[-1], at(roots[-1])
+                    for e, te in zip(act, roots):
+                        t_events[e].append(te)
+                        y_events[e].append(at(te))
+        if exits:
+            live = [j for j in live if j not in exits]
+            watched = [e for e in watched if owner[e] in live]
+            if not live:
+                status = 1
+                t = max((te for te, _ in exits.values()),
+                        key=lambda te: (te - t_old) * (t - t_old))
+        if stacked:
+            for j, (_, z) in exits.items():
+                frame[:, j] = z
+            y = frame.ravel().copy()
+            if exits and status is None:
+                solver = _dop853(f, t, frame[:, live].ravel(), t_end, tol,
+                                 len(live), min(solver.h_abs, abs(t_end - t)))
+        elif exits:
+            y = exits[0][1]
+        if dense and len(ts) > 1 and ts[-1] == t:
+            interpolants.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
     return Trajectory(
-        sol.t, sol.y, sol.sol,
-        tuple(sol.t_events) if events else None,
-        tuple(sol.y_events) if events else None,
+        ts, np.vstack(ys).T, OdeSolution(ts, interpolants) if dense else None,
+        tuple(np.asarray(te) for te in t_events) if events else None,
+        tuple(np.asarray(ye) for ye in y_events) if events else None,
     )
 
 

@@ -9,7 +9,8 @@ segment, isolated with a Sturm chain and refined to 1e-12.
 The flow is stated once, in `_flow_rhs`; `_var_rhs` adds the
 state-transition matrix to it.  `_flow_to_crossing` is the one y = 0
 section-crossing locator, shared by the differential corrector here and
-by the return maps in `secular.section`.
+by the return maps and manifold layers in `secular.section`; it flies
+one start, or a stack of starts as one system.
 """
 
 from __future__ import annotations
@@ -42,6 +43,23 @@ def _check_mu(mu: float) -> float:
 
 
 def _radii(x, y, mu):
+    """Distances to the primaries; x and y are floats or arrays of them.
+
+    For arrays (a stack of states) a collision names the stack members
+    at fault.
+    """
+    if isinstance(x, np.ndarray):
+        r1 = np.hypot(x + mu, y)
+        r2 = np.hypot(x - 1.0 + mu, y)
+        if np.minimum(r1, r2).min() < COLLISION_RADIUS:
+            bad = np.flatnonzero((r1 < COLLISION_RADIUS)
+                                 | (r2 < COLLISION_RADIUS))
+            raise SingularityError(
+                "state within collision radius of a primary "
+                + ", ".join(f"(r1={r1[j]:.3g}, r2={r2[j]:.3g})" for j in bad),
+                members=tuple(bad.tolist()),
+            )
+        return r1, r2
     r1 = math.hypot(x + mu, y)
     r2 = math.hypot(x - 1.0 + mu, y)
     if r1 < COLLISION_RADIUS or r2 < COLLISION_RADIUS:
@@ -81,12 +99,13 @@ def _flow_rhs(mu):
 
     The one statement of the flow.  mu is not checked here: a manifolds
     run makes about a million calls, so the closure does no work beyond
-    the derivative itself.
+    the derivative itself.  z is one state of 4 floats or a stack of m
+    states flattened from the (4, m) layout, rows x, y, vx, vy.
     """
     def rhs(t, z):
-        x, y, vx, vy = z
+        x, y, vx, vy = z.reshape(4, -1) if len(z) > 4 else z
         ox, oy = _omega_gradient(x, y, mu)
-        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy]).ravel()
     return rhs
 
 
@@ -150,16 +169,23 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
     return float(hits[0])
 
 
+LIBRATION_LABELS = ("L1", "L2", "L3", "L4", "L5")
+
+
+def libration_point(mu: float, label: str) -> LibrationPoint:
+    """One equilibrium by label; only a collinear one refines a quintic."""
+    mu = _check_mu(mu)
+    if label not in LIBRATION_LABELS:
+        raise DomainError(f"unknown libration point {label!r}")
+    if label in ("L4", "L5"):
+        y = math.sqrt(3.0) / 2.0
+        return LibrationPoint(label, (0.5 - mu, y if label == "L4" else -y))
+    return LibrationPoint(label, (_collinear_root(Fraction(mu), label), 0.0))
+
+
 def libration_points(mu: float) -> list[LibrationPoint]:
     """All five equilibria, ordered L1..L5."""
-    mu = _check_mu(mu)
-    mu_f = Fraction(mu)
-    pts = [LibrationPoint(lab, (_collinear_root(mu_f, lab), 0.0))
-           for lab in ("L1", "L2", "L3")]
-    half = math.sqrt(3.0) / 2.0
-    pts.append(LibrationPoint("L4", (0.5 - mu, half)))
-    pts.append(LibrationPoint("L5", (0.5 - mu, -half)))
-    return pts
+    return [libration_point(mu, lab) for lab in LIBRATION_LABELS]
 
 
 STABLE = "linearly_stable"
@@ -243,37 +269,83 @@ def _with_stm(state) -> np.ndarray:
     return np.concatenate((np.asarray(state, dtype=float), np.eye(4).ravel()))
 
 
+def _crossing_event(direction, terminal):
+    """The scipy-style event y = 0 of one state (x, y, ...)."""
+    def crossing(t, z):
+        return z[1]
+    crossing.terminal, crossing.direction = terminal, direction
+    return crossing
+
+
 def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     """Fly z0 to its first y = 0 crossing; returns (t, z) there.
+
+    z0 is one start of n floats (the state, then anything flown with it,
+    such as an STM), or a stack of m starts with shape (n, m), which
+    `integrate` flies as one system: each member leaves the stack at its
+    own crossing and the others fly on.  One start returns (t, z) or
+    raises; a stack returns, per member, (t, z) or the error that ended
+    its flight.  A member that the RHS finds in collision leaves with its
+    SingularityError and the rest fly again without it; one that has not
+    crossed by t_end gets a NonConvergenceError.
 
     ``direction`` is the scipy event direction: the sign of dy/dt times
     the sign of t_end.  A start on the axis that already moves in that
     direction registers a spurious event at t = 0, which is allowed for
-    and discarded.  The landing starts from the event state, which scipy
-    evaluates on the interpolant of the step that holds the event (so the
+    and discarded.  The landing starts from the event state, which is
+    evaluated on the interpolant of the step that holds the event (so the
     flight needs no dense output of its own); if |y| > CROSSING_Y_TOL
     there, one first-order step dt = -y / vy along the flow sets y to
     zero up to rounding.
     """
-    def crossing(t, z):
-        return z[1]
-    moving = math.copysign(1.0, z0[3]) * math.copysign(1.0, t_end)
-    at_start = abs(z0[1]) <= 10.0 * CROSSING_Y_TOL and moving == direction
-    crossing.terminal = 2 if at_start else 1
-    crossing.direction = direction
-
-    traj = integrate(rhs, z0, (0.0, t_end), tol, events=crossing, dense=False)
-    hits = [(float(t), z) for t, z in zip(traj.t_events[0], traj.y_events[0])
-            if not at_start or abs(t) > 1e-9]
-    if not hits:
-        raise NonConvergenceError(
-            "no section crossing within the time budget", best=traj.final
-        )
-    t, z = hits[0]
-    if abs(z[1]) > CROSSING_Y_TOL:
-        dt = -z[1] / z[3]
-        t, z = t + dt, z + dt * rhs(t, z)
-    return t, z
+    z0 = np.asarray(z0, dtype=float)
+    Z = z0[:, None] if z0.ndim == 1 else z0
+    out = [None] * Z.shape[1]
+    todo = list(range(Z.shape[1]))
+    while todo:
+        moving = np.copysign(1.0, Z[3, todo]) * math.copysign(1.0, t_end)
+        at_start = ((np.abs(Z[1, todo]) <= 10.0 * CROSSING_Y_TOL)
+                    & (moving == direction))
+        events = [_crossing_event(direction, 2 if a else 1) for a in at_start]
+        try:
+            traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
+                             events=events, dense=False)
+        except SingularityError as e:
+            if e.members or len(todo) == 1:
+                bad = [todo[j] for j in e.members] or todo
+                for i in bad:
+                    out[i] = e
+                todo = [i for i in todo if i not in bad]
+                continue
+            # the stack failed as a whole: fly each member alone
+            for i in todo:
+                try:
+                    out[i] = _flow_to_crossing(rhs, Z[:, i], t_end, tol,
+                                               direction)
+                except (SingularityError, NonConvergenceError) as err:
+                    out[i] = err
+            break
+        final = traj.final.reshape(Z.shape[0], -1)
+        for j, i in enumerate(todo):
+            hits = [(float(t), z)
+                    for t, z in zip(traj.t_events[j], traj.y_events[j])
+                    if not at_start[j] or abs(t) > 1e-9]
+            if not hits:
+                out[i] = NonConvergenceError(
+                    "no section crossing within the time budget",
+                    best=final[:, j])
+                continue
+            t, z = hits[0]
+            if abs(z[1]) > CROSSING_Y_TOL:
+                dt = -z[1] / z[3]
+                t, z = t + dt, z + dt * rhs(t, z)
+            out[i] = (t, z)
+        break
+    if z0.ndim == 2:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def variational_flow(state0, mu, T, tol=1e-12):

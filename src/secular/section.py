@@ -5,6 +5,10 @@ crossing; the Jacobi constant C is held fixed, so a section point is the
 pair (x, vx) and vy is reconstructed from C.  The induced return map
 preserves area in (x, vx).  Every flight to the section, with or without
 the state-transition matrix, goes through `pcr3bp._flow_to_crossing`.
+
+A manifold layer flies as one stack of all its seeds, so the last digits
+of a manifold point depend on the other seeds in its layer; the output
+for the same arguments is still deterministic.
 """
 
 from __future__ import annotations
@@ -66,12 +70,20 @@ def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
 
 def _next_crossing(state: np.ndarray, mu: float, sd: SectionDef,
                    forward: bool = True, tol: float = 1e-12,
-                   max_time: float = 100.0) -> np.ndarray:
-    """Flow from state to the next section crossing (forward or backward)."""
+                   max_time: float = 100.0):
+    """Flow from state to the next section crossing (forward or backward).
+
+    ``state`` is one state or a stack of them with shape (4, m).  A stack
+    gives, per member, the crossing state or the error that ended its
+    flight (see `pcr3bp._flow_to_crossing`).
+    """
     # event direction is the sign of dy/dtau along the integration parameter
     ev_dir = sd.direction if forward else -sd.direction
     t_end = max_time if forward else -max_time
-    return _flow_to_crossing(_flow_rhs(mu), state, t_end, tol, ev_dir)[1]
+    out = _flow_to_crossing(_flow_rhs(mu), state, t_end, tol, ev_dir)
+    if np.ndim(state) == 1:
+        return out[1]
+    return [o if isinstance(o, Exception) else o[1] for o in out]
 
 
 def section_crossings(start: SectionPoint, mu: float, sd: SectionDef,
@@ -239,15 +251,19 @@ _BRANCHES = ("unstable+", "unstable-", "stable+", "stable-")
 def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
                      steps: int = 30, seeds: int = 200,
                      seed_offset: float = 1e-6, tol: float = 1e-12,
-                     escape_radius: float = 5.0,
                      lin: MapLinearization | None = None) -> ManifoldBranch:
     """Trace one manifold branch of a hyperbolic fixed point.
 
     Seeds fill a fundamental domain [offset, |lambda| * offset] along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
-    reversed-time (stable) return map; escape or collision truncates the
-    polyline and is recorded, not raised.  ``lin`` is the fixed point's
-    STM linearization at ``tol``; pass it to share one between branches.
+    reversed-time (stable) return map.  Each layer of seeds flies as one
+    stack (`pcr3bp._flow_to_crossing`), so the last digits of a point
+    depend on the other seeds in its layer, while the output for the same
+    arguments stays deterministic.  A seed that leaves the allowed region,
+    collides or does not cross within the time budget drops out and
+    truncates the polyline; the truncation is recorded, not raised.
+    ``lin`` is the fixed point's STM linearization at ``tol``; pass it to
+    share one between branches.
     """
     if branch not in _BRANCHES:
         raise DomainError(f"branch must be one of {_BRANCHES}")
@@ -264,7 +280,6 @@ def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
     v /= np.linalg.norm(v)
     if branch.endswith("-"):
         v = -v
-    step_fn = return_map if unstable else _inverse_map
 
     # geometric ladder of seeds across one fundamental domain
     ratios = np.abs(lam) ** np.linspace(0.0, 1.0, seeds, endpoint=False)
@@ -272,12 +287,24 @@ def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
     poly = []
     truncated, reason = False, ""
     for k in range(steps):
-        layer = []
+        outcomes = []  # per seed: its lifted start, then its crossing
         for q in pts:
             try:
-                layer.append(step_fn(SectionPoint(*q), mu, sd, tol).as_array())
-            except (SingularityError, DomainError, NonConvergenceError) as e:
-                truncated, reason = True, f"iterate {k}: {e}"
+                outcomes.append(lift(SectionPoint(*q), mu, sd))
+            except (DomainError, SingularityError) as e:
+                outcomes.append(e)
+        starts = [o for o in outcomes if not isinstance(o, Exception)]
+        if starts:
+            flown = iter(_next_crossing(np.array(starts).T, mu, sd,
+                                        forward=unstable, tol=tol))
+            outcomes = [o if isinstance(o, Exception) else next(flown)
+                        for o in outcomes]
+        layer = []
+        for o in outcomes:
+            if isinstance(o, Exception):
+                truncated, reason = True, f"iterate {k}: {o}"
+            else:
+                layer.append(np.array([float(o[0]), float(o[2])]))
         if not layer:
             break
         pts = layer

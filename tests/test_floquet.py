@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from secular.errors import (
@@ -169,3 +170,83 @@ class TestFactorization:
         exps = characteristic_exponents(monodromy(sys, tol=1e-12))
         with pytest.raises(DomainError):
             floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
+
+
+def _oscillators(t, z):
+    """x'' = -x for a stack of members, flattened from (2, k)."""
+    x, v = z.reshape(2, -1)
+    return np.concatenate((v, -x))
+
+
+class TestIntegrateAgainstSolveIvp:
+    def test_bit_identical_to_solve_ivp(self):
+        f = lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1] ** 3])
+
+        def up(t, y):
+            return y[0]
+        up.terminal, up.direction = 3, 1.0
+
+        def down(t, y):
+            return y[1] - 0.2
+        down.direction = -1.0
+        traj = integrate(f, [1.0, 0.0], (0.0, 40.0), 1e-10,
+                         events=[up, down])
+        ref = solve_ivp(f, (0.0, 40.0), [1.0, 0.0], method="DOP853",
+                        rtol=1e-10, atol=1e-12, dense_output=True,
+                        events=[up, down])
+        assert np.array_equal(traj.t, ref.t)
+        assert np.array_equal(traj.y, ref.y)
+        for mine, theirs in zip(traj.t_events + traj.y_events,
+                                ref.t_events + ref.y_events):
+            assert np.array_equal(mine, theirs)
+        ts = np.linspace(0.0, traj.t[-1], 17)
+        assert np.array_equal(traj(ts), ref.sol(ts))
+
+
+class TestStackedIntegrate:
+    def test_members_leave_at_their_terminal_event(self):
+        # x = cos(t + phi) crosses zero upwards at t = 3 pi / 2 - phi, mod 2 pi
+        phis = np.array([0.3, 1.1, -2.0])
+        x0 = np.array([np.cos(phis), -np.sin(phis)])
+        widths = []
+
+        def f(t, z):
+            widths.append(len(z))
+            return _oscillators(t, z)
+
+        def up(t, y):
+            return y[0]
+        up.terminal, up.direction = True, 1.0
+        traj = integrate(f, x0, (0.0, 4.0), 1e-10, events=[up, up, up],
+                         dense=False)
+        final = traj.final.reshape(2, 3)
+        for j, phi in enumerate(phis):
+            t_up = (1.5 * math.pi - phi) % (2.0 * math.pi)
+            if t_up < 4.0:
+                assert abs(traj.t_events[j][0] - t_up) < 1e-8
+                assert np.array_equal(final[:, j], traj.y_events[j][0])
+                assert np.allclose(final[:, j], [0.0, 1.0], atol=1e-8)
+            else:  # still flying at t_end
+                assert len(traj.t_events[j]) == 0
+                assert np.allclose(final[:, j],
+                                   [math.cos(4.0 + phi), -math.sin(4.0 + phi)],
+                                   atol=1e-8)
+        assert traj.t[-1] == 4.0
+        assert widths[0] == 6 and widths[-1] == 2  # the stack shrank
+
+    def test_stack_without_events_matches_members(self):
+        phis = np.array([0.0, 0.7])
+        x0 = np.array([np.cos(phis), -np.sin(phis)])
+        traj = integrate(_oscillators, x0, (0.0, 5.0), 1e-10, dense=False)
+        for j, phi in enumerate(phis):
+            alone = integrate(_oscillators, x0[:, j], (0.0, 5.0), 1e-10)
+            assert np.allclose(traj.final.reshape(2, 2)[:, j], alone.final,
+                               atol=1e-9)
+
+    def test_stack_rejects_dense_output_and_shared_events(self):
+        x0 = np.ones((2, 3))
+        with pytest.raises(DomainError):
+            integrate(_oscillators, x0, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            integrate(_oscillators, x0, (0.0, 1.0), events=lambda t, y: y[0],
+                      dense=False)

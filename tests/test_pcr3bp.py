@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from secular import pcr3bp
 from secular.cli import run
 from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.floquet import integrate
@@ -23,6 +24,7 @@ from secular.pcr3bp import (
     correct_periodic,
     eom,
     jacobi_constant,
+    libration_point,
     libration_points,
     libration_stability,
     lyapunov_seed,
@@ -106,6 +108,29 @@ class TestLibrationPoints:
         pts = libration_points(MU_EM)
         assert pts[3].position == (0.5 - MU_EM, math.sqrt(3.0) / 2.0)
         assert pts[4].position == (0.5 - MU_EM, -math.sqrt(3.0) / 2.0)
+
+
+class TestLibrationPoint:
+    def test_matches_libration_points(self):
+        for pt in libration_points(MU_EM):
+            assert libration_point(MU_EM, pt.label) == pt
+
+    def test_unknown_label(self):
+        with pytest.raises(DomainError, match="unknown libration point 'L9'"):
+            libration_point(MU_EM, "L9")
+
+    def test_refines_only_the_requested_quintic(self, monkeypatch):
+        calls = []
+        refine = pcr3bp.refine_root
+
+        def counted(*args):
+            calls.append(args)
+            return refine(*args)
+        monkeypatch.setattr(pcr3bp, "refine_root", counted)
+        libration_point(MU_EM, "L2")
+        assert len(calls) == 1
+        libration_point(MU_EM, "L4")
+        assert len(calls) == 1
 
 
 class TestStability:
@@ -277,6 +302,80 @@ class TestCrossingLocator:
         assert t / t_end > 0.1  # never the start itself
         assert abs(z[1]) <= CROSSING_Y_TOL
         assert z.shape == z0.shape
+
+
+class TestStackedLocator:
+    @pytest.mark.parametrize("case", CROSSING_CASES)
+    def test_stack_of_one_is_a_plain_flight(self, case):
+        rhs, z0, t_end, direction, terminal = _crossing_flight(case)
+        (got,) = _flow_to_crossing(rhs, z0[:, None], t_end, 1e-10, direction)
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal, crossing.direction = terminal, direction
+        traj = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing,
+                         dense=False)
+        t, z = float(traj.t_events[0][-1]), traj.y_events[0][-1]
+        if abs(z[1]) > CROSSING_Y_TOL:
+            dt = -z[1] / z[3]
+            t, z = t + dt, z + dt * rhs(t, z)
+        assert got[0] == t
+        assert np.array_equal(got[1], z)
+
+    @staticmethod
+    def _section_starts():
+        # three starts near the L1 orbit's section point, all y = 0, vy > 0
+        C, x0 = 3.1882812173139823, 0.8359151287720265
+        starts = []
+        for dx in (5e-5, 1e-4, 2e-4):
+            x = x0 + dx
+            omega = (0.5 * x * x + (1 - MU_EM) / abs(x + MU_EM)
+                     + MU_EM / abs(x - 1 + MU_EM))
+            starts.append([x, 0.0, 0.0, math.sqrt(2.0 * omega - C)])
+        return starts
+
+    def test_failing_members_leave_the_stack(self):
+        # a start at the Moon's centre collides at once; one far out needs
+        # 7.7 time units to cross upwards, the others less than 3
+        rhs, t_end = _flow_rhs(MU_EM), 4.0
+        starts = self._section_starts()
+        stack = starts[:1] + [[1.0 - MU_EM, 0.0, 0.0, 0.0]] + starts[1:2] \
+            + [[-2.5, 0.2, 0.0, 0.0]] + starts[2:]
+        out = _flow_to_crossing(rhs, np.array(stack).T, t_end, 1e-10, 1.0)
+        assert isinstance(out[1], SingularityError)
+        assert out[1].members == (1,)  # named by the stacked RHS
+        assert "collision" in str(out[1])
+        assert isinstance(out[3], NonConvergenceError)
+        assert out[3].best.shape == (4,)
+        for j in (0, 2, 4):
+            t, z = _flow_to_crossing(rhs, np.array(stack[j]), t_end, 1e-10,
+                                     1.0)
+            assert abs(out[j][0] - t) < 1e-8
+            assert np.max(np.abs(out[j][1] - z)) < 1e-8
+            assert abs(out[j][1][1]) <= CROSSING_Y_TOL
+
+    def test_stack_that_fails_whole_flies_members_alone(self):
+        # a failure that names no member sends every member on a solo flight
+        flow = _flow_rhs(MU_EM)
+
+        def rhs(t, z):
+            if len(z) > 4:
+                raise SingularityError("integration failed")
+            return flow(t, z)
+        starts = np.array(self._section_starts())
+        out = _flow_to_crossing(rhs, starts.T, 4.0, 1e-10, 1.0)
+        for got, z0 in zip(out, starts):
+            t, z = _flow_to_crossing(flow, z0, 4.0, 1e-10, 1.0)
+            assert got[0] == t
+            assert np.array_equal(got[1], z)
+
+    def test_stacked_flow_rhs_matches_single_states(self):
+        states = np.array(self._section_starts() + [[0.5, 0.3, 0.2, -0.1]])
+        f = _flow_rhs(MU_EM)
+        stacked = f(0.0, states.T.ravel()).reshape(4, -1)
+        for j, z in enumerate(states):
+            assert np.allclose(stacked[:, j], f(0.0, z), rtol=1e-14,
+                               atol=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from secular.errors import DomainError, NonConvergenceError
 from secular.pcr3bp import correct_periodic, jacobi_constant, libration_points, lyapunov_seed
 from secular.section import (
     HYPERBOLIC,
     ManifoldBranch,
+    MapLinearization,
     SectionDef,
     SectionPoint,
+    _inverse_map,
     fixed_point,
     homoclinic_intersection,
     lift,
@@ -195,3 +198,99 @@ class TestManifolds:
         s = ManifoldBranch("stable+", np.array([[0.0, 1.0], [1.0, 1.0]]),
                            False, "")
         assert not homoclinic_intersection(u, s).found
+
+
+def _flow(t, z):
+    """The rotating-frame flow, stated independently of secular.pcr3bp."""
+    x, y, vx, vy = z
+    r1 = math.hypot(x + MU_EM, y) ** 3
+    r2 = math.hypot(x - 1.0 + MU_EM, y) ** 3
+    ax = x - (1 - MU_EM) * (x + MU_EM) / r1 - MU_EM * (x - 1 + MU_EM) / r2
+    ay = y - (1 - MU_EM) * y / r1 - MU_EM * y / r2
+    return [vx, vy, 2.0 * vy + ax, -2.0 * vx + ay]
+
+
+def _omega(x):
+    return (0.5 * x * x + (1 - MU_EM) / abs(x + MU_EM)
+            + MU_EM / abs(x - 1 + MU_EM))
+
+
+def _reference_image(q, C, forward):
+    """Next upward y = 0 crossing of section point q, DOP853 at rtol 1e-12."""
+    z0 = [q[0], 0.0, q[1], math.sqrt(2.0 * _omega(q[0]) - q[1] ** 2 - C)]
+
+    def crossing(t, z):
+        return z[1]
+    crossing.terminal = 2  # the start itself registers at t = 0
+    crossing.direction = 1.0 if forward else -1.0
+    sol = solve_ivp(_flow, (0.0, 50.0 if forward else -50.0), z0,
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=crossing)
+    z = sol.y_events[0][-1]
+    return np.array([z[0], z[2]])
+
+
+README_C = 3.1882812173139823
+README_FIXED = SectionPoint(0.8359151287720265, 0.0)
+
+
+class TestStackedLayers:
+    @pytest.mark.parametrize("branch", ["unstable+", "stable+"])
+    def test_readme_layer0_matches_reference(self, branch):
+        # the README manifolds run flies each layer of 40 seeds as one
+        # stack, at a tolerance that keeps it no looser than solo flights
+        sd = SectionDef(+1, README_C)
+        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
+        br = manifold_segment(README_FIXED, MU_EM, sd, branch, steps=1,
+                              seeds=40, seed_offset=1e-7, tol=1e-10, lin=lin)
+        assert not br.truncated and br.points.shape == (40, 2)
+        eigvals, eigvecs = np.linalg.eig(lin.jacobian)
+        unstable = branch.startswith("unstable")
+        i = int(np.argmax(np.abs(eigvals)) if unstable
+                else np.argmin(np.abs(eigvals)))
+        v = np.real(eigvecs[:, i]) / np.linalg.norm(np.real(eigvecs[:, i]))
+        ratios = abs(eigvals[i].real) ** np.linspace(0.0, 1.0, 40,
+                                                     endpoint=False)
+        step = return_map if unstable else _inverse_map
+        stacked_err = solo_err = 0.0
+        for r, got in zip(ratios, br.points):
+            q = README_FIXED.as_array() + 1e-7 * r * v
+            ref = _reference_image(q, README_C, unstable)
+            solo = step(SectionPoint(*q), MU_EM, sd, 1e-10).as_array()
+            stacked_err = max(stacked_err, np.max(np.abs(got - ref)))
+            solo_err = max(solo_err, np.max(np.abs(solo - ref)))
+        assert stacked_err < 1e-8
+        assert stacked_err <= solo_err
+
+    def test_colliding_seed_truncates_and_others_stay(self):
+        # a section point on an orbit that falls straight into the Moon:
+        # fly back from r2 = 1e-3 to the previous y = 0 crossing
+        r0, ang = 1e-3, 3.0
+        v = math.sqrt(2.0 * MU_EM / r0)
+        fall = [1 - MU_EM + r0 * math.cos(ang), r0 * math.sin(ang),
+                -v * math.cos(ang), -v * math.sin(ang)]
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal = True
+        sol = solve_ivp(_flow, (0.0, -5.0), fall, method="DOP853",
+                        rtol=1e-13, atol=1e-15, events=crossing)
+        xc, _, vxc, vyc = sol.y_events[0][0]
+        assert vyc > 0.0
+        sd = SectionDef(+1, 2.0 * _omega(xc) - vxc ** 2 - vyc ** 2)
+        # a made-up linearization whose three seeds lie at xc + 0.01,
+        # about xc + 0.0068 and xc: only the last one collides
+        lam = 10.0
+        lin = MapLinearization(np.diag([lam, 1.0 / lam]),
+                               (complex(lam), complex(1.0 / lam)), HYPERBOLIC)
+        off = 0.01 / (lam ** (2.0 / 3.0) - 1.0)
+        p = SectionPoint(xc + 0.01 + off, vxc)
+        br = manifold_segment(p, MU_EM, sd, "unstable-", steps=1, seeds=3,
+                              seed_offset=off, tol=1e-10, lin=lin)
+        assert br.truncated
+        assert br.truncation_reason.startswith("iterate 0: ")
+        assert "collision" in br.truncation_reason
+        assert br.points.shape == (2, 2)
+        for r, got in zip((1.0, lam ** (1.0 / 3.0)), br.points):
+            solo = return_map(SectionPoint(p.x - off * r, vxc), MU_EM, sd,
+                              1e-10)
+            assert np.max(np.abs(got - solo.as_array())) < 1e-8
