@@ -58,6 +58,20 @@ def _dop853(f, t0, y0, t_end, tol, k, first_step=None) -> DOP853:
                   first_step=first_step)
 
 
+def _naming_members(f, live):
+    """f, with a SingularityError's ``members`` renamed from positions in
+    the stack f was called on to the members in flight, the list ``live``;
+    with one member in flight, that member is at fault."""
+    def rhs(t, y):
+        try:
+            return f(t, y)
+        except SingularityError as e:
+            e.members = tuple(live[j] for j in e.members) or \
+                (tuple(live) if len(live) == 1 else ())
+            raise
+    return rhs
+
+
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
               dense=True) -> Trajectory:
     """Adaptive DOP853 integration, with dense output if ``dense``.
@@ -80,7 +94,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     member, called with that member's state; when it ends, its member
     leaves the stack at the root and the others fly on from the step's
     end.  ``final`` holds each member's last state, and a stacked flight
-    has no dense output.
+    has no dense output.  A SingularityError from a stacked flight names
+    in ``members`` the members at fault, by their index in x0.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -102,6 +117,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
 
     frame = x0.reshape(n, m).copy()  # every member's latest state
     live = list(range(m))
+    if stacked:
+        f = _naming_members(f, live)
     solver = _dop853(f, t0, frame.ravel().copy(), t_end, tol, m)
     ts, ys, interpolants = [t0], [frame.ravel().copy()], []
     g = np.array([ev(t0, frame[:, owner[e]]) for e, ev in enumerate(events)])
@@ -114,7 +131,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         message = solver.step()
         if solver.status == "failed":
             raise SingularityError(
-                f"integration failed near t={ts[-1]:.6g}: {message}", t=ts[-1])
+                f"integration failed near t={ts[-1]:.6g}: {message}", t=ts[-1],
+                members=tuple(live) if stacked and len(live) == 1 else ())
         if solver.status == "finished":
             status = 0
         t_old, t, y, k = solver.t_old, solver.t, solver.y, len(live)
@@ -158,7 +176,7 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
                         t_events[e].append(te)
                         y_events[e].append(at(te))
         if exits:
-            live = [j for j in live if j not in exits]
+            live[:] = [j for j in live if j not in exits]
             watched = [e for e in watched if owner[e] in live]
             if not live:
                 status = 1
@@ -173,11 +191,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
                                  len(live), min(solver.h_abs, abs(t_end - t)))
         elif exits:
             y = exits[0][1]
-        if dense and len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
+        ts.append(t)
+        ys.append(y)
     ts = np.array(ts)
     return Trajectory(
         ts, np.vstack(ys).T, OdeSolution(ts, interpolants) if dense else None,

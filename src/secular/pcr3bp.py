@@ -311,8 +311,8 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
             traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
                              events=events, dense=False)
         except SingularityError as e:
-            if e.members or len(todo) == 1:
-                bad = [todo[j] for j in e.members] or todo
+            if e.members:
+                bad = [todo[j] for j in e.members]
                 for i in bad:
                     out[i] = e
                 todo = [i for i in todo if i not in bad]

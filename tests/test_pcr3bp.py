@@ -354,6 +354,46 @@ class TestStackedLocator:
             assert np.max(np.abs(out[j][1] - z)) < 1e-8
             assert abs(out[j][1][1]) <= CROSSING_Y_TOL
 
+    @staticmethod
+    def _moon_fall():
+        # a start that falls straight into the Moon 0.1 time units later,
+        # with y > 0 all the way: fly back from r2 = 1e-3
+        r0, ang = 1e-3, 3.0
+        v = math.sqrt(2.0 * MU_EM / r0)
+        fall = [1 - MU_EM + r0 * math.cos(ang), r0 * math.sin(ang),
+                -v * math.cos(ang), -v * math.sin(ang)]
+        sol = solve_ivp(_flow_rhs(MU_EM), (0.0, -0.1), fall,
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        return list(sol.y[:, -1])
+
+    def test_collision_after_a_departure_names_the_collider(self):
+        # member 0 crosses within the first step and leaves; member 2
+        # collides later, at position 1 of the stack still flying
+        rhs, t_end = _flow_rhs(MU_EM), 4.0
+        early, *others = self._section_starts()
+        early[1] = -1e-4
+        stack = [early, others[0], self._moon_fall(), others[1]]
+        out = _flow_to_crossing(rhs, np.array(stack).T, t_end, 1e-10, 1.0)
+        assert isinstance(out[2], SingularityError)
+        assert out[2].members == (2,)
+        assert "collision" in str(out[2])
+        for j in (0, 1, 3):
+            t, z = _flow_to_crossing(rhs, np.array(stack[j]), t_end, 1e-10,
+                                     1.0)
+            assert abs(out[j][0] - t) < 1e-8
+            assert np.max(np.abs(out[j][1] - z)) < 1e-8
+
+    def test_collision_of_the_last_member_in_flight_names_it(self):
+        # one member in flight makes a single-state RHS call, which names
+        # no member; the stacked flight names it
+        early = self._section_starts()[0]
+        early[1] = -1e-4
+        events = [pcr3bp._crossing_event(1.0, True) for _ in range(2)]
+        with pytest.raises(SingularityError) as err:
+            integrate(_flow_rhs(MU_EM), np.array([early, self._moon_fall()]).T,
+                      (0.0, 4.0), 1e-10, events, dense=False)
+        assert err.value.members == (1,)
+
     def test_stack_that_fails_whole_flies_members_alone(self):
         # a failure that names no member sends every member on a solo flight
         flow = _flow_rhs(MU_EM)
