@@ -4,7 +4,8 @@ Subcommands mirror the library modules: sturm, charpoly, inertia,
 hermite-count, interlace, jordan, linsolve, floquet, pcr3bp, section.
 All numeric defaults live in RunConfig and are echoed into every JSON
 output (CSV outputs carry them in a leading comment line).  Exit codes:
-0 success, 1 domain or input error, 2 numeric non-convergence.
+0 success, 1 domain or input error, 2 numeric non-convergence, 3 failed
+internal invariant (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     NonConvergenceError,
     SecularError,
     SingularityError,
+    UnsupportedFlavorError,
 )
 from .floquet import (
     characteristic_exponents,
@@ -44,6 +46,8 @@ from .linode import (
     solve_residue,
 )
 from .matrixcore import (
+    EXACT,
+    NUMERIC,
     QuadraticForm,
     SquareMatrix,
     char_poly,
@@ -234,9 +238,10 @@ def _cmd_interlace(args, cfg: RunConfig) -> int:
 
 def _cmd_jordan(args, cfg: RunConfig) -> int:
     A = _matrix_arg(args.matrix)
-    if args.flavor and args.flavor != A.flavor:
-        A = SquareMatrix(A.to_numpy(), "numeric") if args.flavor == "numeric" \
-            else A
+    if args.flavor == NUMERIC:
+        A = SquareMatrix(A.to_numpy(), NUMERIC)
+    elif args.flavor == EXACT and A.flavor != EXACT:
+        raise UnsupportedFlavorError("cannot promote a numeric matrix to exact")
     dec = jordan_form(A, cluster_tol=cfg.cluster_tol)
     out = {
         "J": json.loads(dec.J.to_json()),
@@ -255,6 +260,8 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
 def _cmd_linsolve(args, cfg: RunConfig) -> int:
     A = _matrix_arg(args.matrix)
     x0 = [Fraction(v) for v in args.x0.split(",")]
+    if len(x0) != A.n:
+        raise DomainError(f"--x0 needs {A.n} values, got {len(x0)}")
     if args.form == "second":
         v0 = ([Fraction(v) for v in args.v0.split(",")]
               if args.v0 else [Fraction(0)] * len(x0))

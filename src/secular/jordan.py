@@ -7,7 +7,8 @@ within a tolerance before reading off block structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,11 +85,7 @@ def rational_roots(p: RationalPolynomial) -> dict[Fraction, int]:
         q = RationalPolynomial(q.coeffs[1:])
     if q.degree == 0:
         return roots
-    import math
-
-    den = 1
-    for c in q.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in q.coeffs))
     ints = [int(c * den) for c in q.coeffs]
     for num_d in _divisors(ints[0]):
         for den_d in _divisors(ints[-1]):
@@ -173,9 +170,6 @@ class _SpanTracker:
     def __init__(self, n):
         self.n = n
         self.rows = []  # echelon rows
-
-    def contains(self, v) -> bool:
-        return self._reduce(list(v)) is None
 
     def add(self, v) -> bool:
         """Add v to the span; returns True if it enlarged the span."""
@@ -373,7 +367,9 @@ def _jordan_numeric(A: SquareMatrix, cluster_tol: float) -> JordanDecomposition:
         ranks = [n]
         Pk = N.copy()
         for _ in range(alg):
-            ranks.append(_numeric_rank(Pk, tol))
+            # N is invertible off this cluster, so no power has rank below
+            # n - alg, though the other eigenvalues' powers can fall under tol
+            ranks.append(max(_numeric_rank(Pk, tol), n - alg))
             Pk = Pk @ N
         sizes = _blocks_from_ranks(ranks, alg)
         chains = _numeric_chains(M, lam, sizes, tol)

@@ -4,6 +4,11 @@ Two independent solvers are provided: `solve_constant` goes through the
 Jordan decomposition, `solve_residue` through the residues of the resolvent
 adj(sI - A)/det(sI - A).  Both emit a `LinearSolution`, a sum of terms
 poly(t) * exp(lam*t), with secular (polynomial) factors explicit.
+
+Each solver is one algebra over either scalar type: a matrix whose
+eigenvalues are all rational runs it in Fractions, so its coefficients are
+exact until the final conversion; any other runs it in complex floats on
+the numeric Jordan data.
 """
 
 from __future__ import annotations
@@ -11,14 +16,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 from .jordan import jordan_form, multiplicity, rational_roots
-from .matrixcore import EXACT, NUMERIC, SquareMatrix, char_poly
-from .ratpoly import RationalPolynomial, _to_frac
+from .matrixcore import (
+    EXACT, NUMERIC, SquareMatrix, char_poly, faddeev_leverrier,
+)
+from .ratpoly import _to_frac
 
 _ZERO_TOL = 1e-12
 
@@ -110,79 +116,32 @@ def solve_constant(A: SquareMatrix, x0) -> LinearSolution:
     Jordan form with the documented clustering tolerance.
     """
     n = A.n
-    spectrum = _exact_spectrum(A)
-    if spectrum is not None:
+    if _exact_spectrum(A) is not None:
         dec = jordan_form(A)
-        y0 = dec.P.inverse().matvec([_to_frac(x) for x in x0])
-        raw = []
-        pos = 0
-        Pcols = dec.P.rows
-        for lam, sizes in dec.blocks:
-            for s in sizes:
-                # block contribution: coeff of t^d is sum_i P[:,pos+i] y0[pos+i+d]/d!
-                coeffs = []
-                for d in range(s):
-                    vec = [Fraction(0)] * n
-                    nonzero = False
-                    for i in range(s - d):
-                        y = y0[pos + i + d]
-                        if y == 0:
-                            continue
-                        nonzero = True
-                        for r in range(n):
-                            vec[r] += Pcols[r][pos + i] * y
-                    if nonzero:
-                        fact = Fraction(1, math.factorial(d))
-                        coeffs.append([complex(float(v * fact)) for v in vec])
-                    else:
-                        coeffs.append([0.0] * n)
-                # trim exact-zero trailing coefficients before conversion
-                while coeffs and all(c == 0 for c in coeffs[-1]):
-                    coeffs.pop()
-                if coeffs:
-                    raw.append((complex(float(lam)), coeffs))
-                pos += s
-        return _canonical_terms(raw, n, drop_tol=0.0)
-
-    dec = jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
+        y0 = dec.P.inverse().matvec(x0)
+        drop_tol = 0.0
+    else:
+        dec = jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
+        y0 = np.linalg.solve(dec.P.rows, np.asarray(x0, dtype=complex))
+        drop_tol = _ZERO_TOL
     P = dec.P.rows
-    y0 = np.linalg.solve(P, np.asarray(x0, dtype=complex))
     raw = []
     pos = 0
     for lam, sizes in dec.blocks:
         for s in sizes:
-            coeffs = []
-            for d in range(s):
-                vec = np.zeros(n, dtype=complex)
-                for i in range(s - d):
-                    vec += P[:, pos + i] * y0[pos + i + d]
-                coeffs.append(vec / math.factorial(d))
-            raw.append((lam, coeffs))
+            # block contribution: coeff of t^d is sum_i P[:,pos+i] y0[pos+i+d]/d!
+            coeffs = [
+                [complex(sum(P[r][pos + i] * y0[pos + i + d]
+                             for i in range(s - d)) / math.factorial(d))
+                 for r in range(n)]
+                for d in range(s)
+            ]
+            raw.append((complex(lam), coeffs))
             pos += s
-    return _canonical_terms(raw, n, drop_tol=_ZERO_TOL)
+    return _canonical_terms(raw, n, drop_tol)
 
 
 # -- residue route ----------------------------------------------------------------
-
-
-def _resolvent_numerator(A: SquareMatrix):
-    """adj(sI - A) as a list of matrices M_k with adj = sum M_k s^{n-1-k},
-    by the Faddeev-LeVerrier recursion (exact flavor)."""
-    n = A.n
-    Ms = [SquareMatrix.identity(n)]
-    M = SquareMatrix.identity(n)
-    for k in range(1, n):
-        AM = A.matmul(M)
-        tr = sum(AM.rows[i][i] for i in range(n))
-        c = -tr / k
-        M = SquareMatrix(
-            [
-                [AM.rows[i][j] + (c if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        Ms.append(M)
-    return Ms
 
 
 def _series_inverse(coeffs, order):
@@ -212,82 +171,51 @@ def _poly_shift(coeffs, lam):
 
 
 def solve_residue(A: SquareMatrix, x0) -> LinearSolution:
-    """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t)."""
+    """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t).
+
+    Exact-rational spectra take the residues in Fractions at the rational
+    roots of det(sI - A); anything else in complex floats at the numeric
+    Jordan eigenvalues, each pole of order its cluster's multiplicity.
+    """
     n = A.n
     spectrum = _exact_spectrum(A)
     if spectrum is not None:
-        Ms = _resolvent_numerator(A)
-        cp = char_poly(A).poly
-        x = [_to_frac(x) for x in x0]
-        # numerator vector polynomial: N(s) = sum_k (M_k x0) s^{n-1-k}
-        numer = [[Fraction(0)] * n for _ in range(n)]  # numer[deg][component]
-        for k, Mk in enumerate(Ms):
-            v = Mk.matvec(x)
-            deg = n - 1 - k
-            for r in range(n):
-                numer[deg][r] += v[r]
-        raw = []
-        for lam, m in spectrum.items():
-            q = cp
-            for _ in range(m):
-                q = q // RationalPolynomial([-lam, 1])
-            qs = _poly_shift(list(q.coeffs), lam)
-            inv = _series_inverse(qs, m - 1)
-            coeffs = [[Fraction(0)] * n for _ in range(m)]
-            for r in range(n):
-                comp = [numer[d][r] for d in range(n)]
-                ns = _poly_shift(comp, lam)
-                # Taylor coefficients of N_r(s)/q(s) around lam, to order m-1
-                for i in range(m):
-                    d = Fraction(0)
-                    for a in range(i + 1):
-                        na = ns[a] if a < len(ns) else Fraction(0)
-                        d += na * inv[i - a]
-                    # residue contributes d_i * t^{m-1-i} / (m-1-i)!
-                    coeffs[m - 1 - i][r] += d / math.factorial(m - 1 - i)
-            clist = []
-            for vec in coeffs:
-                clist.append([complex(float(v)) for v in vec])
-            while clist and all(c == 0 for c in clist[-1]):
-                clist.pop()
-            if clist:
-                raw.append((complex(float(lam)), clist))
-        return _canonical_terms(raw, n, drop_tol=0.0)
-
-    # numeric route: same algebra in complex floats
-    M = A.to_numpy()
-    x = np.asarray(x0, dtype=complex)
-    dec = jordan_form(SquareMatrix(M, NUMERIC))
-    # numerator via numeric Faddeev-LeVerrier
-    Ms = [np.eye(n, dtype=complex)]
-    B = np.eye(n, dtype=complex)
-    for k in range(1, n):
-        AM = M @ B
-        c = -np.trace(AM) / k
-        B = AM + c * np.eye(n)
-        Ms.append(B)
-    numer = [Ms[k] @ x for k in range(n)]  # coefficient of s^{n-1-k}
-    cp = np.poly(M)  # monic, highest first
+        rows, x = A.rows, [_to_frac(v) for v in x0]
+        poles = spectrum.items()
+        drop_tol = 0.0
+    else:
+        M = A.to_numpy()
+        rows, x = M.tolist(), [complex(v) for v in x0]
+        dec = jordan_form(SquareMatrix(M, NUMERIC))
+        poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
+        drop_tol = _ZERO_TOL
+    _, Ms = faddeev_leverrier(rows)
+    # numerator N(s) = adj(sI - A) x0: numer[r] holds N_r, lowest degree first
+    numer = [
+        [sum(Ms[n - 1 - d][r][j] * x[j] for j in range(n)) for d in range(n)]
+        for r in range(n)
+    ]
     raw = []
-    for lam, sizes in dec.blocks:
-        m = sum(sizes)
-        q = cp.copy()
-        for _ in range(m):
-            q = np.polydiv(q, np.array([1.0, -lam]))[0]
-        qs_low = _poly_shift(list(q[::-1]), lam)
-        inv = _series_inverse(qs_low, m - 1)
-        coeffs = [np.zeros(n, dtype=complex) for _ in range(m)]
+    for lam, m in poles:
+        # det(sI - A) = (s - lam)^m q(s); q(lam + u) is the product of
+        # (u + lam - mu)^k over the other poles, built from their distances
+        qs = [lam ** 0]  # 1 in the scalar type of lam
+        for mu, k in poles:
+            if mu != lam:
+                for _ in range(k):
+                    qs = [a + (lam - mu) * b
+                          for a, b in zip([0] + qs, qs + [0])]
+        inv = _series_inverse(qs, m - 1)
+        coeffs = [[0] * n for _ in range(m)]
         for r in range(n):
-            comp = [numer[k][r] for k in range(n)][::-1]  # lowest degree first
-            ns = _poly_shift(comp, lam)
+            ns = _poly_shift(numer[r], lam)
+            # Taylor coefficients of N_r(s)/q(s) around lam, to order m-1;
+            # d_i contributes d_i * t^{m-1-i} / (m-1-i)! to the residue
             for i in range(m):
-                d = sum(
-                    (ns[a] if a < len(ns) else 0.0) * inv[i - a]
-                    for a in range(i + 1)
-                )
-                coeffs[m - 1 - i][r] += d / math.factorial(m - 1 - i)
-        raw.append((lam, coeffs))
-    return _canonical_terms(raw, n, drop_tol=_ZERO_TOL)
+                d = sum(ns[a] * inv[i - a] for a in range(i + 1))
+                coeffs[m - 1 - i][r] = d / math.factorial(m - 1 - i)
+        raw.append((complex(lam), [[complex(v) for v in vec] for vec in coeffs]))
+    return _canonical_terms(raw, n, drop_tol)
 
 
 # -- stability --------------------------------------------------------------------
@@ -320,7 +248,7 @@ class SecondOrderSystem:
             raise DomainError("second-order system matrix must be symmetric")
 
 
-def _eigen_structure(A: SquareMatrix, tol=1e-9):
+def _eigen_structure(A: SquareMatrix):
     """[(eigenvalue, max block size, algebraic mult)] from Jordan data."""
     spectrum = _exact_spectrum(A)
     if spectrum is not None:

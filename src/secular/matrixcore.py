@@ -21,9 +21,8 @@ from .ratpoly import (
     _to_frac,
     count_real_roots,
     isolate_real_roots,
-    refine_root,
+    refine_interval,
     square_free_part,
-    sturm_chain,
     poly_gcd,
 )
 
@@ -59,26 +58,27 @@ class SquareMatrix:
         )
 
     @classmethod
-    def from_numpy(cls, arr) -> "SquareMatrix":
-        return cls(np.asarray(arr, dtype=complex), NUMERIC)
-
-    @classmethod
     def from_json(cls, text: str) -> "SquareMatrix":
         data = json.loads(text)
         if isinstance(data, list):  # bare rows: an exact matrix
             data = {"rows": data}
         rows = data.get("rows") if isinstance(data, dict) else None
-        if not (isinstance(rows, list)
+        if not (isinstance(rows, list) and rows
                 and all(isinstance(r, list) for r in rows)):
-            raise DomainError('matrix JSON must be a list of rows, or an '
-                              'object with "rows", each row a list')
+            raise DomainError('matrix JSON must be a non-empty list of rows, '
+                              'or an object with "rows", each row a list')
         flavor = data.get("flavor", EXACT)
+        if flavor not in (EXACT, NUMERIC):
+            raise DomainError(f"unknown flavor {flavor!r}")
+        if flavor == NUMERIC and not all(isinstance(x, list) and len(x) == 2
+                                         for r in rows for x in r):
+            raise DomainError("numeric matrix entries must be [re, im] pairs")
         try:
             if flavor == EXACT:
                 rows = [[Fraction(x) for x in r] for r in rows]
             else:
-                rows = [[complex(x[0], x[1]) for x in r] for r in rows]
-        except TypeError as e:
+                rows = [[complex(*x) for x in r] for r in rows]
+        except (TypeError, OverflowError) as e:
             raise DomainError(f"bad matrix entry: {e}") from e
         m = cls(rows, flavor)
         if "n" in data and data["n"] != m.n:
@@ -106,11 +106,6 @@ class SquareMatrix:
         return np.array(
             [[float(x) for x in r] for r in self.rows], dtype=complex
         )
-
-    def to_exact(self) -> "SquareMatrix":
-        if self.flavor == EXACT:
-            return self
-        raise UnsupportedFlavorError("cannot promote numeric matrix to exact")
 
     def is_symmetric(self) -> bool:
         if self.flavor == EXACT:
@@ -142,15 +137,6 @@ class SquareMatrix:
         return SquareMatrix(
             [
                 [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def sub(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._require_exact()
-        return SquareMatrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
                 for i in range(self.n)
             ]
         )
@@ -331,24 +317,32 @@ def char_poly(A: SquareMatrix) -> CharPoly:
         return CharPoly(
             RationalPolynomial([Fraction(float(c.real)) for c in coeffs])
         )
-    n = A.n
-    # Faddeev-LeVerrier: M_0 = I, c_n = 1;
-    # c_{n-k} = -trace(A M_{k-1})/k, M_k = A M_{k-1} + c_{n-k} I
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = SquareMatrix.identity(n)
+    return CharPoly(RationalPolynomial(faddeev_leverrier(A.rows)[0]))
+
+
+def faddeev_leverrier(rows):
+    """det(sI - A) and adj(sI - A) by the Faddeev-LeVerrier recursion.
+
+    `rows` is a list of rows of Fraction or complex entries; the recursion
+    runs in that scalar type.  Returns (coeffs, Ms): the monic coefficients
+    of det(sI - A), lowest degree first, and the matrices M_0..M_{n-1}
+    (lists of rows) with adj(sI - A) = sum_k M_k s^{n-1-k}.
+    M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1})/k, M_k = A M_{k-1} + c_{n-k} I.
+    """
+    n = len(rows)
+    one = rows[0][0] ** 0 if n else 1  # 1 in the scalar type of the entries
+    coeffs = [one] * (n + 1)
+    M = [[one * (i == j) for j in range(n)] for i in range(n)]
+    Ms = []
     for k in range(1, n + 1):
-        AM = A.matmul(M)
-        tr = sum(AM.rows[i][i] for i in range(n))
-        c = -tr / k
+        Ms.append(M)
+        AM = [[sum(rows[i][l] * M[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(AM[i][i] for i in range(n)) / k
         coeffs[n - k] = c
-        M = SquareMatrix(
-            [
-                [AM.rows[i][j] + (c if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-    return CharPoly(RationalPolynomial(coeffs))
+        M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
+             for i in range(n)]
+    return coeffs, Ms
 
 
 def minor_sequence(A: SquareMatrix) -> MinorSequence:
@@ -365,38 +359,25 @@ def minor_sequence(A: SquareMatrix) -> MinorSequence:
     return MinorSequence(tuple(deltas))
 
 
-def adjugate(A: SquareMatrix) -> SquareMatrix:
-    """Exact adjugate: adj(A)[i][j] = (-1)^{i+j} * minor_{j,i}."""
-    A._require_exact()
-    n = A.n
-    if n == 1:
-        return SquareMatrix([[1]])
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = SquareMatrix(
-                [
-                    [A.rows[r][c] for c in range(n) if c != i]
-                    for r in range(n) if r != j
-                ]
-            )
-            out[i][j] = (-1) ** (i + j) * sub.det()
-    return SquareMatrix(out)
-
-
 def lagrange_eigenvector(A: SquareMatrix, lam) -> list[Fraction]:
-    """Nonzero column of adj(A - lam*I) for a simple exact eigenvalue."""
+    """Nonzero column of adj(A - lam*I) for a simple exact eigenvalue.
+
+    adj(A - lam*I) = (-1)^{n-1} sum_k M_k lam^{n-1-k}, with the M_k of
+    `faddeev_leverrier`.
+    """
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("lagrange_eigenvector expects a symmetric matrix")
     lam = _to_frac(lam)
-    cp = char_poly(A).poly
-    if cp.eval_frac(lam) != 0:
+    n = A.n
+    coeffs, Ms = faddeev_leverrier(A.rows)
+    if RationalPolynomial(coeffs).eval_frac(lam) != 0:
         raise DomainError(f"{lam} is not an eigenvalue")
     shifted = A.shift(lam)
-    adj = adjugate(shifted)
-    for j in range(A.n):
-        col = [adj.rows[i][j] for i in range(A.n)]
+    sign = (-1) ** (n - 1)
+    for j in range(n):
+        col = [sign * sum(Ms[k][i][j] * lam ** (n - 1 - k) for k in range(n))
+               for i in range(n)]
         if any(x != 0 for x in col):
             res = shifted.matvec(col)
             assert all(x == 0 for x in res)
@@ -556,20 +537,6 @@ class AlgebraicRoot:
     interval: RootInterval
     multiplicity: int
 
-    def refined(self, width) -> RootInterval:
-        iv = self.interval
-        while iv.width() > width:
-            m = iv.midpoint()
-            if self.poly.eval_frac(m) == 0:
-                half = iv.width() / 4
-                iv = RootInterval(m - half, m + half)
-                continue
-            if count_real_roots(self.poly, iv.lo, m) == 1:
-                iv = RootInterval(iv.lo, m)
-            else:
-                iv = RootInterval(m, iv.hi)
-        return iv
-
 
 def real_roots_with_multiplicity(p: RationalPolynomial) -> list[AlgebraicRoot]:
     """Isolated real roots of p in increasing order, with multiplicities."""
@@ -607,15 +574,14 @@ def _compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
             ):
                 return 0
     # refine until disjoint
-    ra, rb = a, b
     while True:
-        if ra.interval.hi <= rb.interval.lo:
+        if iva.hi <= ivb.lo:
             return -1
-        if rb.interval.hi <= ra.interval.lo:
+        if ivb.hi <= iva.lo:
             return 1
-        w = min(ra.interval.width(), rb.interval.width()) / 2
-        ra = AlgebraicRoot(ra.poly, ra.refined(w), ra.multiplicity)
-        rb = AlgebraicRoot(rb.poly, rb.refined(w), rb.multiplicity)
+        w = min(iva.width(), ivb.width()) / 2
+        iva = refine_interval(a.poly, iva, w)
+        ivb = refine_interval(b.poly, ivb, w)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ their square-free part before a Sturm chain is built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-
-Rat = Fraction
 
 #: sentinels for unbounded interval endpoints
 NEG_INF = object()
@@ -60,7 +59,14 @@ class RationalPolynomial:
     @classmethod
     def from_json(cls, text: str) -> "RationalPolynomial":
         data = json.loads(text)
-        return cls([Fraction(c) for c in data["coeffs"]])
+        coeffs = data.get("coeffs") if isinstance(data, dict) else None
+        if not isinstance(coeffs, list):
+            raise DomainError('polynomial JSON must be an object with a '
+                              '"coeffs" list')
+        try:
+            return cls([Fraction(c) for c in coeffs])
+        except (TypeError, OverflowError) as e:
+            raise DomainError(f"bad polynomial coefficient: {e}") from e
 
     def to_json(self) -> str:
         return json.dumps(
@@ -210,9 +216,7 @@ class SturmChain:
 
     def variations(self, x) -> int:
         """Number of sign variations of the chain at x (rational or ±inf)."""
-        signs = [p.sign_at(x) for p in self.polys]
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+        return _sign_variations_seq([p.sign_at(x) for p in self.polys])
 
 
 @dataclass(frozen=True)
@@ -270,19 +274,10 @@ def root_separation_lower_bound(p: RationalPolynomial) -> Fraction:
     n = f.degree
     if n <= 1:
         return Fraction(1)
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [c * den for c in f.coeffs]
-    h = max(abs(c) for c in ints)
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    h = max(abs(c * den) for c in f.coeffs)
     # sqrt(3)/n^{(n+2)/2} >= n^{-(n+2)};  ||p||_2 <= (n+1) H
     return Fraction(1, n ** (n + 2) * ((n + 1) * int(h)) ** (n - 1))
-
-
-def _gcd_int(a, b):
-    import math
-
-    return math.gcd(int(a), int(b))
 
 
 def _nudge_endpoint(e: Fraction, p: RationalPolynomial) -> Fraction:
@@ -382,20 +377,33 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
 
 
 def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
-    """Refine an isolated simple root to within tol (bisection + guarded Newton)."""
+    """Refine an isolated simple root to within tol; the midpoint of
+    `refine_interval`."""
     tol = _to_frac(tol)
     if tol <= 0:
         raise DomainError("tol must be positive")
     f = square_free_part(p)
-    fp = f.derivative()
     a, b = _to_frac(iv.lo), _to_frac(iv.hi)
     if count_real_roots(f, a, b) != 1:
         raise DomainError("interval does not isolate exactly one root")
-    if f.sign_at(a) == 0:
-        a = a - root_separation_lower_bound(f) / 2
-    sa = f.sign_at(a)
     if f.sign_at(b) == 0:
         return b
+    if f.sign_at(a) == 0:
+        # a root at lo lies outside (lo, hi]: step up past it, not down
+        a = _nudge_endpoint(a, f)
+    return refine_interval(f, RootInterval(a, b), tol).midpoint()
+
+
+def refine_interval(f: RationalPolynomial, iv: RootInterval,
+                    width) -> RootInterval:
+    """Shrink iv to at most `width` (bisection + guarded Newton).
+
+    f must be square-free, with exactly one root in iv and none at either
+    end; the root stays strictly inside the returned interval.
+    """
+    fp = f.derivative()
+    a, b = iv.lo, iv.hi
+    sa = f.sign_at(a)
     dmax = max(abs(fp.eval_frac(a)), abs(fp.eval_frac(b)), Fraction(1))
     floor_deriv = dmax / Fraction(2 ** 40)
 
@@ -404,8 +412,8 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
         nonlocal a, b
         s = f.sign_at(x)
         if s == 0:
-            a = x - tol / 2
-            b = x + tol / 2
+            h = min(width / 2, x - a, b - x)
+            a, b = x - h, x + h
             return True
         if s == sa:
             a = x
@@ -413,7 +421,7 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
             b = x
         return False
 
-    while b - a > tol:
+    while b - a > width:
         # bisection first: the bracket provably halves every pass
         if absorb((a + b) / 2):
             break
@@ -426,4 +434,4 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
             xn = Fraction(xn_f)
             if a < xn < b and absorb(xn):
                 break
-    return (a + b) / 2
+    return RootInterval(a, b)

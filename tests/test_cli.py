@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secular.cli import run
 from secular.floquet import integrate
@@ -111,6 +114,41 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: input:")
         assert err.count("\n") == 1
+
+    def test_numeric_entry_not_a_pair_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, [
+            "charpoly", "--matrix", '{"flavor":"numeric","rows":[[[1]]]}'])
+        assert (code, out) == (1, "")
+        assert err == "error: input: numeric matrix entries must be " \
+                      "[re, im] pairs\n"
+
+    def test_non_list_coeffs_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, [
+            "sturm", "count", "--poly", '{"coeffs": 5}'])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: input:")
+        assert err.count("\n") == 1
+
+    def test_jordan_exact_flavor_of_numeric_matrix_is_input_error(
+            self, capsys):
+        code, out, err = invoke(capsys, [
+            "jordan", "--flavor", "exact",
+            "--matrix", '{"flavor":"numeric","rows":[[[1,0]]]}'])
+        assert (code, out) == (1, "")
+        assert err == "error: input: cannot promote a numeric matrix " \
+                      "to exact\n"
+
+    @pytest.mark.parametrize("matrix", [
+        '[["1","2"],["3","4"]]',
+        '{"flavor":"numeric","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}'])
+    @pytest.mark.parametrize("x0", ["1", "1,2,3"])
+    @pytest.mark.parametrize("method", ["jordan", "residue"])
+    def test_linsolve_x0_of_wrong_length_is_input_error(
+            self, capsys, matrix, x0, method):
+        code, out, err = invoke(capsys, [
+            "linsolve", "--matrix", matrix, "--x0", x0, "--method", method])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: input: --x0 needs 2 values")
 
     def test_version(self):
         out = subprocess.run(
@@ -267,3 +305,76 @@ def test_readme_example_runs(capsys, line):
     code, out, err = invoke(capsys, shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+# -- malformed JSON input: exit 1 with one line, never a traceback ----------
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-9, 9),
+    st.text(alphabet="abz ./", max_size=3))
+# values that no matrix entry or coefficient accepts
+_not_a_number = st.one_of(
+    st.none(), st.text(alphabet="abz ./", max_size=3),
+    st.lists(st.integers(-9, 9), max_size=2),
+    st.dictionaries(st.text(alphabet="ab", max_size=1), st.integers(),
+                    max_size=1),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+_not_a_pair = st.one_of(
+    _json_scalars,
+    st.lists(st.integers(-9, 9), max_size=4).filter(lambda v: len(v) != 2),
+    st.tuples(_not_a_number, st.integers(-9, 9)).map(list),
+    st.tuples(st.integers(-9, 9), _not_a_number).map(list))
+
+
+@st.composite
+def _malformed_matrix(draw):
+    n = draw(st.integers(1, 3))
+    flavor = draw(st.sampled_from(["exact", "numeric"]))
+    entry = (st.integers(-3, 3) if flavor == "exact"
+             else st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    data = {"flavor": flavor, "rows": rows}
+    defect = draw(st.sampled_from(
+        ["entry", "ragged", "row", "rows", "empty", "n", "flavor"]))
+    if defect == "entry":
+        rows[i][j] = draw(_not_a_number if flavor == "exact"
+                          else _not_a_pair)
+    elif defect == "ragged":
+        del rows[i][j]
+    elif defect == "row":
+        rows[i] = draw(_json_scalars)
+    elif defect == "rows":
+        data["rows"] = draw(_json_scalars)
+    elif defect == "empty":
+        data["rows"] = []
+    elif defect == "n":
+        data["n"] = n + draw(st.integers(1, 3))
+    else:
+        data["flavor"] = draw(st.text(alphabet="xyz", min_size=1, max_size=3))
+    return json.dumps(data)
+
+
+@st.composite
+def _malformed_poly(draw):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    defect = draw(st.sampled_from(["coeffs", "entry", "key"]))
+    if defect == "coeffs":
+        return json.dumps({"coeffs": draw(_json_scalars)})
+    if defect == "entry":
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(_not_a_number)
+        return json.dumps({"coeffs": coeffs})
+    return json.dumps({"coefs": coeffs})
+
+
+@given(st.one_of(_malformed_matrix().map(lambda t: ["charpoly", "--matrix", t]),
+                 _malformed_poly().map(lambda t: ["sturm", "count", "--poly", t])))
+@settings(max_examples=150, deadline=None)
+def test_malformed_json_is_one_line_input_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("error: input:")
+    assert err.getvalue().count("\n") == 1

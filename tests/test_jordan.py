@@ -140,6 +140,15 @@ class TestJordanForm:
         assert sizes == (2,)
         assert np.allclose(A @ dec.P.rows, dec.P.rows @ dec.J.rows, atol=1e-5)
 
+    def test_numeric_small_eigenvalue_beside_a_cluster(self):
+        # the powers of N = A - 0 I shrink 2^-9 to 2^-27, under the rank
+        # tolerance, while the triple zero still has three 1-blocks
+        A = np.diag([2.0 ** -9, 0.0, 0.0, 0.0])
+        dec = jordan_form(SquareMatrix(A, flavor="numeric"))
+        assert [(complex(lam), sizes) for lam, sizes in dec.blocks] == [
+            (0j, (1, 1, 1)), (2.0 ** -9 + 0j, (1,))]
+        assert np.allclose(A @ dec.P.rows, dec.P.rows @ dec.J.rows)
+
 
 class TestPoincareNullity:
     def test_rank_deficiency_gives_zero_roots(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secular.errors import DomainError, UnsupportedFlavorError
 from secular.matrixcore import (
@@ -10,6 +11,7 @@ from secular.matrixcore import (
     QuadraticForm,
     SquareMatrix,
     char_poly,
+    faddeev_leverrier,
     hermite_root_count,
     inertia,
     interlacing_check,
@@ -71,6 +73,36 @@ class TestCharPoly:
         A = SquareMatrix([[2.0, 0.0], [0.0, 3.0]], flavor="numeric")
         cp = char_poly(A).poly
         assert abs(float(cp.coeffs[0]) - 6.0) < 1e-9
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def exact_matrices(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    return SquareMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(exact_matrices())
+@settings(max_examples=80, deadline=None)
+def test_char_poly_constant_term_is_signed_det(A):
+    assert char_poly(A).poly.eval_frac(0) == (-1) ** A.n * A.det()
+
+
+@given(exact_matrices(), st.fractions(-10, 10, max_denominator=7))
+@settings(max_examples=80, deadline=None)
+def test_faddeev_leverrier_adjugate_inverts_resolvent(A, s):
+    """adj(sI - A) = sum_k M_k s^{n-1-k} times (sI - A) is det(sI - A) I."""
+    n = A.n
+    coeffs, Ms = faddeev_leverrier(A.rows)
+    adj = SquareMatrix([[sum(Ms[k][i][j] * s ** (n - 1 - k) for k in range(n))
+                         for j in range(n)] for i in range(n)])
+    resolvent = A.shift(s).scale(-1)  # sI - A
+    det = resolvent.det()
+    assert det == sum(c * s ** k for k, c in enumerate(coeffs))
+    assert adj.matmul(resolvent) == SquareMatrix.identity(n).scale(det)
 
 
 class TestMinorSequence:

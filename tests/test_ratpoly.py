@@ -167,6 +167,13 @@ class TestRefine:
         r = refine_root(p, iv, tol)
         assert count_real_roots(p, r - tol, r + tol) == 1
 
+    def test_root_at_open_lower_end_is_excluded(self):
+        # (0, 3] holds only the root 2 of x^2 - 2x; the root at 0 is outside
+        p = poly(0, -2, 1)
+        tol = Fraction(1, 10 ** 10)
+        r = refine_root(p, RootInterval(Fraction(0), Fraction(3)), tol)
+        assert abs(r - 2) < tol
+
     def test_non_isolating_rejected(self):
         p = P.from_roots([1, 2, 3])
         with pytest.raises(DomainError):
