@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgError, schur
 
 from .errors import (
     DomainError,
@@ -117,14 +118,13 @@ def _blocks_from_ranks(ranks: list[int], algebraic: int) -> tuple[int, ...]:
     """Jordan block sizes from the rank sequence of powers of A - lam I."""
     # blocks of size >= k: rank^{k-1} - rank^k
     kmax = len(ranks) - 1
-    ge = [ranks[k - 1] - ranks[k] for k in range(1, kmax + 1)]
-    sizes = []
-    for k in range(1, kmax + 1):
-        exactly = ge[k - 1] - (ge[k] if k < kmax else 0)
-        sizes.extend([k] * exactly)
-    sizes.sort(reverse=True)
-    assert sum(sizes) == algebraic
-    return tuple(sizes)
+    ge = [ranks[k - 1] - ranks[k] for k in range(1, kmax + 1)] + [0]
+    exactly = [ge[k - 1] - ge[k] for k in range(1, kmax + 1)]
+    if min(exactly, default=0) < 0 or sum(ge) != algebraic:
+        raise InternalInconsistencyError(
+            f"rank sequence {ranks} does not give {algebraic} Jordan block entries"
+        )
+    return tuple(k for k in range(kmax, 0, -1) for _ in range(exactly[k - 1]))
 
 
 def multiplicity(A: SquareMatrix, lam) -> MultiplicityReport:
@@ -230,26 +230,21 @@ def _exact_chains(A: SquareMatrix, lam: Fraction, report: MultiplicityReport):
     return chains
 
 
-def _assemble_exact(A: SquareMatrix, per_eig: list[MultiplicityReport]):
-    n = A.n
+def _lay_out_chains(n: int, clusters, zero, one):
+    """J rows, P columns and block sizes from (eigenvalue, chains) pairs."""
+    jrows = [[zero] * n for _ in range(n)]
     cols = []
-    jrows = [[Fraction(0)] * n for _ in range(n)]
     blocks = []
-    pos = 0
-    for rep in sorted(per_eig, key=lambda r: r.eigenvalue):
-        chains = _exact_chains(A, rep.eigenvalue, rep)
-        blocks.append((rep.eigenvalue, tuple(len(c) for c in chains)))
+    for lam, chains in clusters:
+        blocks.append((lam, tuple(len(c) for c in chains)))
         for chain in chains:
             for h, v in enumerate(chain):
-                j = pos + h
-                jrows[j][j] = rep.eigenvalue
-                if h > 0:
-                    jrows[j - 1][j] = Fraction(1)
+                j = len(cols)
+                jrows[j][j] = lam
+                if h:
+                    jrows[j - 1][j] = one
                 cols.append(v)
-            pos += len(chain)
-    P = SquareMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    J = SquareMatrix(jrows)
-    return J, P, tuple(blocks)
+    return jrows, cols, tuple(blocks)
 
 
 # -- numeric Jordan ---------------------------------------------------------------
@@ -278,31 +273,46 @@ def _cluster(values: np.ndarray, tol: float):
     return list(groups.values())
 
 
-def _numeric_rank(M: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    if len(s) == 0:
-        return 0
-    cutoff = max(tol, s[0] * max(M.shape) * np.finfo(float).eps * 10)
-    return int(np.sum(s > cutoff))
+def _cluster_kernels(N: np.ndarray, alg: int, tol: float) -> list[np.ndarray]:
+    """Bases of ker N^k for k = 0..alg, N = A - lam I at a cluster of size alg.
+
+    The generalized eigenspace has dimension alg, so each kernel keeps at
+    most the alg smallest singular directions of N^k: another eigenvalue
+    whose power falls under tol stays out of the kernel, and the rank read
+    from a kernel's dimension agrees with the kernel itself.
+    """
+    n = N.shape[0]
+    kernels = [np.zeros((n, 0))]
+    Pk = np.eye(n)
+    for _ in range(alg):
+        Pk = Pk @ N
+        _, s, vh = np.linalg.svd(Pk)
+        null = s <= max(tol, s[0] * n * np.finfo(float).eps * 10)
+        null[: n - alg] = False
+        kernels.append(vh[null].conj().T)  # columns span the kernel
+    return kernels
 
 
-def _numeric_null_basis(M: np.ndarray, tol: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(M)
-    cutoff = max(tol, (s[0] if len(s) else 0.0) * max(M.shape) * np.finfo(float).eps * 10)
-    null_mask = np.concatenate([s <= cutoff, np.ones(M.shape[1] - len(s), bool)])
-    return vh[null_mask].conj().T  # columns span the kernel
+def _cluster_subspace(M: np.ndarray, centers, lam: complex, alg: int):
+    """Orthonormal basis Z of M's invariant subspace at the cluster centred
+    on lam, and T = Z^H M Z, from a Schur form that puts first every
+    eigenvalue nearer lam than any other cluster centre."""
+    def nearest_lam(x):
+        return min(centers, key=lambda c: abs(x - c)) == lam
+
+    try:
+        T, Z, sdim = schur(M.astype(complex), output="complex", sort=nearest_lam)
+    except LinAlgError as e:
+        raise InternalInconsistencyError(f"Schur reordering failed at {lam}: {e}")
+    if sdim != alg:
+        raise InternalInconsistencyError(
+            f"Schur form puts {sdim} eigenvalues at {lam}, clustering {alg}"
+        )
+    return Z[:, :alg], T[:alg, :alg]
 
 
-def _numeric_chains(M: np.ndarray, lam: complex, sizes: tuple[int, ...], tol: float):
-    n = M.shape[0]
-    N = M - lam * np.eye(n)
+def _numeric_chains(N: np.ndarray, kernels, lam: complex, sizes: tuple[int, ...]):
     kmax = sizes[0]
-    powers = [np.eye(n)]
-    for _ in range(kmax):
-        powers.append(powers[-1] @ N)
-    kernels = [np.zeros((n, 0))] + [
-        _numeric_null_basis(powers[k], tol) for k in range(1, kmax + 1)
-    ]
     chains = []
     for k in range(kmax, 0, -1):
         need = sum(1 for s in sizes if s == k)
@@ -357,35 +367,26 @@ def _jordan_numeric(A: SquareMatrix, cluster_tol: float) -> JordanDecomposition:
     items = sorted(
         zip(centers, groups), key=lambda cg: (cg[0].real, cg[0].imag)
     )
-    cols = []
-    jmat = np.zeros((n, n), dtype=complex)
-    blocks = []
-    pos = 0
+    clusters = []
     for lam, g in items:
         alg = len(g)
-        N = M - lam * np.eye(n)
-        ranks = [n]
-        Pk = N.copy()
-        for _ in range(alg):
-            # N is invertible off this cluster, so no power has rank below
-            # n - alg, though the other eigenvalues' powers can fall under tol
-            ranks.append(max(_numeric_rank(Pk, tol), n - alg))
-            Pk = Pk @ N
-        sizes = _blocks_from_ranks(ranks, alg)
-        chains = _numeric_chains(M, lam, sizes, tol)
-        blocks.append((lam, tuple(len(c) for c in chains)))
-        for chain in chains:
-            for h, v in enumerate(chain):
-                j = pos + h
-                jmat[j, j] = lam
-                if h > 0:
-                    jmat[j - 1, j] = 1.0
-                cols.append(v)
-            pos += len(chain)
-    P = np.column_stack(cols)
+        # read a cluster of several eigenvalues inside its invariant subspace,
+        # where no other eigenvalue's power can fall under tol beside it; a
+        # simple eigenvalue needs only the smallest singular direction of N
+        Z, T = None, M
+        if 1 < alg < n:
+            Z, T = _cluster_subspace(M, centers, lam, alg)
+        N = T - lam * np.eye(len(T))
+        kernels = _cluster_kernels(N, alg, tol)
+        sizes = _blocks_from_ranks([len(T) - K.shape[1] for K in kernels], alg)
+        chains = _numeric_chains(N, kernels, lam, sizes)
+        if Z is not None:
+            chains = [[Z @ v for v in chain] for chain in chains]
+        clusters.append((lam, chains))
+    jrows, cols, blocks = _lay_out_chains(n, clusters, 0j, 1.0)
     return JordanDecomposition(
-        SquareMatrix(jmat, NUMERIC), SquareMatrix(P, NUMERIC),
-        tuple(blocks), tuple(warnings),
+        SquareMatrix(np.array(jrows, dtype=complex), NUMERIC),
+        SquareMatrix(np.column_stack(cols), NUMERIC), blocks, tuple(warnings),
     )
 
 
@@ -404,9 +405,12 @@ def jordan_form(A: SquareMatrix, cluster_tol=DEFAULT_CLUSTER_TOL) -> JordanDecom
         raise UnsupportedFlavorError(
             "matrix has irrational eigenvalues; use the numeric flavor"
         )
-    per_eig = [multiplicity(A, lam) for lam in roots]
-    J, P, blocks = _assemble_exact(A, per_eig)
-    return JordanDecomposition(J, P, blocks)
+    clusters = []
+    for lam in sorted(roots):
+        clusters.append((lam, _exact_chains(A, lam, multiplicity(A, lam))))
+    jrows, cols, blocks = _lay_out_chains(A.n, clusters, Fraction(0), Fraction(1))
+    P = SquareMatrix([[v[i] for v in cols] for i in range(A.n)])
+    return JordanDecomposition(SquareMatrix(jrows), P, blocks)
 
 
 def classify_3x3(A: SquareMatrix) -> CanonicalType3:

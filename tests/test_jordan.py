@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secular.errors import DomainError, UnsupportedFlavorError
 from secular.jordan import (
@@ -148,6 +149,49 @@ class TestJordanForm:
         assert [(complex(lam), sizes) for lam, sizes in dec.blocks] == [
             (0j, (1, 1, 1)), (2.0 ** -9 + 0j, (1,))]
         assert np.allclose(A @ dec.P.rows, dec.P.rows @ dec.J.rows)
+
+    def test_numeric_eigenvalue_beside_a_block(self):
+        # at lam = 0, N^2 = diag(0, 0, 1e-10) falls under the rank tolerance;
+        # e3 belongs to 1e-5 and must stay out of the 2-block's chain
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-5]])
+        dec = jordan_form(SquareMatrix(A, flavor="numeric"))
+        assert [(complex(lam), sizes) for lam, sizes in dec.blocks] == [
+            (0j, (2,)), (1e-5 + 0j, (1,))]
+        P = np.asarray(dec.P.rows)
+        assert np.linalg.matrix_rank(P) == 3
+        assert np.allclose(A @ P, P @ dec.J.rows)
+
+
+@st.composite
+def blocks_beside_an_eigenvalue(draw):
+    """A permuted Jordan matrix: blocks at lam and a simple eigenvalue
+    mu = lam + 2^-e beside them, close enough that (mu - lam)^k falls under
+    the rank tolerance, and far enough that it stays above 1e-13 for the
+    largest block size k, so rounding cannot merge mu into the blocks.
+    Every entry and the permutation are exact in floats."""
+    lam = draw(st.integers(-8, 8)) / 4
+    sizes = draw(st.sampled_from([(2,), (3,), (2, 1), (2, 2), (3, 1)]))
+    delta = 2.0 ** -draw(st.integers(12, 43 // sizes[0]))
+    n = sum(sizes) + 1
+    J = np.diag([lam] * (n - 1) + [lam + delta])
+    pos = 0
+    for s in sizes:
+        for i in range(pos, pos + s - 1):
+            J[i, i + 1] = 1.0
+        pos += s
+    perm = draw(st.permutations(range(n)))
+    return J[np.ix_(perm, perm)], (lam, sizes), lam + delta
+
+
+@given(blocks_beside_an_eigenvalue())
+@settings(max_examples=60, deadline=None)
+def test_numeric_basis_invertible_beside_a_cluster(case):
+    A, (lam, sizes), mu = case
+    dec = jordan_form(SquareMatrix(A, flavor="numeric"))
+    assert [(complex(l), s) for l, s in dec.blocks] == [(lam, sizes), (mu, (1,))]
+    P = np.asarray(dec.P.rows)
+    assert np.linalg.matrix_rank(P) == A.shape[0]
+    assert np.allclose(A @ P, P @ dec.J.rows)
 
 
 class TestPoincareNullity:
