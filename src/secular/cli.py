@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -93,8 +94,8 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.tol <= 0 or self.cluster_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.cluster_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"unknown output format {self.fmt!r}")
 
@@ -288,12 +289,9 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _hill_point(a: float, q: float, cfg: RunConfig):
-    sys_ = hill_system(a, q)
-    exps = characteristic_exponents(monodromy(sys_, cfg.tol),
-                                    cluster_tol=cfg.cluster_tol)
-    verdict = classify_periodic_stability(exps)
-    return exps, verdict
+def _hill_verdict(mono, cfg: RunConfig):
+    exps = characteristic_exponents(mono, cluster_tol=cfg.cluster_tol)
+    return exps, classify_periodic_stability(exps)
 
 
 def _cmd_floquet(args, cfg: RunConfig) -> int:
@@ -308,17 +306,22 @@ def _cmd_floquet(args, cfg: RunConfig) -> int:
             q_vals = np.linspace(float(q0), float(q1), int(nq))
         except ValueError as e:
             raise DomainError(f"bad --grid spec (a0:a1:na,q0:q1:nq): {e}")
+        if a_vals.size * q_vals.size == 0:
+            raise DomainError("--grid has no cells: na and nq must be >= 1")
+        # the whole grid flies as one family, cells in row-major (a, q) order
+        a_grid, q_grid = np.meshgrid(a_vals, q_vals, indexing="ij")
         rows = []
-        for a in a_vals:
-            for q in q_vals:
-                exps, verdict = _hill_point(a, q, cfg)
-                smax = max(abs(s) for s in exps.multipliers)
-                rows.append((float(a), float(q), float(smax), verdict.tag))
+        for a, q, mono in zip(a_grid.ravel(), q_grid.ravel(),
+                              monodromy(hill_system(a_grid, q_grid), cfg.tol)):
+            exps, verdict = _hill_verdict(mono, cfg)
+            smax = max(abs(s) for s in exps.multipliers)
+            rows.append((float(a), float(q), float(smax), verdict.tag))
         _emit_csv(cfg, "a,q,smax,verdict", rows)
         return 0
     if args.a is None or args.q is None:
         raise DomainError("floquet requires --a and --q (or --grid)")
-    exps, verdict = _hill_point(args.a, args.q, cfg)
+    exps, verdict = _hill_verdict(monodromy(hill_system(args.a, args.q),
+                                            cfg.tol), cfg)
     _emit_json(cfg, {
         "a": args.a,
         "q": args.q,

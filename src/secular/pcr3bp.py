@@ -6,11 +6,12 @@ collinear libration points are located exactly: the axis equilibrium
 condition becomes a quintic with rational coefficients on each axis
 segment, isolated with a Sturm chain and refined to 1e-12.
 
-The flow is stated once, in `_flow_rhs`; `_var_rhs` adds the
-state-transition matrix to it.  `_flow_to_crossing` is the one y = 0
-section-crossing locator, shared by the differential corrector here and
-by the return maps and manifold layers in `secular.section`; it flies
-one start, or a stack of starts as one system.
+The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
+stacks of states, and `_var_rhs` adds the state-transition matrix to it.
+`_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
+the differential corrector here and by the return maps and manifold
+layers in `secular.section`; it flies one start, or a stack of starts in
+one loop.
 """
 
 from __future__ import annotations
@@ -94,24 +95,30 @@ def _omega_hessian(x, y, mu):
     return oxx, oxy, oyy
 
 
+def _derivative(x, y, vx, vy, mu):
+    """The one statement of the flow: the derivative of one state (floats)
+    or of a stack of states (arrays)."""
+    ox, oy = _omega_gradient(x, y, mu)
+    return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+
+
 def _flow_rhs(mu):
     """The equations of motion as an integrator right-hand side.
 
-    The one statement of the flow.  mu is not checked here: a manifolds
-    run makes about a million calls, so the closure does no work beyond
-    the derivative itself.  z is one state of 4 floats or a stack of m
-    states flattened from the (4, m) layout, rows x, y, vx, vy.
+    mu is not checked here: a manifolds run makes about a million calls,
+    so the closure does no work beyond the derivative itself.  z is one
+    state of 4 floats or a stack of m states flattened from the (4, m)
+    layout, rows x, y, vx, vy.  One state is evaluated as a stack of one,
+    so that it gets the same bits alone as in any stack.
     """
     def rhs(t, z):
-        x, y, vx, vy = z.reshape(4, -1) if len(z) > 4 else z
-        ox, oy = _omega_gradient(x, y, mu)
-        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy]).ravel()
+        return _derivative(*np.reshape(z, (4, -1)), mu).ravel()
     return rhs
 
 
 def eom(state, mu):
     """Rotating-frame equations of motion (x, y, vx, vy) -> derivative."""
-    return _flow_rhs(_check_mu(mu))(0.0, state)
+    return _derivative(*state, _check_mu(mu))
 
 
 def jacobi_constant(state, mu):
@@ -256,11 +263,10 @@ def _variational_matrix(x, y, mu) -> np.ndarray:
 
 def _var_rhs(mu):
     """x' = f(x) jointly with STM' = A(x) STM, packed as 20 floats."""
-    f = _flow_rhs(mu)
-
     def rhs(t, z):
         A = _variational_matrix(z[0], z[1], mu)
-        return np.concatenate((f(t, z[:4]), (A @ z[4:].reshape(4, 4)).ravel()))
+        return np.concatenate((_derivative(*z[:4], mu),
+                               (A @ z[4:].reshape(4, 4)).ravel()))
     return rhs
 
 
@@ -282,12 +288,13 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
 
     z0 is one start of n floats (the state, then anything flown with it,
     such as an STM), or a stack of m starts with shape (n, m), which
-    `integrate` flies as one system: each member leaves the stack at its
-    own crossing and the others fly on.  One start returns (t, z) or
-    raises; a stack returns, per member, (t, z) or the error that ended
-    its flight.  A member that the RHS finds in collision leaves with its
-    SingularityError and the rest fly again without it; one that has not
-    crossed by t_end gets a NonConvergenceError.
+    `integrate` flies in one loop, each member with the steps of its own
+    flight, leaving the stack at its own crossing.  One start returns
+    (t, z) or raises; a stack returns, per member, (t, z) or the error
+    that ended its flight.  A member that the RHS finds in collision, or
+    whose step fails, leaves with its SingularityError and the rest fly
+    again without it; one that has not crossed by t_end gets a
+    NonConvergenceError.
 
     ``direction`` is the scipy event direction: the sign of dy/dt times
     the sign of t_end.  A start on the axis that already moves in that

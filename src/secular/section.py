@@ -6,9 +6,10 @@ pair (x, vx) and vy is reconstructed from C.  The induced return map
 preserves area in (x, vx).  Every flight to the section, with or without
 the state-transition matrix, goes through `pcr3bp._flow_to_crossing`.
 
-A manifold layer flies as one stack of all its seeds, so the last digits
-of a manifold point depend on the other seeds in its layer; the output
-for the same arguments is still deterministic.
+A manifold layer flies as one stack of all its seeds, in which each
+seed takes the steps and the arithmetic of its own flight: a manifold
+point is its seed's image under the return map, whatever else is in its
+layer.
 """
 
 from __future__ import annotations
@@ -257,11 +258,11 @@ def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
     Seeds fill a fundamental domain [offset, |lambda| * offset] along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
     reversed-time (stable) return map.  Each layer of seeds flies as one
-    stack (`pcr3bp._flow_to_crossing`), so the last digits of a point
-    depend on the other seeds in its layer, while the output for the same
-    arguments stays deterministic.  A seed that leaves the allowed region,
-    collides or does not cross within the time budget drops out and
-    truncates the polyline; the truncation is recorded, not raised.
+    stack (`pcr3bp._flow_to_crossing`), each seed with the steps of its
+    own flight, so a point is its seed's image under the map whatever
+    else is in its layer.  A seed that leaves the allowed region, collides
+    or does not cross within the time budget drops out and truncates the
+    polyline; the truncation is recorded, not raised.
     ``lin`` is the fixed point's STM linearization at ``tol``; pass it to
     share one between branches.
     """

@@ -378,3 +378,30 @@ def test_malformed_json_is_one_line_input_error(argv):
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("error: input:")
     assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["floquet", "--system", "hill", "--a", "1.0", "--q", "nan"],
+    ["floquet", "--system", "hill", "--a", "inf", "--q", "0.2"],
+    ["--format", "csv", "floquet", "--system", "hill",
+     "--grid", "0.5:1.5:2,0:nan:2"],
+    ["--format", "csv", "floquet", "--system", "hill",
+     "--grid", "0.5:1.5:0,0:0.4:9"],
+    ["--tol", "nan", "floquet", "--system", "hill", "--a", "1.0",
+     "--q", "0.2"],
+    ["--tol", "inf", "floquet", "--system", "hill", "--a", "1.0",
+     "--q", "0.2"],
+    ["--cluster-tol", "nan", "floquet", "--system", "hill", "--a", "1.0",
+     "--q", "0.2"],
+    ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+     "--state", "0.5,nan,0.2,-0.1", "--t", "1.0"],
+    ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+     "--state", "0.5,0.3,0.2,-0.1", "--t", "inf"],
+])
+def test_non_finite_input_is_one_line_input_error(capsys, argv):
+    # each of these once flew forever: a NaN derivative made the first
+    # step NaN, which no step-size test catches
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input:")
+    assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -250,3 +251,99 @@ class TestStackedIntegrate:
         with pytest.raises(DomainError):
             integrate(_oscillators, x0, (0.0, 1.0), events=lambda t, y: y[0],
                       dense=False)
+
+
+class TestStepper:
+    def test_non_finite_arguments_are_domain_errors(self):
+        f = lambda t, y: -y
+        for args in (([math.nan], (0.0, 1.0), 1e-10),
+                     ([1.0], (0.0, math.inf), 1e-10),
+                     ([1.0], (math.nan, 1.0), 1e-10),
+                     ([1.0], (0.0, 1.0), math.nan),
+                     ([1.0], (0.0, 1.0), math.inf)):
+            with pytest.raises(DomainError):
+                integrate(f, *args)
+
+    def test_non_finite_derivative_ends_the_flight(self):
+        # a NaN derivative makes the first step NaN: the flight ends at
+        # once instead of stepping forever
+        with pytest.raises(SingularityError, match="not finite"):
+            integrate(lambda t, y: y * math.nan, [1.0], (0.0, 1.0))
+        stack = np.ones((1, 3))
+        with pytest.raises(SingularityError) as err:
+            integrate(lambda t, y: y * np.array([1.0, math.nan, 1.0]),
+                      stack, (0.0, 1.0), dense=False)
+        assert err.value.members == (1,)
+
+    def test_work_counters_match_solve_ivp(self):
+        f = lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1] ** 3])
+        for dense in (False, True):
+            traj = integrate(f, [1.0, 0.0], (0.0, 40.0), 1e-10, dense=dense)
+            ref = solve_ivp(f, (0.0, 40.0), [1.0, 0.0], method="DOP853",
+                            rtol=1e-10, atol=1e-12, dense_output=dense)
+            steps = int(traj.accepted_steps[0])
+            assert steps == len(ref.t) - 1
+            # f at the start, one more for the initial step, 12 per try
+            # and 3 per step for the dense output
+            assert traj.states_evaluated == ref.nfev == \
+                2 + 12 * (steps + int(traj.rejected_steps[0])) \
+                + 3 * steps * dense
+
+    def test_family_members_hold_their_columns(self):
+        # x' = -k_j x for member j: a family whose rhs needs its members'
+        # rates in x0's order throughout, including after early arrivals
+        rates = np.array([0.1, 5.0, 30.0])
+
+        def f(t, y):
+            assert len(y) == len(t) == 3
+            return -rates * y
+        traj = integrate(f, np.ones((1, 3)), (0.0, 1.0), 1e-10, dense=False)
+        assert np.allclose(traj.final, np.exp(-rates), rtol=1e-8)
+        assert len(set(traj.accepted_steps.tolist())) == 3
+
+
+def _duffing(t, z):
+    """x'' = -x - x^3 / 10 for a stack of members, flattened from (2, k)."""
+    x, v = z.reshape(2, -1)
+    return np.concatenate((v, -x - 0.1 * x ** 3))
+
+
+def _up(t, y):
+    return y[0]
+
+
+_up.terminal, _up.direction = True, 1.0
+
+
+@given(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
+       st.floats(0.5, 2.0), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stacked_member_flies_as_alone(phases, amp, with_events):
+    # each member of a stack takes the steps of its own flight
+    x0 = amp * np.array([np.cos(phases), -np.sin(phases)])
+    events = [_up] * len(phases) if with_events else None
+    stack = integrate(_duffing, x0, (0.0, 9.0), 1e-10, events, dense=False)
+    final = stack.final.reshape(2, -1)
+    for j in range(len(phases)):
+        alone = integrate(_duffing, x0[:, j], (0.0, 9.0), 1e-10,
+                          [_up] if with_events else None, dense=False)
+        assert np.max(np.abs(final[:, j] - alone.final)) <= 1e-12
+        assert stack.accepted_steps[j] == alone.accepted_steps[0]
+        assert stack.rejected_steps[j] == alone.rejected_steps[0]
+        if with_events:
+            assert len(stack.t_events[j]) == len(alone.t_events[0])
+            assert np.allclose(stack.t_events[j], alone.t_events[0],
+                               rtol=0.0, atol=1e-12)
+
+
+def test_readme_grid_as_one_family_matches_cells_alone():
+    a_grid, q_grid = np.meshgrid(np.linspace(0.5, 1.5, 21),
+                                 np.linspace(0.0, 0.4, 9), indexing="ij")
+    family = monodromy(hill_system(a_grid, q_grid))
+    assert len(family) == 189
+    for a, q, mono in zip(a_grid.ravel(), q_grid.ravel(), family):
+        alone = monodromy(hill_system(float(a), float(q)))
+        assert np.max(np.abs(mono.M - alone.M)) <= 1e-12
+        verdicts = [classify_periodic_stability(characteristic_exponents(m))
+                    for m in (mono, alone)]
+        assert verdicts[0].tag == verdicts[1].tag

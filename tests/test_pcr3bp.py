@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -451,3 +452,37 @@ class TestExponents:
         Cs = [jacobi_constant(orbit.samples[:, k], MU_EM)
               for k in range(orbit.samples.shape[1])]
         assert max(Cs) - min(Cs) < 1e-9 * abs(orbit.jacobi)
+
+
+def _section_start(x, vx, C=3.1882812173139823):
+    """A y = 0 start with vy > 0 at Jacobi constant C, or None."""
+    omega = (0.5 * x * x + (1 - MU_EM) / abs(x + MU_EM)
+             + MU_EM / abs(x - 1 + MU_EM))
+    vy2 = 2.0 * omega - vx * vx - C
+    return [x, 0.0, vx, math.sqrt(vy2)] if vy2 > 0 else None
+
+
+@given(st.lists(st.tuples(st.floats(0.80, 0.87), st.floats(-0.03, 0.03)),
+                min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_stacked_section_start_flies_as_alone(points):
+    # each member of a stack of section starts takes the steps of its own
+    # flight to its next upward crossing
+    starts = [z for z in (_section_start(x, vx) for x, vx in points) if z]
+    assume(starts)
+    rhs, Z = _flow_rhs(MU_EM), np.array(starts).T
+    events = [pcr3bp._crossing_event(1.0, 2) for _ in starts]
+    stack = integrate(rhs, Z, (0.0, 30.0), 1e-10, events, dense=False)
+    located = _flow_to_crossing(rhs, Z, 30.0, 1e-10, 1.0)
+    for j, z0 in enumerate(starts):
+        alone = integrate(rhs, np.array(z0), (0.0, 30.0), 1e-10,
+                          [pcr3bp._crossing_event(1.0, 2)], dense=False)
+        assert stack.accepted_steps[j] == alone.accepted_steps[0]
+        assert stack.rejected_steps[j] == alone.rejected_steps[0]
+        assert np.allclose(stack.t_events[j], alone.t_events[0], rtol=0.0,
+                           atol=1e-12)
+        assert np.max(np.abs(stack.final.reshape(4, -1)[:, j]
+                             - alone.final)) <= 1e-12
+        t, z = _flow_to_crossing(rhs, np.array(z0), 30.0, 1e-10, 1.0)
+        assert abs(located[j][0] - t) <= 1e-12
+        assert np.max(np.abs(located[j][1] - z)) <= 1e-12
