@@ -4,8 +4,9 @@ Subcommands mirror the library modules: sturm, charpoly, inertia,
 hermite-count, interlace, jordan, linsolve, floquet, pcr3bp, section.
 All numeric defaults live in RunConfig and are echoed into every JSON
 output (CSV outputs carry them in a leading comment line).  Exit codes:
-0 success, 1 domain or input error, 2 numeric non-convergence, 3 failed
-internal invariant (a bug, not bad input).
+0 success, 1 domain or input error, 2 numeric non-convergence (with its
+best iterate when there is one), 3 failed internal invariant (a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -289,11 +290,6 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _hill_verdict(mono, cfg: RunConfig):
-    exps = characteristic_exponents(mono, cluster_tol=cfg.cluster_tol)
-    return exps, classify_periodic_stability(exps)
-
-
 def _cmd_floquet(args, cfg: RunConfig) -> int:
     if args.system != "hill":
         raise DomainError(f"unknown built-in system {args.system!r}")
@@ -308,20 +304,23 @@ def _cmd_floquet(args, cfg: RunConfig) -> int:
             raise DomainError(f"bad --grid spec (a0:a1:na,q0:q1:nq): {e}")
         if a_vals.size * q_vals.size == 0:
             raise DomainError("--grid has no cells: na and nq must be >= 1")
-        # the whole grid flies as one family, cells in row-major (a, q) order
+        # the whole grid flies and is classified as one family, cells in
+        # row-major (a, q) order
         a_grid, q_grid = np.meshgrid(a_vals, q_vals, indexing="ij")
+        family = characteristic_exponents(
+            monodromy(hill_system(a_grid, q_grid), cfg.tol), cfg.cluster_tol)
         rows = []
-        for a, q, mono in zip(a_grid.ravel(), q_grid.ravel(),
-                              monodromy(hill_system(a_grid, q_grid), cfg.tol)):
-            exps, verdict = _hill_verdict(mono, cfg)
+        for a, q, exps in zip(a_grid.ravel(), q_grid.ravel(), family):
             smax = max(abs(s) for s in exps.multipliers)
-            rows.append((float(a), float(q), float(smax), verdict.tag))
+            rows.append((float(a), float(q), float(smax),
+                         classify_periodic_stability(exps).tag))
         _emit_csv(cfg, "a,q,smax,verdict", rows)
         return 0
     if args.a is None or args.q is None:
         raise DomainError("floquet requires --a and --q (or --grid)")
-    exps, verdict = _hill_verdict(monodromy(hill_system(args.a, args.q),
-                                            cfg.tol), cfg)
+    exps = characteristic_exponents(
+        monodromy(hill_system(args.a, args.q), cfg.tol), cfg.cluster_tol)
+    verdict = classify_periodic_stability(exps)
     _emit_json(cfg, {
         "a": args.a,
         "q": args.q,
@@ -408,6 +407,10 @@ def _cmd_section(args, cfg: RunConfig) -> int:
                   seed_offset=args.seed_offset, tol=cfg.tol, lin=lin)
         unstable = manifold_segment(p, args.mu, sd, "unstable+", **kw)
         stable = manifold_segment(p, args.mu, sd, "stable+", **kw)
+        for br in (unstable, stable):
+            if br.truncated:
+                print(f"warning: {br.branch} branch truncated: "
+                      f"{br.truncation_reason}", file=sys.stderr)
         rep = homoclinic_intersection(unstable, stable)
         payload = {
             "mu": args.mu,
@@ -532,6 +535,15 @@ def _writes_csv(args) -> bool:
             or (args.command == "pcr3bp" and args.action == "propagate"))
 
 
+def _one_line(best) -> str:
+    """A best iterate on one line, as a flat list if it is array-like."""
+    try:
+        best = np.asarray(best, dtype=float).ravel().tolist()
+    except (TypeError, ValueError):
+        pass
+    return " ".join(str(best).split())
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -551,7 +563,9 @@ def run(argv=None) -> int:
                 raise DomainError("section manifolds requires --fixed")
         return args.fn(args, cfg)
     except (NonConvergenceError, SingularityError) as e:
-        print(f"error: non-convergence: {e}", file=sys.stderr)
+        best = getattr(e, "best", None)
+        shown = "" if best is None else f" (best iterate: {_one_line(best)})"
+        print(f"error: non-convergence: {e}{shown}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as e:
         print(f"error: internal: {e}", file=sys.stderr)

@@ -11,7 +11,10 @@ right-hand-side call per stage serves every member.  The three-body and
 surface-of-section modules reuse it, and `monodromy` flies a family of
 periodic systems, such as a Hill grid, as one stack.  The 7th-order dense
 output costs three more right-hand-side calls per step, so only the
-flights that evaluate the trajectory between steps build it.
+flights that evaluate the trajectory between steps build it.  A
+time-reversible system, such as Hill's equation, flies half a period, and
+`characteristic_exponents` reads a family of monodromies in one batched
+pass.
 """
 
 from __future__ import annotations
@@ -390,12 +393,15 @@ class PeriodicLinearSystem:
 
     With ``members`` = m it is a family of m such systems of one period:
     A_of_t then maps the members' times, an array of m, to their
-    (m, n, n) matrices.
+    (m, n, n) matrices.  A ``reversor`` R, an involution with
+    A(-t) = -R A(t) R, makes the system time-reversible:
+    Phi(-t) = R Phi(t) R, so `monodromy` flies half a period.
     """
 
     A_of_t: Callable[[float], np.ndarray]
     period: float
     members: int | None = None
+    reversor: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 < self.period < math.inf:
@@ -438,14 +444,20 @@ def monodromy(sys: PeriodicLinearSystem,
     """Fundamental solution at one period with identity initial condition.
 
     A family gives a list of one Monodromy per member, from one stacked
-    flight in which each member takes the steps of its own.
+    flight in which each member takes the steps of its own.  A system with
+    a reversor R flies [0, T/2] only: Phi(T/2) = Phi(-T/2) M gives
+    M = R Phi(T/2)^-1 R Phi(T/2) (Magnus and Winkler, *Hill's Equation*,
+    ch. 1).
     """
-    n, traj = _fundamental_flight(sys, sys.period, tol, dense=False)
-    if sys.members is None:
-        return Monodromy(traj.final.reshape(n, n), sys.period, tol)
-    Ms = traj.final.reshape(n, n, -1)
-    return [Monodromy(Ms[:, :, j].copy(), sys.period, tol)
-            for j in range(sys.members)]
+    R = sys.reversor
+    t_end = sys.period if R is None else sys.period / 2
+    n, traj = _fundamental_flight(sys, t_end, tol, dense=False)
+    # (m, n, n), each member's matrix laid out as a solo flight's
+    Phi = np.ascontiguousarray(
+        traj.final.reshape(n, n, -1).transpose(2, 0, 1))
+    Ms = Phi if R is None else R @ np.linalg.solve(Phi, R @ Phi)
+    monos = [Monodromy(M, sys.period, tol) for M in Ms]
+    return monos[0] if sys.members is None else monos
 
 
 @dataclass(frozen=True)
@@ -456,18 +468,49 @@ class ExponentSet:
     blocks: tuple[tuple[complex, tuple[int, ...]], ...]  # per multiplier cluster
 
 
-def characteristic_exponents(mono: Monodromy, cluster_tol=1e-8) -> ExponentSet:
-    """Multipliers (eigenvalues of M) and principal-branch exponents."""
-    M = mono.M
-    T = mono.period
-    mults = np.linalg.eigvals(M)
+def _by_re_im(z: complex):
+    return z.real, z.imag
+
+
+def characteristic_exponents(
+        mono: Monodromy | list[Monodromy],
+        cluster_tol=1e-8) -> ExponentSet | list[ExponentSet]:
+    """Multipliers (eigenvalues of M), principal-branch exponents and the
+    Jordan blocks of each multiplier cluster.
+
+    A family (a list of Monodromy) gives a list of ExponentSet from one
+    batched eigenvalue solve, with `jordan_form` only for a member whose
+    multipliers cluster.  The clusters are jordan_form's own: eigenvalues
+    of the complex matrix it reads within cluster_tol * max(|M|_2, 1).  A
+    member without one has a block of size 1 per multiplier, so each
+    member's ExponentSet is the one it gets alone.
+    """
+    family = not isinstance(mono, Monodromy)
+    monos = list(mono) if family else [mono]
+    Ms = np.stack([m.M for m in monos])
+    mults = np.linalg.eigvals(Ms)
     if np.min(np.abs(mults)) < 1e-300:
         raise DomainError("monodromy has a zero multiplier: degenerate system")
-    dec = jordan_form(SquareMatrix(M, NUMERIC), cluster_tol=cluster_tol)
-    mults_sorted = sorted((complex(m) for m in mults), key=lambda z: (z.real, z.imag))
-    # cmath.log gives Im in (-pi, pi], hence Im alpha in (-pi/T, pi/T]
-    exps = tuple(cmath.log(s) / T for s in mults_sorted)
-    return ExponentSet(tuple(mults_sorted), exps, T, dec.blocks)
+    Z = Ms.astype(complex)
+    lams = np.linalg.eigvals(Z)
+    tol = cluster_tol * np.maximum(np.linalg.norm(Z, 2, axis=(1, 2)), 1.0)
+    apart = ~np.eye(Ms.shape[-1], dtype=bool)
+    gaps = np.abs(lams[:, :, None] - lams[:, None, :])[:, apart]
+    clustered = (gaps <= tol[:, None]).any(axis=1)
+    out = []
+    for mono, M, s, lam, tied in zip(monos, Ms, mults, lams, clustered):
+        T = mono.period
+        s = sorted(map(complex, s), key=_by_re_im)
+        if tied:
+            blocks = jordan_form(SquareMatrix(M, NUMERIC),
+                                 cluster_tol=cluster_tol).blocks
+        else:
+            blocks = tuple((z, (1,)) for z in sorted(map(complex, lam),
+                                                     key=_by_re_im))
+        # cmath.log gives Im in (-pi, pi], hence Im alpha in (-pi/T, pi/T]
+        out.append(ExponentSet(tuple(s), tuple(cmath.log(z) / T for z in s),
+                               T, blocks))
+    return out if family else out[0]
 
 
 BOUNDED = "bounded"
@@ -557,9 +600,13 @@ def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
     )
 
 
+# x -> x, x' -> -x' under t -> -t: Hill's equation is even in t
+_HILL_REVERSOR = np.diag([1.0, -1.0])
+
+
 def hill_system(a, q) -> PeriodicLinearSystem:
     """Mathieu/Hill equation x'' + (a - 2 q cos 2t) x = 0 as a first-order
-    pi-periodic system.
+    pi-periodic system, time-reversible under R = diag(1, -1).
 
     Arrays a and q (broadcast together, then flattened) give the family
     of their members, whose A_of_t takes the members' times.
@@ -570,7 +617,7 @@ def hill_system(a, q) -> PeriodicLinearSystem:
         def A_of_t(t):
             return np.array([[0.0, 1.0],
                              [-(a - 2.0 * q * math.cos(2.0 * t)), 0.0]])
-        return PeriodicLinearSystem(A_of_t, math.pi)
+        return PeriodicLinearSystem(A_of_t, math.pi, reversor=_HILL_REVERSOR)
     a, q = (v.ravel() for v in np.broadcast_arrays(np.asarray(a, float),
                                                    np.asarray(q, float)))
 
@@ -579,4 +626,4 @@ def hill_system(a, q) -> PeriodicLinearSystem:
         A[:, 0, 1] = 1.0
         A[:, 1, 0] = -(a - 2.0 * q * np.cos(2.0 * t))
         return A
-    return PeriodicLinearSystem(A_of_t, math.pi, len(a))
+    return PeriodicLinearSystem(A_of_t, math.pi, len(a), _HILL_REVERSOR)

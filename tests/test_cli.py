@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from secular.cli import run
+from secular.errors import NonConvergenceError
 from secular.floquet import integrate
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import RationalPolynomial
@@ -68,6 +70,21 @@ class TestExitCodes:
         ])
         assert code == 2
         assert err.startswith("error: non-convergence:")
+
+    def test_non_convergence_reports_best_iterate(self, capsys, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise NonConvergenceError(
+                "differential correction did not reach 1e-11 in 2 steps",
+                best=np.array([0.83, 0.0, 0.0, 0.0125]))
+        monkeypatch.setattr("secular.cli.correct_periodic", stuck)
+        code, out, err = invoke(capsys, [
+            "pcr3bp", "orbit", "--mu", "0.012150585", "--point", "L1",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: non-convergence: differential correction did "
+                       "not reach 1e-11 in 2 steps "
+                       "(best iterate: [0.83, 0.0, 0.0, 0.0125])\n")
 
     def test_internal_error_is_not_input_error(self, capsys, monkeypatch):
         # a flight that wrongly skips dense output is a bug, not bad input
@@ -281,6 +298,23 @@ class TestSection:
         ])
         assert code == 0
         assert len(calls) == 1
+
+    def test_truncated_branch_says_so(self, capsys):
+        # seeds 0.02 from the fixed point start outside the allowed region
+        argv = ["section", "manifolds", "--mu", "0.012150585",
+                "--C", "3.1882812173139823",
+                "--fixed", "0.8359151287720265,0.0", "--steps", "2",
+                "--seeds", "3"]
+        code, _, err = invoke(capsys, argv)
+        assert code == 0
+        assert err == ""
+        code, out, err = invoke(capsys, [*argv, "--seed-offset", "0.02"])
+        assert code == 0
+        assert "homoclinic" in json.loads(out)
+        assert err.count("\n") == 1
+        assert err.startswith("warning: unstable+ branch truncated: iterate 0: "
+                              "section point")
+        assert "outside the energetically allowed region" in err
 
     def test_output_file(self, capsys, tmp_path, worked_matrix):
         dest = tmp_path / "out.json"

@@ -1,5 +1,9 @@
 """Tests for periodic-system stability analysis."""
 
+import cmath
+import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from secular.cli import run
 from secular.errors import (
     DomainError,
     InternalInconsistencyError,
@@ -17,6 +22,7 @@ from secular.floquet import (
     BOUNDED,
     SECULAR,
     UNSTABLE,
+    ExponentSet,
     Monodromy,
     PeriodicLinearSystem,
     characteristic_exponents,
@@ -26,6 +32,8 @@ from secular.floquet import (
     integrate,
     monodromy,
 )
+from secular.jordan import jordan_form
+from secular.matrixcore import NUMERIC, SquareMatrix
 
 
 class TestIntegrate:
@@ -347,3 +355,91 @@ def test_readme_grid_as_one_family_matches_cells_alone():
         verdicts = [classify_periodic_stability(characteristic_exponents(m))
                     for m in (mono, alone)]
         assert verdicts[0].tag == verdicts[1].tag
+
+
+def _exponents_alone(mono, cluster_tol=1e-8):
+    """One monodromy's ExponentSet through its own numeric jordan_form: the
+    per-member reading that the family classifier must reproduce."""
+    mults = np.linalg.eigvals(mono.M)
+    dec = jordan_form(SquareMatrix(mono.M, NUMERIC), cluster_tol=cluster_tol)
+    s = sorted((complex(z) for z in mults), key=lambda z: (z.real, z.imag))
+    T = mono.period
+    return ExponentSet(tuple(s), tuple(cmath.log(z) / T for z in s), T,
+                       dec.blocks)
+
+
+def _planted(n, kind, theta):
+    """-I, I, a Jordan block [[1, 1], [0, 1]] or a rotation by theta, each
+    completed by the identity to n x n."""
+    M = -np.eye(n) if kind == "-I" else np.eye(n)
+    if kind == "jordan":
+        M[0, 1] = 1.0
+    elif kind == "rotation":
+        c, s = math.cos(theta), math.sin(theta)
+        M[:2, :2] = [[c, -s], [s, c]]
+    return M
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
+       st.lists(st.sampled_from(["random", "-I", "I", "jordan", "rotation"]),
+                min_size=1, max_size=10),
+       st.floats(0.1, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_family_classifier_matches_members_alone(seed, n, kinds, theta):
+    rng = np.random.default_rng(seed)
+    monos = [Monodromy(rng.standard_normal((n, n)) if kind == "random"
+                       else _planted(n, kind, theta), 2.0, 1e-10)
+             for kind in kinds]
+    family = characteristic_exponents(monos)
+    assert family == [_exponents_alone(m) for m in monos]
+    assert family == [characteristic_exponents(m) for m in monos]
+
+
+def test_family_classifier_reads_planted_blocks():
+    monos = [Monodromy(_planted(2, kind, 1.0), 1.0, 1e-10)
+             for kind in ("-I", "jordan", "rotation")]
+    minus, jordan, rotation = characteristic_exponents(monos)
+    assert minus.blocks == ((-1 + 0j, (1, 1)),)
+    assert jordan.blocks == ((1 + 0j, (2,)),)
+    assert [sizes for _, sizes in rotation.blocks] == [(1,), (1,)]
+
+
+@given(st.floats(0.0, 5.0), st.floats(0.0, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_half_period_monodromy_matches_full_flight(a, q):
+    # Hill's equation is even in t: M = R Phi(T/2)^-1 R Phi(T/2)
+    hill = hill_system(a, q)
+    full = monodromy(dataclasses.replace(hill, reversor=None)).M
+    half = monodromy(hill).M
+    assert np.linalg.norm(half - full, 2) <= 1e-10 * np.linalg.norm(full, 2)
+
+
+def test_readme_grid_verdicts_unchanged(capsys, monkeypatch):
+    # the CSV of one half-period flight and one classifying pass against
+    # full-period flights read cell by cell through jordan_form
+    calls = {"integrate": 0, "jordan_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr("secular.floquet.integrate",
+                        counted("integrate", integrate))
+    monkeypatch.setattr("secular.floquet.jordan_form",
+                        counted("jordan_form", jordan_form))
+    assert run(["--format", "csv", "floquet", "--system", "hill",
+                "--grid", "0.5:1.5:21,0:0.4:9"]) == 0
+    assert calls["integrate"] == 1 and calls["jordan_form"] <= 1
+    lines = capsys.readouterr().out.splitlines()[1:]
+    rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
+    a_grid, q_grid = np.meshgrid(np.linspace(0.5, 1.5, 21),
+                                 np.linspace(0.0, 0.4, 9), indexing="ij")
+    full = monodromy(dataclasses.replace(hill_system(a_grid, q_grid),
+                                         reversor=None))
+    assert len(rows) == len(full) == 189
+    for row, mono in zip(rows, full):
+        exps = _exponents_alone(mono)
+        smax = max(abs(s) for s in exps.multipliers)
+        assert abs(float(row["smax"]) - smax) <= 1e-10 * smax
+        assert row["verdict"] == classify_periodic_stability(exps).tag

@@ -194,6 +194,50 @@ def test_numeric_basis_invertible_beside_a_cluster(case):
     assert np.allclose(A @ P, P @ dec.J.rows)
 
 
+@st.composite
+def invertible_rational(draw, n):
+    """S = L U, L unit lower triangular and U upper triangular with a
+    nonzero diagonal, so S is invertible by construction."""
+    entry = st.fractions(-3, 3, max_denominator=3)
+    pivot = entry.filter(bool)
+    L = [[draw(entry) if j < i else Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    U = [[draw(pivot) if j == i else draw(entry) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return SquareMatrix(L).matmul(SquareMatrix(U))
+
+
+@st.composite
+def planted_rational_jordan(draw):
+    """S J S^-1 for a Jordan matrix J of rational eigenvalues, with its
+    block sizes per eigenvalue."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                 .filter(lambda s: sum(s) <= 5))
+    n = sum(sizes)
+    J = [[Fraction(0)] * n for _ in range(n)]
+    spec, pos = {}, 0
+    for s in sizes:
+        lam = draw(st.fractions(-3, 3, max_denominator=3))
+        for i in range(pos, pos + s):
+            J[i][i] = lam
+            if i > pos:
+                J[i - 1][i] = Fraction(1)
+        spec.setdefault(lam, []).append(s)
+        pos += s
+    S = draw(invertible_rational(n))
+    return S.matmul(SquareMatrix(J)).matmul(S.inverse()), spec
+
+
+@given(planted_rational_jordan())
+@settings(max_examples=40, deadline=None)
+def test_exact_jordan_reconstructs_planted_matrix(case):
+    A, spec = case
+    dec = jordan_form(A)
+    assert dec.P.matmul(dec.J).matmul(dec.P.inverse()) == A
+    assert {lam: sorted(sizes) for lam, sizes in dec.blocks} == \
+        {lam: sorted(sizes) for lam, sizes in spec.items()}
+
+
 class TestPoincareNullity:
     def test_rank_deficiency_gives_zero_roots(self):
         # det A = 0 and small minors vanish -> S^p divides the char poly

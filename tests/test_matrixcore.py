@@ -105,6 +105,36 @@ def test_faddeev_leverrier_adjugate_inverts_resolvent(A, s):
     assert adj.matmul(resolvent) == SquareMatrix.identity(n).scale(det)
 
 
+@st.composite
+def invertible_rational(draw, n):
+    """S = L U, L unit lower triangular and U upper triangular with a
+    nonzero diagonal, so S is invertible by construction."""
+    entry = st.fractions(-3, 3, max_denominator=3)
+    pivot = entry.filter(bool)
+    L = [[draw(entry) if j < i else Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    U = [[draw(pivot) if j == i else draw(entry) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return SquareMatrix(L).matmul(SquareMatrix(U))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_inertia_invariant_under_congruence(data):
+    # G = T^t D T has the inertia of the planted diagonal D (Sylvester's
+    # law), and so has S^t G S
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    D = SquareMatrix([[d[i] if i == j else 0 for j in range(n)]
+                      for i in range(n)])
+    T, S = (data.draw(invertible_rational(n)) for _ in range(2))
+    G = T.transpose().matmul(D).matmul(T)
+    planted = Inertia(sum(x > 0 for x in d), sum(x < 0 for x in d),
+                      sum(x == 0 for x in d))
+    assert inertia(QuadraticForm(G)) == planted
+    assert inertia(QuadraticForm(S.transpose().matmul(G).matmul(S))) == planted
+
+
 class TestMinorSequence:
     def test_worked_example_delta1(self):
         ms = minor_sequence(A_WORKED)
