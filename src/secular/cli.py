@@ -40,7 +40,6 @@ from .floquet import (
 from .jordan import classify_3x3, jordan_form
 from .linode import (
     FIRST_ORDER,
-    SECOND_ORDER,
     SecondOrderSystem,
     classify_stability,
     solve_constant,
@@ -570,6 +569,9 @@ def run(argv=None) -> int:
     except InternalInconsistencyError as e:
         print(f"error: internal: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except (SecularError, OSError, ValueError, ZeroDivisionError,
             json.JSONDecodeError, KeyError) as e:
         print(f"error: input: {e}", file=sys.stderr)

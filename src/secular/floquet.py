@@ -29,7 +29,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .errors import DomainError, InternalInconsistencyError, SingularityError
-from .jordan import _cluster, jordan_form
+from .jordan import jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
 DEFAULT_TOL = 1e-10
@@ -248,20 +248,23 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         fy = rhs(np.array(t), y, cols)
         interval = abs(t_end - t0)
         scale = atol + np.abs(y) * rtol
-        d0, d1 = (_norms(np.array((y / scale, fy / scale)), m)
-                  / n ** 0.5).tolist()
+        with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
+            d0, d1 = (_norms(np.array((y / scale, fy / scale)), m)
+                      / n ** 0.5).tolist()
         h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
               for a, b in zip(d0, d1)]
         f1 = rhs(t0 + np.array(h0) * direction,
                  y + (np.array(h0) * direction)[rows] * fy, cols)
         df = (_norms((f1 - fy)[None] / scale, m)[0] / n ** 0.5).tolist()
         for p in range(m):
-            d2 = df[p] / h0[p]
+            d2 = df[p] / h0[p] if h0[p] else math.inf
             H[p] = min(100 * h0[p],
                        max(1e-6, h0[p] * 1e-3) if d1[p] <= 1e-15
                        and d2 <= 1e-15 else (0.01 / max(d1[p], d2)) ** (1 / 8),
                        interval)
             plan(p)
+            if not h0[p]:  # d1 overflowed, as scipy's next error estimate will
+                fail[p] = _TOO_SMALL
     while len(cols):
         k = len(cols)
         if any(fail):
@@ -561,15 +564,14 @@ def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
                      n_periods=2, n_samples=64, tol=DEFAULT_TOL) -> FloquetFactorization:
     """Verify the Floquet factorization x = sum_j k_j e^{a_j t} p_j(t).
 
-    Requires distinct multipliers.  Reconstructs the periodic factors
-    p_j(t) = e^{-a_j t} Phi(t) v_j over one period and reports the worst
-    periodicity residual |p_j(t + T) - p_j(t)|.
+    Requires distinct multipliers in exps.blocks.  Reconstructs the
+    periodic factors p_j(t) = e^{-a_j t} Phi(t) v_j over one period and
+    reports the worst periodicity residual |p_j(t + T) - p_j(t)|.
     """
     T = sys.period
     M = monodromy(sys, tol)
     mults, vecs = np.linalg.eig(M.M)
-    groups = _cluster(mults, 1e-8 * max(np.max(np.abs(mults)), 1.0))
-    if any(len(g) > 1 for g in groups):
+    if any(sum(sizes) > 1 for _, sizes in exps.blocks):
         raise DomainError(
             "clustered multipliers: factorization with multiple multipliers "
             "is unsupported; inspect the exponent block report instead"

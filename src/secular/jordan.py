@@ -3,6 +3,11 @@
 Exact flavor handles matrices whose eigenvalues are all rational; anything
 else is served by the numeric flavor, which clusters floating eigenvalues
 within a tolerance before reading off block structure.
+
+Both flavors read an eigenvalue the same way: the bases of ker N^k,
+N = A - lam I, give the block sizes through their dimensions, and one
+chain builder, `_jordan_chains`, grows the Jordan chains from them.  Only
+the span test differs: exact elimination, or a least-squares residual.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from .errors import (
     InternalInconsistencyError,
     UnsupportedFlavorError,
 )
-from .matrixcore import EXACT, NUMERIC, SquareMatrix, char_poly, _row_echelon
-from .ratpoly import RationalPolynomial, poly_gcd, square_free_part
+from .matrixcore import NUMERIC, SquareMatrix, char_poly, _row_echelon
+from .ratpoly import RationalPolynomial, square_free_part
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -39,10 +44,6 @@ class JordanDecomposition:
     P: SquareMatrix
     blocks: tuple[tuple[complex | Fraction, tuple[int, ...]], ...]
     warnings: tuple[str, ...] = ()
-
-    @property
-    def eigenvalues(self):
-        return [lam for lam, _ in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,6 @@ def rational_roots(p: RationalPolynomial) -> dict[Fraction, int]:
 # -- exact multiplicity ---------------------------------------------------------
 
 
-def _rank_sequence(A: SquareMatrix, lam: Fraction, upto: int) -> list[int]:
-    """Ranks of (A - lam I)^k for k = 0..upto (exact)."""
-    N = A.shift(lam)
-    ranks = [A.n]
-    Pk = N
-    for _ in range(upto):
-        ranks.append(Pk.rank())
-        Pk = Pk.matmul(N)
-    return ranks
-
-
 def _blocks_from_ranks(ranks: list[int], algebraic: int) -> tuple[int, ...]:
     """Jordan block sizes from the rank sequence of powers of A - lam I."""
     # blocks of size >= k: rank^{k-1} - rank^k
@@ -127,25 +117,33 @@ def _blocks_from_ranks(ranks: list[int], algebraic: int) -> tuple[int, ...]:
     return tuple(k for k in range(kmax, 0, -1) for _ in range(exactly[k - 1]))
 
 
+def _exact_kernels(A: SquareMatrix, lam: Fraction, alg: int):
+    """N = A - lam I, bases of ker N^k for k = 0..alg, and the report of
+    lam's multiplicities and Jordan block sizes read from their dimensions
+    (exact)."""
+    N = A.shift(lam)
+    kernels = [[]]
+    Pk = SquareMatrix.identity(A.n)
+    for _ in range(alg):
+        Pk = Pk.matmul(N)
+        kernels.append(Pk.null_space())
+    sizes = _blocks_from_ranks([A.n - len(K) for K in kernels], alg)
+    return N, kernels, MultiplicityReport(lam, alg, len(kernels[1]), sizes)
+
+
 def multiplicity(A: SquareMatrix, lam) -> MultiplicityReport:
     """Algebraic/geometric multiplicity and block sizes at an exact eigenvalue."""
     A._require_exact()
     lam = Fraction(lam)
-    cp = char_poly(A).poly
-    if cp.eval_frac(lam) != 0:
-        raise DomainError(f"{lam} is not an eigenvalue")
     alg = 0
-    q = cp
+    q = char_poly(A).poly
     lin = RationalPolynomial([-lam, 1])
-    while q.eval_frac(lam) == 0:
+    while q.eval_frac(lam) == 0:  # q is monic: it ends a nonzero constant
         q = q // lin
         alg += 1
-        if q.is_zero or q.degree == 0:
-            break
-    ranks = _rank_sequence(A, lam, alg)
-    geom = A.n - ranks[1]
-    sizes = _blocks_from_ranks(ranks, alg)
-    return MultiplicityReport(lam, alg, geom, sizes)
+    if alg == 0:
+        raise DomainError(f"{lam} is not an eigenvalue")
+    return _exact_kernels(A, lam, alg)[2]
 
 
 def darboux_minor_vanishing_order(A: SquareMatrix, lam) -> int:
@@ -161,66 +159,36 @@ def darboux_minor_vanishing_order(A: SquareMatrix, lam) -> int:
     return A.n - r
 
 
-# -- exact Jordan --------------------------------------------------------------
+# -- Jordan chains, both flavors ----------------------------------------------
 
 
-class _SpanTracker:
-    """Incremental exact span membership via Gaussian elimination."""
+def _jordan_chains(kernels, sizes, apply_N, extends, lam):
+    """Jordan chains at lam, each ordered bottom-up: [N^{k-1}v, ..., Nv, v].
 
-    def __init__(self, n):
-        self.n = n
-        self.rows = []  # echelon rows
-
-    def add(self, v) -> bool:
-        """Add v to the span; returns True if it enlarged the span."""
-        red = self._reduce(list(v))
-        if red is None:
-            return False
-        self.rows.append(red)
-        self.rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x != 0))
-        return True
-
-    def _reduce(self, v):
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            return None
-        return v
-
-
-def _exact_chains(A: SquareMatrix, lam: Fraction, report: MultiplicityReport):
-    """Jordan chains at lam, each ordered bottom-up: [N^{k-1}v, ..., Nv, v]."""
-    N = A.shift(lam)
-    kmax = report.block_sizes[0]
-    powers = [SquareMatrix.identity(A.n)]
-    for _ in range(kmax):
-        powers.append(powers[-1].matmul(N))
-    kernels = [[]] + [powers[k].null_space() for k in range(1, kmax + 1)]
-
+    kernels[k] holds a basis of ker N^k, as vectors, and sizes the block
+    sizes in decreasing order.  A chain of length k starts from a vector of
+    ker N^k outside ker N^{k-1} and the height-k vectors of the longer
+    chains: extends(covered, v) returns the start it makes of v, or None
+    when v lies in the span of covered.
+    """
     chains = []
-    for k in range(kmax, 0, -1):
-        need = sum(1 for s in report.block_sizes if s == k)
+    for k in range(sizes[0], 0, -1):
+        need = sizes.count(k)
         if need == 0:
             continue
-        tracker = _SpanTracker(A.n)
-        for v in kernels[k - 1]:
-            tracker.add(v)
-        for chain in chains:
-            # height-k vector of a longer chain
-            tracker.add(chain[k - 1])
+        covered = list(kernels[k - 1]) + [c[k - 1] for c in chains]
         got = 0
         for v in kernels[k]:
             if got == need:
                 break
-            if tracker.add(v):
+            v = extends(covered, v)
+            if v is not None:
                 chain = [v]
                 for _ in range(k - 1):
-                    chain.append(N.matvec(chain[-1]))
+                    chain.append(apply_N(chain[-1]))
                 chain.reverse()
                 chains.append(chain)
+                covered.append(v)
                 got += 1
         if got != need:
             raise InternalInconsistencyError(
@@ -228,6 +196,25 @@ def _exact_chains(A: SquareMatrix, lam: Fraction, report: MultiplicityReport):
             )
     chains.sort(key=len, reverse=True)
     return chains
+
+
+def _exact_extends(covered, v):
+    """v, if it lies outside the span of the independent vectors covered."""
+    rows = [list(u) for u in covered] + [list(v)]
+    return v if len(_row_echelon(rows)) == len(rows) else None
+
+
+def _numeric_extends(covered, v):
+    """The unit residual of v against the span of covered, if it is above
+    1e-6 relative to v."""
+    resid = v
+    if covered:
+        C = np.array(covered).T
+        q, _, _, _ = np.linalg.lstsq(C, v, rcond=None)
+        resid = v - C @ q
+    if np.linalg.norm(resid) > 1e-6 * max(np.linalg.norm(v), 1.0):
+        return resid / np.linalg.norm(resid)
+    return None
 
 
 def _lay_out_chains(n: int, clusters, zero, one):
@@ -274,7 +261,8 @@ def _cluster(values: np.ndarray, tol: float):
 
 
 def _cluster_kernels(N: np.ndarray, alg: int, tol: float) -> list[np.ndarray]:
-    """Bases of ker N^k for k = 0..alg, N = A - lam I at a cluster of size alg.
+    """Bases of ker N^k for k = 0..alg, N = A - lam I at a cluster of size
+    alg, each as the rows of an array.
 
     The generalized eigenspace has dimension alg, so each kernel keeps at
     most the alg smallest singular directions of N^k: another eigenvalue
@@ -282,14 +270,14 @@ def _cluster_kernels(N: np.ndarray, alg: int, tol: float) -> list[np.ndarray]:
     from a kernel's dimension agrees with the kernel itself.
     """
     n = N.shape[0]
-    kernels = [np.zeros((n, 0))]
+    kernels = [np.zeros((0, n))]
     Pk = np.eye(n)
     for _ in range(alg):
         Pk = Pk @ N
         _, s, vh = np.linalg.svd(Pk)
         null = s <= max(tol, s[0] * n * np.finfo(float).eps * 10)
         null[: n - alg] = False
-        kernels.append(vh[null].conj().T)  # columns span the kernel
+        kernels.append(vh[null].conj())  # rows span the kernel
     return kernels
 
 
@@ -309,43 +297,6 @@ def _cluster_subspace(M: np.ndarray, centers, lam: complex, alg: int):
             f"Schur form puts {sdim} eigenvalues at {lam}, clustering {alg}"
         )
     return Z[:, :alg], T[:alg, :alg]
-
-
-def _numeric_chains(N: np.ndarray, kernels, lam: complex, sizes: tuple[int, ...]):
-    kmax = sizes[0]
-    chains = []
-    for k in range(kmax, 0, -1):
-        need = sum(1 for s in sizes if s == k)
-        if need == 0:
-            continue
-        base = [kernels[k - 1]] + [c[k - 1][:, None] for c in chains]
-        covered = np.column_stack(base)
-        got = 0
-        Kk = kernels[k]
-        for idx in range(Kk.shape[1]):
-            if got == need:
-                break
-            v = Kk[:, idx]
-            if covered.shape[1]:
-                q, _, _, _ = np.linalg.lstsq(covered, v, rcond=None)
-                resid = v - covered @ q
-            else:
-                resid = v
-            if np.linalg.norm(resid) > 1e-6 * max(np.linalg.norm(v), 1.0):
-                v = resid / np.linalg.norm(resid)
-                chain = [v]
-                for _ in range(k - 1):
-                    chain.append(N @ chain[-1])
-                chain.reverse()
-                chains.append(chain)
-                covered = np.column_stack([covered, v])
-                got += 1
-        if got != need:
-            raise InternalInconsistencyError(
-                f"numeric Jordan chain construction failed at {lam}"
-            )
-    chains.sort(key=len, reverse=True)
-    return chains
 
 
 def _jordan_numeric(A: SquareMatrix, cluster_tol: float) -> JordanDecomposition:
@@ -378,8 +329,9 @@ def _jordan_numeric(A: SquareMatrix, cluster_tol: float) -> JordanDecomposition:
             Z, T = _cluster_subspace(M, centers, lam, alg)
         N = T - lam * np.eye(len(T))
         kernels = _cluster_kernels(N, alg, tol)
-        sizes = _blocks_from_ranks([len(T) - K.shape[1] for K in kernels], alg)
-        chains = _numeric_chains(N, kernels, lam, sizes)
+        sizes = _blocks_from_ranks([len(T) - len(K) for K in kernels], alg)
+        chains = _jordan_chains(kernels, sizes, lambda v: N @ v,
+                                _numeric_extends, lam)
         if Z is not None:
             chains = [[Z @ v for v in chain] for chain in chains]
         clusters.append((lam, chains))
@@ -407,7 +359,9 @@ def jordan_form(A: SquareMatrix, cluster_tol=DEFAULT_CLUSTER_TOL) -> JordanDecom
         )
     clusters = []
     for lam in sorted(roots):
-        clusters.append((lam, _exact_chains(A, lam, multiplicity(A, lam))))
+        N, kernels, rep = _exact_kernels(A, lam, roots[lam])
+        clusters.append((lam, _jordan_chains(kernels, rep.block_sizes,
+                                             N.matvec, _exact_extends, lam)))
     jrows, cols, blocks = _lay_out_chains(A.n, clusters, Fraction(0), Fraction(1))
     P = SquareMatrix([[v[i] for v in cols] for i in range(A.n)])
     return JordanDecomposition(SquareMatrix(jrows), P, blocks)
@@ -422,25 +376,17 @@ def classify_3x3(A: SquareMatrix) -> CanonicalType3:
     """
     if A.n != 3:
         raise DomainError("classify_3x3 requires a 3x3 matrix")
-    if A.flavor == NUMERIC:
-        dec = _jordan_numeric(A, DEFAULT_CLUSTER_TOL)
-        mults = [(lam, sorted(sizes, reverse=True)) for lam, sizes in dec.blocks]
-    else:
-        cp = char_poly(A).poly
-        g = poly_gcd(cp, cp.derivative())
-        if g.degree == 0:
-            return CanonicalType3("A")
-        # any repeated root of a rational cubic is rational
-        rep_roots = rational_roots(g)
-        mults = []
-        for lam in rep_roots:
-            rep = multiplicity(A, lam)
-            mults.append((lam, sorted(rep.block_sizes, reverse=True)))
-    max_alg = max(sum(sizes) for _, sizes in mults)
-    if max_alg == 1:
+    try:
+        blocks = jordan_form(A).blocks
+    except UnsupportedFlavorError:
+        # any repeated root of a rational cubic is rational, so a cubic
+        # with an irrational root has three distinct roots
         return CanonicalType3("A")
-    lam, sizes = max(mults, key=lambda ms: sum(ms[1]))
-    if max_alg == 2:
+    # the block sizes, largest first, at the most repeated eigenvalue
+    sizes = max((sizes for _, sizes in blocks), key=sum)
+    if sum(sizes) == 1:
+        return CanonicalType3("A")
+    if sum(sizes) == 2:
         return CanonicalType3("B" if sizes[0] == 2 else "C")
     if sizes[0] == 3:
         return CanonicalType3("D")
@@ -472,10 +418,8 @@ def symmetric_diagonalizability_check(A: SquareMatrix) -> DiagonalizabilityRepor
     annihilated = all(
         acc.rows[i][j] == 0 for i in range(A.n) for j in range(A.n)
     )
-    reports = []
-    for lam in rational_roots(cp):
-        rep = multiplicity(A, lam)
-        reports.append(rep)
+    reports = [_exact_kernels(A, lam, alg)[2]
+               for lam, alg in rational_roots(cp).items()]
     ok = annihilated and all(r.algebraic == r.geometric for r in reports)
     if not ok:
         raise InternalInconsistencyError(

@@ -8,7 +8,8 @@ poly(t) * exp(lam*t), with secular (polynomial) factors explicit.
 Each solver is one algebra over either scalar type: a matrix whose
 eigenvalues are all rational runs it in Fractions, so its coefficients are
 exact until the final conversion; any other runs it in complex floats on
-the numeric Jordan data.
+the numeric Jordan data.  One place, `_jordan_data`, makes that choice
+for both solvers and the stability verdict.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .jordan import jordan_form, multiplicity, rational_roots
-from .matrixcore import (
-    EXACT, NUMERIC, SquareMatrix, char_poly, faddeev_leverrier,
-)
+from .errors import DomainError, UnsupportedFlavorError
+from .jordan import JordanDecomposition, jordan_form
+from .matrixcore import EXACT, NUMERIC, SquareMatrix, faddeev_leverrier
 from .ratpoly import _to_frac
 
 _ZERO_TOL = 1e-12
@@ -95,14 +94,15 @@ def _canonical_terms(raw, dim, drop_tol) -> LinearSolution:
     return LinearSolution(tuple(terms), dim)
 
 
-def _exact_spectrum(A: SquareMatrix):
-    if A.flavor != EXACT:
-        return None
-    cp = char_poly(A).poly
-    roots = rational_roots(cp)
-    if sum(roots.values()) != A.n:
-        return None
-    return roots
+def _jordan_data(A: SquareMatrix) -> JordanDecomposition:
+    """The exact Jordan form of A when every eigenvalue is rational, else
+    the numeric one."""
+    if A.flavor == EXACT:
+        try:
+            return jordan_form(A)
+        except UnsupportedFlavorError:
+            pass
+    return jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
 
 
 # -- Jordan route ---------------------------------------------------------------
@@ -116,12 +116,11 @@ def solve_constant(A: SquareMatrix, x0) -> LinearSolution:
     Jordan form with the documented clustering tolerance.
     """
     n = A.n
-    if _exact_spectrum(A) is not None:
-        dec = jordan_form(A)
+    dec = _jordan_data(A)
+    if dec.P.flavor == EXACT:
         y0 = dec.P.inverse().matvec(x0)
         drop_tol = 0.0
     else:
-        dec = jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
         y0 = np.linalg.solve(dec.P.rows, np.asarray(x0, dtype=complex))
         drop_tol = _ZERO_TOL
     P = dec.P.rows
@@ -173,21 +172,18 @@ def _poly_shift(coeffs, lam):
 def solve_residue(A: SquareMatrix, x0) -> LinearSolution:
     """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t).
 
-    Exact-rational spectra take the residues in Fractions at the rational
-    roots of det(sI - A); anything else in complex floats at the numeric
-    Jordan eigenvalues, each pole of order its cluster's multiplicity.
+    The poles are the Jordan eigenvalues, each of order the sum of its
+    block sizes: exact-rational spectra take the residues in Fractions,
+    anything else in complex floats.
     """
     n = A.n
-    spectrum = _exact_spectrum(A)
-    if spectrum is not None:
+    dec = _jordan_data(A)
+    poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
+    if dec.P.flavor == EXACT:
         rows, x = A.rows, [_to_frac(v) for v in x0]
-        poles = spectrum.items()
         drop_tol = 0.0
     else:
-        M = A.to_numpy()
-        rows, x = M.tolist(), [complex(v) for v in x0]
-        dec = jordan_form(SquareMatrix(M, NUMERIC))
-        poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
+        rows, x = A.to_numpy().tolist(), [complex(v) for v in x0]
         drop_tol = _ZERO_TOL
     _, Ms = faddeev_leverrier(rows)
     # numerator N(s) = adj(sI - A) x0: numer[r] holds N_r, lowest degree first
@@ -250,15 +246,8 @@ class SecondOrderSystem:
 
 def _eigen_structure(A: SquareMatrix):
     """[(eigenvalue, max block size, algebraic mult)] from Jordan data."""
-    spectrum = _exact_spectrum(A)
-    if spectrum is not None:
-        out = []
-        for lam in spectrum:
-            rep = multiplicity(A, lam)
-            out.append((complex(float(lam)), max(rep.block_sizes), rep.algebraic))
-        return out
-    dec = jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
-    return [(lam, max(sizes), sum(sizes)) for lam, sizes in dec.blocks]
+    return [(complex(lam), max(sizes), sum(sizes))
+            for lam, sizes in _jordan_data(A).blocks]
 
 
 def classify_stability(A: SquareMatrix, form=FIRST_ORDER, tol=1e-9) -> StabilityVerdict:

@@ -205,27 +205,19 @@ class SquareMatrix:
 
     def rank(self) -> int:
         self._require_exact()
-        m = [list(r) for r in self.rows]
-        return _row_echelon(m)
+        return len(_row_echelon([list(r) for r in self.rows]))
 
     def inverse(self) -> "SquareMatrix":
+        """Exact inverse, by reducing [A | I]."""
         self._require_exact()
         n = self.n
         aug = [
             list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)
         ]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if piv is None:
-                raise DomainError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+        # [A | I] has rank n; a pivot in the right half means A has less
+        if n and _row_echelon(aug)[-1] >= n:
+            raise DomainError("matrix is singular")
         return SquareMatrix([r[n:] for r in aug])
 
     def null_space(self) -> list[list[Fraction]]:
@@ -233,24 +225,11 @@ class SquareMatrix:
         self._require_exact()
         n = self.n
         m = [list(r) for r in self.rows]
-        pivots = []
-        row = 0
-        for col in range(n):
-            piv = next((i for i in range(row, n) if m[i][col] != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            pv = m[row][col]
-            m[row] = [x / pv for x in m[row]]
-            for i in range(n):
-                if i != row and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-            pivots.append(col)
-            row += 1
-        free = [c for c in range(n) if c not in pivots]
+        pivots = _row_echelon(m)
         basis = []
-        for fc in free:
+        for fc in range(n):
+            if fc in pivots:
+                continue
             v = [Fraction(0)] * n
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
@@ -259,12 +238,14 @@ class SquareMatrix:
         return basis
 
 
-def _row_echelon(m) -> int:
-    """In-place Gaussian elimination over Fractions; returns the rank."""
+def _row_echelon(m) -> list[int]:
+    """In-place reduction over Fractions to reduced row-echelon form;
+    returns the pivot columns, one per nonzero row."""
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -275,8 +256,8 @@ def _row_echelon(m) -> int:
             if i != rank and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 # -- characteristic polynomial and minors ---------------------------------
@@ -511,7 +492,8 @@ def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:
 
     The Hankel matrix H[i][j] = s_{i+j} of Newton power sums has rank equal
     to the number of distinct complex roots, and signature equal to the
-    number of distinct real roots (Hermite/Sylvester).
+    number of distinct real roots (Hermite/Sylvester).  Both come from its
+    inertia: a symmetric form's rank is its number of nonzero squares.
     """
     if p.is_zero:
         raise DomainError("root count of the zero polynomial")
@@ -520,10 +502,8 @@ def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:
         return (0, 0)
     s = newton_power_sums(p, 2 * d - 2)
     H = SquareMatrix([[s[i + j] for j in range(d)] for i in range(d)])
-    form = QuadraticForm(H)
-    ine = inertia(form)
-    distinct = H.rank()
-    return distinct, ine.signature
+    ine = inertia(QuadraticForm(H))
+    return ine.n_pos + ine.n_neg, ine.signature
 
 
 # -- interlacing ---------------------------------------------------------------

@@ -409,6 +409,8 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
     if abs(state[1]) > 1e-14 or abs(state[2]) > 1e-14:
         raise DomainError("corrector requires a perpendicular x-axis start "
                           "(x0, 0, 0, vy0)")
+    if state[3] == 0:  # a start at rest on the axis "crosses" it at t = 0
+        raise DomainError("corrector requires a nonzero vy0")
     rhs = _var_rhs(mu)
     best = state.copy()
     best_resid = math.inf

@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,33 @@ class TestExitCodes:
         ])
         assert code == 2
         assert err.startswith("error: non-convergence:")
+
+    def test_tiny_tol_is_one_line_non_convergence(self, capsys):
+        # tol = 1e-300 overflows the integrator's initial-step rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, [
+                "--tol", "1e-300", "floquet", "--a", "1", "--q", "0.1"])
+        assert (code, out) == (2, "")
+        assert err == ("error: non-convergence: integration failed near "
+                       "t=0: Required step size is less than spacing "
+                       "between numbers.\n")
+
+    def test_zero_seed_amplitude_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, [
+            "pcr3bp", "orbit", "--mu", "0.012", "--seed-amplitude", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: input: corrector requires a nonzero vy0\n"
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 PiB for an array")
+        monkeypatch.setattr("secular.cli.monodromy", too_big)
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "floquet", "--grid", "0:1:2,0:1:2"])
+        assert (code, out) == (1, "")
+        assert err == ("error: out of memory: Unable to allocate 74.5 PiB "
+                       "for an array\n")
 
     def test_non_convergence_reports_best_iterate(self, capsys, monkeypatch):
         def stuck(*args, **kwargs):

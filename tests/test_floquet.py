@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestFactorization:
         with pytest.raises(DomainError):
             floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
 
+    def test_clusters_read_from_the_exponent_report(self):
+        # at cluster_tol = 10 the report clusters the two distinct
+        # multipliers of a = 1, q = 0.2 into one
+        sys = hill_system(a=1.0, q=0.2)
+        exps = characteristic_exponents(monodromy(sys, tol=1e-12),
+                                        cluster_tol=10.0)
+        assert [sum(sizes) for _, sizes in exps.blocks] == [2]
+        with pytest.raises(DomainError):
+            floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
+
 
 def _oscillators(t, z):
     """x'' = -x for a stack of members, flattened from (2, k)."""
@@ -282,6 +293,24 @@ class TestStepper:
             integrate(lambda t, y: y * np.array([1.0, math.nan, 1.0]),
                       stack, (0.0, 1.0), dense=False)
         assert err.value.members == (1,)
+
+    def test_overflowing_first_step_fails_as_solve_ivp_does(self):
+        # at tol = 1e-300 (atol 1e-302) the initial-step rule's d1
+        # overflows on this Hill flight, and solve_ivp ends at t = 0
+        hill = hill_system(1.0, 0.1)
+        f = lambda t, y: (hill.A_of_t(t) @ y.reshape(2, 2)).ravel()
+        x0, span = np.eye(2).ravel(), (0.0, math.pi / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = solve_ivp(f, span, x0, method="DOP853", rtol=1e-300,
+                            atol=1e-302)
+        assert ref.status == -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError) as err:
+                integrate(f, x0, span, tol=1e-300)
+        assert str(err.value).endswith(ref.message)
+        assert err.value.t == ref.t[-1]
 
     def test_work_counters_match_solve_ivp(self):
         f = lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1] ** 3])

@@ -238,6 +238,46 @@ def test_exact_jordan_reconstructs_planted_matrix(case):
         {lam: sorted(sizes) for lam, sizes in spec.items()}
 
 
+@given(planted_rational_jordan())
+@settings(max_examples=40, deadline=None)
+def test_multiplicity_reads_the_blocks_jordan_form_reports(case):
+    A, _ = case
+    for lam, sizes in jordan_form(A).blocks:
+        rep = multiplicity(A, lam)
+        assert rep.block_sizes == sizes
+        assert (rep.algebraic, rep.geometric) == (sum(sizes), len(sizes))
+
+
+@st.composite
+def planted_3x3(draw):
+    """S J S^-1 for a 3x3 Jordan matrix J of eigenvalues k/2, S a
+    permutation times a diagonal of signed powers of two, so that every
+    entry is exact in floats."""
+    sizes = draw(st.sampled_from([(1, 1, 1), (2, 1), (1, 2), (3,)]))
+    J = [[Fraction(0)] * 3 for _ in range(3)]
+    pos = 0
+    for s in sizes:
+        lam = Fraction(draw(st.integers(-2, 2)), 2)
+        for i in range(pos, pos + s):
+            J[i][i] = lam
+            if i > pos:
+                J[i - 1][i] = Fraction(1)
+        pos += s
+    perm = draw(st.permutations(range(3)))
+    d = [draw(st.sampled_from([-1, 1])) * Fraction(2) ** draw(st.integers(-2, 2))
+         for _ in range(3)]
+    S = SquareMatrix([[d[j] if i == perm[j] else 0 for j in range(3)]
+                      for i in range(3)])
+    return S.matmul(SquareMatrix(J)).matmul(S.inverse())
+
+
+@given(planted_3x3())
+@settings(max_examples=60, deadline=None)
+def test_classify_3x3_agrees_across_flavors(A):
+    numeric = SquareMatrix(A.to_numpy(), flavor="numeric")
+    assert classify_3x3(A) == classify_3x3(numeric)
+
+
 class TestPoincareNullity:
     def test_rank_deficiency_gives_zero_roots(self):
         # det A = 0 and small minors vanish -> S^p divides the char poly

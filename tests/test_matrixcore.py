@@ -135,6 +135,52 @@ def test_inertia_invariant_under_congruence(data):
     assert inertia(QuadraticForm(S.transpose().matmul(G).matmul(S))) == planted
 
 
+@st.composite
+def rank_deficient(draw):
+    """A rational matrix whose rows past the first r are combinations of
+    those r, so its rank is at most r."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=r, max_size=r))
+    for _ in range(n - r):
+        c = draw(st.lists(rationals, min_size=r, max_size=r))
+        rows.append([sum(ck * rk[j] for ck, rk in zip(c, rows))
+                     for j in range(n)])
+    return SquareMatrix([[Fraction(x) for x in row] for row in rows])
+
+
+@given(st.one_of(exact_matrices(), rank_deficient()))
+@settings(max_examples=80, deadline=None)
+def test_row_reduction_rank_kernel_and_inverse(A):
+    n = A.n
+    kernel = A.null_space()
+    assert A.rank() + len(kernel) == n
+    assert all(x == 0 for v in kernel for x in A.matvec(v))
+    if kernel:
+        assert np.linalg.matrix_rank(np.array(kernel, dtype=float)) == \
+            len(kernel)
+    if A.det() == 0:
+        with pytest.raises(DomainError, match="singular"):
+            A.inverse()
+    else:
+        assert A.matmul(A.inverse()) == SquareMatrix.identity(n)
+
+
+@given(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3,
+                unique_by=lambda rm: rm[0]),
+       st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), max_size=2,
+                unique_by=lambda cm: cm[0]))
+@settings(max_examples=60, deadline=None)
+def test_hermite_count_of_planted_repeated_roots(reals, pairs):
+    # (x^2 + c)^m plants the two non-real roots +-i sqrt(c), m times each
+    p = P.from_roots([r for r, m in reals for _ in range(m)])
+    for c, m in pairs:
+        for _ in range(m):
+            p = p * P([c, 0, 1])
+    assert hermite_root_count(p) == (len(reals) + 2 * len(pairs), len(reals))
+
+
 class TestMinorSequence:
     def test_worked_example_delta1(self):
         ms = minor_sequence(A_WORKED)
