@@ -41,6 +41,7 @@ from .jordan import classify_3x3, jordan_form
 from .linode import (
     FIRST_ORDER,
     SecondOrderSystem,
+    _jordan_data,
     classify_stability,
     solve_constant,
     solve_lagrange_oscillation,
@@ -81,7 +82,7 @@ from .section import (
     SectionPoint,
     homoclinic_intersection,
     linearize_map,
-    manifold_segment,
+    manifold_segments,
     section_crossings,
 )
 
@@ -252,7 +253,7 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
         "warnings": list(dec.warnings),
     }
     if args.classify3:
-        t3 = classify_3x3(A)
+        t3 = classify_3x3(A, dec.blocks)
         out["type3"] = {"tag": t3.tag, "scalar": t3.scalar}
     _emit_json(cfg, out)
     return 0
@@ -275,9 +276,10 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
                        "vector": list(m.vector)} for m in modes],
         }
     else:
+        dec = _jordan_data(A)
         solver = solve_residue if args.method == "residue" else solve_constant
-        sol = solver(A, x0)
-        verdict = classify_stability(A, FIRST_ORDER)
+        sol = solver(A, x0, dec)
+        verdict = classify_stability(A, FIRST_ORDER, dec=dec)
         payload = {"verdict": verdict.tag,
                    "strict_lagrange": verdict.strict_lagrange}
     payload["terms"] = [
@@ -404,8 +406,8 @@ def _cmd_section(args, cfg: RunConfig) -> int:
         lin = linearize_map(p, args.mu, sd, tol=cfg.tol, method="stm")
         kw = dict(steps=args.steps, seeds=args.seeds,
                   seed_offset=args.seed_offset, tol=cfg.tol, lin=lin)
-        unstable = manifold_segment(p, args.mu, sd, "unstable+", **kw)
-        stable = manifold_segment(p, args.mu, sd, "stable+", **kw)
+        unstable, stable = manifold_segments(
+            p, args.mu, sd, ("unstable+", "stable+"), **kw)
         for br in (unstable, stable):
             if br.truncated:
                 print(f"warning: {br.branch} branch truncated: "

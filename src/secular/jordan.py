@@ -367,17 +367,18 @@ def jordan_form(A: SquareMatrix, cluster_tol=DEFAULT_CLUSTER_TOL) -> JordanDecom
     return JordanDecomposition(SquareMatrix(jrows), P, blocks)
 
 
-def classify_3x3(A: SquareMatrix) -> CanonicalType3:
+def classify_3x3(A: SquareMatrix, blocks=None) -> CanonicalType3:
     """One of the five 3x3 canonical types (plus the scalar degenerate case).
 
     A: three distinct eigenvalues.  B: double eigenvalue, one 2-block.
     C: double eigenvalue, diagonalizable (or scalar, flagged).  D: triple,
-    one 3-block.  E: triple, 2-block + 1-block.
+    one 3-block.  E: triple, 2-block + 1-block.  ``blocks`` are A's
+    `jordan_form` blocks, for a caller that already has them.
     """
     if A.n != 3:
         raise DomainError("classify_3x3 requires a 3x3 matrix")
     try:
-        blocks = jordan_form(A).blocks
+        blocks = jordan_form(A).blocks if blocks is None else blocks
     except UnsupportedFlavorError:
         # any repeated root of a rational cubic is rational, so a cubic
         # with an irrational root has three distinct roots

@@ -108,15 +108,16 @@ def _jordan_data(A: SquareMatrix) -> JordanDecomposition:
 # -- Jordan route ---------------------------------------------------------------
 
 
-def solve_constant(A: SquareMatrix, x0) -> LinearSolution:
+def solve_constant(A: SquareMatrix, x0, dec=None) -> LinearSolution:
     """Closed form of x' = Ax, x(0) = x0 via the Jordan decomposition.
 
     Exact-rational spectra are handled in exact arithmetic, so secular-term
     presence is decided exactly; anything else falls back to the numeric
-    Jordan form with the documented clustering tolerance.
+    Jordan form with the documented clustering tolerance.  ``dec`` is
+    A's `_jordan_data`, for a caller that already has it.
     """
     n = A.n
-    dec = _jordan_data(A)
+    dec = _jordan_data(A) if dec is None else dec
     if dec.P.flavor == EXACT:
         y0 = dec.P.inverse().matvec(x0)
         drop_tol = 0.0
@@ -169,15 +170,15 @@ def _poly_shift(coeffs, lam):
     return res
 
 
-def solve_residue(A: SquareMatrix, x0) -> LinearSolution:
+def solve_residue(A: SquareMatrix, x0, dec=None) -> LinearSolution:
     """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t).
 
     The poles are the Jordan eigenvalues, each of order the sum of its
     block sizes: exact-rational spectra take the residues in Fractions,
-    anything else in complex floats.
+    anything else in complex floats.  ``dec`` is as in `solve_constant`.
     """
     n = A.n
-    dec = _jordan_data(A)
+    dec = _jordan_data(A) if dec is None else dec
     poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
     if dec.P.flavor == EXACT:
         rows, x = A.rows, [_to_frac(v) for v in x0]
@@ -244,28 +245,30 @@ class SecondOrderSystem:
             raise DomainError("second-order system matrix must be symmetric")
 
 
-def _eigen_structure(A: SquareMatrix):
+def _eigen_structure(A: SquareMatrix, dec=None):
     """[(eigenvalue, max block size, algebraic mult)] from Jordan data."""
-    return [(complex(lam), max(sizes), sum(sizes))
-            for lam, sizes in _jordan_data(A).blocks]
+    dec = _jordan_data(A) if dec is None else dec
+    return [(complex(lam), max(sizes), sum(sizes)) for lam, sizes in dec.blocks]
 
 
-def classify_stability(A: SquareMatrix, form=FIRST_ORDER, tol=1e-9) -> StabilityVerdict:
+def classify_stability(A: SquareMatrix, form=FIRST_ORDER, tol=1e-9,
+                       dec=None) -> StabilityVerdict:
     """Structural stability verdict of x' = Ax or xi'' = A xi.
 
     Second-order eigenvalues alpha induce exponents +-sqrt(alpha); the
     classification is worst-case over initial conditions.  The verdict also
     carries Lagrange's strict criterion (exponents real, negative, distinct
     for first order; alpha real, negative, distinct for second order),
-    which is sufficient but not necessary for boundedness.
+    which is sufficient but not necessary for boundedness.  ``dec`` is as
+    in `solve_constant`.
     """
     if form == FIRST_ORDER:
-        structure = _eigen_structure(A)
+        structure = _eigen_structure(A, dec)
         exponents = [(lam, blk) for lam, blk, _ in structure]
     elif form == SECOND_ORDER:
         if not A.is_symmetric():
             raise DomainError("second-order classification requires symmetric A")
-        structure = _eigen_structure(A)
+        structure = _eigen_structure(A, dec)
         exponents = []
         for alpha, blk, _ in structure:
             a = alpha.real  # symmetric: eigenvalues real

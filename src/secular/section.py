@@ -6,7 +6,9 @@ pair (x, vx) and vy is reconstructed from C.  The induced return map
 preserves area in (x, vx).  Every flight to the section, with or without
 the state-transition matrix, goes through `pcr3bp._flow_to_crossing`.
 
-A manifold layer flies as one stack of all its seeds, in which each
+Layer k of every manifold branch flies as one forward stack: the flow
+is reversible, so a stable branch's reversed-time map is the forward
+map seen through the mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each
 seed takes the steps and the arithmetic of its own flight: a manifold
 point is its seed's image under the return map, whatever else is in its
 layer.
@@ -249,68 +251,80 @@ class HomoclinicReport:
 _BRANCHES = ("unstable+", "unstable-", "stable+", "stable-")
 
 
-def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
-                     steps: int = 30, seeds: int = 200,
-                     seed_offset: float = 1e-6, tol: float = 1e-12,
-                     lin: MapLinearization | None = None) -> ManifoldBranch:
-    """Trace one manifold branch of a hyperbolic fixed point.
+def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
+                      branches, steps: int = 30, seeds: int = 200,
+                      seed_offset: float = 1e-6, tol: float = 1e-12,
+                      lin: MapLinearization | None = None
+                      ) -> list[ManifoldBranch]:
+    """Trace manifold branches of a hyperbolic fixed point, one per name.
 
     Seeds fill a fundamental domain [offset, |lambda| * offset] along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
-    reversed-time (stable) return map.  Each layer of seeds flies as one
-    stack (`pcr3bp._flow_to_crossing`), each seed with the steps of its
-    own flight, so a point is its seed's image under the map whatever
-    else is in its layer.  A seed that leaves the allowed region, collides
-    or does not cross within the time budget drops out and truncates the
-    polyline; the truncation is recorded, not raised.
-    ``lin`` is the fixed point's STM linearization at ``tol``; pass it to
-    share one between branches.
+    reversed-time (stable) return map.  R z(-t) solves the flow whenever
+    z(t) does, so a seed's previous crossing is R of the next crossing
+    of R(seed), bit for bit, and layer k of every branch flies as one
+    forward stack (`pcr3bp._flow_to_crossing`).  A seed that leaves the
+    allowed region, collides or does not cross within the time budget
+    drops out and truncates its branch; the truncation is recorded, not
+    raised, and reads as the backward flight's would.  ``lin`` is the
+    fixed point's STM linearization at ``tol``, computed if not given.
     """
-    if branch not in _BRANCHES:
-        raise DomainError(f"branch must be one of {_BRANCHES}")
+    for branch in branches:
+        if branch not in _BRANCHES:
+            raise DomainError(f"branch must be one of {_BRANCHES}")
     if lin is None:
         lin = linearize_map(p, mu, sd, tol=tol, method="stm")
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
-    unstable = branch.startswith("unstable")
-    idx = int(np.argmax(np.abs(eigvals))) if unstable else \
-        int(np.argmin(np.abs(eigvals)))
-    lam = float(np.real(eigvals[idx]))
-    v = np.real(eigvecs[:, idx])
-    v /= np.linalg.norm(v)
-    if branch.endswith("-"):
-        v = -v
-
-    # geometric ladder of seeds across one fundamental domain
-    ratios = np.abs(lam) ** np.linspace(0.0, 1.0, seeds, endpoint=False)
-    pts = [p.as_array() + seed_offset * r * v for r in ratios]
-    poly = []
-    truncated, reason = False, ""
+    layers, flips = [], []  # per branch: its seeds, and -1.0 if mirrored
+    for branch in branches:
+        flips.append(1.0 if branch.startswith("unstable") else -1.0)
+        idx = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
+                  else np.argmin(np.abs(eigvals)))
+        v = np.real(eigvecs[:, idx])
+        v = v / np.linalg.norm(v) * (-1.0 if branch.endswith("-") else 1.0)
+        # geometric ladder of seeds across one fundamental domain
+        ratios = abs(float(np.real(eigvals[idx]))) ** np.linspace(
+            0.0, 1.0, seeds, endpoint=False)
+        layers.append([p.as_array() + seed_offset * r * v for r in ratios])
+    polys = [[] for _ in branches]
+    reasons = [""] * len(branches)
     for k in range(steps):
-        outcomes = []  # per seed: its lifted start, then its crossing
-        for q in pts:
-            try:
-                outcomes.append(lift(SectionPoint(*q), mu, sd))
-            except (DomainError, SingularityError) as e:
-                outcomes.append(e)
-        starts = [o for o in outcomes if not isinstance(o, Exception)]
+        outcomes = []  # per branch and seed: its start, then its crossing
+        for b, pts in enumerate(layers):
+            for q in pts:
+                try:
+                    z = lift(SectionPoint(*q), mu, sd)
+                    z[2] *= flips[b]  # R, once lift has checked q
+                except (DomainError, SingularityError) as e:
+                    z = e
+                outcomes.append((b, z))
+        starts = [z for _, z in outcomes if not isinstance(z, Exception)]
         if starts:
-            flown = iter(_next_crossing(np.array(starts).T, mu, sd,
-                                        forward=unstable, tol=tol))
-            outcomes = [o if isinstance(o, Exception) else next(flown)
-                        for o in outcomes]
-        layer = []
-        for o in outcomes:
-            if isinstance(o, Exception):
-                truncated, reason = True, f"iterate {k}: {o}"
-            else:
-                layer.append(np.array([float(o[0]), float(o[2])]))
-        if not layer:
-            break
-        pts = layer
-        poly.extend(layer)
-    return ManifoldBranch(branch, np.array(poly), truncated, reason)
+            flown = iter(_next_crossing(np.array(starts).T, mu, sd, tol=tol))
+            outcomes = [(b, z if isinstance(z, Exception) else next(flown))
+                        for b, z in outcomes]
+        layers = [[] for _ in branches]
+        for b, o in outcomes:
+            if not isinstance(o, Exception):
+                layers[b].append(np.array([float(o[0]),
+                                           flips[b] * float(o[2])]))
+                continue
+            reasons[b] = f"iterate {k}: {o}"
+            if flips[b] < 0 and getattr(o, "t", None):  # integrate's time
+                reasons[b] = reasons[b].replace(f"t={o.t:.6g}:",
+                                                f"t={-o.t:.6g}:", 1)
+        for poly, layer in zip(polys, layers):
+            poly.extend(layer)
+    return [ManifoldBranch(branch, np.array(poly), bool(reason), reason)
+            for branch, poly, reason in zip(branches, polys, reasons)]
+
+
+def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
+                     *args, **kwargs) -> ManifoldBranch:
+    """One manifold branch: `manifold_segments` of it alone."""
+    return manifold_segments(p, mu, sd, (branch,), *args, **kwargs)[0]
 
 
 def _segment_intersection(a0, a1, b0, b1):

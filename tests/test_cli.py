@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import importlib
 import io
 import json
 import shlex
@@ -290,6 +291,69 @@ class TestDeterminism:
         assert len(lines) == 5
 
 
+def _counted(monkeypatch, name, modules):
+    """Record the flavor of every call of ``name`` at the given modules."""
+    calls = []
+    real = getattr(importlib.import_module(modules[0]), name)
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.flavor)
+        return real(A, *args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(f"{module}.{name}", counted)
+    return calls
+
+
+X4_PLUS_1 = '[["0","1","0","0"],["0","0","1","0"],["0","0","0","1"],' \
+    '["-1","0","0","0"]]'  # companion matrix of x^4 + 1: no rational root
+
+
+class TestOneJordanForm:
+    @pytest.mark.parametrize("method", ["jordan", "residue"])
+    @pytest.mark.parametrize("matrix, flavors", [
+        (X4_PLUS_1, ["exact", "numeric"]),
+        ('[["0","1"],["0","0"]]', ["exact"]),
+        ('{"flavor":"numeric","rows":[[[0,0],[1,0]],[[-1,0],[0,0]]]}',
+         ["numeric"]),
+    ], ids=["x4+1", "jordan-block", "numeric"])
+    def test_linsolve_builds_it_once(self, capsys, monkeypatch, method,
+                                     matrix, flavors):
+        # the solver and the stability verdict read one decomposition:
+        # one exact attempt, and a numeric one only if that fails
+        calls = _counted(monkeypatch, "jordan_form", ["secular.linode"])
+        n = json.loads(matrix)["rows"] if matrix.startswith("{") else \
+            json.loads(matrix)
+        code, _, err = invoke(capsys, [
+            "linsolve", "--matrix", matrix, "--method", method,
+            "--x0", ",".join(["1"] * len(n))])
+        assert (code, err) == (0, "")
+        assert calls == flavors
+
+    def test_jordan_classify3_builds_it_once(self, capsys, monkeypatch):
+        forms = _counted(monkeypatch, "jordan_form",
+                         ["secular.jordan", "secular.cli"])
+        polys = _counted(monkeypatch, "char_poly", ["secular.jordan"])
+        code, out, _ = invoke(capsys, [
+            "jordan", "--classify3", "--matrix",
+            '[["2","1","0"],["0","2","0"],["0","0","3"]]'])
+        assert code == 0
+        assert json.loads(out)["type3"] == {"tag": "B", "scalar": False}
+        assert (forms, polys) == (["exact"], ["exact"])
+
+    def test_classify3_tag_reads_the_printed_blocks(self, capsys):
+        # at --cluster-tol 1e-4 the eigenvalues 1 and 1 + 1e-6 are one
+        # double eigenvalue with two 1-blocks, so the tag is C, not A
+        row = '[[1,0],[0,0],[0,0]],[[0,0],[1.000001,0],[0,0]],' \
+            '[[0,0],[0,0],[5,0]]'
+        code, out, _ = invoke(capsys, [
+            "--cluster-tol", "1e-4", "jordan", "--classify3", "--matrix",
+            '{"flavor":"numeric","rows":[' + row + ']}'])
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(len(b["sizes"]) for b in payload["blocks"]) == [1, 2]
+        assert payload["type3"] == {"tag": "C", "scalar": False}
+
+
 class TestSection:
     def test_crossings_csv(self, capsys):
         code, out, _ = invoke(capsys, [
@@ -343,6 +407,25 @@ class TestSection:
         assert err.startswith("warning: unstable+ branch truncated: iterate 0: "
                               "section point")
         assert "outside the energetically allowed region" in err
+
+    def test_truncated_stable_branch_says_so(self, capsys):
+        # the "fixed" point is a section point whose reversed-time flight
+        # falls straight into the Moon; the run takes its linearization
+        # as given, and the seed nearest the point collides on the way
+        # back while the other stable seeds fly on
+        code, out, err = invoke(capsys, [
+            "section", "manifolds", "--mu", "0.012150585",
+            "--C", "2.951548215257128",
+            "--fixed", "0.8839169568198127,-0.5073903093806584",
+            "--steps", "2", "--seeds", "4", "--seed-offset", "1e-2"])
+        assert code == 0
+        assert len(json.loads(out)["stable_polyline"]) == 4
+        assert err == (
+            "warning: unstable+ branch truncated: iterate 0: section point "
+            "(1.0637369477754124, -0.6904319165195243) outside the "
+            "energetically allowed region at C=2.951548215257128\n"
+            "warning: stable+ branch truncated: iterate 0: state within "
+            "collision radius of a primary (r1=1, r2=9.97e-07)\n")
 
     def test_output_file(self, capsys, tmp_path, worked_matrix):
         dest = tmp_path / "out.json"

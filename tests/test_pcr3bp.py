@@ -355,6 +355,40 @@ class TestStackedLocator:
             assert np.max(np.abs(out[j][1] - z)) < 1e-8
             assert abs(out[j][1][1]) <= CROSSING_Y_TOL
 
+    def test_on_axis_starts_pay_for_no_event_at_t0(self):
+        # starts on the axis that already move upwards: against a flight
+        # that registers each start as a crossing at t = 0 and stops at the
+        # second one, integrate's RHS makes 3 one-state calls (the
+        # interpolant of the first step) fewer per member, and every
+        # member lands on the same crossing
+        flow = _flow_rhs(MU_EM)
+        calls = []
+
+        def rhs(t, z):
+            if isinstance(t, np.ndarray):  # integrate's, not the landing's
+                calls.append(t.size)
+            return flow(t, z)
+        Z = np.array(self._section_starts()).T
+        m = Z.shape[1]
+        out = _flow_to_crossing(rhs, Z, 4.0, 1e-10, 1.0)
+        located = len(calls)
+        calls.clear()
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal, crossing.direction = 2, 1.0
+        traj = integrate(rhs, Z, (0.0, 4.0), 1e-10, [crossing] * m,
+                         dense=False)
+        assert all(te[0] == 0.0 for te in traj.t_events)
+        assert located == len(calls) - 3 * m
+        for j in range(m):
+            t, z = float(traj.t_events[j][1]), traj.y_events[j][1]
+            if abs(z[1]) > CROSSING_Y_TOL:
+                dt = -z[1] / z[3]
+                t, z = t + dt, z + dt * flow(t, z)
+            assert out[j][0] == t
+            assert np.array_equal(out[j][1], z)
+
     @staticmethod
     def _moon_fall():
         # a start that falls straight into the Moon 0.1 time units later,

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from secular.errors import DomainError, NonConvergenceError
-from secular.pcr3bp import correct_periodic, jacobi_constant, libration_points, lyapunov_seed
+from secular.errors import DomainError, NonConvergenceError, SingularityError
+from secular.pcr3bp import (
+    _flow_rhs,
+    correct_periodic,
+    jacobi_constant,
+    libration_points,
+    lyapunov_seed,
+)
 from secular.section import (
     HYPERBOLIC,
     ManifoldBranch,
@@ -15,11 +22,13 @@ from secular.section import (
     SectionDef,
     SectionPoint,
     _inverse_map,
+    _next_crossing,
     fixed_point,
     homoclinic_intersection,
     lift,
     linearize_map,
     manifold_segment,
+    manifold_segments,
     return_map,
     section_crossings,
 )
@@ -294,3 +303,105 @@ class TestStackedLayers:
             solo = return_map(SectionPoint(p.x - off * r, vxc), MU_EM, sd,
                               1e-10)
             assert np.max(np.abs(got - solo.as_array())) < 1e-8
+
+    def test_colliding_stable_seed_truncates_and_others_stay(self):
+        # the mirror image of the seed above: fly back from the section
+        # point (xc, -vxc) and the orbit falls straight into the Moon
+        r0, ang = 1e-3, 3.0
+        v = math.sqrt(2.0 * MU_EM / r0)
+        fall = [1 - MU_EM + r0 * math.cos(ang), r0 * math.sin(ang),
+                -v * math.cos(ang), -v * math.sin(ang)]
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal = True
+        sol = solve_ivp(_flow, (0.0, -5.0), fall, method="DOP853",
+                        rtol=1e-13, atol=1e-15, events=crossing)
+        xc, _, vxc, vyc = sol.y_events[0][0]
+        sd = SectionDef(+1, 2.0 * _omega(xc) - vxc ** 2 - vyc ** 2)
+        # a made-up linearization whose stable seeds lie at xc, about
+        # xc - 0.0054 and about xc - 0.0078: only the first one collides
+        lam = 10.0
+        lin = MapLinearization(np.diag([1.0 / lam, lam]),
+                               (complex(1.0 / lam), complex(lam)), HYPERBOLIC)
+        off = 0.01
+        p = SectionPoint(xc - off, -vxc)
+        br = manifold_segment(p, MU_EM, sd, "stable+", steps=1, seeds=3,
+                              seed_offset=off, tol=1e-10, lin=lin)
+        assert br.truncated
+        assert br.truncation_reason == ("iterate 0: state within collision "
+                                        "radius of a primary "
+                                        "(r1=1, r2=9.97e-07)")
+        assert br.points.shape == (2, 2)
+        for r, got in zip((lam ** (-1.0 / 3.0), lam ** (-2.0 / 3.0)),
+                          br.points):
+            solo = _inverse_map(SectionPoint(p.x + off * r, -vxc), MU_EM, sd,
+                                1e-10)
+            assert np.max(np.abs(got - solo.as_array())) < 1e-8
+
+    def test_failed_stable_flight_reports_backward_time(self, monkeypatch):
+        # a right-hand side that fails after |t| = 0.05: every seed's flight
+        # ends with integrate's "integration failed near t=...", and a
+        # stable seed's time reads as its reversed-time flight has it
+        def failing(mu):
+            flow = _flow_rhs(mu)
+
+            def rhs(t, z):
+                d = flow(t, z).reshape(4, -1)
+                return np.where(np.abs(t) > 0.05, np.nan, d).ravel()
+            return rhs
+        monkeypatch.setattr("secular.section._flow_rhs", failing)
+        sd = SectionDef(+1, README_C)
+        lin = MapLinearization(np.diag([0.5, 2.0]),
+                               (complex(0.5), complex(2.0)), HYPERBOLIC)
+        br = manifold_segment(README_FIXED, MU_EM, sd, "stable+", steps=1,
+                              seeds=2, seed_offset=1e-3, tol=1e-10, lin=lin)
+        last = README_FIXED.as_array() + 1e-3 * 0.5 ** 0.5 * np.array([1, 0])
+        with pytest.raises(SingularityError) as backward:
+            _next_crossing(lift(SectionPoint(*last), MU_EM, sd), MU_EM, sd,
+                           forward=False, tol=1e-10)
+        assert br.truncated and br.points.shape == (0,)
+        assert br.truncation_reason == f"iterate 0: {backward.value}"
+        assert br.truncation_reason.startswith(
+            "iterate 0: integration failed near t=-0.0")
+
+
+# the time-reversal reflection R(x, y, vx, vy) = (x, -y, -vx, vy)
+R = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+class TestTimeReversal:
+    @settings(max_examples=12, deadline=None)
+    @given(direction=st.sampled_from([1, -1]),
+           offsets=st.lists(st.tuples(st.floats(-1e-3, 1e-3),
+                                      st.floats(-1e-3, 1e-3)),
+                            min_size=1, max_size=3))
+    def test_backward_crossing_is_mirrored_forward_crossing(self, direction,
+                                                            offsets):
+        # the previous crossing of z is R of the next crossing of R(z),
+        # bit for bit, for one start and for a stack of them
+        sd = SectionDef(direction, README_C)
+        Z = np.array([lift(SectionPoint(README_FIXED.x + dx, dvx), MU_EM, sd)
+                      for dx, dvx in offsets]).T
+        back = _next_crossing(Z, MU_EM, sd, forward=False, tol=1e-10)
+        mirrored = _next_crossing(Z * R[:, None], MU_EM, sd, tol=1e-10)
+        for b, m in zip(back, mirrored):
+            assert b.tobytes() == (m * R).tobytes()
+        one = _next_crossing(Z[:, 0], MU_EM, sd, forward=False, tol=1e-10)
+        assert one.tobytes() == back[0].tobytes()
+        assert one.tobytes() == (_next_crossing(Z[:, 0] * R, MU_EM, sd,
+                                                tol=1e-10) * R).tobytes()
+
+    def test_branches_in_one_stack_are_each_alone(self):
+        sd = SectionDef(+1, README_C)
+        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
+        kw = dict(steps=2, seeds=6, seed_offset=1e-7, tol=1e-10, lin=lin)
+        names = ("unstable+", "stable+", "unstable-", "stable-")
+        together = manifold_segments(README_FIXED, MU_EM, sd, names, **kw)
+        assert [br.branch for br in together] == list(names)
+        for br in together:
+            alone = manifold_segment(README_FIXED, MU_EM, sd, br.branch, **kw)
+            assert br.points.shape == (12, 2)
+            assert br.points.tobytes() == alone.points.tobytes()
+            assert (br.truncated, br.truncation_reason) == \
+                (alone.truncated, alone.truncation_reason)
