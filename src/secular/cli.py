@@ -81,7 +81,6 @@ from .section import (
     SectionDef,
     SectionPoint,
     homoclinic_intersection,
-    linearize_map,
     manifold_segments,
     section_crossings,
 )
@@ -260,6 +259,8 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
 
 
 def _cmd_linsolve(args, cfg: RunConfig) -> int:
+    if args.v0 is not None and args.form != "second":
+        raise DomainError("usage: --v0 applies only to --form second")
     A = _matrix_arg(args.matrix)
     x0 = [Fraction(v) for v in args.x0.split(",")]
     if len(x0) != A.n:
@@ -403,11 +404,9 @@ def _cmd_section(args, cfg: RunConfig) -> int:
     if args.action == "manifolds":
         x, vx = _parse_state(args.fixed, 2)
         p = SectionPoint(x, vx)
-        lin = linearize_map(p, args.mu, sd, tol=cfg.tol, method="stm")
-        kw = dict(steps=args.steps, seeds=args.seeds,
-                  seed_offset=args.seed_offset, tol=cfg.tol, lin=lin)
         unstable, stable = manifold_segments(
-            p, args.mu, sd, ("unstable+", "stable+"), **kw)
+            p, args.mu, sd, ("unstable+", "stable+"), steps=args.steps,
+            seeds=args.seeds, seed_offset=args.seed_offset, tol=cfg.tol)
         for br in (unstable, stable):
             if br.truncated:
                 print(f"warning: {br.branch} branch truncated: "

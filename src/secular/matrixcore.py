@@ -545,14 +545,10 @@ def _compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     if not g.is_zero and g.degree >= 1:
         lo = max(iva.lo, ivb.lo)
         hi = min(iva.hi, ivb.hi)
+        # a root of g in both intervals is a root of a.poly in a's and of
+        # b.poly in b's, each of which isolates one: it is both roots
         if lo < hi and count_real_roots(g, lo, hi) == 1:
-            # the shared root could still differ from a's or b's root;
-            # confirm both isolating intervals contain the common root
-            if (
-                count_real_roots(g, iva.lo, iva.hi) == 1
-                and count_real_roots(g, ivb.lo, ivb.hi) == 1
-            ):
-                return 0
+            return 0
     # refine until disjoint
     while True:
         if iva.hi <= ivb.lo:

@@ -296,7 +296,8 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     that ended its flight.  A member that the RHS finds in collision, or
     whose step fails, leaves with its SingularityError and the rest fly
     again without it; one that has not crossed by t_end gets a
-    NonConvergenceError.
+    NonConvergenceError.  A SingularityError that names no member
+    propagates (every RHS here names the members at fault).
 
     ``direction`` is the scipy event direction: the sign of dy/dt times
     the sign of t_end.  A start on the axis (|y| <= 10 CROSSING_Y_TOL)
@@ -306,7 +307,9 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     the event state, which is evaluated on the interpolant of the step
     that holds the event (so the flight needs no dense output of its
     own); if |y| > CROSSING_Y_TOL there, one first-order step
-    dt = -y / vy along the flow sets y to zero up to rounding.
+    dt = -y / vy along the flow sets y to zero up to rounding.  A y of
+    zero takes the sign of the side the flight came from, so the mirror
+    R(x, y, vx, vy) = (x, -y, -vx, vy) maps crossings bit for bit.
     """
     z0 = np.asarray(z0, dtype=float)
     Z = z0[:, None] if z0.ndim == 1 else z0
@@ -321,20 +324,12 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
             traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
                              events=events, dense=False)
         except SingularityError as e:
-            if e.members:
-                bad = [todo[j] for j in e.members]
-                for i in bad:
-                    out[i] = e
-                todo = [i for i in todo if i not in bad]
-                continue
-            # the stack failed as a whole: fly each member alone
-            for i in todo:
-                try:
-                    out[i] = _flow_to_crossing(rhs, Z[:, i], t_end, tol,
-                                               direction)
-                except (SingularityError, NonConvergenceError) as err:
-                    out[i] = err
-            break
+            if not e.members:
+                raise
+            for j in e.members:
+                out[todo[j]] = e
+            todo = [i for i in todo if out[i] is None]
+            continue
         final = traj.final.reshape(Z.shape[0], -1)
         for j, i in enumerate(todo):
             if not traj.t_events[j].size:
@@ -346,6 +341,7 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
             if abs(z[1]) > CROSSING_Y_TOL:
                 dt = -z[1] / z[3]
                 t, z = t + dt, z + dt * rhs(t, z)
+            z[1] = z[1] or -direction * 0.0  # the side the flight came from
             out[i] = (t, z)
         break
     if z0.ndim == 2:

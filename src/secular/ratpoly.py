@@ -291,21 +291,19 @@ def _nudge_endpoint(e: Fraction, p: RationalPolynomial) -> Fraction:
 
 
 def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
-    """Number of distinct real roots of p in (lo, hi] by Sturm's theorem."""
+    """Number of distinct real roots of p in (lo, hi] by Sturm's theorem.
+
+    An end may be a root c of the square-free part f: the zero f(c) drops
+    out, f has the sign of f'(c) just right of c, and an inner member that
+    vanishes there sits between opposite signs, so V(c) = V(c+).
+    """
     if p.is_zero:
         raise DomainError("root counting of the zero polynomial")
-    if lo is not NEG_INF and hi is not POS_INF:
-        lo_f, hi_f = _to_frac(lo), _to_frac(hi)
-        if not lo_f < hi_f:
-            raise DomainError("degenerate interval: need lo < hi")
-    chain = sturm_chain(p)
-    f = chain.polys[0]
     a = lo if lo is NEG_INF else _to_frac(lo)
     b = hi if hi is POS_INF else _to_frac(hi)
-    if a is not NEG_INF and f.sign_at(a) == 0:
-        a = _nudge_endpoint(a, p)
-    if b is not POS_INF and f.sign_at(b) == 0:
-        b = _nudge_endpoint(b, p)
+    if a is not NEG_INF and b is not POS_INF and not a < b:
+        raise DomainError("degenerate interval: need lo < hi")
+    chain = sturm_chain(p)
     return chain.variations(a) - chain.variations(b)
 
 
@@ -348,16 +346,9 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
         return []
     chain = sturm_chain(p)
     f = chain.polys[0]
-    bound = cauchy_root_bound(f)
-    lo, hi = -bound, bound
-    # Cauchy bound is strict, but guard the endpoints anyway.
-    while f.sign_at(lo) == 0:
-        lo -= 1
-    while f.sign_at(hi) == 0:
-        hi += 1
-
+    B = cauchy_root_bound(f)  # strict: neither -B nor B is a root
     out: list[RootInterval] = []
-    stack = [(lo, hi, chain.variations(lo) - chain.variations(hi))]
+    stack = [(-B, B, chain.variations(-B) - chain.variations(B))]
     while stack:
         a, b, cnt = stack.pop()
         if cnt == 0:

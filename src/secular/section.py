@@ -4,7 +4,8 @@ The section is the plane y = 0 with a required sign of vy at each
 crossing; the Jacobi constant C is held fixed, so a section point is the
 pair (x, vx) and vy is reconstructed from C.  The induced return map
 preserves area in (x, vx).  Every flight to the section, with or without
-the state-transition matrix, goes through `pcr3bp._flow_to_crossing`.
+the state-transition matrix, is one call of `pcr3bp._flow_to_crossing`
+with the time budget RETURN_TIME, and every one runs forward in time.
 
 Layer k of every manifold branch flies as one forward stack: the flow
 is reversible, so a stable branch's reversed-time map is the forward
@@ -32,6 +33,8 @@ from .pcr3bp import (
     effective_potential,
     eom,
 )
+
+RETURN_TIME = 100.0  # a flight that has not met the section by then fails
 
 
 @dataclass(frozen=True)
@@ -71,24 +74,6 @@ def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
     return np.array([p.x, 0.0, p.vx, sd.direction * math.sqrt(vy2)])
 
 
-def _next_crossing(state: np.ndarray, mu: float, sd: SectionDef,
-                   forward: bool = True, tol: float = 1e-12,
-                   max_time: float = 100.0):
-    """Flow from state to the next section crossing (forward or backward).
-
-    ``state`` is one state or a stack of them with shape (4, m).  A stack
-    gives, per member, the crossing state or the error that ended its
-    flight (see `pcr3bp._flow_to_crossing`).
-    """
-    # event direction is the sign of dy/dtau along the integration parameter
-    ev_dir = sd.direction if forward else -sd.direction
-    t_end = max_time if forward else -max_time
-    out = _flow_to_crossing(_flow_rhs(mu), state, t_end, tol, ev_dir)
-    if np.ndim(state) == 1:
-        return out[1]
-    return [o if isinstance(o, Exception) else o[1] for o in out]
-
-
 def section_crossings(start: SectionPoint, mu: float, sd: SectionDef,
                       n: int, tol: float = 1e-12) -> list[SectionPoint]:
     """First n successive crossings starting from a section point.
@@ -102,7 +87,8 @@ def section_crossings(start: SectionPoint, mu: float, sd: SectionDef,
     out = []
     p = start
     for _ in range(n):
-        z = _next_crossing(lift(p, mu, sd), mu, sd, tol=tol)
+        _, z = _flow_to_crossing(_flow_rhs(mu), lift(p, mu, sd), RETURN_TIME,
+                                 tol, sd.direction)
         p = SectionPoint(float(z[0]), float(z[2]))
         out.append(p)
     return out
@@ -112,13 +98,6 @@ def return_map(p: SectionPoint, mu: float, sd: SectionDef,
                tol: float = 1e-12) -> SectionPoint:
     """One application of the section return map."""
     return section_crossings(p, mu, sd, 1, tol)[0]
-
-
-def _inverse_map(p: SectionPoint, mu: float, sd: SectionDef,
-                 tol: float = 1e-12) -> SectionPoint:
-    """Previous crossing, via reversed-time integration."""
-    z = _next_crossing(lift(p, mu, sd), mu, sd, forward=False, tol=tol)
-    return SectionPoint(float(z[0]), float(z[2]))
 
 
 ELLIPTIC = "elliptic"
@@ -147,7 +126,7 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
     correction dt = -dy / vy).
     """
     z0 = lift(p, mu, sd)
-    _, zc = _flow_to_crossing(_var_rhs(mu), _with_stm(z0), 100.0, tol,
+    _, zc = _flow_to_crossing(_var_rhs(mu), _with_stm(z0), RETURN_TIME, tol,
                               sd.direction)
     M = zc[4:].reshape(4, 4)
 
@@ -272,6 +251,14 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     for branch in branches:
         if branch not in _BRANCHES:
             raise DomainError(f"branch must be one of {_BRANCHES}")
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+    if seeds < 1:
+        raise DomainError("seeds must be >= 1")
+    # at a zero offset the fixed point's own rounding would trace a branch
+    if not (math.isfinite(seed_offset) and seed_offset > 0):
+        raise DomainError(
+            f"seed offset must be positive and finite, got {seed_offset}")
     if lin is None:
         lin = linearize_map(p, mu, sd, tol=tol, method="stm")
     if lin.tag != HYPERBOLIC:
@@ -291,7 +278,7 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     polys = [[] for _ in branches]
     reasons = [""] * len(branches)
     for k in range(steps):
-        outcomes = []  # per branch and seed: its start, then its crossing
+        outcomes = []  # per branch and seed: its start, then (t, z) or error
         for b, pts in enumerate(layers):
             for q in pts:
                 try:
@@ -302,14 +289,15 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
                 outcomes.append((b, z))
         starts = [z for _, z in outcomes if not isinstance(z, Exception)]
         if starts:
-            flown = iter(_next_crossing(np.array(starts).T, mu, sd, tol=tol))
+            flown = iter(_flow_to_crossing(_flow_rhs(mu), np.array(starts).T,
+                                           RETURN_TIME, tol, sd.direction))
             outcomes = [(b, z if isinstance(z, Exception) else next(flown))
                         for b, z in outcomes]
         layers = [[] for _ in branches]
         for b, o in outcomes:
             if not isinstance(o, Exception):
-                layers[b].append(np.array([float(o[0]),
-                                           flips[b] * float(o[2])]))
+                layers[b].append(np.array([float(o[1][0]),
+                                           flips[b] * float(o[1][2])]))
                 continue
             reasons[b] = f"iterate {k}: {o}"
             if flips[b] < 0 and getattr(o, "t", None):  # integrate's time

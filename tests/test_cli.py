@@ -196,6 +196,35 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: input: --x0 needs 2 values")
 
+    @pytest.mark.parametrize("option, value, message", [
+        # every seed on the fixed point: its own rounding made a branch
+        ("--seed-offset", "0", "seed offset must be positive and finite, "
+                               "got 0.0"),
+        ("--seed-offset", "-1e-06", "seed offset must be positive and "
+                                    "finite, got -1e-06"),
+        ("--seed-offset", "inf", "seed offset must be positive and finite, "
+                                 "got inf"),
+        ("--seeds", "0", "seeds must be >= 1"),
+        ("--seeds", "-2", "seeds must be >= 1"),
+        ("--steps", "0", "steps must be >= 1"),
+    ])
+    def test_degenerate_manifold_input_is_input_error(self, capsys, option,
+                                                      value, message):
+        code, out, err = invoke(capsys, [
+            "section", "manifolds", "--mu", "0.012150585",
+            "--C", "3.1882812173139823", "--fixed", "0.8359151287720265,0.0",
+            f"{option}={value}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: input: {message}\n"
+
+    def test_linsolve_v0_needs_second_form(self, capsys, worked_matrix):
+        code, out, err = invoke(capsys, [
+            "linsolve", "--matrix", worked_matrix, "--x0", "1,0,0",
+            "--v0", "0,1,0"])
+        assert (code, out) == (1, "")
+        assert err == "error: input: usage: --v0 applies only to --form " \
+                      "second\n"
+
     def test_version(self):
         out = subprocess.run(
             [sys.executable, "-m", "secular.cli", "--version"],

@@ -429,20 +429,22 @@ class TestStackedLocator:
                       (0.0, 4.0), 1e-10, events, dense=False)
         assert err.value.members == (1,)
 
-    def test_stack_that_fails_whole_flies_members_alone(self):
-        # a failure that names no member sends every member on a solo flight
+    def test_stacked_failure_naming_no_member_propagates(self):
+        # every RHS in the package names the members at fault; a failure
+        # that names none is not the locator's to share out
         flow = _flow_rhs(MU_EM)
+        calls = []
 
         def rhs(t, z):
+            calls.append(len(z))
             if len(z) > 4:
                 raise SingularityError("integration failed")
             return flow(t, z)
         starts = np.array(self._section_starts())
-        out = _flow_to_crossing(rhs, starts.T, 4.0, 1e-10, 1.0)
-        for got, z0 in zip(out, starts):
-            t, z = _flow_to_crossing(flow, z0, 4.0, 1e-10, 1.0)
-            assert got[0] == t
-            assert np.array_equal(got[1], z)
+        with pytest.raises(SingularityError, match="integration failed") as e:
+            _flow_to_crossing(rhs, starts.T, 4.0, 1e-10, 1.0)
+        assert e.value.members == ()
+        assert calls == [4 * len(starts)]
 
     def test_stacked_flow_rhs_matches_single_states(self):
         states = np.array(self._section_starts() + [[0.5, 0.3, 0.2, -0.1]])

@@ -235,3 +235,19 @@ def test_isolation_intervals_disjoint_and_complete(coeffs):
     assert len(ivs) == count_real_roots(p)
     for a, b in zip(ivs, ivs[1:]):
         assert a.hi <= b.lo
+
+
+@given(roots=st.lists(st.fractions(-6, 6, max_denominator=5), min_size=1,
+                      max_size=6),
+       complex_pair=st.booleans(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_with_root_endpoints_matches_planted_roots(roots, complex_pair,
+                                                         data):
+    # ends drawn from the planted roots and their neighbours
+    p = P.from_roots(roots) * (P([1, 0, 1]) if complex_pair else P([1]))
+    ends = sorted({r + d for r in roots
+                   for d in (Fraction(-1, 10 ** 6), 0, Fraction(1, 10 ** 6))})
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2,
+                                       max_size=2, unique=True)))
+    assert count_real_roots(p, lo, hi) == len({r for r in roots
+                                               if lo < r <= hi})

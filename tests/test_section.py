@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+import secular.section
 from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.pcr3bp import (
     _flow_rhs,
+    _flow_to_crossing,
     correct_periodic,
     jacobi_constant,
     libration_points,
@@ -17,12 +19,11 @@ from secular.pcr3bp import (
 )
 from secular.section import (
     HYPERBOLIC,
+    RETURN_TIME,
     ManifoldBranch,
     MapLinearization,
     SectionDef,
     SectionPoint,
-    _inverse_map,
-    _next_crossing,
     fixed_point,
     homoclinic_intersection,
     lift,
@@ -238,6 +239,25 @@ def _reference_image(q, C, forward):
     return np.array([z[0], z[2]])
 
 
+def _next_crossing(state, mu, sd, forward=True, tol=1e-12):
+    """The next crossing of one state or of a (4, m) stack, or with
+    forward=False the previous one, flown back in time by the locator: the
+    serial reference of the mirrored forward stacks.  It reads
+    section._flow_rhs when called, so a test may patch the flow."""
+    sign = 1.0 if forward else -1.0
+    out = _flow_to_crossing(secular.section._flow_rhs(mu), state,
+                            sign * RETURN_TIME, tol, sign * sd.direction)
+    if np.ndim(state) == 1:
+        return out[1]
+    return [o if isinstance(o, Exception) else o[1] for o in out]
+
+
+def _inverse_map(p, mu, sd, tol=1e-12):
+    """Previous crossing of a section point, via reversed-time integration."""
+    z = _next_crossing(lift(p, mu, sd), mu, sd, forward=False, tol=tol)
+    return SectionPoint(float(z[0]), float(z[2]))
+
+
 README_C = 3.1882812173139823
 README_FIXED = SectionPoint(0.8359151287720265, 0.0)
 
@@ -391,6 +411,17 @@ class TestTimeReversal:
         assert one.tobytes() == back[0].tobytes()
         assert one.tobytes() == (_next_crossing(Z[:, 0] * R, MU_EM, sd,
                                                 tol=1e-10) * R).tobytes()
+
+    def test_crossing_at_zero_keeps_the_mirror(self):
+        # this start's previous crossing lands on y = 0 exactly, and a sum
+        # that cancels reads +0.0 whichever side it comes from
+        sd = SectionDef(+1, README_C)
+        z = lift(SectionPoint(README_FIXED.x - 0.0006976095419946242,
+                              -0.00091429896571979), MU_EM, sd)
+        back = _next_crossing(z, MU_EM, sd, forward=False, tol=1e-10)
+        assert back[1] == 0.0
+        assert back.tobytes() == (_next_crossing(z * R, MU_EM, sd,
+                                                 tol=1e-10) * R).tobytes()
 
     def test_branches_in_one_stack_are_each_alone(self):
         sd = SectionDef(+1, README_C)
