@@ -24,13 +24,14 @@ class SingularityError(SecularError):
     """Trajectory approached a singularity (collision or blow-up).
 
     In a flight of stacked states, ``members`` holds the stack positions
-    of the states at fault when they are known.
+    of the states at fault when known, and ``reasons`` one message each.
     """
 
-    def __init__(self, message, t=None, members=()):
+    def __init__(self, message, t=None, members=(), reasons=()):
         super().__init__(message)
         self.t = t
         self.members = members
+        self.reasons = reasons
 
 
 class UnsupportedFlavorError(SecularError):

@@ -12,9 +12,10 @@ surface-of-section modules reuse it, and `monodromy` flies a family of
 periodic systems, such as a Hill grid, as one stack.  The 7th-order dense
 output costs three more right-hand-side calls per step, so only the
 flights that evaluate the trajectory between steps build it.  A
-time-reversible system, such as Hill's equation, flies half a period, and
-`characteristic_exponents` reads a family of monodromies in one batched
-pass.
+time-reversible system, such as Hill's equation, flies half a period and
+`reversed_monodromy` reads M off it, the rule by which the three-body
+corrector reads a symmetric orbit's M off its half-period STM.
+`characteristic_exponents` reads a family of monodromies in one batch.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
             # name the members at fault by their index in x0; with one
             # member in the call, that member is at fault
             if not stacked:
-                e.members = ()
+                e.members = e.reasons = ()
             elif e.members or len(who) > 1:
                 e.members = tuple(int(who[j]) for j in e.members)
             else:
@@ -442,15 +443,20 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
     return n, integrate(rhs, x0, (0.0, t_end), tol, dense=dense)
 
 
+def reversed_monodromy(R: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """M = R Phi^-1 R Phi of a system reversible under R, from Phi(T/2) (or
+    a stack of them): Phi(-t) = R Phi(t) R and Phi(T/2) = Phi(-T/2) M
+    (Magnus and Winkler, *Hill's Equation*, ch. 1)."""
+    return R @ np.linalg.solve(Phi, R @ Phi)
+
+
 def monodromy(sys: PeriodicLinearSystem,
               tol=DEFAULT_TOL) -> Monodromy | list[Monodromy]:
     """Fundamental solution at one period with identity initial condition.
 
     A family gives a list of one Monodromy per member, from one stacked
     flight in which each member takes the steps of its own.  A system with
-    a reversor R flies [0, T/2] only: Phi(T/2) = Phi(-T/2) M gives
-    M = R Phi(T/2)^-1 R Phi(T/2) (Magnus and Winkler, *Hill's Equation*,
-    ch. 1).
+    a reversor R flies [0, T/2] only, and M is `reversed_monodromy`.
     """
     R = sys.reversor
     t_end = sys.period if R is None else sys.period / 2
@@ -458,7 +464,7 @@ def monodromy(sys: PeriodicLinearSystem,
     # (m, n, n), each member's matrix laid out as a solo flight's
     Phi = np.ascontiguousarray(
         traj.final.reshape(n, n, -1).transpose(2, 0, 1))
-    Ms = Phi if R is None else R @ np.linalg.solve(Phi, R @ Phi)
+    Ms = Phi if R is None else reversed_monodromy(R, Phi)
     monos = [Monodromy(M, sys.period, tol) for M in Ms]
     return monos[0] if sys.members is None else monos
 

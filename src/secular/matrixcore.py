@@ -24,6 +24,7 @@ from .ratpoly import (
     refine_interval,
     square_free_part,
     poly_gcd,
+    sturm_chain,
 )
 
 EXACT = "exact"
@@ -519,21 +520,21 @@ class AlgebraicRoot:
 
 
 def real_roots_with_multiplicity(p: RationalPolynomial) -> list[AlgebraicRoot]:
-    """Isolated real roots of p in increasing order, with multiplicities."""
+    """Isolated real roots of p in increasing order, with multiplicities:
+    a root of multiplicity m is a root of the first m - 1 members of the
+    gcd chain q -> gcd(q, q') from p, built once with their Sturm chains."""
     f = square_free_part(p)
+    chains, q = [], poly_gcd(p, p.derivative())
+    while not q.is_zero and q.degree > 0:
+        chains.append(sturm_chain(q))
+        q = poly_gcd(q, q.derivative())
     roots = []
     for iv in isolate_real_roots(f):
-        # multiplicity = largest m with gcd chain still vanishing
         m = 1
-        q = p
-        while True:
-            q = poly_gcd(q, q.derivative())
-            if q.is_zero or q.degree == 0:
+        for chain in chains:
+            if chain.variations(iv.lo) - chain.variations(iv.hi) != 1:
                 break
-            if count_real_roots(q, iv.lo, iv.hi) == 1:
-                m += 1
-            else:
-                break
+            m += 1
         roots.append(AlgebraicRoot(f, iv, m))
     return roots
 

@@ -11,7 +11,8 @@ stacks of states, and `_var_rhs` adds the state-transition matrix to it.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifold
 layers in `secular.section`; it flies one start, or a stack of starts in
-one loop.
+one loop.  A corrected orbit's monodromy is read off its half-period STM
+through the mirror, by the rule Hill's equation uses.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .errors import (
     NonConvergenceError,
     SingularityError,
 )
-from .floquet import integrate
+from .floquet import integrate, reversed_monodromy
 from .ratpoly import RationalPolynomial, isolate_real_roots, refine_root
 
 COLLISION_RADIUS = 1e-6
 CROSSING_Y_TOL = 1e-12
+MIRROR = np.diag([1.0, -1.0, -1.0, 1.0])  # (x, y, vx, vy) -> (x, -y, -vx, vy)
 
 
 def _check_mu(mu: float) -> float:
@@ -47,26 +49,24 @@ def _radii(x, y, mu):
     """Distances to the primaries; x and y are floats or arrays of them.
 
     For arrays (a stack of states) a collision names the stack members
-    at fault.
+    at fault, each with a reason that gives its own distances.
     """
+    what = "state within collision radius of a primary "
     if isinstance(x, np.ndarray):
         r1 = np.hypot(x + mu, y)
         r2 = np.hypot(x - 1.0 + mu, y)
         if np.minimum(r1, r2).min() < COLLISION_RADIUS:
             bad = np.flatnonzero((r1 < COLLISION_RADIUS)
                                  | (r2 < COLLISION_RADIUS))
-            raise SingularityError(
-                "state within collision radius of a primary "
-                + ", ".join(f"(r1={r1[j]:.3g}, r2={r2[j]:.3g})" for j in bad),
-                members=tuple(bad.tolist()),
-            )
+            pairs = [f"(r1={r1[j]:.3g}, r2={r2[j]:.3g})" for j in bad]
+            raise SingularityError(what + ", ".join(pairs),
+                                   members=tuple(bad.tolist()),
+                                   reasons=tuple(what + p for p in pairs))
         return r1, r2
     r1 = math.hypot(x + mu, y)
     r2 = math.hypot(x - 1.0 + mu, y)
     if r1 < COLLISION_RADIUS or r2 < COLLISION_RADIUS:
-        raise SingularityError(
-            f"state within collision radius of a primary (r1={r1:.3g}, r2={r2:.3g})"
-        )
+        raise SingularityError(what + f"(r1={r1:.3g}, r2={r2:.3g})")
     return r1, r2
 
 
@@ -294,8 +294,8 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     flight, leaving the stack at its own crossing.  One start returns
     (t, z) or raises; a stack returns, per member, (t, z) or the error
     that ended its flight.  A member that the RHS finds in collision, or
-    whose step fails, leaves with its SingularityError and the rest fly
-    again without it; one that has not crossed by t_end gets a
+    whose step fails, leaves with its own SingularityError and the rest
+    fly again without it; one that has not crossed by t_end gets a
     NonConvergenceError.  A SingularityError that names no member
     propagates (every RHS here names the members at fault).
 
@@ -326,8 +326,9 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
         except SingularityError as e:
             if not e.members:
                 raise
-            for j in e.members:
-                out[todo[j]] = e
+            reasons = e.reasons or (str(e),) * len(e.members)
+            for j, reason in zip(e.members, reasons):
+                out[todo[j]] = SingularityError(reason, e.t, (todo[j],))
             todo = [i for i in todo if out[i] is None]
             continue
         final = traj.final.reshape(Z.shape[0], -1)
@@ -354,8 +355,6 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
 def variational_flow(state0, mu, T, tol=1e-12):
     """Integrate state and state-transition matrix over [0, T]."""
     mu = _check_mu(mu)
-    if T == 0.0:
-        return np.asarray(state0, dtype=float), np.eye(4)
     zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol,
                    dense=False).final
     return zf[:4], zf[4:].reshape(4, 4)
@@ -365,8 +364,6 @@ def variational_flow(state0, mu, T, tol=1e-12):
 class OrbitRecord:
     initial_state: np.ndarray
     period: float
-    sample_times: np.ndarray
-    samples: np.ndarray  # shape (4, n_samples)
     monodromy: np.ndarray
     multipliers: tuple[complex, ...]
     exponents: tuple[complex, ...]
@@ -382,6 +379,9 @@ def lyapunov_seed(mu: float, point: LibrationPoint, amplitude: float):
     perpendicular x-axis crossing at t = 0 is the corrector's ansatz.
     """
     mu = _check_mu(mu)
+    if point.position[1]:
+        raise DomainError(f"no Lyapunov seed off the x-axis: {point.label} "
+                          f"is at y = {point.position[1]:.6g}")
     stab = libration_stability(mu, point)
     w = stab.center_frequency
     oxx, _, _ = _omega_hessian(point.position[0], point.position[1], mu)
@@ -393,12 +393,13 @@ def lyapunov_seed(mu: float, point: LibrationPoint, amplitude: float):
 
 
 def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
-                     integrator_tol=1e-12, n_samples=256) -> OrbitRecord:
+                     integrator_tol=1e-12) -> OrbitRecord:
     """Differential correction of a symmetric periodic orbit.
 
     The guess (x0, 0, 0, vy0) crosses the x-axis perpendicularly; Newton
     on vy0 drives vx to zero at the next perpendicular crossing, using
-    the state-transition matrix (mirror-theorem single shooting).
+    the state-transition matrix (mirror-theorem single shooting).  That
+    flight's STM also gives the monodromy M = R Phi^-1 R Phi, R = MIRROR.
     """
     mu = _check_mu(mu)
     state = np.asarray(state0, dtype=float).copy()
@@ -420,12 +421,18 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
         except NonConvergenceError as e:
             raise NonConvergenceError(str(e), best=best) from e
         vx, vy = zc[2], zc[3]
+        Phi = zc[4:].reshape(4, 4)
         if abs(vx) < best_resid:
             best_resid, best = abs(vx), state.copy()
         if abs(vx) <= tol:
-            return _finish_orbit(state, 2.0 * t_half, mu, abs(vx),
-                                 integrator_tol, n_samples)
-        Phi = zc[4:].reshape(4, 4)
+            T, M = 2.0 * t_half, reversed_monodromy(MIRROR, Phi)
+            mults = tuple(sorted((complex(s) for s in np.linalg.eigvals(M)),
+                                 key=lambda z: (abs(z), z.real, z.imag)))
+            # 1/Lambda can underflow to zero for violently unstable orbits
+            exps = tuple(cmath.log(s) / T if abs(s) > 1e-300
+                         else complex(-math.inf, 0.0) for s in mults)
+            return OrbitRecord(state.copy(), T, M, mults, exps,
+                               jacobi_constant(state, mu), abs(vx))
         ax = float(eom(zc[:4], mu)[2])
         if abs(vy) < 1e-12:
             raise DomainError("degenerate correction: tangential crossing")
@@ -439,22 +446,6 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
         f"differential correction did not reach {tol} in {max_iter} steps "
         f"(best residual {best_resid:.3g})",
         best=best,
-    )
-
-
-def _finish_orbit(state, T, mu, resid, integrator_tol, n_samples) -> OrbitRecord:
-    traj = integrate(_var_rhs(mu), _with_stm(state), (0.0, T), integrator_tol)
-    ts = np.linspace(0.0, T, n_samples)
-    samples = np.array([traj(t)[:4] for t in ts]).T
-    M = traj.final[4:].reshape(4, 4)
-    mults = tuple(sorted((complex(s) for s in np.linalg.eigvals(M)),
-                         key=lambda z: (abs(z), z.real, z.imag)))
-    # 1/Lambda can underflow to zero for violently unstable orbits
-    exps = tuple(cmath.log(s) / T if abs(s) > 1e-300
-                 else complex(-math.inf, 0.0) for s in mults)
-    return OrbitRecord(
-        state.copy(), T, ts, samples, M, mults, exps,
-        jacobi_constant(state, mu), resid,
     )
 
 

@@ -117,8 +117,8 @@ class MapLinearization:
 
 
 def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
-                  tol: float) -> np.ndarray:
-    """Return-map Jacobian from the state-transition matrix.
+                  tol: float) -> tuple[SectionPoint, np.ndarray]:
+    """The return map's image of p and its Jacobian there, from the STM.
 
     Lift tangent vectors of the section through the energy constraint
     (delta vy = (Omega_x dx - vx dvx) / vy at y = 0), propagate with the
@@ -143,7 +143,7 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
         [1.0, -fc[0] / zc[3], 0.0, 0.0],
         [0.0, -fc[2] / zc[3], 1.0, 0.0],
     ])
-    return proj @ V
+    return SectionPoint(float(zc[0]), float(zc[2])), proj @ V
 
 
 def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
@@ -159,7 +159,7 @@ def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
     |tr| < 2 elliptic, |tr| > 2 hyperbolic, |tr| = 2 within 1e-6 parabolic.
     """
     if method == "stm":
-        J = _stm_jacobian(p, mu, sd, tol)
+        _, J = _stm_jacobian(p, mu, sd, tol)
     elif method == "fd":
         def diff(h: float) -> np.ndarray:
             J = np.empty((2, 2))
@@ -188,18 +188,17 @@ def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
 
 def fixed_point(guess: SectionPoint, mu: float, sd: SectionDef,
                 tol: float = 1e-10, max_iter: int = 20) -> SectionPoint:
-    """Newton on return_map(p) - p, Jacobian from linearize_map."""
+    """Newton on return_map(p) - p, one STM flight (`_stm_jacobian`) a step."""
     p = guess
     best, best_resid = p, math.inf
     for _ in range(max_iter):
-        fp = return_map(p, mu, sd)
+        fp, J = _stm_jacobian(p, mu, sd, 1e-12)
         r = fp.as_array() - p.as_array()
         resid = float(np.max(np.abs(r)))
         if resid < best_resid:
             best, best_resid = p, resid
         if resid <= tol:
             return p
-        J = linearize_map(p, mu, sd, method="stm").jacobian
         A = J - np.eye(2)
         if abs(np.linalg.det(A)) < 1e-12:
             raise DomainError("degenerate fixed-point Jacobian (J - I singular)")

@@ -217,6 +217,15 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: input: {message}\n"
 
+    @pytest.mark.parametrize("point, y", [("L4", "0.866025"),
+                                          ("L5", "-0.866025")])
+    def test_orbit_off_the_axis_is_input_error(self, capsys, point, y):
+        code, out, err = invoke(capsys, [
+            "pcr3bp", "orbit", "--mu", "0.01", "--point", point])
+        assert (code, out) == (1, "")
+        assert err == ("error: input: no Lyapunov seed off the x-axis: "
+                       f"{point} is at y = {y}\n")
+
     def test_linsolve_v0_needs_second_form(self, capsys, worked_matrix):
         code, out, err = invoke(capsys, [
             "linsolve", "--matrix", worked_matrix, "--x0", "1,0,0",
@@ -419,6 +428,19 @@ class TestSection:
         ])
         assert code == 0
         assert len(calls) == 1
+
+    def test_seeds_colliding_together_each_report_their_own(self, capsys):
+        # three stable seeds fall into the Moon in the same RHS call; the
+        # branch's warning names one of them
+        code, _, err = invoke(capsys, [
+            "section", "manifolds", "--mu", "0.012150585",
+            "--C", "2.951548215257128",
+            "--fixed", "0.8839169568198127,-0.5073903093806584",
+            "--steps", "1", "--seeds", "3", "--seed-offset", "1e-9"])
+        assert code == 0
+        assert err == ("warning: stable+ branch truncated: iterate 0: state "
+                       "within collision radius of a primary (r1=1, "
+                       "r2=9.97e-07)\n")
 
     def test_truncated_branch_says_so(self, capsys):
         # seeds 0.02 from the fixed point start outside the allowed region

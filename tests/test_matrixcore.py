@@ -18,6 +18,7 @@ from secular.matrixcore import (
     lagrange_eigenvector,
     minor_sequence,
     power_iteration,
+    real_roots_with_multiplicity,
     reduce_to_squares,
 )
 from secular.ratpoly import RationalPolynomial as P, count_real_roots, square_free_part
@@ -179,6 +180,22 @@ def test_hermite_count_of_planted_repeated_roots(reals, pairs):
         for _ in range(m):
             p = p * P([c, 0, 1])
     assert hermite_root_count(p) == (len(reals) + 2 * len(pairs), len(reals))
+
+
+@given(st.lists(st.tuples(rationals, st.integers(1, 4)), min_size=1,
+                max_size=4, unique_by=lambda rm: rm[0]),
+       st.lists(st.integers(1, 4), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_multiplicities_of_planted_roots(reals, quads):
+    # x^2 + c adds no real root; each real root r comes m times
+    p = P.from_roots([r for r, m in reals for _ in range(m)])
+    for c in quads:
+        p = p * P([c, 0, 1])
+    roots = real_roots_with_multiplicity(p)
+    assert [rt.multiplicity for rt in roots] == \
+        [m for _, m in sorted(reals)]
+    for rt, (r, _) in zip(roots, sorted(reals)):
+        assert rt.interval.lo < r <= rt.interval.hi
 
 
 class TestMinorSequence:

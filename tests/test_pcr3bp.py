@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -355,6 +355,22 @@ class TestStackedLocator:
             assert np.max(np.abs(out[j][1] - z)) < 1e-8
             assert abs(out[j][1][1]) <= CROSSING_Y_TOL
 
+    def test_members_colliding_together_get_their_own_errors(self):
+        # two starts inside the Moon's collision radius, at different
+        # distances, fail in the same RHS call; each error names its own
+        rhs = _flow_rhs(MU_EM)
+        starts = self._section_starts()
+        stack = [starts[0], [1.0 - MU_EM + 2e-7, 0.0, 0.0, 0.0], starts[1],
+                 [1.0 - MU_EM - 5e-7, 0.0, 0.0, 0.0]]
+        out = _flow_to_crossing(rhs, np.array(stack).T, 4.0, 1e-10, 1.0)
+        for j, r2 in ((1, "2e-07"), (3, "5e-07")):
+            assert isinstance(out[j], SingularityError)
+            assert out[j].members == (j,)
+            assert str(out[j]) == ("state within collision radius of a "
+                                   f"primary (r1=1, r2={r2})")
+        assert not isinstance(out[0], Exception)
+        assert not isinstance(out[2], Exception)
+
     def test_on_axis_starts_pay_for_no_event_at_t0(self):
         # starts on the axis that already move upwards: against a flight
         # that registers each start as a crossing at t = 0 and stops at the
@@ -484,10 +500,46 @@ class TestExponents:
                 return abs(d - round(d.real)) < 1e-4
             assert any(matches(b) for b in exps)
 
-    def test_jacobi_constant_on_samples(self, orbit):
-        Cs = [jacobi_constant(orbit.samples[:, k], MU_EM)
-              for k in range(orbit.samples.shape[1])]
-        assert max(Cs) - min(Cs) < 1e-9 * abs(orbit.jacobi)
+
+class TestMirroredMonodromy:
+    """The monodromy read off the half-period STM through the mirror R."""
+
+    @given(st.sampled_from(["L1", "L2"]), st.floats(0.005, 0.05),
+           st.floats(math.log(2e-4), math.log(4e-3)))
+    @example("L1", 0.005, math.log(2e-4))
+    @example("L2", 0.05, math.log(4e-3))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_a_full_period_flight(self, label, mu, log_amp):
+        seed, t_half = lyapunov_seed(mu, libration_point(mu, label),
+                                     math.exp(log_amp))
+        orbit = correct_periodic(seed, t_half, mu, integrator_tol=1e-12)
+        M = orbit.monodromy
+        _, Phi = variational_flow(orbit.initial_state, mu, orbit.period)
+        assert np.linalg.norm(M - Phi, 2) <= 1e-8 * np.linalg.norm(Phi, 2)
+        # a mirrored monodromy is reversible: R M R = M^-1
+        R = pcr3bp.MIRROR
+        assert np.linalg.norm(R @ M @ R @ M - np.eye(4), 2) <= 1e-6
+
+    def test_one_flight_per_newton_iteration(self, monkeypatch):
+        flights = []
+
+        def counted(*args, **kwargs):
+            flights.append(kwargs.get("dense", True))
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr("secular.pcr3bp.integrate", counted)
+        l1 = libration_points(MU_EM)[0]
+        seed, t_half = lyapunov_seed(MU_EM, l1, 1e-3)
+        correct_periodic(seed, t_half, MU_EM)
+        n = len(flights)
+        assert n >= 2 and not any(flights)
+        # n iterations are needed: one fewer does not converge
+        with pytest.raises(NonConvergenceError):
+            correct_periodic(seed, t_half, MU_EM, max_iter=n - 1)
+
+    @pytest.mark.parametrize("label", ["L4", "L5"])
+    def test_no_seed_off_the_axis(self, label):
+        with pytest.raises(DomainError, match=f"off the x-axis: {label} is at"):
+            lyapunov_seed(0.01, libration_point(0.01, label), 1e-3)
 
 
 def _section_start(x, vx, C=3.1882812173139823):

@@ -142,6 +142,22 @@ class TestFixedPoint:
                         tol=1e-12, max_iter=3)
 
 
+def test_fixed_point_flies_once_per_newton_step(pstar, sd, monkeypatch):
+    flights = []
+
+    def counted(rhs, z0, *args):
+        flights.append(np.shape(z0))
+        return _flow_to_crossing(rhs, z0, *args)
+    monkeypatch.setattr("secular.section._flow_to_crossing", counted)
+    guess = SectionPoint(pstar.x + 1e-6, pstar.vx)
+    fixed_point(guess, MU_EM, sd, tol=1e-10)
+    # every flight carries the STM, for both the image and the Jacobian
+    assert flights and all(shape == (20,) for shape in flights)
+    # and each is one Newton step: with one step fewer there is no answer
+    with pytest.raises(NonConvergenceError):
+        fixed_point(guess, MU_EM, sd, tol=1e-10, max_iter=len(flights) - 1)
+
+
 class TestAreaPreservation:
     def test_triangle_area(self, sd):
         # the return map preserves dx ^ dvx on the y = 0, fixed-C section
