@@ -388,11 +388,12 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
         return 0
     # propagate
     state0 = _parse_state(args.state, 4)
-    traj = integrate(_flow_rhs(args.mu), state0, (0.0, args.t), cfg.tol)
-    ts = np.linspace(0.0, args.t, args.samples)
+    with np.errstate(invalid="ignore"):  # a non-finite --t fails in integrate
+        ts = np.linspace(0.0, args.t, args.samples)
+    traj = integrate(_flow_rhs(args.mu), state0, (0.0, args.t), cfg.tol,
+                     t_eval=ts)
     rows = []
-    for t in ts:
-        x, y, vx, vy = traj(t)
+    for t, (x, y, vx, vy) in zip(ts, traj.y.T):
         rows.append((float(t), float(x), float(y), float(vx), float(vy),
                      float(jacobi_constant((x, y, vx, vy), args.mu))))
     _emit_csv(cfg, "t,x,y,vx,vy,C", rows)

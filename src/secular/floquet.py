@@ -9,9 +9,10 @@ starts in one loop: each member keeps its own time, step size and
 rejections, so it takes the steps of its own flight, while one vectorized
 right-hand-side call per stage serves every member.  The three-body and
 surface-of-section modules reuse it, and `monodromy` flies a family of
-periodic systems, such as a Hill grid, as one stack.  The 7th-order dense
-output costs three more right-hand-side calls per step, so only the
-flights that evaluate the trajectory between steps build it.  A
+periodic systems, such as a Hill grid, as one stack.  A solo flight
+is sampled at the times its caller names (``t_eval``): the 7th-order
+interpolant costs three more right-hand-side calls, so only a step that
+holds a sample or an event builds it.  A
 time-reversible system, such as Hill's equation, flies half a period and
 `reversed_monodromy` reads M off it, the rule by which the three-body
 corrector reads a symmetric orbit's M off its half-period STM.
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
-from .errors import DomainError, InternalInconsistencyError, SingularityError
+from .errors import DomainError, SingularityError
 from .jordan import jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
@@ -44,6 +45,7 @@ _A_EXTRA, _C_EXTRA = _dop.A[_S + 1:], _dop.C[_S + 1:]
 # scipy's step-size controller
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10, -1 / 8
 _TOO_SMALL = "Required step size is less than spacing between numbers."
+_FAILURES = (None, _TOO_SMALL, "the step size is not finite")
 
 
 def _interpolate(t, t_old, h, y_old, F):
@@ -74,50 +76,18 @@ def _dense_coefficients(rhs, K, t_old, h, y_old, y):
 
 
 @dataclass(frozen=True)
-class _DenseOutput:
-    """A flight's interpolant, one DOP853 step per segment of ``ts``, with
-    scipy OdeSolution's choice of segment at a step boundary."""
-
-    ts: np.ndarray  # the flight's times, one more than steps
-    t_old: np.ndarray  # per step: its start, length, start state and F
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-
-    def __call__(self, t):
-        if np.ndim(t):
-            return np.array([self(ti) for ti in t]).T
-        ascending = self.ts[-1] >= self.ts[0]
-        ts = self.ts if ascending else self.ts[::-1]
-        last = len(self.h) - 1
-        seg = int(np.searchsorted(ts, t, "left" if ascending else "right"))
-        seg = min(max(seg - 1, 0), last)
-        if not ascending:
-            seg = last - seg
-        return _interpolate(t, self.t_old[seg], self.h[seg], self.y_old[seg],
-                            self.F[seg])
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """A flight's steps, with its work per member: accepted and rejected
-    steps, and the states the right-hand side evaluated in all."""
+    """A flight's steps, or its samples at the times it was asked for,
+    with its work per member: accepted and rejected steps, and the states
+    the right-hand side evaluated in all."""
 
     t: np.ndarray
     y: np.ndarray  # shape (dim, len(t))
-    dense: _DenseOutput | None  # callable t -> state, or None
     t_events: tuple | None = None
     y_events: tuple | None = None
     accepted_steps: np.ndarray | None = None  # per member
     rejected_steps: np.ndarray | None = None  # per member
     states_evaluated: int = 0
-
-    def __call__(self, t):
-        if self.dense is None:
-            raise InternalInconsistencyError(
-                "trajectory has no dense output to evaluate: "
-                "it was integrated with dense=False")
-        return self.dense(t)
 
     @property
     def final(self) -> np.ndarray:
@@ -132,23 +102,37 @@ def _norms(W, k):
     return np.sqrt(np.matmul(E[..., None, :], E[..., None])[..., 0, 0])
 
 
+def _combine(K, a):
+    """The combination a of each member's stage rows, K of shape (k,
+    len(a), n), as the flat (n, k) stack.  One gemv per member, bit for
+    bit np.dot(K[j].T, a) of the member alone: one gemv over the whole
+    stack rounds an entry by where it falls in BLAS's blocks."""
+    if len(K) == 1:  # the same gemv, without the batch loop
+        return np.dot(K[0].T, a)
+    return np.matmul(K.transpose(0, 2, 1), a).T.ravel()
+
+
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
-              dense=True) -> Trajectory:
-    """Adaptive DOP853 integration, with dense output if ``dense``.
+              t_eval=None) -> Trajectory:
+    """Adaptive DOP853 integration, sampled at ``t_eval`` if given.
 
     Per-step relative error is bounded by tol (atol scaled to tol * 1e-2
     to keep small components honest).  Events follow `solve_ivp`: each is
     a function g(t, x) with optional ``terminal`` and ``direction``, its
     roots are found by brentq on the interpolant of the step that holds
-    them, and a terminal one ends the flight at its root.  With
-    dense=False the trajectory cannot be called between steps, but
-    ``t_events``, ``y_events`` and ``final`` are bit-identical to a dense
-    flight.  A step size that underflows, or a step size or error estimate
-    that is not finite, ends the flight with a SingularityError.
+    them, and a terminal one ends the flight at its root.  ``t_eval``
+    follows `solve_ivp` too: given times in the span, sorted in the
+    flight's direction (repeats allowed), ``t`` and ``y`` hold those
+    samples up to a terminal event's root, each read off the interpolant
+    of the step that holds it; without t_eval they hold the steps.  Only
+    a step that holds a sample or an event builds its interpolant.  A
+    step size that underflows, or a step size or error estimate that is
+    not finite, ends the flight with a SingularityError.
 
     x0 of shape (n, m) is a stack of m starts flown in one loop, each
     member with its own time, step size and rejections, so with the steps
-    of its own flight.  f then takes the times of the k members in the
+    of its own flight, bit for bit if f treats its members apart (each
+    member's stages are combined by a BLAS call of its own).  f then takes the times of the k members in the
     call, an array, and their states as the flattened (n, k) row-major
     stack, and returns their derivatives likewise.  Without events every
     call holds all m members in x0's order, a member that has reached the
@@ -156,7 +140,7 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     ``events`` holds one per member, called with its state, and a member
     leaves the calls at its terminal event or the end of the span.
     ``final`` holds each member's last state and ``t`` the start and the
-    latest end; there is no dense output.  A SingularityError names in
+    latest end; it takes no t_eval.  A SingularityError names in
     ``members`` the members at fault, by their index in x0.
     """
     tol = float(tol)
@@ -172,9 +156,10 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     n, m = x0.shape if stacked else (len(x0), 1)
     events = () if events is None else \
         (events,) if callable(events) else tuple(events)
-    if stacked and (dense or len(events) not in (0, m)):
-        raise DomainError("a stacked flight takes no dense output and "
-                          "one event per member")
+    sampled = t_eval is not None
+    if stacked and (sampled or len(events) not in (0, m)):
+        raise DomainError("a stacked flight takes no t_eval and one event "
+                          "per member")
     # each member's events, by index into events
     mine = [[j] for j in range(m)] if stacked and events else \
         [list(range(len(events)))]
@@ -184,6 +169,16 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     ev_dir = [getattr(e, "direction", 0) for e in events]
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
+    clip = np.minimum if direction > 0 else np.maximum  # no step past t_end
+    if sampled:
+        t_eval = np.asarray(t_eval, dtype=float)
+        ahead = direction * t_eval  # ascending
+        if t_eval.ndim != 1 or not (
+                (ahead >= direction * t0) & (ahead <= direction * t_end)).all():
+            raise DomainError(f"t_eval must be times within {t_span}")
+        if (np.diff(ahead) < 0).any():
+            raise DomainError("t_eval must be sorted in the flight's direction")
+        i_eval = 0  # the first sample not yet taken
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2
     states = 0
 
@@ -210,41 +205,37 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     y_events = [[] for _ in events]
     count = np.zeros(len(events))
     n_acc, n_rej = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    ts, ys, steps = [t0], [x0.ravel().copy()], []  # a solo flight's record
+    # a solo flight's record: its steps, or its samples
+    ts, ys = ([], []) if sampled else ([t0], [x0.ravel().copy()])
     # the members in the calls to f, and per member its time, state,
-    # derivative, next |step|, whether its last try was rejected, its
-    # accepted and rejected steps, and the end, length and failure of its
-    # next try
+    # derivative, whether its last try was rejected, its accepted and
+    # rejected steps, and the end, length and failure of its next try
+    # (0: none, else the index of its reason in _FAILURES)
     cols = np.arange(m)
-    t, y = [t0] * m, Y.ravel().copy()
-    H, retry, acc, rej = [0.0] * m, [False] * m, [0] * m, [0] * m
-    t_new, hh, fail = [t0] * m, [0.0] * m, [None] * m
+    t, y = np.full(m, t0), Y.ravel().copy()
+    retry, acc, rej = np.zeros(m, bool), np.zeros(m, int), np.zeros(m, int)
     rows = np.tile(cols, n)  # the member of each entry of y
 
-    def plan(p):
-        """The next try of the member at p, as scipy's step starts it."""
-        tp = t[p]
-        min_step = 10 * abs(math.nextafter(tp, toward) - tp)
-        h_abs = H[p] if retry[p] else max(H[p], min_step)
-        if not h_abs >= min_step:
-            fail[p] = _TOO_SMALL if math.isfinite(h_abs) else \
-                "the step size is not finite"
-            h_abs = 0.0
-        tn = tp + h_abs * direction
-        if direction * (tn - t_end) > 0:
-            tn = t_end
-        t_new[p], hh[p] = tn, tn - tp  # 0 for a member standing at the end
+    def plan(t, H, retry):
+        """Each member's next try from |step| H, as scipy's step starts
+        it: its end, its length and its failure."""
+        min_step = 10 * np.abs(np.nextafter(t, toward) - t)
+        h_abs = np.where(retry, H, np.maximum(H, min_step))
+        ok = h_abs >= min_step  # a member that fails is not flown again
+        tn = clip(t + h_abs * direction, t_end)
+        # a length of 0 for a member standing at the end
+        return tn, tn - t, np.where(ok, 0, np.where(np.isfinite(h_abs), 1, 2))
 
     def failure(p, reason):
         return SingularityError(
-            f"integration failed near t={t[p]:.6g}: {reason}", t=t[p],
+            f"integration failed near t={t[p]:.6g}: {reason}", t=float(t[p]),
             members=(int(cols[p]),) if stacked else ())
 
-    if t0 == t_end:
+    if t0 == t_end:  # solve_ivp's one empty step
         cols = cols[:0]
-        ts.append(t0)
-        ys.append(ys[0])
-        steps.append((t0, 1.0, x0.ravel(), np.zeros((7, n))))
+        done = t_eval if sampled else [t0]
+        ts.extend(done)
+        ys.extend([x0.ravel()] * len(done))
     else:  # scipy's initial step
         fy = rhs(np.array(t), y, cols)
         interval = abs(t_end - t0)
@@ -257,120 +248,122 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         f1 = rhs(t0 + np.array(h0) * direction,
                  y + (np.array(h0) * direction)[rows] * fy, cols)
         df = (_norms((f1 - fy)[None] / scale, m)[0] / n ** 0.5).tolist()
-        for p in range(m):
-            d2 = df[p] / h0[p] if h0[p] else math.inf
-            H[p] = min(100 * h0[p],
-                       max(1e-6, h0[p] * 1e-3) if d1[p] <= 1e-15
-                       and d2 <= 1e-15 else (0.01 / max(d1[p], d2)) ** (1 / 8),
-                       interval)
-            plan(p)
-            if not h0[p]:  # d1 overflowed, as scipy's next error estimate will
-                fail[p] = _TOO_SMALL
+        d2 = [b / a if a else math.inf for a, b in zip(h0, df)]
+        H = np.array([min(100 * a, max(1e-6, a * 1e-3) if b <= 1e-15
+                          and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 8),
+                          interval) for a, b, c in zip(h0, d1, d2)])
+        t_new, hh, fail = plan(t, H, retry)
+        # d1 overflowed, as scipy's next error estimate will
+        fail[np.array(h0) == 0] = 1
     while len(cols):
         k = len(cols)
-        if any(fail):
-            p = next(p for p in range(k) if fail[p])
-            raise failure(p, fail[p])
-        h = np.array(hh)
+        if fail.any():
+            p = int(np.flatnonzero(fail)[0])
+            raise failure(p, _FAILURES[fail[p]])
+        h = hh
         hs = h[rows]
-        tc = np.array(t) + _C[:, None] * h  # the stages' times
-        K = np.empty((_S + 1, n * k))
-        K[0] = fy
+        tc = t + _C[:, None] * h  # the stages' times
+        K = np.empty((k, _S + 1, n))  # each member's stage rows
+        K[:, 0] = fy.reshape(n, k).T
         for s in range(1, _S):
-            dy = np.dot(K[:s].T, _A[s, :s]) * hs
-            K[s] = rhs(tc[s], y + dy, cols)
-        y_new = y + hs * np.dot(K[:-1].T, _B)
-        K[-1] = rhs(tc[0] + h, y_new, cols)
+            dy = _combine(K[:, :s], _A[s, :s]) * hs
+            K[:, s] = rhs(tc[s], y + dy, cols).reshape(n, k).T
+        y_new = y + hs * _combine(K[:, :-1], _B)
+        f_new = rhs(tc[0] + h, y_new, cols)
+        K[:, -1] = f_new.reshape(n, k).T
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        W = np.array((np.dot(K.T, _dop.E5), np.dot(K.T, _dop.E3))) / scale
+        W = np.array((_combine(K, _dop.E5), _combine(K, _dop.E3))) / scale
         norm5, norm3 = _norms(W, k).tolist()
-        # scipy's controller, then the next try, member by member
-        h_step, t_old, y_old = hh[:], tc[0], y
-        accept = [False] * k
-        for p in range(k):
-            h_abs = abs(hh[p])
-            e5, e3 = norm5[p] ** 2, norm3[p] ** 2
-            err = 0.0 if e5 == 0 and e3 == 0 else \
-                h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-            if not math.isfinite(err):
-                raise failure(p, "the error estimate is not finite")
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else \
-                    min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
-                if retry[p]:
-                    factor = min(1, factor)
-                accept[p], retry[p], t[p] = True, False, t_new[p]
-                acc[p] += h_abs > 0
-            else:
-                factor = max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
-                retry[p] = True
-                rej[p] += 1
-            H[p] = h_abs * factor
-            plan(p)
-        if all(accept):
-            y, fy = y_new, K[-1]
+        # scipy's controller over the stack, then the next tries.  The
+        # powers are Python's, libm's as scipy's scalars take them, and
+        # the rest is exact arithmetic.  An accepted try has err < 1, so
+        # grow >= 0.9, and a rejected one grow <= 0.9: the clip below is
+        # scipy's min(10, grow), min(1, .) after a rejection, or
+        # max(0.2, grow)
+        h_step, t_old, y_old = h, tc[0], y
+        h_abs = np.abs(h)
+        e5 = np.array([v ** 2 for v in norm5])
+        e3 = np.array([v ** 2 for v in norm3])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * n))
+        if not np.isfinite(err).all():
+            p = int(np.flatnonzero(~np.isfinite(err))[0])
+            raise failure(p, "the error estimate is not finite")
+        grow = _SAFETY * np.array([v ** _ERR_EXP if v else math.inf
+                                   for v in err.tolist()])
+        factor = np.minimum(np.maximum(grow, _MIN_FACTOR),
+                            np.where(retry, 1.0, _MAX_FACTOR))
+        accept = err < 1
+        acc += accept & (h != 0)
+        rej += ~accept
+        t, retry = np.where(accept, t_new, t), ~accept
+        t_new, hh, fail = plan(t, h_abs * factor, retry)
+        if accept.all():
+            y, fy = y_new, f_new
         else:
-            a = np.array(accept)[rows]
-            y, fy = np.where(a, y_new, y), np.where(a, K[-1], fy)
-        moved = [p for p in range(k) if accept[p] and h_step[p]]
-        leave = [t[p] == t_end for p in range(k)] if events else \
-            [all(tp == t_end for tp in t)] * k
+            a = accept[rows]
+            y, fy = np.where(a, y_new, y), np.where(a, f_new, fy)
+        moved = np.flatnonzero(accept & (h_step != 0)).tolist()
+        leave = t == t_end if events else np.full(k, (t == t_end).all())
         exits = {}  # position -> (time, state) where a terminal event hit
-        for p in moved if events or dense else ():
+        t_now = t.tolist()
+        for p in moved if events or sampled else ():
             def interpolant(p=p):
                 """t_old, h, y_old and F of the step of the member at p."""
                 F = _dense_coefficients(
                     lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
-                    K[:, p::k], t_old[p], h_step[p], y_old[p::k],
+                    K[p], t_old[p], h_step[p], y_old[p::k],
                     y_new[p::k])
                 return t_old[p], h_step[p], y_old[p::k], F
-            step = interpolant() if dense else None
-            if dense:
-                steps.append(step)
+            step = None
             active = []
             for e in mine[cols[p]] if events else ():
-                g_old, g[e] = g[e], events[e](t[p], y_new[p::k])
+                g_old, g[e] = g[e], events[e](t_now[p], y_new[p::k])
                 up, down = g_old <= 0 <= g[e], g_old >= 0 >= g[e]
                 d = ev_dir[e]
                 if up and d > 0 or down and d < 0 or (up or down) and d == 0:
                     active.append(e)
-            if not active:
-                continue
-            step = step or interpolant()
-
-            def at(tt):
-                return _interpolate(tt, *step)
-            active = np.array(active)
-            count[active] += 1
-            roots = np.asarray([
-                brentq(lambda tt: events[e](tt, at(tt)), step[0], t[p],
-                       xtol=4 * _EPS, rtol=4 * _EPS)
-                for e in active])
-            if np.any(count[active] >= max_events[active]):
-                order = np.argsort(direction * roots)
-                active, roots = active[order], roots[order]
-                last = np.nonzero(count[active] >= max_events[active])[0][0]
-                active, roots = active[:last + 1], roots[:last + 1]
-                exits[p] = roots[-1], at(roots[-1])
-                leave[p] = True
-            for e, te in zip(active, roots):
-                t_events[e].append(te)
-                y_events[e].append(at(te))
-        if not stacked and moved:
-            ts.append(exits[0][0] if exits else t[0])
+            if active:
+                step = interpolant()
+                active = np.array(active)
+                count[active] += 1
+                roots = np.asarray([
+                    brentq(lambda tt: events[e](tt, _interpolate(tt, *step)),
+                           step[0], t_now[p], xtol=4 * _EPS, rtol=4 * _EPS)
+                    for e in active])
+                if np.any(count[active] >= max_events[active]):
+                    order = np.argsort(direction * roots)
+                    active, roots = active[order], roots[order]
+                    last = np.nonzero(count[active] >= max_events[active])[0][0]
+                    active, roots = active[:last + 1], roots[:last + 1]
+                    exits[p] = roots[-1], _interpolate(roots[-1], *step)
+                    leave[p] = True
+                for e, te in zip(active, roots):
+                    t_events[e].append(te)
+                    y_events[e].append(_interpolate(te, *step))
+            if sampled:  # the samples in (t_old, t], t0's in the first step
+                end = exits[p][0] if exits else t_now[p]
+                i_new = int(np.searchsorted(ahead, direction * end, "right"))
+                if i_new > i_eval:
+                    step = step or interpolant()
+                    ts.extend(t_eval[i_eval:i_new])
+                    ys.extend(_interpolate(te, *step)
+                              for te in t_eval[i_eval:i_new])
+                    i_eval = i_new
+        if not (stacked or sampled) and moved:
+            ts.append(exits[0][0] if exits else t_now[0])
             ys.append(exits[0][1] if exits else y)
-        if any(leave):
-            out = [p for p in range(k) if leave[p]]
-            j = cols[out]
-            T[j], Y[:, j] = [t[p] for p in out], y.reshape(n, k)[:, out]
-            n_acc[j], n_rej[j] = [acc[p] for p in out], [rej[p] for p in out]
+        if leave.any():
+            j = cols[leave]
+            T[j], Y[:, j] = t[leave], y.reshape(n, k)[:, leave]
+            n_acc[j], n_rej[j] = acc[leave], rej[leave]
             for p, (te, ye) in exits.items():
                 T[cols[p]], Y[:, cols[p]] = te, ye
-            stay = [p for p in range(k) if not leave[p]]
+            stay = ~leave
             cols = cols[stay]
-            t, H, retry, acc, rej, t_new, hh, fail = (
-                [v[p] for p in stay]
-                for v in (t, H, retry, acc, rej, t_new, hh, fail))
+            t, retry, acc, rej, t_new, hh, fail = (
+                v[stay] for v in (t, retry, acc, rej, t_new, hh, fail))
             y = y.reshape(n, k)[:, stay].ravel()
             fy = fy.reshape(n, k)[:, stay].ravel()
             rows = np.tile(np.arange(len(cols)), n)
@@ -378,13 +371,9 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         t_out = np.array([t0, T[np.argmax(direction * T)]])
         y_out = np.column_stack((x0.ravel(), Y.ravel()))
     else:
-        t_out, y_out = np.array(ts), np.vstack(ys).T
-    sol = None
-    if dense:
-        t_old, hh, y_old, F = map(np.array, zip(*steps))
-        sol = _DenseOutput(t_out, t_old, hh, y_old, F)
+        t_out, y_out = np.array(ts), np.array(ys).reshape(-1, n).T
     return Trajectory(
-        t_out, y_out, sol,
+        t_out, y_out,
         tuple(np.asarray(te) for te in t_events) if events else None,
         tuple(np.asarray(ye) for ye in y_events) if events else None,
         n_acc, n_rej, states,
@@ -423,10 +412,11 @@ class Monodromy:
         return self.M.shape[0]
 
 
-def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
-                        tol: float, dense: bool) -> tuple[int, Trajectory]:
-    """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major; a
-    family's m members fly as one (n * n, m) stack."""
+def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
+                        t_eval=None) -> tuple[int, Trajectory]:
+    """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major and
+    sampled at t_eval if given; a family's m members fly as one
+    (n * n, m) stack."""
     m = sys.members
     n = np.shape(sys.A_of_t(0.0 if m is None else np.zeros(m)))[-1]
     if m is None:
@@ -440,7 +430,7 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
             X = flat.reshape(n, n, m)
             return (At[:, :, None, :] * X[None]).sum(axis=1).ravel()
         x0 = np.tile(np.eye(n).reshape(-1, 1), m)
-    return n, integrate(rhs, x0, (0.0, t_end), tol, dense=dense)
+    return n, integrate(rhs, x0, (0.0, t_end), tol, t_eval=t_eval)
 
 
 def reversed_monodromy(R: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -460,7 +450,7 @@ def monodromy(sys: PeriodicLinearSystem,
     """
     R = sys.reversor
     t_end = sys.period if R is None else sys.period / 2
-    n, traj = _fundamental_flight(sys, t_end, tol, dense=False)
+    n, traj = _fundamental_flight(sys, t_end, tol)
     # (m, n, n), each member's matrix laid out as a solo flight's
     Phi = np.ascontiguousarray(
         traj.final.reshape(n, n, -1).transpose(2, 0, 1))
@@ -570,41 +560,35 @@ def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
                      n_periods=2, n_samples=64, tol=DEFAULT_TOL) -> FloquetFactorization:
     """Verify the Floquet factorization x = sum_j k_j e^{a_j t} p_j(t).
 
-    Requires distinct multipliers in exps.blocks.  Reconstructs the
-    periodic factors p_j(t) = e^{-a_j t} Phi(t) v_j over one period and
-    reports the worst periodicity residual |p_j(t + T) - p_j(t)|.
+    Requires distinct multipliers in exps.blocks.  One flight, sampled at
+    the times it needs, gives M = Phi(T), the periodic factors
+    p_j(t) = e^{-a_j t} Phi(t) v_j at n_samples times over one period, and
+    the worst periodicity residual |p_j(t + T) - p_j(t)| at 8 times t in
+    [0, n_periods T].
     """
-    T = sys.period
-    M = monodromy(sys, tol)
-    mults, vecs = np.linalg.eig(M.M)
     if any(sum(sizes) > 1 for _, sizes in exps.blocks):
         raise DomainError(
             "clustered multipliers: factorization with multiple multipliers "
             "is unsupported; inspect the exponent block report instead"
         )
-    n, traj = _fundamental_flight(sys, (n_periods + 1) * T, tol,
-                                  dense=True)
+    T = sys.period
     ts = np.linspace(0.0, T, n_samples, endpoint=False)
-    alphas = [cmath.log(complex(s)) / T for s in mults]
-    factors = np.zeros((n, n, n_samples), dtype=complex)
-    resid = 0.0
-    for j in range(n):
-        v = vecs[:, j]
-        for k, t in enumerate(ts):
-            Phi_t = traj(t).reshape(n, n)
-            theta = Phi_t @ v
-            factors[j, :, k] = cmath.exp(-alphas[j] * t) * theta
-        # periodicity check at t and t + T
-        for t in np.linspace(0.0, n_periods * T, 8):
-            Phi_t = traj(t).reshape(n, n)
-            Phi_tT = traj(t + T).reshape(n, n)
-            p1 = cmath.exp(-alphas[j] * t) * (Phi_t @ v)
-            p2 = cmath.exp(-alphas[j] * (t + T)) * (Phi_tT @ v)
-            resid = max(resid, float(np.max(np.abs(p2 - p1))))
+    checks = np.linspace(0.0, n_periods * T, 8)
+    times = np.concatenate((ts, checks, checks + T, [T]))
+    order = np.argsort(times, kind="stable")
+    n, traj = _fundamental_flight(sys, times.max(), tol, times[order])
+    Phi = np.empty((len(times), n, n))
+    Phi[order] = traj.y.T.reshape(-1, n, n)
+    mults, vecs = np.linalg.eig(Phi[-1])
+    alphas = np.array([cmath.log(complex(s)) / T for s in mults])
+    # column j of modes[i] is p_j(times[i])
+    modes = Phi @ vecs * np.exp(-np.outer(times, alphas))[:, None, :]
+    at_t, at_tT = modes[n_samples:n_samples + 8], modes[n_samples + 8:-1]
     amps = np.linalg.solve(vecs, np.asarray(x0, dtype=complex))
     return FloquetFactorization(
-        ts, factors, tuple(complex(a) for a in alphas),
-        tuple(complex(a) for a in amps), resid,
+        ts, modes[:n_samples].transpose(2, 1, 0),
+        tuple(complex(a) for a in alphas), tuple(complex(a) for a in amps),
+        float(np.max(np.abs(at_tT - at_t))),
     )
 
 

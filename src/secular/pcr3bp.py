@@ -305,8 +305,7 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     event reads as past the axis at t = 0, so it does not fire there and
     costs no interpolant or root search there.  The landing starts from
     the event state, which is evaluated on the interpolant of the step
-    that holds the event (so the flight needs no dense output of its
-    own); if |y| > CROSSING_Y_TOL there, one first-order step
+    that holds the event (the only interpolant the flight builds); if |y| > CROSSING_Y_TOL there, one first-order step
     dt = -y / vy along the flow sets y to zero up to rounding.  A y of
     zero takes the sign of the side the flight came from, so the mirror
     R(x, y, vx, vy) = (x, -y, -vx, vy) maps crossings bit for bit.
@@ -322,7 +321,7 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
         events = [_crossing_event(direction, 1, a) for a in at_start]
         try:
             traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
-                             events=events, dense=False)
+                             events=events)
         except SingularityError as e:
             if not e.members:
                 raise
@@ -355,8 +354,7 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
 def variational_flow(state0, mu, T, tol=1e-12):
     """Integrate state and state-transition matrix over [0, T]."""
     mu = _check_mu(mu)
-    zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol,
-                   dense=False).final
+    zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol).final
     return zf[:4], zf[4:].reshape(4, 4)
 
 

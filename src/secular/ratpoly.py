@@ -373,9 +373,10 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
     tol = _to_frac(tol)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    f = square_free_part(p)
+    chain = sturm_chain(p)
+    f = chain.polys[0]  # p's square-free part
     a, b = _to_frac(iv.lo), _to_frac(iv.hi)
-    if count_real_roots(f, a, b) != 1:
+    if chain.variations(a) - chain.variations(b) != 1:
         raise DomainError("interval does not isolate exactly one root")
     if f.sign_at(b) == 0:
         return b

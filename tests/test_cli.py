@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from secular.cli import run
 from secular.errors import NonConvergenceError
-from secular.floquet import integrate
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import RationalPolynomial
 from secular.section import linearize_map
@@ -116,18 +115,30 @@ class TestExitCodes:
                        "(best iterate: [0.83, 0.0, 0.0, 0.0125])\n")
 
     def test_internal_error_is_not_input_error(self, capsys, monkeypatch):
-        # a flight that wrongly skips dense output is a bug, not bad input
-        def sparse(*args, **kwargs):
-            return integrate(*args, **{**kwargs, "dense": False})
-        monkeypatch.setattr("secular.cli.integrate", sparse)
+        # a root isolation that loses the collinear equilibria is a bug,
+        # not bad input
+        monkeypatch.setattr("secular.pcr3bp.isolate_real_roots",
+                            lambda p: [])
         code, out, err = invoke(capsys, [
-            "--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
-            "--state", "0.5,0.3,0.2,-0.1", "--t", "1.0",
+            "pcr3bp", "lagrange", "--mu", "0.01",
         ])
         assert code == 3
         assert out == ""
-        assert err.startswith("error: internal:")
-        assert "dense=False" in err
+        assert err == ("error: internal: expected one collinear equilibrium "
+                       "on segment L1, found 0\n")
+
+    def test_negative_value_is_attached_with_equals(self, capsys):
+        # written apart, a value that starts with "-" reads as a flag
+        argv = ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+                "--t", "1.0", "--samples", "3"]
+        code, out, err = invoke(capsys, argv + ["--state",
+                                                "-0.5,0.3,0.2,-0.1"])
+        assert (code, out) == (1, "")
+        assert err == ("error: input: usage: argument --state: expected one "
+                       "argument\n")
+        code, out, err = invoke(capsys, argv + ["--state=-0.5,0.3,0.2,-0.1"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].startswith("0.0,-0.5,0.3,0.2,-0.1,")
 
     def test_sturm_count_half_bounded(self, capsys):
         # x^2 - 2 has one root in (0, inf) and one in (-inf, 0]

@@ -80,9 +80,10 @@ class TestJacobi:
         state0 = [0.5, 0.3, 0.2, -0.1]
         C0 = jacobi_constant(state0, MU_EM)
         f = lambda t, z: eom(z, MU_EM)
-        traj = integrate(f, state0, (0.0, 20.0), tol=1e-12)
-        for t in np.linspace(0.0, 20.0, 40):
-            assert abs(jacobi_constant(traj(t), MU_EM) - C0) < 1e-9 * abs(C0)
+        traj = integrate(f, state0, (0.0, 20.0), tol=1e-12,
+                         t_eval=np.linspace(0.0, 20.0, 40))
+        for z in traj.y.T:
+            assert abs(jacobi_constant(z, MU_EM) - C0) < 1e-9 * abs(C0)
 
 
 class TestLibrationPoints:
@@ -285,16 +286,18 @@ class TestCrossingLocator:
         def crossing(t, z):
             return z[1]
         crossing.terminal, crossing.direction = terminal, direction
-        sparse, dense = [integrate(rhs, z0, (0.0, t_end), 1e-10,
-                                   events=crossing, dense=d)
-                         for d in (False, True)]
-        assert len(dense.t_events[0]) == terminal
-        assert (dense.t_events[0][0] == 0.0) == (case == "t0_hit")
-        assert np.array_equal(sparse.t_events[0], dense.t_events[0])
-        assert np.array_equal(sparse.y_events[0], dense.y_events[0])
-        assert np.array_equal(sparse.final, dense.final)
-        for t, z in zip(dense.t_events[0], dense.y_events[0]):
-            assert np.array_equal(z, dense(t))
+        sparse = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing)
+        assert len(sparse.t_events[0]) == terminal
+        assert (sparse.t_events[0][0] == 0.0) == (case == "t0_hit")
+        # sampled at its event times, a flight reads each event state off
+        # the interpolant its event was found on
+        sampled = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing,
+                            t_eval=sparse.t_events[0])
+        assert np.array_equal(sampled.t_events[0], sparse.t_events[0])
+        assert np.array_equal(sampled.y_events[0], sparse.y_events[0])
+        assert np.array_equal(sampled.t, sparse.t_events[0])
+        assert np.array_equal(sampled.y.T, sparse.y_events[0])
+        assert np.array_equal(sampled.final, sparse.final)
 
     @pytest.mark.parametrize("case", CROSSING_CASES)
     def test_lands_on_section(self, case):
@@ -314,8 +317,7 @@ class TestStackedLocator:
         def crossing(t, z):
             return z[1]
         crossing.terminal, crossing.direction = terminal, direction
-        traj = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing,
-                         dense=False)
+        traj = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing)
         t, z = float(traj.t_events[0][-1]), traj.y_events[0][-1]
         if abs(z[1]) > CROSSING_Y_TOL:
             dt = -z[1] / z[3]
@@ -393,8 +395,7 @@ class TestStackedLocator:
         def crossing(t, z):
             return z[1]
         crossing.terminal, crossing.direction = 2, 1.0
-        traj = integrate(rhs, Z, (0.0, 4.0), 1e-10, [crossing] * m,
-                         dense=False)
+        traj = integrate(rhs, Z, (0.0, 4.0), 1e-10, [crossing] * m)
         assert all(te[0] == 0.0 for te in traj.t_events)
         assert located == len(calls) - 3 * m
         for j in range(m):
@@ -442,7 +443,7 @@ class TestStackedLocator:
         events = [pcr3bp._crossing_event(1.0, True) for _ in range(2)]
         with pytest.raises(SingularityError) as err:
             integrate(_flow_rhs(MU_EM), np.array([early, self._moon_fall()]).T,
-                      (0.0, 4.0), 1e-10, events, dense=False)
+                      (0.0, 4.0), 1e-10, events)
         assert err.value.members == (1,)
 
     def test_stacked_failure_naming_no_member_propagates(self):
@@ -524,7 +525,7 @@ class TestMirroredMonodromy:
         flights = []
 
         def counted(*args, **kwargs):
-            flights.append(kwargs.get("dense", True))
+            flights.append(kwargs.get("t_eval") is not None)
             return integrate(*args, **kwargs)
         monkeypatch.setattr("secular.pcr3bp.integrate", counted)
         l1 = libration_points(MU_EM)[0]
@@ -560,11 +561,11 @@ def test_stacked_section_start_flies_as_alone(points):
     assume(starts)
     rhs, Z = _flow_rhs(MU_EM), np.array(starts).T
     events = [pcr3bp._crossing_event(1.0, 2) for _ in starts]
-    stack = integrate(rhs, Z, (0.0, 30.0), 1e-10, events, dense=False)
+    stack = integrate(rhs, Z, (0.0, 30.0), 1e-10, events)
     located = _flow_to_crossing(rhs, Z, 30.0, 1e-10, 1.0)
     for j, z0 in enumerate(starts):
         alone = integrate(rhs, np.array(z0), (0.0, 30.0), 1e-10,
-                          [pcr3bp._crossing_event(1.0, 2)], dense=False)
+                          [pcr3bp._crossing_event(1.0, 2)])
         assert stack.accepted_steps[j] == alone.accepted_steps[0]
         assert stack.rejected_steps[j] == alone.rejected_steps[0]
         assert np.allclose(stack.t_events[j], alone.t_events[0], rtol=0.0,

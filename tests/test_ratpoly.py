@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import secular.ratpoly
 from secular.errors import DomainError
 from secular.ratpoly import (
     NEG_INF,
@@ -173,6 +174,21 @@ class TestRefine:
         tol = Fraction(1, 10 ** 10)
         r = refine_root(p, RootInterval(Fraction(0), Fraction(3)), tol)
         assert abs(r - 2) < tol
+
+    def test_one_gcd_chain_per_refine(self, monkeypatch):
+        # p's square-free part and the root count come off one Sturm chain
+        runs = []
+        gcd = secular.ratpoly.poly_gcd
+
+        def counted(a, b):
+            runs.append(a)
+            return gcd(a, b)
+        monkeypatch.setattr(secular.ratpoly, "poly_gcd", counted)
+        p = P.from_roots([1, 2, 2, 3])
+        r = refine_root(p, RootInterval(Fraction(3, 2), Fraction(5, 2)),
+                        Fraction(1, 10 ** 10))
+        assert abs(r - 2) < Fraction(1, 10 ** 10)
+        assert runs == [p]
 
     def test_non_isolating_rejected(self):
         p = P.from_roots([1, 2, 3])

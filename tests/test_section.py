@@ -186,6 +186,28 @@ class TestAreaPreservation:
             assert abs(area(img) - area(tri)) < 1e-4 * area(tri)
 
 
+@given(st.floats(-0.005, 0.005), st.floats(-0.005, 0.005),
+       st.floats(0.0, 2.0 * math.pi), st.floats(math.pi / 3, 2 * math.pi / 3),
+       st.floats(3e-7, 1e-6), st.floats(3e-7, 1e-6))
+@settings(max_examples=6, deadline=None)
+def test_return_map_preserves_area(sd, dx, dvx, th, phi, a, b):
+    # a random small triangle on the section keeps its area dx ^ dvx under
+    # the return map.  Its sides a and b meet at an angle phi in
+    # [pi/3, 2 pi/3], so the area is far from zero; the image's straight
+    # sides miss the curved image region by a relative area that grows
+    # with the side, up to about 50 times the longer side in this box,
+    # hence sides of at most 1e-6 for the 1e-4 bound
+    c = np.array([0.22 + dx, dvx])
+    tri = [c, c + a * np.array([math.cos(th), math.sin(th)]),
+           c + b * np.array([math.cos(th + phi), math.sin(th + phi)])]
+    img = [return_map(SectionPoint(*v), MU_EM, sd).as_array() for v in tri]
+
+    def area(T):
+        u, v = T[1] - T[0], T[2] - T[0]
+        return 0.5 * abs(u[0] * v[1] - u[1] * v[0])
+    assert abs(area(img) - area(tri)) < 1e-4 * area(tri)
+
+
 class TestManifolds:
     def test_branch_validation(self, pstar, sd):
         with pytest.raises(DomainError):
