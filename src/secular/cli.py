@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -90,14 +90,11 @@ from .section import (
 class RunConfig:
     tol: float = 1e-10  # integrator tolerance
     cluster_tol: float = 1e-8  # eigenvalue clustering tolerance
-    fmt: str = "json"
     output: str | None = None
 
     def __post_init__(self):
         if not (0 < self.tol < math.inf and 0 < self.cluster_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
-        if self.fmt not in ("json", "csv"):
-            raise DomainError(f"unknown output format {self.fmt!r}")
 
     def echo(self) -> dict:
         return {
@@ -159,8 +156,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _emit_json(cfg: RunConfig, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.echo()
+    payload = {**payload, "config": cfg.echo()}
     _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -387,15 +383,16 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
         })
         return 0
     # propagate
+    if args.state is None or args.t is None:
+        raise DomainError("propagate requires --state and --t")
     state0 = _parse_state(args.state, 4)
     with np.errstate(invalid="ignore"):  # a non-finite --t fails in integrate
         ts = np.linspace(0.0, args.t, args.samples)
     traj = integrate(_flow_rhs(args.mu), state0, (0.0, args.t), cfg.tol,
                      t_eval=ts)
-    rows = []
-    for t, (x, y, vx, vy) in zip(ts, traj.y.T):
-        rows.append((float(t), float(x), float(y), float(vx), float(vy),
-                     float(jacobi_constant((x, y, vx, vy), args.mu))))
+    rows = [(float(t), float(x), float(y), float(vx), float(vy),
+             float(jacobi_constant((x, y, vx, vy), args.mu)))
+            for t, (x, y, vx, vy) in zip(ts, traj.y.T)]
     _emit_csv(cfg, "t,x,y,vx,vy,C", rows)
     return 0
 
@@ -403,6 +400,8 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
 def _cmd_section(args, cfg: RunConfig) -> int:
     sd = SectionDef(args.direction, args.C)
     if args.action == "manifolds":
+        if args.fixed is None:
+            raise DomainError("section manifolds requires --fixed")
         x, vx = _parse_state(args.fixed, 2)
         p = SectionPoint(x, vx)
         unstable, stable = manifold_segments(
@@ -428,9 +427,7 @@ def _cmd_section(args, cfg: RunConfig) -> int:
         if cfg.output:
             base, _ = os.path.splitext(cfg.output)
             for br, name in ((unstable, "unstable"), (stable, "stable")):
-                sub = RunConfig(cfg.tol, cfg.cluster_tol, "csv",
-                                f"{base}.{name}.csv")
-                _emit_csv(sub, "x,vx",
+                _emit_csv(replace(cfg, output=f"{base}.{name}.csv"), "x,vx",
                           [(float(a), float(b)) for a, b in br.points])
         else:
             payload["unstable_polyline"] = [[float(a), float(b)]
@@ -439,6 +436,8 @@ def _cmd_section(args, cfg: RunConfig) -> int:
                                           for a, b in stable.points]
         _emit_json(cfg, payload)
         return 0
+    if args.start is None:
+        raise DomainError("section crossings requires --start")
     x, vx = _parse_state(args.start, 2)
     pts = section_crossings(SectionPoint(x, vx), args.mu, sd, args.n,
                             tol=cfg.tol)
@@ -529,6 +528,9 @@ def _build_parser() -> _Parser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def _writes_csv(args) -> bool:
     """Whether the subcommand prints CSV; the others print JSON or a value."""
     return ((args.command == "floquet" and args.grid is not None)
@@ -546,22 +548,12 @@ def _one_line(best) -> str:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig(args.tol, args.cluster_tol, args.format, args.output)
-        if cfg.fmt == "csv" and not _writes_csv(args):
+        args = _PARSER.parse_args(argv)
+        cfg = RunConfig(args.tol, args.cluster_tol, args.output)
+        if args.format == "csv" and not _writes_csv(args):
             raise DomainError("usage: --format csv applies only to floquet "
                               "--grid, section crossings and pcr3bp propagate")
-        if args.command == "pcr3bp":
-            if args.action == "propagate" and (args.state is None
-                                               or args.t is None):
-                raise DomainError("propagate requires --state and --t")
-        if args.command == "section":
-            if args.action == "crossings" and args.start is None:
-                raise DomainError("section crossings requires --start")
-            if args.action == "manifolds" and args.fixed is None:
-                raise DomainError("section manifolds requires --fixed")
         return args.fn(args, cfg)
     except (NonConvergenceError, SingularityError) as e:
         best = getattr(e, "best", None)
@@ -574,8 +566,7 @@ def run(argv=None) -> int:
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
-    except (SecularError, OSError, ValueError, ZeroDivisionError,
-            json.JSONDecodeError, KeyError) as e:
+    except (SecularError, OSError, ValueError, ZeroDivisionError, KeyError) as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from .errors import DomainError, NonConvergenceError, UnsupportedFlavorError
 from .ratpoly import (
     RationalPolynomial,
     RootInterval,
+    _json_number,
     _to_frac,
     count_real_roots,
     isolate_real_roots,
@@ -76,9 +77,10 @@ class SquareMatrix:
             raise DomainError("numeric matrix entries must be [re, im] pairs")
         try:
             if flavor == EXACT:
-                rows = [[Fraction(x) for x in r] for r in rows]
+                rows = [[Fraction(_json_number(x)) for x in r] for r in rows]
             else:
-                rows = [[complex(*x) for x in r] for r in rows]
+                rows = [[complex(*map(_json_number, x)) for x in r]
+                        for r in rows]
         except (TypeError, OverflowError) as e:
             raise DomainError(f"bad matrix entry: {e}") from e
         m = cls(rows, flavor)
@@ -570,7 +572,8 @@ class InterlacingReport:
 
 
 def interlacing_check(A: SquareMatrix) -> InterlacingReport:
-    """Cauchy interlacing: roots of Delta_1 weakly interlace those of Delta_0.
+    """Cauchy interlacing: the eigenvalues of the trailing (n-1) x (n-1)
+    block of A weakly interlace those of A.
 
     Both root lists are expanded with multiplicity and the classical
     lam_i <= mu_i <= lam_{i+1} chain is certified with exact comparisons.
@@ -578,14 +581,12 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("interlacing_check expects a symmetric matrix")
-    ms = minor_sequence(A)
-    p0, p1 = ms.deltas[0], ms.deltas[1]
-    outer = real_roots_with_multiplicity(p0)
-    inner = real_roots_with_multiplicity(p1) if p1.degree >= 1 else []
+    outer = real_roots_with_multiplicity(char_poly(A).poly)
+    inner = real_roots_with_multiplicity(
+        char_poly(SquareMatrix([r[1:] for r in A.rows[1:]])).poly)
     lam = [r for r in outer for _ in range(r.multiplicity)]
     mu = [r for r in inner for _ in range(r.multiplicity)]
-    n = A.n
-    ok_overall = len(lam) == n and len(mu) == n - 1
+    ok_overall = len(lam) == A.n and len(mu) == A.n - 1
     gaps = []
     if ok_overall:
         for i, m_root in enumerate(mu):

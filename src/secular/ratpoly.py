@@ -24,6 +24,13 @@ def _to_frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _json_number(x):
+    """x from JSON, unless it is true or false, which Python reads as 1, 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{json.dumps(x)} is not a number")
+    return x
+
+
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients."""
 
@@ -64,7 +71,7 @@ class RationalPolynomial:
             raise DomainError('polynomial JSON must be an object with a '
                               '"coeffs" list')
         try:
-            return cls([Fraction(c) for c in coeffs])
+            return cls([Fraction(_json_number(c)) for c in coeffs])
         except (TypeError, OverflowError) as e:
             raise DomainError(f"bad polynomial coefficient: {e}") from e
 

@@ -1,9 +1,11 @@
 """Tests for the command-line front end."""
 
+import argparse
 import contextlib
 import importlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secular import cli
 from secular.cli import run
 from secular.errors import NonConvergenceError
 from secular.matrixcore import SquareMatrix
@@ -178,6 +181,19 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: input: numeric matrix entries must be " \
                       "[re, im] pairs\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["charpoly", "--matrix", "[[true]]"], "bad matrix entry"),
+        (["sturm", "count", "--poly", '{"coeffs": [true, 1]}'],
+         "bad polynomial coefficient"),
+        (["charpoly", "--matrix", '{"flavor":"numeric","rows":[[[true,0]]]}'],
+         "bad matrix entry"),
+    ], ids=["exact-entry", "coefficient", "numeric-part"])
+    def test_json_boolean_is_not_a_number(self, capsys, argv, message):
+        # Python reads true as 1, so these once ran as [[1]], 1 + x and [[1]]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: input: {message}: true is not a number\n"
 
     def test_non_list_coeffs_is_input_error(self, capsys):
         code, out, err = invoke(capsys, [
@@ -512,6 +528,38 @@ def test_readme_example_runs(capsys, line):
     code, out, err = invoke(capsys, shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+def test_readme_names_every_global_flag():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = text.split("Global flags (", 1)[1].split(")", 1)[0]
+    options = {s for action in cli._PARSER._actions
+               for s in action.option_strings}
+    assert set(re.findall(r"`(--[\w-]+)`", sentence)) == \
+        options - {"-h", "--help", "--version"}
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert invoke(capsys, ["sturm", "count", "--poly=-2,0,1"]) == \
+            (0, "2\n", "")
+    assert len(built) == 0
+
+
+def test_readme_examples_repeat_in_process(capsys):
+    # the second pass runs in reverse order, so no call sees state that
+    # the call before it left in the shared parser or elsewhere
+    argvs = [shlex.split(line)[1:] for line in _readme_cli_lines()]
+    first = [invoke(capsys, argv) for argv in argvs]
+    again = [invoke(capsys, argv) for argv in reversed(argvs)]
+    assert again[::-1] == first
 
 
 # -- malformed JSON input: exit 1 with one line, never a traceback ----------

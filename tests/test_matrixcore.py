@@ -342,6 +342,23 @@ class TestInterlacing:
             n = rng.randint(2, 5)
             assert interlacing_check(random_symmetric(rng, n)).passed
 
+    def test_1x1_has_no_inner_roots(self):
+        rep = interlacing_check(SquareMatrix([[7]]))
+        assert rep.passed
+        assert (len(rep.outer_intervals), rep.inner_intervals) == (1, ())
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_reads_two_characteristic_polynomials(self, monkeypatch, n):
+        # A's and its trailing block's, not every trailing minor's
+        sizes = []
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return faddeev_leverrier(rows)
+        monkeypatch.setattr("secular.matrixcore.faddeev_leverrier", counted)
+        assert interlacing_check(random_symmetric(random.Random(n), n)).passed
+        assert sizes == [n, n - 1]
+
     def test_symmetric_reality(self):
         # Laplace reality: all roots of the secular equation are real
         rng = random.Random(6)
