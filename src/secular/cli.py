@@ -75,6 +75,7 @@ from .ratpoly import (
     RootInterval,
     count_real_roots,
     isolate_real_roots,
+    parse_rational,
     refine_root,
 )
 from .section import (
@@ -135,7 +136,8 @@ def _poly_arg(text: str) -> RationalPolynomial:
     if os.path.exists(text):
         with open(text) as fh:
             return RationalPolynomial.from_json(fh.read())
-    return RationalPolynomial([Fraction(c) for c in text.split(",")])
+    return RationalPolynomial([parse_rational(c, "polynomial coefficient")
+                               for c in text.split(",")])
 
 
 def _matrix_arg(text: str) -> SquareMatrix:
@@ -174,8 +176,8 @@ def _emit_csv(cfg: RunConfig, header: str, rows) -> None:
 def _cmd_sturm(args, cfg: RunConfig) -> int:
     p = _poly_arg(args.poly)
     if args.action == "count":
-        lo = NEG_INF if args.lo is None else Fraction(args.lo)
-        hi = POS_INF if args.hi is None else Fraction(args.hi)
+        lo = NEG_INF if args.lo is None else parse_rational(args.lo, "--lo")
+        hi = POS_INF if args.hi is None else parse_rational(args.hi, "--hi")
         _emit(cfg, f"{count_real_roots(p, lo, hi)}\n")
         return 0
     if args.action == "isolate":
@@ -187,8 +189,10 @@ def _cmd_sturm(args, cfg: RunConfig) -> int:
     # refine
     if args.lo is None or args.hi is None:
         raise DomainError("refine requires --lo and --hi")
-    iv = RootInterval(Fraction(args.lo), Fraction(args.hi), 1)
-    r = refine_root(p, iv, Fraction(args.reftol) if args.reftol else Fraction(1, 10 ** 10))
+    iv = RootInterval(parse_rational(args.lo, "--lo"),
+                      parse_rational(args.hi, "--hi"), 1)
+    r = refine_root(p, iv, parse_rational(args.reftol, "--tol")
+                    if args.reftol else Fraction(1, 10 ** 10))
     _emit(cfg, f"{float(r)!r}\n")
     return 0
 
@@ -258,11 +262,11 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
     if args.v0 is not None and args.form != "second":
         raise DomainError("usage: --v0 applies only to --form second")
     A = _matrix_arg(args.matrix)
-    x0 = [Fraction(v) for v in args.x0.split(",")]
+    x0 = [parse_rational(v, "--x0 entry") for v in args.x0.split(",")]
     if len(x0) != A.n:
         raise DomainError(f"--x0 needs {A.n} values, got {len(x0)}")
     if args.form == "second":
-        v0 = ([Fraction(v) for v in args.v0.split(",")]
+        v0 = ([parse_rational(v, "--v0 entry") for v in args.v0.split(",")]
               if args.v0 else [Fraction(0)] * len(x0))
         sol, modes, verdict = solve_lagrange_oscillation(
             SecondOrderSystem(A), x0, v0)

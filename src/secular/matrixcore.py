@@ -9,12 +9,18 @@ the periodic-coefficient and three-body pipelines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UnsupportedFlavorError
+from .errors import (
+    DomainError,
+    InternalInconsistencyError,
+    NonConvergenceError,
+    UnsupportedFlavorError,
+)
 from .ratpoly import (
     RationalPolynomial,
     RootInterval,
@@ -22,6 +28,7 @@ from .ratpoly import (
     _to_frac,
     count_real_roots,
     isolate_real_roots,
+    parse_rational,
     refine_interval,
     square_free_part,
     poly_gcd,
@@ -75,14 +82,15 @@ class SquareMatrix:
         if flavor == NUMERIC and not all(isinstance(x, list) and len(x) == 2
                                          for r in rows for x in r):
             raise DomainError("numeric matrix entries must be [re, im] pairs")
-        try:
-            if flavor == EXACT:
-                rows = [[Fraction(_json_number(x)) for x in r] for r in rows]
-            else:
+        if flavor == EXACT:
+            rows = [[parse_rational(x, "matrix entry") for x in r]
+                    for r in rows]
+        else:
+            try:
                 rows = [[complex(*map(_json_number, x)) for x in r]
                         for r in rows]
-        except (TypeError, OverflowError) as e:
-            raise DomainError(f"bad matrix entry: {e}") from e
+            except (TypeError, OverflowError) as e:
+                raise DomainError(f"bad matrix entry: {e}") from e
         m = cls(rows, flavor)
         if "n" in data and data["n"] != m.n:
             raise DomainError("declared dimension does not match rows")
@@ -307,13 +315,21 @@ def char_poly(A: SquareMatrix) -> CharPoly:
 def faddeev_leverrier(rows):
     """det(sI - A) and adj(sI - A) by the Faddeev-LeVerrier recursion.
 
-    `rows` is a list of rows of Fraction or complex entries; the recursion
-    runs in that scalar type.  Returns (coeffs, Ms): the monic coefficients
-    of det(sI - A), lowest degree first, and the matrices M_0..M_{n-1}
-    (lists of rows) with adj(sI - A) = sum_k M_k s^{n-1-k}.
+    `rows` is a list of rows of Fraction or complex entries.  Returns
+    (coeffs, Ms): the monic coefficients of det(sI - A), lowest degree
+    first, and the matrices M_0..M_{n-1} (lists of rows) with
+    adj(sI - A) = sum_k M_k s^{n-1-k}, all in the scalar type of `rows`.
     M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1})/k, M_k = A M_{k-1} + c_{n-k} I.
+
+    Exact rows run in integers: with A = B/D, D the lcm of the entries'
+    denominators, B's coefficients and M_k are integers, so each / k is
+    exact, and c_{n-k}(A) = c_{n-k}(B)/D^k, M_k(A) = M_k(B)/D^k.
     """
     n = len(rows)
+    exact = all(isinstance(x, Fraction) for r in rows for x in r)
+    if exact:
+        D = math.lcm(*(x.denominator for r in rows for x in r))
+        rows = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
     one = rows[0][0] ** 0 if n else 1  # 1 in the scalar type of the entries
     coeffs = [one] * (n + 1)
     M = [[one * (i == j) for j in range(n)] for i in range(n)]
@@ -322,11 +338,24 @@ def faddeev_leverrier(rows):
         Ms.append(M)
         AM = [[sum(rows[i][l] * M[l][j] for l in range(n)) for j in range(n)]
               for i in range(n)]
-        c = -sum(AM[i][i] for i in range(n)) / k
+        t = -sum(AM[i][i] for i in range(n))
+        c = _exact_quotient(t, k) if exact else t / k
         coeffs[n - k] = c
         M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
              for i in range(n)]
+    if exact:
+        coeffs = [Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs)]
+        Ms = [[[Fraction(x, D ** k) for x in r] for r in M]
+              for k, M in enumerate(Ms)]
     return coeffs, Ms
+
+
+def _exact_quotient(a: int, k: int) -> int:
+    q, r = divmod(a, k)
+    if r:
+        raise InternalInconsistencyError(
+            f"Faddeev-LeVerrier: {a} is not divisible by {k}")
+    return q
 
 
 def minor_sequence(A: SquareMatrix) -> MinorSequence:
@@ -541,9 +570,10 @@ def real_roots_with_multiplicity(p: RationalPolynomial) -> list[AlgebraicRoot]:
     return roots
 
 
-def _compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
-    """-1 / 0 / +1 exact ordering of two isolated algebraic numbers."""
-    g = poly_gcd(a.poly, b.poly)
+def _compare_roots(a: AlgebraicRoot, b: AlgebraicRoot,
+                   g: RationalPolynomial) -> int:
+    """-1 / 0 / +1 exact ordering of two isolated algebraic numbers;
+    g is poly_gcd(a.poly, b.poly)."""
     iva, ivb = a.interval, b.interval
     if not g.is_zero and g.degree >= 1:
         lo = max(iva.lo, ivb.lo)
@@ -588,10 +618,12 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     mu = [r for r in inner for _ in range(r.multiplicity)]
     ok_overall = len(lam) == A.n and len(mu) == A.n - 1
     gaps = []
-    if ok_overall:
+    if ok_overall and mu:
+        # all outer roots share one square-free poly, all inner ones another
+        g = poly_gcd(lam[0].poly, mu[0].poly)
         for i, m_root in enumerate(mu):
-            left_ok = _compare_roots(lam[i], m_root) <= 0
-            right_ok = _compare_roots(m_root, lam[i + 1]) <= 0
+            left_ok = _compare_roots(lam[i], m_root, g) <= 0
+            right_ok = _compare_roots(m_root, lam[i + 1], g) <= 0
             gaps.append(left_ok and right_ok)
         ok_overall = all(gaps)
     return InterlacingReport(

@@ -31,7 +31,13 @@ from .errors import (
     SingularityError,
 )
 from .floquet import integrate, reversed_monodromy
-from .ratpoly import RationalPolynomial, isolate_real_roots, refine_root
+from .ratpoly import (
+    RationalPolynomial,
+    RootInterval,
+    count_real_roots,
+    isolate_real_roots,
+    refine_root,
+)
 
 COLLISION_RADIUS = 1e-6
 CROSSING_Y_TOL = 1e-12
@@ -164,9 +170,18 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
         "L3": (Fraction(-3), -mu),
     }[segment]
     p = _collinear_quintic(mu, segment)
+    tol = Fraction(1, 10 ** 13)
     hits = []
-    for iv in isolate_real_roots(p):
-        r = refine_root(p, iv, Fraction(1, 10 ** 13))
+    for iv in isolate_real_roots(p):  # one Sturm chain, kept on p
+        r = refine_root(p, iv, tol)
+        if not lo < r < hi:
+            # for tiny mu, L1 and L2 lie closer to 1 - mu than tol and r can
+            # land past it: refine on the part of iv inside the segment, if
+            # the root is there (the quintic is ±(1 - mu) b^2 at a = 0 and
+            # ±mu a^2 at b = 0, so neither end is a root)
+            a, b = max(iv.lo, lo), min(iv.hi, hi)
+            if a < b and count_real_roots(p, a, b) == 1:
+                r = refine_root(p, RootInterval(a, b), tol)
         if lo < r < hi:
             hits.append(r)
     if len(hits) != 1:

@@ -31,16 +31,31 @@ def _json_number(x):
     return x
 
 
+def parse_rational(x, what: str) -> Fraction:
+    """One input number, from JSON or text, as a Fraction; `what` names it
+    in the DomainError for a value that is not a number (JSON true and
+    false included) or has a zero denominator."""
+    try:
+        return Fraction(_json_number(x))
+    except (TypeError, OverflowError) as e:
+        raise DomainError(f"bad {what}: {e}") from e
+    except ZeroDivisionError as e:
+        raise DomainError(f"bad {what}: {x} has a zero denominator") from e
+
+
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    # _cleared and _sturm are filled on first use, by _eval_ratio and
+    # sturm_chain; the coefficients never change after __init__
+    __slots__ = ("coeffs", "_cleared", "_sturm")
 
     def __init__(self, coeffs: Iterable):
         cs = [_to_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._cleared = self._sturm = None
 
     # -- constructors -------------------------------------------------
 
@@ -70,10 +85,8 @@ class RationalPolynomial:
         if not isinstance(coeffs, list):
             raise DomainError('polynomial JSON must be an object with a '
                               '"coeffs" list')
-        try:
-            return cls([Fraction(_json_number(c)) for c in coeffs])
-        except (TypeError, OverflowError) as e:
-            raise DomainError(f"bad polynomial coefficient: {e}") from e
+        return cls([parse_rational(c, "polynomial coefficient")
+                    for c in coeffs])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -172,14 +185,36 @@ class RationalPolynomial:
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def _eval_ratio(self, x) -> tuple[int, int]:
+        """(N, D) with p(x) = N / D and D > 0, in integers.
+
+        The coefficients are cleared once: C_i = L c_i with L the lcm of
+        their denominators.  At x = n/d, N = sum C_i n^i d^(k-i) by a
+        homogeneous Horner loop and D = L d^k, k the degree.
+        """
+        if self._cleared is None:
+            L = math.lcm(*(c.denominator for c in self.coeffs))
+            self._cleared = (L, tuple(c.numerator * (L // c.denominator)
+                                      for c in reversed(self.coeffs)))
+        L, C = self._cleared
+        x = _to_frac(x)
+        n, d = x.numerator, x.denominator
+        if not C:
+            return 0, 1
+        acc, dk = C[0], 1
+        for c in C[1:]:
+            dk *= d
+            acc = acc * n + c * dk
+        return acc, L * dk
 
     def eval_frac(self, x) -> Fraction:
-        return self(_to_frac(x))
+        return Fraction(*self._eval_ratio(x))
+
+    def eval_float(self, x) -> float:
+        """float(p(x)): int true division rounds N / D correctly, as
+        float(Fraction) does."""
+        n, d = self._eval_ratio(x)
+        return n / d
 
     def sign_at(self, x) -> int:
         """Sign of p at a rational point or at NEG_INF / POS_INF."""
@@ -192,7 +227,7 @@ class RationalPolynomial:
                 return 0
             s = 1 if self.leading > 0 else -1
             return s if self.degree % 2 == 0 else -s
-        v = self.eval_frac(x)
+        v = self._eval_ratio(x)[0]
         return (v > 0) - (v < 0)
 
 
@@ -246,9 +281,16 @@ class RootInterval:
 
 
 def sturm_chain(p: RationalPolynomial) -> SturmChain:
-    """Sturm chain: square-free part, derivative, then negated remainders."""
+    """Sturm chain: square-free part, derivative, then negated remainders.
+
+    Built once per polynomial object and kept on it, so isolating and then
+    refining the roots of one p, or counting them in many intervals, builds
+    one chain.
+    """
     if p.is_zero:
         raise DomainError("Sturm chain of the zero polynomial")
+    if p._sturm is not None:
+        return p._sturm
     f = square_free_part(p)
     chain = [f]
     if f.degree >= 1:
@@ -258,7 +300,8 @@ def sturm_chain(p: RationalPolynomial) -> SturmChain:
             if r.is_zero:
                 break
             chain.append(-r)
-    return SturmChain(tuple(chain))
+    p._sturm = SturmChain(tuple(chain))
+    return p._sturm
 
 
 def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
@@ -427,9 +470,9 @@ def refine_interval(f: RationalPolynomial, iv: RootInterval,
         # Newton acceleration from a float image of the midpoint; the
         # candidate is only trusted for its sign, so float error is safe
         xm = float((a + b) / 2)
-        dfm = float(fp.eval_frac(Fraction(xm))) if a < Fraction(xm) < b else 0.0
+        dfm = fp.eval_float(xm) if a < Fraction(xm) < b else 0.0
         if abs(dfm) > float(floor_deriv):
-            xn_f = xm - float(f.eval_frac(Fraction(xm))) / dfm
+            xn_f = xm - f.eval_float(xm) / dfm
             xn = Fraction(xn_f)
             if a < xn < b and absorb(xn):
                 break

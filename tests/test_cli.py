@@ -195,6 +195,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: input: {message}: true is not a number\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["charpoly", "--matrix", '[["1/0"]]'], "bad matrix entry"),
+        (["sturm", "count", "--poly", "1/0,1"], "bad polynomial coefficient"),
+        (["sturm", "count", "--poly", "1,1", "--lo", "1/0"], "bad --lo"),
+    ], ids=["matrix-entry", "coefficient", "lo"])
+    def test_zero_denominator_names_the_input(self, capsys, argv, message):
+        # these once read "error: input: Fraction(1, 0)"
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: input: {message}: 1/0 has a zero denominator\n"
+
     def test_non_list_coeffs_is_input_error(self, capsys):
         code, out, err = invoke(capsys, [
             "sturm", "count", "--poly", '{"coeffs": 5}'])
@@ -327,11 +338,190 @@ class TestJsonOutputs:
         assert code == 0
         assert json.loads(out)["verdict"] == "stable"
 
+    def test_lagrange_for_tiny_mu(self, capsys):
+        # L1 lies about (mu/3)^(1/3) = 7e-15 below 1 - mu, closer than the
+        # 1e-13 refinement width: its midpoint once fell past the segment
+        code, out, _ = invoke(capsys, ["pcr3bp", "lagrange", "--mu", "1e-42"])
+        assert code == 0
+        x = {p["label"]: p["position"][0] for p in json.loads(out)["points"]}
+        assert x["L1"] < 1.0 < x["L2"]
+
     def test_floquet_hill_point(self, capsys):
         code, out, _ = invoke(capsys, ["floquet", "--a", "1.0", "--q", "0.2"])
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "unstable_exponential"
+
+
+# The exact commands' stdout on literal matrices, with non-integer
+# denominators, repeated eigenvalues (2 in 4x4-planted, 1 in 6x6-planted)
+# and a zero one: any rewrite of the exact core must print the same bytes.
+EXACT_GOLDEN = {
+    '1x1': (
+        '[["-7/3"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["7/3", "1/1"]},'
+                ' "config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 1, "pos": 0,'
+                ' "zero": 0}, "signature": -1}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 1, "distinct_real": 1}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [], "inner_intervals": [],'
+                ' "outer_intervals": [["-10/3", "10/3"]], "passed": true}\n',
+        }),
+    '2x2-halves': (
+        '[["1/2", "1/3"], ["1/3", "1/5"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["-1/90", "-7/10", "1/1"]},'
+                ' "config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 1, "pos": 1,'
+                ' "zero": 0}, "signature": 0}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 2, "distinct_real": 2}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [true],'
+                ' "inner_intervals": [["-6/5", "6/5"]],'
+                ' "outer_intervals": [["-17/10", "0/1"], ["0/1", "17/10"]],'
+                ' "passed": true}\n',
+        }),
+    '3x3-mixed': (
+        '[["5/3", "-1/6", "2"], ["-1/6", "0", "1/9"], ["2", "1/9",'
+        ' "-7/2"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["-5/1944", "-3199/324", "11/6",'
+                ' "1/1"]}, "config": {"cluster_tol": 1e-08,'
+                ' "integrator_tol": 1e-10, "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 2, "pos": 1,'
+                ' "zero": 0}, "signature": -1}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 3, "distinct_real": 3}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [true, true],'
+                ' "inner_intervals": [["-9/2", "0/1"], ["0/1", "9/2"]],'
+                ' "outer_intervals": [["-3523/648", "-3523/1296"],'
+                ' ["-3523/1296", "0/1"], ["0/1", "3523/324"]],'
+                ' "passed": true}\n',
+        }),
+    '4x4-planted': (
+        '[["546/625", "-208/625", "-352/625", "-904/625"],'
+        ' ["-208/625", "1359/625", "-104/625", "-608/625"],'
+        ' ["-352/625", "-104/625", "1074/625", "-452/625"],'
+        ' ["-904/625", "-608/625", "-452/625", "771/625"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["-12/1", "4/1", "9/1", "-6/1",'
+                ' "1/1"]}, "config": {"cluster_tol": 1e-08,'
+                ' "integrator_tol": 1e-10, "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 1, "pos": 3,'
+                ' "zero": 0}, "signature": 2}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 3, "distinct_real": 3}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [true, true, true],'
+                ' "inner_intervals": [["0/1", "2513/2500"], ["2513/2500",'
+                ' "2513/1250"], ["2513/1250", "2513/625"]],'
+                ' "outer_intervals": [["-7/1", "0/1"], ["7/4", "21/8"],'
+                ' ["21/8", "7/2"]], "passed": true}\n',
+        }),
+    '5x5-integer': (
+        '[["2", "-1", "0", "3", "1"], ["-1", "4", "2", "0", "-2"],'
+        ' ["0", "2", "-3", "1", "1"], ["3", "0", "1", "1", "-1"],'
+        ' ["1", "-2", "1", "-1", "0"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["-56/1", "167/1", "83/1",'
+                ' "-29/1", "-4/1", "1/1"]},'
+                ' "config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 2, "pos": 3,'
+                ' "zero": 0}, "signature": 1}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 5, "distinct_real": 5}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [true, true, true, true],'
+                ' "inner_intervals": [["-29/4", "-29/8"], ["-29/8", "0/1"],'
+                ' ["0/1", "29/8"], ["29/8", "29/4"]],'
+                ' "outer_intervals": [["-21/4", "-21/8"], ["-21/8", "0/1"],'
+                ' ["0/1", "21/8"], ["21/8", "21/4"], ["21/4", "21/2"]],'
+                ' "passed": true}\n',
+        }),
+    '6x6-planted': (
+        '[["55537/70225", "14184/70225", "-10296/70225",'
+        ' "14688/70225", "4392/70225", "-26424/70225"],'
+        ' ["14184/70225", "-129362/70225", "34728/70225",'
+        ' "-14184/70225", "20544/70225", "732/70225"],'
+        ' ["-10296/70225", "34728/70225", "105361/140450",'
+        ' "10296/70225", "27864/70225", "-43308/70225"],'
+        ' ["14688/70225", "-14184/70225", "10296/70225",'
+        ' "55537/70225", "-4392/70225", "26424/70225"],'
+        ' ["4392/70225", "20544/70225", "27864/70225",'
+        ' "-4392/70225", "23472/70225", "-16884/70225"],'
+        ' ["-26424/70225", "732/70225", "-43308/70225",'
+        ' "26424/70225", "-16884/70225", "187923/70225"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["0/1", "3/1", "-23/2", "25/2",'
+                ' "-3/2", "-7/2", "1/1"]}, "config": {"cluster_tol": 1e-08,'
+                ' "integrator_tol": 1e-10, "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "inertia": {"neg": 1, "pos": 4,'
+                ' "zero": 1}, "signature": 3}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "distinct": 5, "distinct_real": 5}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10,'
+                ' "version": "0.1.0"}, "gaps": [true, true, true, true,'
+                ' true], "inner_intervals": [["-1449187/140450", "0/1"],'
+                ' ["0/1", "1449187/2247200"], ["1449187/2247200",'
+                ' "4347561/4494400"], ["4347561/4494400",'
+                ' "1449187/1123600"], ["1449187/561800",'
+                ' "1449187/280900"]],'
+                ' "outer_intervals": [["-53557841249999/22550670000000",'
+                ' "-160673523749993/135304020000000"],'
+                ' ["-160673523749993/135304020000000", "1/16913002500000"],'
+                ' ["1/16913002500000", "10711568250001/18040536000000"],'
+                ' ["10711568250001/18040536000000",'
+                ' "160673523750007/135304020000000"],'
+                ' ["53557841250001/22550670000000",'
+                ' "160673523750001/33826005000000"]], "passed": true}\n',
+        }),
+}
+
+
+
+@pytest.mark.parametrize("name", list(EXACT_GOLDEN))
+def test_exact_commands_print_frozen_bytes(capsys, name):
+    matrix, outputs = EXACT_GOLDEN[name]
+    for cmd, expected in outputs.items():
+        assert invoke(capsys, [cmd, "--matrix", matrix]) == (0, expected, "")
 
 
 class TestDeterminism:

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secular.errors import DomainError, UnsupportedFlavorError
+from secular.errors import (
+    DomainError,
+    InternalInconsistencyError,
+    UnsupportedFlavorError,
+)
 from secular.matrixcore import (
     Inertia,
     QuadraticForm,
     SquareMatrix,
+    _exact_quotient,
     char_poly,
     faddeev_leverrier,
     hermite_root_count,
@@ -104,6 +109,46 @@ def test_faddeev_leverrier_adjugate_inverts_resolvent(A, s):
     det = resolvent.det()
     assert det == sum(c * s ** k for k, c in enumerate(coeffs))
     assert adj.matmul(resolvent) == SquareMatrix.identity(n).scale(det)
+
+
+def _fraction_faddeev_leverrier(rows):
+    """The recursion in Fractions throughout: the reference for the
+    integer recursion faddeev_leverrier runs on exact rows."""
+    n = len(rows)
+    coeffs = [Fraction(1)] * (n + 1)
+    M = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    Ms = []
+    for k in range(1, n + 1):
+        Ms.append(M)
+        AM = [[sum(rows[i][l] * M[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(AM[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
+             for i in range(n)]
+    return coeffs, Ms
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_faddeev_leverrier_on_integers_matches_fractions(rows):
+    coeffs, Ms = faddeev_leverrier(rows)
+    assert (coeffs, Ms) == _fraction_faddeev_leverrier(rows)
+    assert all(type(c) is Fraction for c in coeffs)
+    assert all(type(x) is Fraction for M in Ms for r in M for x in r)
+
+
+def test_integer_recursion_refuses_an_inexact_division():
+    with pytest.raises(InternalInconsistencyError, match="not divisible"):
+        _exact_quotient(7, 2)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import secular.ratpoly
 from secular.errors import DomainError
@@ -267,3 +267,30 @@ def test_count_with_root_endpoints_matches_planted_roots(roots, complex_pair,
                                        max_size=2, unique=True)))
     assert count_real_roots(p, lo, hi) == len({r for r in roots
                                                if lo < r <= hi})
+
+
+def _fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_coefficients = st.lists(st.fractions(-50, 50, max_denominator=12),
+                         max_size=9)  # the empty list is the zero polynomial
+_points = st.one_of(
+    st.fractions(-1000, 1000, max_denominator=1000),
+    st.floats(-1e3, 1e3, allow_nan=False).map(Fraction))
+
+
+@given(_coefficients, _points)
+@example([], Fraction(3, 7))
+@example([Fraction(-5, 3)], Fraction(2))
+@example([0, 0], Fraction(0))
+@settings(max_examples=300, deadline=None)
+def test_integer_evaluation_matches_fraction_horner(coeffs, x):
+    p = P(coeffs)
+    ref = _fraction_horner(p.coeffs, x)
+    assert p.eval_frac(x) == ref and type(p.eval_frac(x)) is Fraction
+    assert p.sign_at(x) == (ref > 0) - (ref < 0)
+    assert float(p.eval_frac(x)) == p.eval_float(x) == float(ref)
