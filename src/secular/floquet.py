@@ -3,16 +3,18 @@
 The shared adaptive integrator (`integrate`) takes the Dormand-Prince
 8(5,3) step itself (Hairer, Norsett and Wanner, *Solving ODEs I*, II.10),
 with the tableau, step-size controller and initial-step rule of scipy's
-DOP853 and the event semantics of `solve_ivp`; a flight of one start is
-bit-identical to ``solve_ivp(method="DOP853")``.  It also flies a stack of
-starts in one loop: each member keeps its own time, step size and
-rejections, so it takes the steps of its own flight, while one vectorized
+DOP853 and the event semantics of `solve_ivp`.  The start's width picks
+one of two loops under that one step rule.  A flight of one start, alone
+or as a stack of one, runs scipy's scalar controller on Python floats
+and is bit-identical to ``solve_ivp(method="DOP853")``.  A lone start is
+sampled at the times its caller names (``t_eval``): the 7th-order
+interpolant costs three more right-hand-side calls, so only a step that
+holds a sample or an event builds it.  A stack of starts flies in one
+numpy loop: each member keeps its own time, step size and rejections,
+so it takes the steps of its own flight, while one vectorized
 right-hand-side call per stage serves every member.  The three-body and
 surface-of-section modules reuse it, and `monodromy` flies a family of
-periodic systems, such as a Hill grid, as one stack.  A solo flight
-is sampled at the times its caller names (``t_eval``): the 7th-order
-interpolant costs three more right-hand-side calls, so only a step that
-holds a sample or an event builds it.  A
+periodic systems, such as a Hill grid, as one stack.  A
 time-reversible system, such as Hill's equation, flies half a period and
 `reversed_monodromy` reads M off it, the rule by which the three-body
 corrector reads a symmetric orbit's M off its half-period STM.
@@ -42,6 +44,9 @@ _EPS = np.finfo(float).eps
 _S = _dop.N_STAGES
 _A, _B, _C = _dop.A[:_S, :_S], _dop.B, _dop.C[:_S]
 _A_EXTRA, _C_EXTRA = _dop.A[_S + 1:], _dop.C[_S + 1:]
+# a flight of one's stage rows of the tableau and stage times in floats
+_A_ROWS = [_A[s, :s] for s in range(_S)]
+_C_FLOATS = _C.tolist()
 # scipy's step-size controller
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10, -1 / 8
 _TOO_SMALL = "Required step size is less than spacing between numbers."
@@ -75,6 +80,21 @@ def _dense_coefficients(rhs, K, t_old, h, y_old, y):
     return F
 
 
+def _fires(g_old, g, direction):
+    """Whether an event of scipy's ``direction`` fires as its value goes
+    from g_old to g over a step, as solve_ivp decides it."""
+    up, down = g_old <= 0 <= g, g_old >= 0 >= g
+    return up and direction > 0 or down and direction < 0 or (
+        up or down) and direction == 0
+
+
+def _root(event, step, t):
+    """The event's root in the step (t_old, h, y_old, F) that ends at t,
+    by brentq on the step's interpolant."""
+    return brentq(lambda tt: event(tt, _interpolate(tt, *step)), step[0], t,
+                  xtol=4 * _EPS, rtol=4 * _EPS)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A flight's steps, or its samples at the times it was asked for,
@@ -102,6 +122,11 @@ def _norms(W, k):
     return np.sqrt(np.matmul(E[..., None, :], E[..., None])[..., 0, 0])
 
 
+def _rms(v):
+    """scipy's RMS norm of one vector, through np.linalg.norm's BLAS dot."""
+    return math.sqrt(v.dot(v)) / len(v) ** 0.5
+
+
 def _combine(K, a):
     """The combination a of each member's stage rows, K of shape (k,
     len(a), n), as the flat (n, k) stack.  One gemv per member, bit for
@@ -110,6 +135,20 @@ def _combine(K, a):
     if len(K) == 1:  # the same gemv, without the batch loop
         return np.dot(K[0].T, a)
     return np.matmul(K.transpose(0, 2, 1), a).T.ravel()
+
+
+def _first_guess(d0, d1, interval):
+    """scipy's h0, from the scaled RMS norms of the start (d0) and of its
+    derivative (d1)."""
+    return min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+
+
+def _first_step(h0, d1, df, interval):
+    """scipy's initial step, from h0, d1 and the scaled RMS norm df of the
+    derivative's change over h0."""
+    d2 = df / h0 if h0 else math.inf
+    return min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15
+               and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8), interval)
 
 
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
@@ -129,19 +168,27 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     step size that underflows, or a step size or error estimate that is
     not finite, ends the flight with a SingularityError.
 
-    x0 of shape (n, m) is a stack of m starts flown in one loop, each
-    member with its own time, step size and rejections, so with the steps
-    of its own flight, bit for bit if f treats its members apart (each
-    member's stages are combined by a BLAS call of its own).  f then takes the times of the k members in the
-    call, an array, and their states as the flattened (n, k) row-major
-    stack, and returns their derivatives likewise.  Without events every
-    call holds all m members in x0's order, a member that has reached the
-    end standing still, so f may be a family of m systems.  With events,
-    ``events`` holds one per member, called with its state, and a member
-    leaves the calls at its terminal event or the end of the span.
-    ``final`` holds each member's last state and ``t`` the start and the
-    latest end; it takes no t_eval.  A SingularityError names in
-    ``members`` the members at fault, by their index in x0.
+    x0 of shape (n, m) is a stack of m starts, each member with its own
+    time, step size and rejections.  f then takes the times of the k
+    members in the call, an array, and their states as the flattened
+    (n, k) row-major stack, and returns their derivatives likewise.
+    Without events every call holds all m members in x0's order, a member
+    that has reached the end standing still, so f may be a family of m
+    systems.  With events, ``events`` holds one per member, called with
+    its state, and a member leaves the calls at its terminal event or the
+    end of the span.  ``final`` holds each member's last state and ``t``
+    the start and the latest end; it takes no t_eval.  A SingularityError
+    names in ``members`` the members at fault, by their index in x0.
+
+    The start's width picks the loop, under one step rule, scipy's.  A
+    flight of one, a lone start or a stack of one, runs scipy's scalar
+    controller on Python floats, with the stage sums and error norms of
+    scipy's numpy calls, so it is bit for bit ``solve_ivp(method=
+    "DOP853")``.  A stack of m > 1 runs the controller over the stack in
+    numpy, with one f call per stage for every member in flight; each
+    member's stages are combined by a BLAS call of its own, so a member
+    takes the steps of its flight alone, bit for bit if f treats its
+    members apart.
     """
     tol = float(tol)
     t0, t_end = map(float, t_span)
@@ -156,21 +203,11 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     n, m = x0.shape if stacked else (len(x0), 1)
     events = () if events is None else \
         (events,) if callable(events) else tuple(events)
-    sampled = t_eval is not None
-    if stacked and (sampled or len(events) not in (0, m)):
+    if stacked and (t_eval is not None or len(events) not in (0, m)):
         raise DomainError("a stacked flight takes no t_eval and one event "
                           "per member")
-    # each member's events, by index into events
-    mine = [[j] for j in range(m)] if stacked and events else \
-        [list(range(len(events)))]
-    # occurrences of each event that end its member's flight
-    max_events = np.array([getattr(e, "terminal", None) or math.inf
-                           for e in events], dtype=float)
-    ev_dir = [getattr(e, "direction", 0) for e in events]
     direction = 1.0 if t_end >= t0 else -1.0
-    toward = direction * math.inf
-    clip = np.minimum if direction > 0 else np.maximum  # no step past t_end
-    if sampled:
+    if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         ahead = direction * t_eval  # ascending
         if t_eval.ndim != 1 or not (
@@ -178,8 +215,184 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
             raise DomainError(f"t_eval must be times within {t_span}")
         if (np.diff(ahead) < 0).any():
             raise DomainError("t_eval must be sorted in the flight's direction")
-        i_eval = 0  # the first sample not yet taken
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2
+    if m > 1:
+        T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events)
+        t_out = np.array([t0, T[np.argmax(direction * T)]])
+        y_out = np.column_stack((x0.ravel(), Y.ravel()))
+    else:
+        ts, ys, *out = _fly_one(f, x0.ravel(), t0, t_end, rtol, atol, events,
+                                t_eval, stacked)
+        if stacked:
+            t_out = np.array([t0, ts[-1]])
+            y_out = np.column_stack((x0.ravel(), ys[-1]))
+        else:
+            t_out, y_out = np.array(ts), np.array(ys).reshape(-1, n).T
+    t_events, y_events, n_acc, n_rej, states = out
+    return Trajectory(
+        t_out, y_out,
+        tuple(np.asarray(te) for te in t_events) if events else None,
+        tuple(np.asarray(ye) for ye in y_events) if events else None,
+        n_acc, n_rej, states,
+    )
+
+
+def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
+    """One start's flight, scipy's DOP853 step by step: the stage sums
+    np.dot(K[:s].T, a) * h and the error norms as scipy's numpy calls take
+    them, the controller on Python floats.  A stack of one (``stacked``)
+    is called with its time in an array and named as member 0 in a
+    SingularityError.  Returns the steps (the samples, given t_eval) and
+    the states there, the events, and the work done."""
+    n = len(y)
+    direction = 1.0 if t_end >= t else -1.0
+    toward = direction * math.inf
+    states = 0
+
+    def rhs(t, y):
+        nonlocal states
+        states += 1
+        try:
+            return f(np.array([t]) if stacked else t, y)
+        except SingularityError as e:
+            if stacked:
+                e.members = (0,)
+            else:
+                e.members = e.reasons = ()
+            raise
+
+    def failure(reason):
+        return SingularityError(
+            f"integration failed near t={t:.6g}: {reason}", t=t,
+            members=(0,) if stacked else ())
+
+    g = [e(t, y) for e in events]
+    ev_dir = [getattr(e, "direction", 0) for e in events]
+    # occurrences of each event that end the flight
+    max_events = [getattr(e, "terminal", None) or math.inf for e in events]
+    count = [0] * len(events)
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    sampled = t_eval is not None
+    if sampled:
+        ahead, i_eval = direction * t_eval, 0  # the first sample not taken
+    ts, ys = ([], []) if sampled else ([t], [y.copy()])
+    acc = rej = 0
+
+    def work():
+        return t_events, y_events, np.array([acc]), np.array([rej]), states
+
+    if t == t_end:  # solve_ivp's one empty step
+        if sampled:
+            ts, ys = list(t_eval), [y.copy()] * len(t_eval)
+        return (ts, ys, *work())
+    # scipy's initial step; K's rows are the step's stages, K[0] f(t, y)
+    K = np.empty((_S + 1, n))
+    KT = [K[:s].T for s in range(_S + 2)]
+    K[0] = rhs(t, y)
+    interval = abs(t_end - t)
+    scale = atol + np.abs(y) * rtol
+    with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
+        d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    h0 = _first_guess(d0, d1, interval)
+    f1 = np.asarray(rhs(t + h0 * direction, y + h0 * direction * K[0]),
+                    dtype=float)
+    h_abs = _first_step(h0, d1, _rms((f1 - K[0]) / scale), interval)
+    if h0 == 0:  # d1 overflowed, as scipy's next error estimate will
+        raise failure(_TOO_SMALL)
+    retry = False
+
+    def interpolant():
+        """t_old, h, y_old and F of the step just taken."""
+        return t_old, h, y_old, _dense_coefficients(rhs, K, t_old, h, y_old,
+                                                    y)
+
+    while True:
+        # scipy's step: at least min_step, unless it retries a rejection
+        min_step = 10 * abs(math.nextafter(t, toward) - t)
+        if not retry:
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:
+            raise failure(_FAILURES[1 if math.isfinite(h_abs) else 2])
+        t_new = t + h_abs * direction
+        t_new = min(t_new, t_end) if direction > 0 else max(t_new, t_end)
+        h = t_new - t
+        for s in range(1, _S):
+            K[s] = rhs(t + _C_FLOATS[s] * h,
+                       y + np.dot(KT[s], _A_ROWS[s]) * h)
+        y_new = y + h * np.dot(KT[_S], _B)
+        K[_S] = rhs(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        w5 = np.dot(KT[_S + 1], _dop.E5) / scale
+        w3 = np.dot(KT[_S + 1], _dop.E3) / scale
+        # the powers are Python's, libm's as scipy's scalars take them
+        e5, e3 = math.sqrt(w5.dot(w5)) ** 2, math.sqrt(w3.dot(w3)) ** 2
+        h_abs = abs(h)
+        if e5 == 0 and e3 == 0:
+            err = 0.0
+        else:
+            d = math.sqrt((e5 + 0.01 * e3) * n)
+            err = h_abs * e5 / d if d else math.nan
+        if not math.isfinite(err):
+            raise failure("the error estimate is not finite")
+        grow = _SAFETY * (err ** _ERR_EXP if err else math.inf)
+        if err >= 1:
+            rej += 1
+            h_abs *= max(grow, _MIN_FACTOR)
+            retry = True
+            continue
+        acc += 1
+        h_abs *= min(grow, 1.0 if retry else _MAX_FACTOR)
+        retry = False
+        t_old, y_old, t, y = t, y, t_new, y_new
+        step = stop = None
+        active = []
+        for e, event in enumerate(events):
+            g_old, g[e] = g[e], event(t, y)
+            if _fires(g_old, g[e], ev_dir[e]):
+                active.append(e)
+        if active:
+            step = interpolant()
+            hits = [(e, _root(events[e], step, t)) for e in active]
+            for e in active:
+                count[e] += 1
+            if any(count[e] >= max_events[e] for e in active):
+                # the flight ends at the first root of a terminal event
+                hits.sort(key=lambda hit: direction * hit[1])
+                last = next(i for i, (e, _) in enumerate(hits)
+                            if count[e] >= max_events[e])
+                del hits[last + 1:]
+                stop = hits[-1][1], _interpolate(hits[-1][1], *step)
+            for e, te in hits:
+                t_events[e].append(te)
+                y_events[e].append(_interpolate(te, *step))
+        if sampled:  # the samples in (t_old, t], t0's in the first step
+            end = stop[0] if stop else t
+            i_new = int(np.searchsorted(ahead, direction * end, "right"))
+            if i_new > i_eval:
+                step = step or interpolant()
+                ts.extend(t_eval[i_eval:i_new])
+                ys.extend(_interpolate(te, *step)
+                          for te in t_eval[i_eval:i_new])
+                i_eval = i_new
+        else:
+            ts.append(stop[0] if stop else t)
+            ys.append(stop[1] if stop else y)
+        if stop or t == t_end:
+            return (ts, ys, *work())
+        K[0] = K[_S]
+
+
+def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
+    """m > 1 starts flown in one loop, scipy's controller over the stack in
+    numpy.  Returns each member's last time and state, its events, and the
+    work done."""
+    n, m = x0.shape
+    direction = 1.0 if t_end >= t0 else -1.0
+    toward = direction * math.inf
+    clip = np.minimum if direction > 0 else np.maximum  # no step past t_end
+    # occurrences of each member's event that end its flight
+    max_events = [getattr(e, "terminal", None) or math.inf for e in events]
+    ev_dir = [getattr(e, "direction", 0) for e in events]
     states = 0
 
     def rhs(t, y, who):
@@ -187,32 +400,28 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         nonlocal states
         states += len(who)
         try:
-            return np.asarray(f(t if stacked else t[0], y), dtype=float)
+            return np.asarray(f(t, y), dtype=float)
         except SingularityError as e:
             # name the members at fault by their index in x0; with one
             # member in the call, that member is at fault
-            if not stacked:
-                e.members = e.reasons = ()
-            elif e.members or len(who) > 1:
+            if e.members or len(who) > 1:
                 e.members = tuple(int(who[j]) for j in e.members)
             else:
                 e.members = (int(who[0]),)
             raise
 
-    T, Y = np.full(m, t0), x0.reshape(n, m).copy()  # each member's last
-    g = [events[e](t0, Y[:, j]) for j, es in enumerate(mine) for e in es]
+    T, Y = np.full(m, t0), x0.copy()  # each member's last
+    g = [e(t0, Y[:, j]) for j, e in enumerate(events)]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
-    count = np.zeros(len(events))
+    count = [0] * len(events)
     n_acc, n_rej = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    # a solo flight's record: its steps, or its samples
-    ts, ys = ([], []) if sampled else ([t0], [x0.ravel().copy()])
     # the members in the calls to f, and per member its time, state,
     # derivative, whether its last try was rejected, its accepted and
     # rejected steps, and the end, length and failure of its next try
     # (0: none, else the index of its reason in _FAILURES)
     cols = np.arange(m)
-    t, y = np.full(m, t0), Y.ravel().copy()
+    t, y = np.full(m, t0), x0.ravel().copy()
     retry, acc, rej = np.zeros(m, bool), np.zeros(m, int), np.zeros(m, int)
     rows = np.tile(cols, n)  # the member of each entry of y
 
@@ -229,13 +438,10 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     def failure(p, reason):
         return SingularityError(
             f"integration failed near t={t[p]:.6g}: {reason}", t=float(t[p]),
-            members=(int(cols[p]),) if stacked else ())
+            members=(int(cols[p]),))
 
     if t0 == t_end:  # solve_ivp's one empty step
         cols = cols[:0]
-        done = t_eval if sampled else [t0]
-        ts.extend(done)
-        ys.extend([x0.ravel()] * len(done))
     else:  # scipy's initial step
         fy = rhs(np.array(t), y, cols)
         interval = abs(t_end - t0)
@@ -243,15 +449,12 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
             d0, d1 = (_norms(np.array((y / scale, fy / scale)), m)
                       / n ** 0.5).tolist()
-        h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
-              for a, b in zip(d0, d1)]
+        h0 = [_first_guess(a, b, interval) for a, b in zip(d0, d1)]
         f1 = rhs(t0 + np.array(h0) * direction,
                  y + (np.array(h0) * direction)[rows] * fy, cols)
         df = (_norms((f1 - fy)[None] / scale, m)[0] / n ** 0.5).tolist()
-        d2 = [b / a if a else math.inf for a, b in zip(h0, df)]
-        H = np.array([min(100 * a, max(1e-6, a * 1e-3) if b <= 1e-15
-                          and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 8),
-                          interval) for a, b, c in zip(h0, d1, d2)])
+        H = np.array([_first_step(a, b, c, interval)
+                      for a, b, c in zip(h0, d1, df)])
         t_new, hh, fail = plan(t, H, retry)
         # d1 overflowed, as scipy's next error estimate will
         fail[np.array(h0) == 0] = 1
@@ -304,56 +507,25 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         else:
             a = accept[rows]
             y, fy = np.where(a, y_new, y), np.where(a, f_new, fy)
-        moved = np.flatnonzero(accept & (h_step != 0)).tolist()
         leave = t == t_end if events else np.full(k, (t == t_end).all())
         exits = {}  # position -> (time, state) where a terminal event hit
         t_now = t.tolist()
-        for p in moved if events or sampled else ():
-            def interpolant(p=p):
-                """t_old, h, y_old and F of the step of the member at p."""
-                F = _dense_coefficients(
-                    lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
-                    K[p], t_old[p], h_step[p], y_old[p::k],
-                    y_new[p::k])
-                return t_old[p], h_step[p], y_old[p::k], F
-            step = None
-            active = []
-            for e in mine[cols[p]] if events else ():
-                g_old, g[e] = g[e], events[e](t_now[p], y_new[p::k])
-                up, down = g_old <= 0 <= g[e], g_old >= 0 >= g[e]
-                d = ev_dir[e]
-                if up and d > 0 or down and d < 0 or (up or down) and d == 0:
-                    active.append(e)
-            if active:
-                step = interpolant()
-                active = np.array(active)
-                count[active] += 1
-                roots = np.asarray([
-                    brentq(lambda tt: events[e](tt, _interpolate(tt, *step)),
-                           step[0], t_now[p], xtol=4 * _EPS, rtol=4 * _EPS)
-                    for e in active])
-                if np.any(count[active] >= max_events[active]):
-                    order = np.argsort(direction * roots)
-                    active, roots = active[order], roots[order]
-                    last = np.nonzero(count[active] >= max_events[active])[0][0]
-                    active, roots = active[:last + 1], roots[:last + 1]
-                    exits[p] = roots[-1], _interpolate(roots[-1], *step)
-                    leave[p] = True
-                for e, te in zip(active, roots):
-                    t_events[e].append(te)
-                    y_events[e].append(_interpolate(te, *step))
-            if sampled:  # the samples in (t_old, t], t0's in the first step
-                end = exits[p][0] if exits else t_now[p]
-                i_new = int(np.searchsorted(ahead, direction * end, "right"))
-                if i_new > i_eval:
-                    step = step or interpolant()
-                    ts.extend(t_eval[i_eval:i_new])
-                    ys.extend(_interpolate(te, *step)
-                              for te in t_eval[i_eval:i_new])
-                    i_eval = i_new
-        if not (stacked or sampled) and moved:
-            ts.append(exits[0][0] if exits else t_now[0])
-            ys.append(exits[0][1] if exits else y)
+        moved = np.flatnonzero(accept & (h_step != 0)).tolist()
+        for p in moved if events else ():
+            j = cols[p]
+            g_old, g[j] = g[j], events[j](t_now[p], y_new[p::k])
+            if not _fires(g_old, g[j], ev_dir[j]):
+                continue
+            step = (t_old[p], h_step[p], y_old[p::k], _dense_coefficients(
+                lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
+                K[p], t_old[p], h_step[p], y_old[p::k], y_new[p::k]))
+            te = _root(events[j], step, t_now[p])
+            count[j] += 1
+            t_events[j].append(te)
+            y_events[j].append(_interpolate(te, *step))
+            if count[j] >= max_events[j]:
+                exits[p] = te, y_events[j][-1]
+                leave[p] = True
         if leave.any():
             j = cols[leave]
             T[j], Y[:, j] = t[leave], y.reshape(n, k)[:, leave]
@@ -367,17 +539,7 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
             y = y.reshape(n, k)[:, stay].ravel()
             fy = fy.reshape(n, k)[:, stay].ravel()
             rows = np.tile(np.arange(len(cols)), n)
-    if stacked:
-        t_out = np.array([t0, T[np.argmax(direction * T)]])
-        y_out = np.column_stack((x0.ravel(), Y.ravel()))
-    else:
-        t_out, y_out = np.array(ts), np.array(ys).reshape(-1, n).T
-    return Trajectory(
-        t_out, y_out,
-        tuple(np.asarray(te) for te in t_events) if events else None,
-        tuple(np.asarray(ye) for ye in y_events) if events else None,
-        n_acc, n_rej, states,
-    )
+    return T, Y, t_events, y_events, n_acc, n_rej, states
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import UserList
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +314,19 @@ def char_poly(A: SquareMatrix) -> CharPoly:
     return CharPoly(RationalPolynomial(faddeev_leverrier(A.rows)[0]))
 
 
+class _ScaledBack(UserList):
+    """The M_k(A) = M_k(B)/D^k of an exact recursion, scaled back from
+    B's integer M_k when first read: `char_poly` reads none of them."""
+
+    def __init__(self, Ms, D):  # no list until one is read
+        self._Ms, self._D = Ms, D
+
+    @cached_property
+    def data(self):
+        return [[[Fraction(x, self._D ** k) for x in r] for r in M]
+                for k, M in enumerate(self._Ms)]
+
+
 def faddeev_leverrier(rows):
     """det(sI - A) and adj(sI - A) by the Faddeev-LeVerrier recursion.
 
@@ -323,7 +338,8 @@ def faddeev_leverrier(rows):
 
     Exact rows run in integers: with A = B/D, D the lcm of the entries'
     denominators, B's coefficients and M_k are integers, so each / k is
-    exact, and c_{n-k}(A) = c_{n-k}(B)/D^k, M_k(A) = M_k(B)/D^k.
+    exact, and c_{n-k}(A) = c_{n-k}(B)/D^k, M_k(A) = M_k(B)/D^k, the
+    latter on first read of Ms, a list-like sequence then.
     """
     n = len(rows)
     exact = all(isinstance(x, Fraction) for r in rows for x in r)
@@ -345,8 +361,7 @@ def faddeev_leverrier(rows):
              for i in range(n)]
     if exact:
         coeffs = [Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs)]
-        Ms = [[[Fraction(x, D ** k) for x in r] for r in M]
-              for k, M in enumerate(Ms)]
+        Ms = _ScaledBack(Ms, D)
     return coeffs, Ms
 
 

@@ -4,10 +4,11 @@ Nondimensional units throughout: primary separation 1, angular rate 1,
 total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  The
 collinear libration points are located exactly: the axis equilibrium
 condition becomes a quintic with rational coefficients on each axis
-segment, isolated with a Sturm chain and refined to 1e-12.
+segment, isolated with a Sturm chain and refined to 1e-13.
 
 The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
-stacks of states, and `_var_rhs` adds the state-transition matrix to it.
+stacks of states, and `_var_rhs` evaluates it on one state's floats,
+with the state-transition matrix from Omega's Hessian at the same radii.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifold
 layers in `secular.section`; it flies one start, or a stack of starts in
@@ -82,30 +83,27 @@ def effective_potential(x, y, mu):
     return 0.5 * (x * x + y * y) + (1.0 - mu) / r1 + mu / r2
 
 
-def _omega_gradient(x, y, mu):
+def _omega_partials(x, y, mu, hessian=False):
+    """Omega's gradient (ox, oy) at (x, y), floats or arrays; with
+    ``hessian``, its Hessian (oxx, oxy, oyy) follows, from the same radii."""
     r1, r2 = _radii(x, y, mu)
-    c1 = (1.0 - mu) / r1 ** 3
-    c2 = mu / r2 ** 3
-    ox = x - c1 * (x + mu) - c2 * (x - 1.0 + mu)
-    oy = y - c1 * y - c2 * y
-    return ox, oy
-
-
-def _omega_hessian(x, y, mu):
-    r1, r2 = _radii(x, y, mu)
+    a, b = x + mu, x - 1.0 + mu
     c1, c2 = (1.0 - mu) / r1 ** 3, mu / r2 ** 3
+    grad = (x - c1 * a - c2 * b, y - c1 * y - c2 * y)
+    if not hessian:
+        return grad
     d1, d2 = 3.0 * (1.0 - mu) / r1 ** 5, 3.0 * mu / r2 ** 5
-    oxx = 1.0 - c1 - c2 + d1 * (x + mu) ** 2 + d2 * (x - 1.0 + mu) ** 2
-    oyy = 1.0 - c1 - c2 + d1 * y * y + d2 * y * y
-    oxy = d1 * (x + mu) * y + d2 * (x - 1.0 + mu) * y
-    return oxx, oxy, oyy
+    return grad + (1.0 - c1 - c2 + d1 * a ** 2 + d2 * b ** 2,
+                   d1 * a * y + d2 * b * y,
+                   1.0 - c1 - c2 + d1 * y * y + d2 * y * y)
 
 
-def _derivative(x, y, vx, vy, mu):
-    """The one statement of the flow: the derivative of one state (floats)
-    or of a stack of states (arrays)."""
-    ox, oy = _omega_gradient(x, y, mu)
-    return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+def _derivative(x, y, vx, vy, mu, hessian=False):
+    """The one statement of the flow: the derivative (x', y', vx', vy') of
+    one state (floats) or of a stack of states (arrays), as a tuple; with
+    ``hessian``, Omega's Hessian (oxx, oxy, oyy) at the state follows."""
+    ox, oy, *second = _omega_partials(x, y, mu, hessian)
+    return (vx, vy, 2.0 * vy + ox, -2.0 * vx + oy, *second)
 
 
 def _flow_rhs(mu):
@@ -119,13 +117,13 @@ def _flow_rhs(mu):
     in any stack.
     """
     def rhs(t, z):
-        return _derivative(*np.reshape(z, (4, -1)), mu).ravel()
+        return np.array(_derivative(*np.reshape(z, (4, -1)), mu)).ravel()
     return rhs
 
 
 def eom(state, mu):
     """Rotating-frame equations of motion (x, y, vx, vy) -> derivative."""
-    return _derivative(*state, _check_mu(mu))
+    return np.array(_derivative(*state, _check_mu(mu)))
 
 
 def jacobi_constant(state, mu):
@@ -248,7 +246,7 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     """
     mu = _check_mu(mu)
     x, y = point.position
-    oxx, oxy, oyy = _omega_hessian(x, y, mu)
+    oxx, oxy, oyy = _omega_partials(x, y, mu, True)[2:]
     p = 4.0 - oxx - oyy
     q = oxx * oyy - oxy * oxy
     disc = p * p - 4.0 * q
@@ -267,22 +265,26 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     return LibrationStability(point, (p, q), roots, verdict)
 
 
-def _variational_matrix(x, y, mu) -> np.ndarray:
-    oxx, oxy, oyy = _omega_hessian(x, y, mu)
-    return np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [oxx, oxy, 0.0, 2.0],
-        [oxy, oyy, -2.0, 0.0],
-    ])
-
-
 def _var_rhs(mu):
-    """x' = f(x) jointly with STM' = A(x) STM, packed as 20 floats."""
+    """x' = f(x) jointly with STM' = A(x) STM, packed as 20 floats.
+
+    One state on Python floats: its radii serve the flow and the Hessian
+    in A alike.  The closure keeps A, whose constant entries are set once,
+    and each call returns a new 20-vector: the state's derivative, then
+    A STM written into it.
+    """
+    A = np.array([[0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.0, 2.0],
+                  [0.0, 0.0, -2.0, 0.0]])
+
     def rhs(t, z):
-        A = _variational_matrix(z[0], z[1], mu)
-        return np.concatenate((_derivative(*z[:4], mu),
-                               (A @ z[4:].reshape(4, 4)).ravel()))
+        out = np.empty(20)
+        (out[0], out[1], out[2], out[3],
+         A[2, 0], A[2, 1], A[3, 1]) = _derivative(*z[:4].tolist(), mu, True)
+        A[3, 0] = A[2, 1]
+        np.matmul(A, z[4:].reshape(4, 4), out=out[4:].reshape(4, 4))
+        return out
     return rhs
 
 
@@ -397,7 +399,7 @@ def lyapunov_seed(mu: float, point: LibrationPoint, amplitude: float):
                           f"is at y = {point.position[1]:.6g}")
     stab = libration_stability(mu, point)
     w = stab.center_frequency
-    oxx, _, _ = _omega_hessian(point.position[0], point.position[1], mu)
+    oxx = _omega_partials(*point.position, mu, True)[2]
     k = (w * w + oxx) / (2.0 * w)
     x0 = point.position[0] - amplitude
     vy0 = k * amplitude * w

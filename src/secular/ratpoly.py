@@ -34,11 +34,14 @@ def _json_number(x):
 def parse_rational(x, what: str) -> Fraction:
     """One input number, from JSON or text, as a Fraction; `what` names it
     in the DomainError for a value that is not a number (JSON true and
-    false included) or has a zero denominator."""
+    false, text such as "abc", and NaN included) or has a zero
+    denominator."""
     try:
         return Fraction(_json_number(x))
     except (TypeError, OverflowError) as e:
         raise DomainError(f"bad {what}: {e}") from e
+    except ValueError as e:
+        raise DomainError(f"bad {what}: {x} is not a number") from e
     except ZeroDivisionError as e:
         raise DomainError(f"bad {what}: {x} has a zero denominator") from e
 

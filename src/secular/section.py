@@ -27,7 +27,7 @@ from .pcr3bp import (
     _check_mu,
     _flow_rhs,
     _flow_to_crossing,
-    _omega_gradient,
+    _omega_partials,
     _var_rhs,
     _with_stm,
     effective_potential,
@@ -130,7 +130,7 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
                               sd.direction)
     M = zc[4:].reshape(4, 4)
 
-    ox0, _ = _omega_gradient(z0[0], 0.0, mu)
+    ox0, _ = _omega_partials(z0[0], 0.0, mu)
     L = np.array([  # tangent lift: columns (dx, dvx) -> (dx, dy, dvx, dvy)
         [1.0, 0.0],
         [0.0, 0.0],

@@ -206,6 +206,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: input: {message}: 1/0 has a zero denominator\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sturm", "count", "--poly", "abc"], "bad polynomial coefficient"),
+        (["sturm", "count", "--poly", "1,1", "--lo", "abc"], "bad --lo"),
+    ], ids=["coefficient", "lo"])
+    def test_malformed_number_names_the_input(self, capsys, argv, message):
+        # these once read "error: input: Invalid literal for Fraction: 'abc'"
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: input: {message}: abc is not a number\n"
+
     def test_non_list_coeffs_is_input_error(self, capsys):
         code, out, err = invoke(capsys, [
             "sturm", "count", "--poly", '{"coeffs": 5}'])

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from secular import pcr3bp
 from secular.cli import run
 from secular.errors import DomainError, SingularityError
 from secular.floquet import (
@@ -311,6 +312,68 @@ class TestIntegrateAgainstSolveIvp:
                         rtol=1e-10, atol=1e-12, t_eval=ts)
         assert np.array_equal(traj.t, ref.t)
         assert np.max(np.abs(traj.y - ref.y)) <= 1e-7
+
+
+class TestFlightOfOne:
+    """The corrector's flight: one 20-float state and STM start, flown as
+    a stack of one to its crossing."""
+
+    @staticmethod
+    def _corrector_flight(monkeypatch):
+        """The first Newton step's flight of the L1 Lyapunov corrector,
+        as `_flow_to_crossing` flies it: its rhs, start, span, event and
+        the Trajectory it got."""
+        mu = 0.012150585
+        state, t_half = pcr3bp.lyapunov_seed(
+            mu, pcr3bp.libration_points(mu)[0], 1e-3)
+        flights = []
+
+        def recording(*args, **kwargs):
+            flights.append((args, kwargs, integrate(*args, **kwargs)))
+            return flights[-1][-1]
+        monkeypatch.setattr(pcr3bp, "integrate", recording)
+        rhs, z0 = pcr3bp._var_rhs(mu), pcr3bp._with_stm(state)
+        pcr3bp._flow_to_crossing(rhs, z0, 4.0 * t_half, 1e-12, -1.0)
+        ((_, Z, span, tol), kwargs, traj), = flights
+        assert Z.shape == (20, 1)
+        return rhs, z0, span, tol, kwargs["events"], traj
+
+    def test_corrector_flight_bit_identical_to_solve_ivp(self, monkeypatch):
+        rhs, z0, span, tol, (crossing,), traj = \
+            self._corrector_flight(monkeypatch)
+        ref = solve_ivp(rhs, span, z0, method="DOP853", rtol=tol,
+                        atol=tol * 1e-2, events=crossing)
+        assert ref.status == 1
+        assert np.array_equal(traj.t_events[0], ref.t_events[0])
+        assert np.array_equal(traj.y_events[0], ref.y_events[0])
+        assert np.array_equal(traj.final, ref.y_events[0][-1])
+        assert traj.states_evaluated == ref.nfev
+
+    def test_stack_of_one_flies_as_the_lone_start(self, monkeypatch):
+        rhs, z0, span, tol, events, stack = \
+            self._corrector_flight(monkeypatch)
+        alone = integrate(rhs, z0, span, tol, events)
+        assert stack.t.shape == (2,) and stack.y.shape == (20, 2)
+        assert np.array_equal(stack.final, alone.final)
+        assert np.array_equal(stack.t[-1], alone.t[-1])
+        assert np.array_equal(stack.accepted_steps, alone.accepted_steps)
+        assert np.array_equal(stack.rejected_steps, alone.rejected_steps)
+        assert stack.states_evaluated == alone.states_evaluated
+        for mine, theirs in zip(stack.t_events + stack.y_events,
+                                alone.t_events + alone.y_events):
+            assert np.array_equal(mine, theirs)
+
+    def test_stack_of_one_names_its_member(self):
+        # x' = -x, which fails once x < 1/2: a stack of one names member
+        # 0, a lone start no member
+        def rhs(t, y):
+            if y[0] < 0.5:
+                raise SingularityError("fell below 1/2")
+            return -y
+        for x0, members in (([1.0], ()), ([[1.0]], (0,))):
+            with pytest.raises(SingularityError, match="below") as err:
+                integrate(rhs, x0, (0.0, 1.0))
+            assert err.value.members == members
 
 
 class TestStackedIntegrate:

@@ -575,3 +575,70 @@ def test_stacked_section_start_flies_as_alone(points):
         t, z = _flow_to_crossing(rhs, np.array(z0), 30.0, 1e-10, 1.0)
         assert abs(located[j][0] - t) <= 1e-12
         assert np.max(np.abs(located[j][1] - z)) <= 1e-12
+
+
+def _var_rhs_composed(mu):
+    """The joint state and STM derivative as two separate formulas, each
+    with its own radii: the flow, then the Hessian matrix times the STM.
+    A copy of the unfused form, as the oracle of the fused closure."""
+    def hessian(x, y):
+        r1, r2 = pcr3bp._radii(x, y, mu)
+        c1, c2 = (1.0 - mu) / r1 ** 3, mu / r2 ** 3
+        d1, d2 = 3.0 * (1.0 - mu) / r1 ** 5, 3.0 * mu / r2 ** 5
+        oxx = 1.0 - c1 - c2 + d1 * (x + mu) ** 2 + d2 * (x - 1.0 + mu) ** 2
+        oyy = 1.0 - c1 - c2 + d1 * y * y + d2 * y * y
+        oxy = d1 * (x + mu) * y + d2 * (x - 1.0 + mu) * y
+        return oxx, oxy, oyy
+
+    def derivative(x, y, vx, vy):
+        r1, r2 = pcr3bp._radii(x, y, mu)
+        c1 = (1.0 - mu) / r1 ** 3
+        c2 = mu / r2 ** 3
+        ox = x - c1 * (x + mu) - c2 * (x - 1.0 + mu)
+        oy = y - c1 * y - c2 * y
+        return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+
+    def rhs(t, z):
+        oxx, oxy, oyy = hessian(z[0], z[1])
+        A = np.array([[0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [oxx, oxy, 0.0, 2.0],
+                      [oxy, oyy, -2.0, 0.0]])
+        return np.concatenate((derivative(*z[:4]),
+                               (A @ z[4:].reshape(4, 4)).ravel()))
+    return rhs
+
+
+_CENTERS = {}  # mu -> the primaries and the collinear points on the axis
+
+
+def _centers(mu):
+    if mu not in _CENTERS:
+        _CENTERS[mu] = [-mu, 1.0 - mu] + [
+            p.position[0] for p in libration_points(mu)[:3]]
+    return _CENTERS[mu]
+
+
+@given(st.sampled_from([MU_EM, 0.3, 0.5, 1e-7]), st.integers(0, 4),
+       st.floats(-9.0, -0.5), st.floats(-math.pi, math.pi),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       st.lists(st.floats(-50.0, 50.0), min_size=16, max_size=16))
+@example(MU_EM, 1, -6.5, 0.3, [0.1, -0.2], [0.0] * 16)  # in collision
+@settings(max_examples=300, deadline=None)
+def test_fused_var_rhs_is_the_composition(mu, center, log_r, angle, v, stm):
+    # a state at distance 10^log_r from a primary or a collinear point,
+    # some inside the collision radius, with a random STM: the fused RHS
+    # gives every bit of the unfused one, or the same collision error
+    x = _centers(mu)[center] + 10.0 ** log_r * math.cos(angle)
+    z = np.array([x, 10.0 ** log_r * math.sin(angle), *v, *stm])
+    try:
+        want = _var_rhs_composed(mu)(0.0, z)
+    except SingularityError as e:
+        with pytest.raises(SingularityError) as got:
+            _var_rhs(mu)(0.0, z)
+        assert str(got.value) == str(e)
+        assert got.value.members == e.members == ()
+        return
+    got = _var_rhs(mu)(0.0, z)
+    assert got.dtype == np.float64 and got.shape == (20,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
