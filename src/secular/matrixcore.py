@@ -27,12 +27,12 @@ from .ratpoly import (
     RationalPolynomial,
     RootInterval,
     _json_number,
+    _square_free,
     _to_frac,
     count_real_roots,
     isolate_real_roots,
     parse_rational,
     refine_interval,
-    square_free_part,
     poly_gcd,
     sturm_chain,
 )
@@ -442,38 +442,49 @@ class Inertia:
 
 
 def reduce_to_squares(q: QuadraticForm):
-    """Lagrange/Gauss completion of squares.
+    """Lagrange/Gauss completion of squares, fraction-free.
 
     Returns (coefficients, T) with T invertible and T^t G T diagonal equal
     to the coefficients.  Individual coefficients are basis-dependent; only
     their sign pattern (the inertia) is an invariant.
+
+    The reduction runs on the integer matrix D G, D the lcm of the entries'
+    denominators, and G = T^t (D G) T holds throughout.  A square is
+    completed as x_j <- G_kk x_j - G_kj x_k on T's columns and G's rows and
+    columns; T's column j is then divided by the gcd of its entries, and
+    G's row and column j with it, which that identity keeps exact.  T is
+    the basis of the Fraction steps x_j <- x_j - (G_kj / G_kk) x_k times
+    nonzero column scales s, and x_k <- x_k + x_j is taken in that basis,
+    so G is D diag(s) G' diag(s), G' their matrix: every pivot choice and
+    every coefficient's sign are theirs.  The coefficients are G_ii / D.
     """
-    G = [[x for x in r] for r in q.gram.rows]
+    rows = q.gram.rows
     n = q.gram.n
-    T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D = math.lcm(*(x.denominator for r in rows for x in r))
+    G = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = [Fraction(1)] * n
 
-    def congruence_col_op(j, i, f):
-        # col_j += f * col_i on G (and matching row op), track in T
-        for r in range(n):
-            G[r][j] += f * G[r][i]
-        for r in range(n):
-            G[j][r] += f * G[i][r]
-        for r in range(n):
-            T[r][j] += f * T[r][i]
+    def combine(j, i, a, b):
+        # x_j <- a x_j + b x_i: a column op on G and T, then the row op on G
+        for M in (G, T):
+            for r in M:
+                r[j] = a * r[j] + b * r[i]
+        G[j] = [a * x + b * y for x, y in zip(G[j], G[i])]
+        s[j] *= a
 
-    def swap_cols(i, j):
-        for r in range(n):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
-        for r in range(n):
-            G[i][r], G[j][r] = G[j][r], G[i][r]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
+    def swap(i, j):
+        for M in (G, T):
+            for r in M:
+                r[i], r[j] = r[j], r[i]
+        G[i], G[j] = G[j], G[i]
+        s[i], s[j] = s[j], s[i]
 
     for k in range(n):
         if G[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if G[i][i] != 0), None)
             if piv is not None:
-                swap_cols(k, piv)
+                swap(k, piv)
             else:
                 od = next(
                     (
@@ -488,15 +499,24 @@ def reduce_to_squares(q: QuadraticForm):
                     break  # remaining block is zero
                 i, j = od
                 if i != k:
-                    swap_cols(k, i)
+                    swap(k, i)
                     i, j = k, (i if j == k else j)
-                congruence_col_op(k, j, Fraction(1))  # x_k <- x_k + x_j
-        if G[k][k] == 0:
+                c = s[k] / s[j]  # x_k <- x_k + x_j in the Fraction basis
+                combine(k, j, c.denominator, c.numerator)
+        pivot = G[k][k]
+        if pivot == 0:
             continue
         for j in range(k + 1, n):
             if G[k][j] != 0:
-                congruence_col_op(j, k, -G[k][j] / G[k][k])
-    coeffs = [G[i][i] for i in range(n)]
+                combine(j, k, pivot, -G[k][j])
+                g = math.gcd(*(r[j] for r in T))
+                if g > 1:
+                    for M in (G, T):
+                        for r in M:
+                            r[j] //= g
+                    G[j] = [x // g for x in G[j]]
+                    s[j] /= g
+    coeffs = [Fraction(G[i][i], D) for i in range(n)]
     return coeffs, SquareMatrix(T)
 
 
@@ -568,12 +588,13 @@ class AlgebraicRoot:
 def real_roots_with_multiplicity(p: RationalPolynomial) -> list[AlgebraicRoot]:
     """Isolated real roots of p in increasing order, with multiplicities:
     a root of multiplicity m is a root of the first m - 1 members of the
-    gcd chain q -> gcd(q, q') from p, built once with their Sturm chains."""
-    f = square_free_part(p)
-    chains, q = [], poly_gcd(p, p.derivative())
-    while not q.is_zero and q.degree > 0:
+    gcd chain q -> gcd(q, q') from p, built once with their Sturm chains
+    (each gcd is the one its square-free part was taken from)."""
+    f, q = _square_free(p)
+    chains = []
+    while q.degree > 0:
         chains.append(sturm_chain(q))
-        q = poly_gcd(q, q.derivative())
+        q = _square_free(q)[1]
     roots = []
     for iv in isolate_real_roots(f):
         m = 1

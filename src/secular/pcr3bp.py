@@ -4,7 +4,9 @@ Nondimensional units throughout: primary separation 1, angular rate 1,
 total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  The
 collinear libration points are located exactly: the axis equilibrium
 condition becomes a quintic with rational coefficients on each axis
-segment, isolated with a Sturm chain and refined to 1e-13.
+segment, isolated with a Sturm chain and refined to 1e-13, or, for L1
+and L2 at a tiny mu, to 1e-5 of their distance from the secondary where
+that is narrower.
 
 The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
 stacks of states, and `_var_rhs` evaluates it on one state's floats,
@@ -34,8 +36,6 @@ from .errors import (
 from .floquet import integrate, reversed_monodromy
 from .ratpoly import (
     RationalPolynomial,
-    RootInterval,
-    count_real_roots,
     isolate_real_roots,
     refine_root,
 )
@@ -169,17 +169,19 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
     }[segment]
     p = _collinear_quintic(mu, segment)
     tol = Fraction(1, 10 ** 13)
+    if segment != "L3":
+        # L1 and L2 lie rho = |x - (1 - mu)| from the secondary, where
+        # mu / rho^2 = (1 - mu) |1 / (1 -+ rho)^2 - 1| + rho is at most
+        # 4 rho for L1 with rho <= 1/10 and 3 rho for L2: rho >= min(1/10,
+        # (mu/4)^(1/3)).  The least m with 8^m >= 4e15 / mu makes 2^-m at
+        # most 1e-5 (mu/4)^(1/3), narrower than 1e-13 only for mu below
+        # about 3e-23, and the midpoint stays inside the segment
+        v = -(-4 * 10 ** 15 * mu.denominator // mu.numerator)
+        m = -(-(v - 1).bit_length() // 3)
+        tol = min(tol, Fraction(1, 2 ** m))
     hits = []
     for iv in isolate_real_roots(p):  # one Sturm chain, kept on p
         r = refine_root(p, iv, tol)
-        if not lo < r < hi:
-            # for tiny mu, L1 and L2 lie closer to 1 - mu than tol and r can
-            # land past it: refine on the part of iv inside the segment, if
-            # the root is there (the quintic is ±(1 - mu) b^2 at a = 0 and
-            # ±mu a^2 at b = 0, so neither end is a root)
-            a, b = max(iv.lo, lo), min(iv.hi, hi)
-            if a < b and count_real_roots(p, a, b) == 1:
-                r = refine_root(p, RootInterval(a, b), tol)
         if lo < r < hi:
             hits.append(r)
     if len(hits) != 1:

@@ -3,6 +3,12 @@
 Coefficients are `fractions.Fraction`, stored lowest degree first.  All
 root counting is for DISTINCT real roots: inputs are silently reduced to
 their square-free part before a Sturm chain is built.
+
+Evaluation and long division run on the integer coefficients over their
+lcm denominator, and return the Fractions the rational loops would; gcds,
+square-free parts and Sturm chains get the same remainders through
+division.  A polynomial keeps its cleared coefficients, derivative,
+square-free part (with gcd(p, p')) and Sturm chain once computed.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 
 #: sentinels for unbounded interval endpoints
 NEG_INF = object()
@@ -49,16 +55,17 @@ def parse_rational(x, what: str) -> Fraction:
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    # _cleared and _sturm are filled on first use, by _eval_ratio and
-    # sturm_chain; the coefficients never change after __init__
-    __slots__ = ("coeffs", "_cleared", "_sturm")
+    # _cleared, _deriv, _sqfree and _sturm are filled on first use, by
+    # _clear, derivative, square_free_part and sturm_chain; the
+    # coefficients never change after __init__
+    __slots__ = ("coeffs", "_cleared", "_deriv", "_sqfree", "_sturm")
 
     def __init__(self, coeffs: Iterable):
         cs = [_to_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._cleared = self._sturm = None
+        self._cleared = self._deriv = self._sqfree = self._sturm = None
 
     # -- constructors -------------------------------------------------
 
@@ -153,24 +160,43 @@ class RationalPolynomial:
         return RationalPolynomial([k * c for c in self.coeffs])
 
     def __divmod__(self, other: "RationalPolynomial"):
+        """Long division, run on the cleared integer coefficients.
+
+        With A = C_A / L_A and B = C_B / L_B, each pass scales the integer
+        remainder by u = b / gcd(b, t), b = lc(C_B) and t its leading entry,
+        and subtracts (t / gcd) x^k C_B; the remainder is then the integer
+        list over a running scale s, and the quotient term is (t / gcd) / s.
+        Fractions are built once, at the end: the quotient and remainder of
+        A by B are those of C_A by C_B times L_B / L_A and 1 / L_A.
+        """
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        quo = [Fraction(0)] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] / lc
-            quo[k] = q
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= q * b
-            rem.pop()
-        return RationalPolynomial(quo), RationalPolynomial(rem)
+        La, rem = self._clear()
+        Lb, B = other._clear()
+        d = len(B) - 1
+        n = len(rem) - d  # quotient terms
+        if n <= 0:
+            return RationalPolynomial.zero(), self
+        rem, b, s = list(rem), B[0], 1
+        quo = []  # highest degree first, as (numerator, scale)
+        for i in range(n):
+            t = rem[i]
+            if not t:
+                quo.append((0, 1))
+                continue
+            g = math.gcd(t, b)
+            u, v = b // g, t // g
+            if u != 1:
+                s *= u
+                for j in range(i + 1, len(rem)):
+                    rem[j] *= u
+            for j in range(1, d + 1):
+                rem[i + j] -= v * B[j]
+            quo.append((v, s))
+        return (RationalPolynomial([Fraction(v * Lb, w * La)
+                                    for v, w in reversed(quo)]),
+                RationalPolynomial([Fraction(r, s * La)
+                                    for r in reversed(rem[n:])]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -184,22 +210,27 @@ class RationalPolynomial:
         return self.scale(1 / self.leading)
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        if self._deriv is None:
+            self._deriv = RationalPolynomial(
+                [i * c for i, c in enumerate(self.coeffs)][1:])
+        return self._deriv
 
-    def _eval_ratio(self, x) -> tuple[int, int]:
-        """(N, D) with p(x) = N / D and D > 0, in integers.
-
-        The coefficients are cleared once: C_i = L c_i with L the lcm of
-        their denominators.  At x = n/d, N = sum C_i n^i d^(k-i) by a
-        homogeneous Horner loop and D = L d^k, k the degree.
-        """
+    def _clear(self) -> tuple[int, tuple[int, ...]]:
+        """(L, C): L the lcm of the coefficients' denominators and
+        C_i = L c_i, highest degree first; cleared once, on first use."""
         if self._cleared is None:
             L = math.lcm(*(c.denominator for c in self.coeffs))
             self._cleared = (L, tuple(c.numerator * (L // c.denominator)
                                       for c in reversed(self.coeffs)))
-        L, C = self._cleared
+        return self._cleared
+
+    def _eval_ratio(self, x) -> tuple[int, int]:
+        """(N, D) with p(x) = N / D and D > 0, in integers.
+
+        At x = n/d, N = sum C_i n^i d^(k-i) by a homogeneous Horner loop
+        over the cleared coefficients and D = L d^k, k the degree.
+        """
+        L, C = self._clear()
         x = _to_frac(x)
         n, d = x.numerator, x.denominator
         if not C:
@@ -242,15 +273,28 @@ def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial
 
 
 def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
-    """p / gcd(p, p'); same distinct roots, all simple."""
+    """p / gcd(p, p'), made monic; same distinct roots, all simple."""
+    return _square_free(p)[0]
+
+
+def _square_free(p: RationalPolynomial):
+    """(square-free part, gcd(p, p')), computed once per polynomial and
+    kept on it; a square-free part is its own square-free part."""
     if p.is_zero:
         raise DomainError("square-free part of the zero polynomial")
-    if p.degree == 0:
-        return p.monic()
-    g = poly_gcd(p, p.derivative())
-    q, r = divmod(p, g)
-    assert r.is_zero
-    return q.scale(1 / q.leading) if p.leading != 1 else q
+    if p._sqfree is None:
+        if p.degree == 0:
+            f = g = p.monic()
+        else:
+            g = poly_gcd(p, p.derivative())
+            q, r = divmod(p, g)
+            if not r.is_zero:
+                raise InternalInconsistencyError(
+                    "square-free part: gcd(p, p') does not divide p")
+            f = q.scale(1 / q.leading) if p.leading != 1 else q
+        f._sqfree = (f, RationalPolynomial([1]))
+        p._sqfree = (f, g)
+    return p._sqfree
 
 
 @dataclass(frozen=True)
@@ -286,24 +330,25 @@ class RootInterval:
 def sturm_chain(p: RationalPolynomial) -> SturmChain:
     """Sturm chain: square-free part, derivative, then negated remainders.
 
-    Built once per polynomial object and kept on it, so isolating and then
-    refining the roots of one p, or counting them in many intervals, builds
-    one chain.
+    Built once per polynomial object and kept on it and on its square-free
+    part, so isolating and then refining the roots of one p, or counting
+    them in many intervals, builds one chain.
     """
     if p.is_zero:
         raise DomainError("Sturm chain of the zero polynomial")
-    if p._sturm is not None:
-        return p._sturm
-    f = square_free_part(p)
-    chain = [f]
-    if f.degree >= 1:
-        chain.append(f.derivative())
-        while not chain[-1].is_zero and chain[-1].degree >= 1:
-            r = chain[-2] % chain[-1]
-            if r.is_zero:
-                break
-            chain.append(-r)
-    p._sturm = SturmChain(tuple(chain))
+    if p._sturm is None:
+        f = square_free_part(p)
+        if f._sturm is None:
+            chain = [f]
+            if f.degree >= 1:
+                chain.append(f.derivative())
+                while not chain[-1].is_zero and chain[-1].degree >= 1:
+                    r = chain[-2] % chain[-1]
+                    if r.is_zero:
+                        break
+                    chain.append(-r)
+            f._sturm = SturmChain(tuple(chain))
+        p._sturm = f._sturm
     return p._sturm
 
 

@@ -364,8 +364,9 @@ class TestJsonOutputs:
 
 
 # The exact commands' stdout on literal matrices, with non-integer
-# denominators, repeated eigenvalues (2 in 4x4-planted, 1 in 6x6-planted)
-# and a zero one: any rewrite of the exact core must print the same bytes.
+# denominators, repeated eigenvalues (2 in 4x4-planted, 1 in 6x6-planted),
+# a zero one, and zero diagonals that make the completion of squares swap
+# or add a variable: any rewrite of the exact core must print the same bytes.
 EXACT_GOLDEN = {
     '1x1': (
         '[["-7/3"]]',
@@ -522,6 +523,72 @@ EXACT_GOLDEN = {
                 ' "160673523750007/135304020000000"],'
                 ' ["53557841250001/22550670000000",'
                 ' "160673523750001/33826005000000"]], "passed": true}\n',
+        }),
+    '2x2-hyperbolic': (
+        '[["0", "1/2"], ["1/2", "0"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["-1/4", "0/1", "1/1"]}, "config": '
+                '{"cluster_tol": 1e-08, "integrator_tol": 1e-10, "version": '
+                '"0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "inertia": {"neg": 1, "pos": 1, "zero": '
+                '0}, "signature": 0}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "distinct": 2, "distinct_real": 2}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "gaps": [true], "inner_intervals": '
+                '[["-1/1", "1/1"]], "outer_intervals": [["-5/4", "0/1"], '
+                '["0/1", "5/4"]], "passed": true}\n',
+        }),
+    '3x3-zero-diagonal': (
+        '[["0", "0", "1"], ["0", "0", "1"], ["1", "1", "0"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["0/1", "-2/1", "0/1", "1/1"]}, '
+                '"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "inertia": {"neg": 1, "pos": 1, "zero": '
+                '1}, "signature": 0}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "distinct": 3, "distinct_real": 3}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "gaps": [true, true], '
+                '"inner_intervals": [["-2/1", "0/1"], ["0/1", "2/1"]], '
+                '"outer_intervals": [["-93311/62208", "-31103/41472"], '
+                '["-31103/41472", "1/31104"], ["1/31104", "3/1"]], "passed": '
+                'true}\n',
+        }),
+    '4x4-zero-blocks': (
+        '[["0", "0", "1/3", "2"], ["0", "0", "-1", "1/2"], ["1/3", "-1", "0", '
+        '"0"], ["2", "1/2", "0", "0"]]',
+        {
+            'charpoly':
+                '{"char_poly": {"coeffs": ["169/36", "0/1", "-193/36", "0/1", '
+                '"1/1"]}, "config": {"cluster_tol": 1e-08, "integrator_tol": '
+                '1e-10, "version": "0.1.0"}}\n',
+            'inertia':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "inertia": {"neg": 2, "pos": 2, "zero": '
+                '0}, "signature": 0}\n',
+            'hermite-count':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "distinct": 4, "distinct_real": 4}\n',
+            'interlace':
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "gaps": [true, true, true], '
+                '"inner_intervals": [["-437399/388800", "-145799/259200"], '
+                '["-145799/259200", "1/194400"], ["1/194400", "9/4"]], '
+                '"outer_intervals": [["-229/72", "-229/144"], ["-229/144", '
+                '"0/1"], ["0/1", "229/144"], ["229/144", "229/72"]], '
+                '"passed": true}\n',
         }),
 }
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secular.errors import (
     DomainError,
@@ -338,6 +338,96 @@ class TestQuadraticForms:
             T = random_invertible(rng, n)
             q2 = QuadraticForm(T.transpose().matmul(G).matmul(T))
             assert inertia(q) == inertia(q2)
+
+
+def _fraction_reduce_to_squares(G):
+    """Completion of squares in Fractions, step for step: the reference
+    the fraction-free reduction must agree with."""
+    G = [list(r) for r in G]
+    n = len(G)
+    T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def op(j, i, f):  # x_j <- x_j + f x_i
+        for r in range(n):
+            G[r][j] += f * G[r][i]
+        for r in range(n):
+            G[j][r] += f * G[i][r]
+        for r in range(n):
+            T[r][j] += f * T[r][i]
+
+    def swap(i, j):
+        for M in (G, T):
+            for r in M:
+                r[i], r[j] = r[j], r[i]
+        G[i], G[j] = G[j], G[i]
+
+    for k in range(n):
+        if G[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if G[i][i] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                od = next(((i, j) for i in range(k, n)
+                           for j in range(i + 1, n) if G[i][j] != 0), None)
+                if od is None:
+                    break
+                i, j = od
+                if i != k:
+                    swap(k, i)
+                    i, j = k, (i if j == k else j)
+                op(k, j, Fraction(1))
+        if G[k][k] == 0:
+            continue
+        for j in range(k + 1, n):
+            if G[k][j] != 0:
+                op(j, k, -G[k][j] / G[k][k])
+    return [G[i][i] for i in range(n)]
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric rationals with forced zero diagonal entries, a forced
+    zero block and scattered zeros: the swap, x_k <- x_k + x_j and
+    zero-block branches of the completion of squares."""
+    n = draw(st.integers(1, 6))
+    zero_diag = draw(st.sets(st.integers(0, n - 1)))
+    block = draw(st.sets(st.integers(0, n - 1)))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-20, 20),
+                                st.integers(1, 12)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and i in zero_diag) or (i in block and j in block):
+                continue
+            rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@given(sparse_symmetric())
+# x_k <- x_k + x_j after eliminations that scaled x_k and x_j differently
+@example([[Fraction(x) for x in r] for r in (
+    ("0", "0", "5/2", "-4/3", "-4", "0"), ("0", "0", "0", "0", "0", "5/2"),
+    ("5/2", "0", "0", "0", "0", "5"), ("-4/3", "0", "0", "0", "4/3", "0"),
+    ("-4", "0", "0", "4/3", "0", "0"), ("0", "5/2", "5", "0", "0", "0"))])
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_squares_match_the_fraction_steps(rows):
+    G = SquareMatrix(rows)
+    coeffs, T = reduce_to_squares(QuadraticForm(G))
+    n = G.n
+    assert all(type(c) is Fraction for c in coeffs)
+    assert T.transpose().matmul(G).matmul(T).rows == tuple(
+        tuple(coeffs[i] if i == j else 0 for j in range(n)) for i in range(n))
+    assert T.det() != 0
+    reference = _fraction_reduce_to_squares(rows)
+    assert [_sign(c) for c in coeffs] == [_sign(c) for c in reference]
+    assert inertia(QuadraticForm(G)) == Inertia(
+        sum(c > 0 for c in reference), sum(c < 0 for c in reference),
+        sum(c == 0 for c in reference))
 
 
 class TestHermite:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from secular.pcr3bp import (
     orbit_exponents,
     variational_flow,
 )
+from secular.ratpoly import isolate_real_roots, refine_root
 
 MU_EM = 0.012150585  # Earth-Moon-like mass ratio
 
@@ -133,6 +135,43 @@ class TestLibrationPoint:
         assert len(calls) == 1
         libration_point(MU_EM, "L4")
         assert len(calls) == 1
+
+
+class TestTinyMu:
+    # L1 and L2 lie about (mu/3)^(1/3) from the secondary at 1 - mu: for a
+    # tiny mu that is less than the 1e-13 refinement width
+    @pytest.mark.parametrize("mu", [1e-42, 1e-100])
+    @pytest.mark.parametrize("label", ["L1", "L2"])
+    def test_within_one_ulp_of_a_fine_refinement(self, mu, label):
+        q = Fraction(mu)
+        p = pcr3bp._collinear_quintic(q, label)
+        lo, hi = (-q, 1 - q) if label == "L1" else (1 - q, 3)
+        fine = [r for iv in isolate_real_roots(p)
+                for r in [refine_root(p, iv, Fraction(1, 10 ** 40))]
+                if lo < r < hi]
+        assert len(fine) == 1
+        ref = float(fine[0])
+        x = libration_point(mu, label).position[0]
+        assert abs(x - ref) <= math.ulp(ref)
+
+    # (mu, L1, L2) as 1e-13 refinement prints them
+    FROZEN = [
+        (1e-20, 0.9999998506198637, 1.0000001493801467),
+        (1e-16, 0.9999967817054791, 1.000003218301437),
+        (1e-12, 0.9999306654741305, 1.0000693377288667),
+        (1e-08, 0.998506932599053, 1.0014945350292792),
+        (3.04e-06, 0.9899864459208131, 1.01007473104683),
+        (0.0001, 0.9680652061484591, 1.0324251916896303),
+        (0.00095, 0.9324577512801214, 1.0687376998596545),
+        (0.012150585, 0.8369151287720265, 1.1556821631002157),
+        (0.1, 0.6090351100232483, 1.2596998329023024),
+        (0.5, 0.0, 1.19840614455492),
+    ]
+
+    @pytest.mark.parametrize("mu, l1, l2", FROZEN)
+    def test_larger_mu_keeps_its_bits(self, mu, l1, l2):
+        assert libration_point(mu, "L1").position[0] == l1
+        assert libration_point(mu, "L2").position[0] == l2
 
 
 class TestStability:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import secular.ratpoly
-from secular.errors import DomainError
+from secular.errors import DomainError, InternalInconsistencyError
 from secular.ratpoly import (
     NEG_INF,
     POS_INF,
@@ -61,6 +61,12 @@ class TestSquareFree:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             square_free_part(P.zero())
+
+    def test_gcd_that_does_not_divide_is_refused(self, monkeypatch):
+        # (x + 1) does not divide (x - 1)^2 (x - 2)
+        monkeypatch.setattr(secular.ratpoly, "poly_gcd", lambda a, b: poly(1, 1))
+        with pytest.raises(InternalInconsistencyError, match="does not divide"):
+            square_free_part(P.from_roots([1, 1, 2]))
 
 
 class TestSturmChain:
@@ -294,3 +300,80 @@ def test_integer_evaluation_matches_fraction_horner(coeffs, x):
     assert p.eval_frac(x) == ref and type(p.eval_frac(x)) is Fraction
     assert p.sign_at(x) == (ref > 0) - (ref < 0)
     assert float(p.eval_frac(x)) == p.eval_float(x) == float(ref)
+
+
+def _fraction_divmod(a, b):
+    """Long division in Fractions, lowest degree first: the reference the
+    integer long division must agree with."""
+    rem = list(a)
+    d = len(b) - 1
+    quo = [Fraction(0)] * max(len(rem) - d, 0)
+    while len(rem) - 1 >= d and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < d:
+            break
+        k = len(rem) - 1 - d
+        q = rem[-1] / b[-1]
+        quo[k] = q
+        for i, c in enumerate(b):
+            rem[k + i] -= q * c
+        rem.pop()
+    return P(quo).coeffs, P(rem).coeffs
+
+
+def _fraction_sturm_chain(p):
+    """Monic square-free part, its derivative, then negated remainders,
+    all by `_fraction_divmod`."""
+    def derivative(a):
+        return P([i * c for i, c in enumerate(a)][1:]).coeffs
+
+    def monic(a):
+        return tuple(c / a[-1] for c in a)
+
+    a, b = p, derivative(p)
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    f = monic(_fraction_divmod(p, monic(a))[0])
+    chain = [f]
+    if len(f) > 1:
+        chain.append(derivative(f))
+        while len(chain[-1]) > 1:
+            r = _fraction_divmod(chain[-2], chain[-1])[1]
+            if not r:
+                break
+            chain.append(tuple(-c for c in r))
+    return tuple(P(c) for c in chain)
+
+
+_entries = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_leading = _entries.filter(bool)  # negative and non-unit ones included
+
+
+@st.composite
+def _polys(draw, min_degree=0, max_degree=12):
+    """A polynomial of exact degree in [min_degree, max_degree]."""
+    d = draw(st.integers(min_degree, max_degree))
+    return P(draw(st.lists(_entries, min_size=d, max_size=d))
+             + [draw(_leading)])
+
+
+@given(st.one_of(_polys(), st.just(P.zero())), _polys())
+@example(P.zero(), P([Fraction(-3, 2), 0, Fraction(5, 7)]))
+@example(P([1, 2]), P([1, 0, 0, Fraction(-2, 3)]))  # dividend of lower degree
+@example(P([Fraction(1, 3)] * 13), P([Fraction(-7, 12)]))
+@settings(max_examples=300, deadline=None)
+def test_integer_long_division_matches_fractions(a, b):
+    q, r = divmod(a, b)
+    assert (q.coeffs, r.coeffs) == _fraction_divmod(a.coeffs, b.coeffs)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
+@given(st.one_of(_polys(1, 12),
+                 st.builds(lambda a, b: a * b * b, _polys(0, 4), _polys(1, 4))))
+@example(P([-2, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_sturm_chain_matches_fraction_remainders(p):
+    chain = sturm_chain(p).polys
+    assert chain == _fraction_sturm_chain(p.coeffs)
+    assert all(type(c) is Fraction for f in chain for c in f.coeffs)
