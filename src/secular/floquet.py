@@ -569,10 +569,6 @@ class Monodromy:
     period: float
     tol: float
 
-    @property
-    def dim(self) -> int:
-        return self.M.shape[0]
-
 
 def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
                         t_eval=None) -> tuple[int, Trajectory]:

@@ -131,34 +131,6 @@ def _exact_kernels(A: SquareMatrix, lam: Fraction, alg: int):
     return N, kernels, MultiplicityReport(lam, alg, len(kernels[1]), sizes)
 
 
-def multiplicity(A: SquareMatrix, lam) -> MultiplicityReport:
-    """Algebraic/geometric multiplicity and block sizes at an exact eigenvalue."""
-    A._require_exact()
-    lam = Fraction(lam)
-    alg = 0
-    q = char_poly(A).poly
-    lin = RationalPolynomial([-lam, 1])
-    while q.eval_frac(lam) == 0:  # q is monic: it ends a nonzero constant
-        q = q // lin
-        alg += 1
-    if alg == 0:
-        raise DomainError(f"{lam} is not an eigenvalue")
-    return _exact_kernels(A, lam, alg)[2]
-
-
-def darboux_minor_vanishing_order(A: SquareMatrix, lam) -> int:
-    """Largest p with all polynomial minors of det(A - SI) of orders 1..p-1
-    vanishing at lam; equals the geometric multiplicity.
-
-    Order-k minors are the determinants of (n-k) x (n-k) submatrices of
-    A - SI; they all vanish at lam iff rank(A - lam I) < n - k.
-    """
-    A._require_exact()
-    lam = Fraction(lam)
-    r = A.shift(lam).rank()
-    return A.n - r
-
-
 # -- Jordan chains, both flavors ----------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Dense square matrices in exact-rational and complex-floating flavors.
 
 Exact flavor carries `fractions.Fraction` entries and backs all algebraic
-theorems (characteristic polynomial, minors, inertia, Hermite counting,
+theorems (characteristic polynomial, inertia, Hermite counting,
 interlacing).  Numeric flavor wraps a complex numpy array and is used by
 the periodic-coefficient and three-body pipelines.
 """
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DomainError,
     InternalInconsistencyError,
-    NonConvergenceError,
     UnsupportedFlavorError,
 )
 from .ratpoly import (
@@ -273,7 +272,7 @@ def _row_echelon(m) -> list[int]:
     return pivots
 
 
-# -- characteristic polynomial and minors ---------------------------------
+# -- characteristic polynomial ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -285,17 +284,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return self.poly.degree
-
-
-@dataclass(frozen=True)
-class MinorSequence:
-    """Leading-principal minors of A - S*I.
-
-    deltas[k] = det((A - S*I) with the first k rows and columns deleted);
-    deltas[0] is the full determinant, deltas[n] the constant 1.
-    """
-
-    deltas: tuple[RationalPolynomial, ...]
 
 
 def char_poly(A: SquareMatrix) -> CharPoly:
@@ -371,48 +359,6 @@ def _exact_quotient(a: int, k: int) -> int:
         raise InternalInconsistencyError(
             f"Faddeev-LeVerrier: {a} is not divisible by {k}")
     return q
-
-
-def minor_sequence(A: SquareMatrix) -> MinorSequence:
-    """Delta_k(S) = det of (A - S*I) after deleting the first k rows/columns."""
-    A._require_exact()
-    n = A.n
-    deltas = []
-    for k in range(n):
-        sub = SquareMatrix([[A.rows[i][j] for j in range(k, n)] for i in range(k, n)])
-        cp = char_poly(sub).poly  # monic det(SI - sub)
-        sign = 1 if (n - k) % 2 == 0 else -1
-        deltas.append(cp.scale(sign))
-    deltas.append(RationalPolynomial([1]))
-    return MinorSequence(tuple(deltas))
-
-
-def lagrange_eigenvector(A: SquareMatrix, lam) -> list[Fraction]:
-    """Nonzero column of adj(A - lam*I) for a simple exact eigenvalue.
-
-    adj(A - lam*I) = (-1)^{n-1} sum_k M_k lam^{n-1-k}, with the M_k of
-    `faddeev_leverrier`.
-    """
-    A._require_exact()
-    if not A.is_symmetric():
-        raise DomainError("lagrange_eigenvector expects a symmetric matrix")
-    lam = _to_frac(lam)
-    n = A.n
-    coeffs, Ms = faddeev_leverrier(A.rows)
-    if RationalPolynomial(coeffs).eval_frac(lam) != 0:
-        raise DomainError(f"{lam} is not an eigenvalue")
-    shifted = A.shift(lam)
-    sign = (-1) ** (n - 1)
-    for j in range(n):
-        col = [sign * sum(Ms[k][i][j] * lam ** (n - 1 - k) for k in range(n))
-               for i in range(n)]
-        if any(x != 0 for x in col):
-            res = shifted.matvec(col)
-            assert all(x == 0 for x in res)
-            return col
-    raise DomainError(
-        "all adjugate columns vanish: eigenvalue is multiple; use jordan"
-    )
 
 
 # -- quadratic forms -------------------------------------------------------
@@ -541,15 +487,10 @@ def newton_power_sums(p: RationalPolynomial, upto: int) -> list[Fraction]:
     e = [(-1) ** k * mon.coeffs[d - k] for k in range(d + 1)]
     s = [Fraction(d)]
     for k in range(1, upto + 1):
+        acc = sum(((-1) ** (i - 1) * e[i] * s[k - i]
+                   for i in range(1, min(k - 1, d) + 1)), Fraction(0))
         if k <= d:
-            acc = Fraction(0)
-            for i in range(1, k):
-                acc += (-1) ** (i - 1) * e[i] * s[k - i]
             acc += (-1) ** (k - 1) * k * e[k]
-        else:
-            acc = Fraction(0)
-            for i in range(1, d + 1):
-                acc += (-1) ** (i - 1) * e[i] * s[k - i]
         s.append(acc)
     return s
 
@@ -668,61 +609,3 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
         tuple(r.interval for r in inner),
         tuple(gaps),
     )
-
-
-# -- power iteration ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    eigenvalue: float
-    eigenvector: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
-
-
-def power_iteration(A: SquareMatrix, tol=1e-10, max_iter=10_000) -> PowerIterationResult:
-    """Dominant eigenpair of a symmetric matrix by power iteration.
-
-    Deterministic: starts from the all-ones vector, restarts once from a
-    fixed alternate vector if the Rayleigh quotient stagnates at a
-    non-eigenvector (e.g. the start is orthogonal to the dominant mode).
-    """
-    M = A.to_numpy().real
-    if not np.allclose(M, M.T):
-        raise DomainError("power_iteration expects a symmetric matrix")
-    n = M.shape[0]
-    norm_A = np.linalg.norm(M, 2)
-    if norm_A == 0:
-        return PowerIterationResult(0.0, np.eye(n)[:, 0], 0, True, 0.0)
-
-    def run(v0):
-        v = v0 / np.linalg.norm(v0)
-        lam = float(v @ M @ v)
-        for it in range(1, max_iter + 1):
-            w = M @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                return 0.0, v, it, True  # v in the kernel: eigenvector for 0
-            v = w / nw
-            lam = float(v @ M @ v)
-            res = np.linalg.norm(M @ v - lam * v)
-            if res <= tol * norm_A:
-                return lam, v, it, True
-        return lam, v, max_iter, False
-
-    v0 = np.ones(n)
-    lam, v, it, ok = run(v0)
-    if not ok:
-        v0 = np.array([1.0 / (k + 1) for k in range(n)])
-        lam, v, it2, ok = run(v0)
-        it += it2
-    res = float(np.linalg.norm(M @ v - lam * v))
-    if not ok:
-        raise NonConvergenceError(
-            f"power iteration did not converge in {it} steps "
-            f"(residual {res:.3e}); dominant eigenvalue may be tied",
-            best=PowerIterationResult(lam, v, it, False, res),
-        )
-    return PowerIterationResult(lam, v, it, True, res)

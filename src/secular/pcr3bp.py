@@ -244,11 +244,19 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     The linearization x' = A x has the even quartic characteristic
     polynomial s^4 + (4 - Oxx - Oyy) s^2 + (Oxx Oyy - Oxy^2).  The point
     is linearly stable iff both roots in s^2 are real, negative, and
-    distinct (four distinct purely imaginary exponents).
+    distinct (four distinct purely imaginary exponents).  A point inside
+    the collision radius of a primary has no linearization: DomainError.
     """
     mu = _check_mu(mu)
     x, y = point.position
-    oxx, oxy, oyy = _omega_partials(x, y, mu, True)[2:]
+    try:
+        oxx, oxy, oyy = _omega_partials(x, y, mu, True)[2:]
+    except SingularityError as e:
+        r1, r2 = math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
+        near, r = ("primary", r1) if r1 < r2 else ("secondary", r2)
+        raise DomainError(
+            f"{point.label} lies {r:.3g} from the {near}, inside the "
+            f"collision radius {COLLISION_RADIUS:g}: no linearization") from e
     p = 4.0 - oxx - oyy
     q = oxx * oyy - oxy * oxy
     disc = p * p - 4.0 * q

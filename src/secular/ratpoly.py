@@ -74,14 +74,6 @@ class RationalPolynomial:
         return cls([])
 
     @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "RationalPolynomial":
-        return cls([0, 1])
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "RationalPolynomial":
         p = cls([1])
         for r in roots:
@@ -409,31 +401,6 @@ def _sign_variations_seq(values) -> int:
     signs = [(v > 0) - (v < 0) for v in values]
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def variation_bounds(p: RationalPolynomial):
-    """Descartes bound on positive roots, and a Budan-Fourier interval bound.
-
-    Both returned bounds are upper bounds for the count with multiplicity,
-    congruent to it mod 2.
-    """
-    if p.is_zero:
-        raise DomainError("variation bounds of the zero polynomial")
-    descartes = _sign_variations_seq(p.coeffs)
-
-    derivs = [p]
-    while not derivs[-1].is_zero and derivs[-1].degree > 0:
-        derivs.append(derivs[-1].derivative())
-
-    def budan_fourier(lo, hi) -> int:
-        lo_f, hi_f = _to_frac(lo), _to_frac(hi)
-        if not lo_f < hi_f:
-            raise DomainError("degenerate interval")
-        va = _sign_variations_seq([d.eval_frac(lo_f) for d in derivs])
-        vb = _sign_variations_seq([d.eval_frac(hi_f) for d in derivs])
-        return va - vb
-
-    return descartes, budan_fourier
 
 
 def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:

@@ -92,6 +92,35 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: input: corrector requires a nonzero vy0\n"
 
+    @pytest.mark.parametrize("action", ["stability", "orbit"])
+    @pytest.mark.parametrize("mu, r", [("1e-18", "6.93e-07"),
+                                       ("1e-20", "1.49e-07")])
+    def test_point_inside_collision_radius_is_input_error(self, capsys,
+                                                          action, mu, r):
+        # L1 lies about (mu/3)^(1/3) from the secondary, inside the 1e-6
+        # collision radius for mu below about 3e-18: a static
+        # linearization there is bad input, not a non-convergence
+        code, out, err = invoke(capsys, [
+            "pcr3bp", action, "--mu", mu, "--point", "L1"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: input: L1 lies {r} from the secondary, "
+                       "inside the collision radius 1e-06: no linearization\n")
+
+    def test_stability_outside_collision_radius_keeps_its_bytes(self, capsys):
+        code, out, err = invoke(capsys, [
+            "pcr3bp", "stability", "--mu", "1e-16", "--point", "L1"])
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"classification": "saddle_center", '
+            '"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+            '"version": "0.1.0"}, "mu": 1e-16, "point": "L1", '
+            '"position": [0.9999967817054791, 0.0], '
+            '"quartic": {"const": -27.000288617805637, '
+            '"s2_coeff": -2.0000192411376796}, '
+            '"roots": [[-2.508294506744099, -0.0], [-0.0, '
+            '-2.071598921467412], [0.0, 2.071598921467412], '
+            '[2.508294506744099, 0.0]], "verdict": "unstable"}\n')
+
     def test_memory_error_is_one_line(self, capsys, monkeypatch):
         def too_big(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 PiB for an array")

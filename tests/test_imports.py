@@ -1,4 +1,5 @@
-"""Every import in the package is used, and every private name is read."""
+"""Every import in the package is used, every private name is read, and
+the public names that only tests read are the documented ones."""
 
 import ast
 from pathlib import Path
@@ -34,9 +35,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level _names, as module.name, that no module reads as a
-    name, an attribute or an import."""
+def _module_names(sources: dict[str, str]):
+    """(module, name, statement) of each module-level definition or
+    assignment, and every name that some module reads as a name, an
+    attribute or an import."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -49,8 +51,7 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
                          and isinstance(t.ctx, ast.Store)]
             else:
                 names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name, node) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -58,7 +59,30 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted(f"{m}.{name}" for m, name in defined if name not in read)
+    return defined, read
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level _names, as module.name, that no module reads as a
+    name, an attribute or an import."""
+    defined, read = _module_names(sources)
+    return sorted(f"{m}.{name}" for m, name, _ in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+def unread_publics(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes, as module.name, that no
+    module reads as a name, an attribute or an import.
+
+    A name counts as read wherever it appears, so a function that shares
+    its name with an attribute looks read: the retired
+    `jordan.multiplicity` hid behind `AlgebraicRoot.multiplicity`.
+    """
+    defined, read = _module_names(sources)
+    return sorted(f"{m}.{name}" for m, name, node in defined
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not name.startswith("_") and name not in read)
 
 
 def test_finds_an_unread_private():
@@ -71,3 +95,25 @@ def test_finds_an_unread_private():
 def test_every_private_is_read():
     assert unread_privates({p.stem: p.read_text()
                             for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_finds_an_unread_public():
+    assert unread_publics({
+        "a": "T = 1\ndef f():\n    return T\nclass C:\n    pass\n"
+             "def _p():\n    pass\n",
+        "b": "from .a import f\ndef g():\n    pass\nclass D:\n    pass\n"
+             "x = a.C\n",
+    }) == ["b.D", "b.g"]
+
+
+# public API that the README documents and tests call, though no command
+# reaches it
+TEST_ONLY_API = ["floquet.floquet_solution",
+                 "jordan.symmetric_diagonalizability_check",
+                 "pcr3bp.variational_flow", "section.fixed_point",
+                 "section.manifold_segment"]
+
+
+def test_only_the_documented_publics_go_unread():
+    assert unread_publics({p.stem: p.read_text()
+                           for p in sorted(SRC.glob("*.py"))}) == TEST_ONLY_API

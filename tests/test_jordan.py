@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secular.errors import DomainError, UnsupportedFlavorError
+from secular.errors import UnsupportedFlavorError
 from secular.jordan import (
     classify_3x3,
-    darboux_minor_vanishing_order,
     jordan_form,
-    multiplicity,
     rational_roots,
     symmetric_diagonalizability_check,
 )
@@ -44,34 +42,6 @@ def planted_jordan(rng, n, eig_pool=(-2, -1, 0, 1, 2, 3)):
             break
     A = M.matmul(J).matmul(M.inverse())
     return A, spec
-
-
-class TestMultiplicity:
-    def test_nilpotent_block(self):
-        A = SquareMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        rep = multiplicity(A, 0)
-        assert (rep.algebraic, rep.geometric, rep.block_sizes) == (3, 1, (3,))
-
-    def test_worked_simple_root(self):
-        A = SquareMatrix([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
-        rep = multiplicity(A, 0)
-        assert (rep.algebraic, rep.geometric, rep.block_sizes) == (1, 1, (1,))
-
-    def test_diag_repeated(self):
-        A = SquareMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
-        rep = multiplicity(A, 2)
-        assert (rep.algebraic, rep.geometric, rep.block_sizes) == (2, 2, (1, 1))
-
-    def test_not_eigenvalue(self):
-        with pytest.raises(DomainError):
-            multiplicity(SquareMatrix([[1, 0], [0, 2]]), 99)
-
-    def test_darboux_order_is_geometric(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            A, spec = planted_jordan(rng, rng.randint(2, 5))
-            for lam, sizes in spec.items():
-                assert darboux_minor_vanishing_order(A, lam) == len(sizes)
 
 
 class TestJordanForm:
@@ -236,16 +206,6 @@ def test_exact_jordan_reconstructs_planted_matrix(case):
     assert dec.P.matmul(dec.J).matmul(dec.P.inverse()) == A
     assert {lam: sorted(sizes) for lam, sizes in dec.blocks} == \
         {lam: sorted(sizes) for lam, sizes in spec.items()}
-
-
-@given(planted_rational_jordan())
-@settings(max_examples=40, deadline=None)
-def test_multiplicity_reads_the_blocks_jordan_form_reports(case):
-    A, _ = case
-    for lam, sizes in jordan_form(A).blocks:
-        rep = multiplicity(A, lam)
-        assert rep.block_sizes == sizes
-        assert (rep.algebraic, rep.geometric) == (sum(sizes), len(sizes))
 
 
 @st.composite

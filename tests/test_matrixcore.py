@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from secular.errors import (
-    DomainError,
-    InternalInconsistencyError,
-    UnsupportedFlavorError,
-)
+from secular.errors import DomainError, InternalInconsistencyError
 from secular.matrixcore import (
     Inertia,
     QuadraticForm,
@@ -20,9 +16,6 @@ from secular.matrixcore import (
     hermite_root_count,
     inertia,
     interlacing_check,
-    lagrange_eigenvector,
-    minor_sequence,
-    power_iteration,
     real_roots_with_multiplicity,
     reduce_to_squares,
 )
@@ -243,55 +236,6 @@ def test_multiplicities_of_planted_roots(reals, quads):
         assert rt.interval.lo < r <= rt.interval.hi
 
 
-class TestMinorSequence:
-    def test_worked_example_delta1(self):
-        ms = minor_sequence(A_WORKED)
-        # (2-S)(1-S) - 1 from deleting the first row and column
-        assert ms.deltas[1] == P([1, -3, 1])
-        assert ms.deltas[3] == P([1])
-
-    def test_1x1(self):
-        ms = minor_sequence(SquareMatrix([[7]]))
-        assert ms.deltas[0] == P([7, -1])
-        assert ms.deltas[1] == P([1])
-
-    def test_diag(self):
-        ms = minor_sequence(SquareMatrix([[1, 0], [0, 2]]))
-        assert ms.deltas[0] == P([2, -3, 1])  # (1-S)(2-S)
-        assert ms.deltas[1] == P([2, -1])  # 2-S
-
-    def test_numeric_unsupported(self):
-        A = SquareMatrix([[1.0]], flavor="numeric")
-        with pytest.raises(UnsupportedFlavorError):
-            minor_sequence(A)
-
-
-class TestLagrangeEigenvector:
-    def test_worked_example_lambda_1(self):
-        v = lagrange_eigenvector(A_WORKED, 1)
-        # null space of A - I is spanned by (1, 0, 1)
-        assert v[1] == 0 and v[0] == v[2] and v[0] != 0
-
-    def test_diag(self):
-        v = lagrange_eigenvector(SquareMatrix([[2, 0], [0, 5]]), 2)
-        assert v[1] == 0 and v[0] != 0
-
-    def test_swap(self):
-        v = lagrange_eigenvector(SquareMatrix([[0, 1], [1, 0]]), 1)
-        assert v[0] == v[1] != 0
-
-    def test_not_eigenvalue(self):
-        with pytest.raises(DomainError):
-            lagrange_eigenvector(A_WORKED, 7)
-
-    def test_orthogonality_simple_spectrum(self):
-        vs = [lagrange_eigenvector(A_WORKED, lam) for lam in (0, 1, 3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dot = sum(a * b for a, b in zip(vs[i], vs[j]))
-                assert dot == 0
-
-
 class TestQuadraticForms:
     def paper_form(self):
         # x1^2 - 2 x1 x2 + 2 x2^2 + 2 x2 x3 + x3^2: the form whose Gram
@@ -502,18 +446,3 @@ class TestInterlacing:
             A = random_symmetric(rng, n)
             cp = char_poly(A).poly
             assert count_real_roots(cp) == square_free_part(cp).degree
-
-
-class TestPowerIteration:
-    def test_worked_example(self):
-        res = power_iteration(SquareMatrix([[1, -1, 0], [-1, 2, 1], [0, 1, 1]]))
-        assert abs(res.eigenvalue - 3.0) < 1e-8
-
-    def test_identity_immediate(self):
-        res = power_iteration(SquareMatrix.identity(2))
-        assert res.converged and abs(res.eigenvalue - 1.0) < 1e-12
-
-    def test_diag(self):
-        res = power_iteration(SquareMatrix([[5, 0], [0, 1]]))
-        assert abs(res.eigenvalue - 5.0) < 1e-8
-        assert abs(abs(res.eigenvector[0]) - 1.0) < 1e-6

@@ -8,7 +8,6 @@ import secular.ratpoly
 from secular.errors import DomainError, InternalInconsistencyError
 from secular.ratpoly import (
     NEG_INF,
-    POS_INF,
     RationalPolynomial as P,
     RootInterval,
     count_real_roots,
@@ -16,7 +15,6 @@ from secular.ratpoly import (
     refine_root,
     square_free_part,
     sturm_chain,
-    variation_bounds,
 )
 
 
@@ -110,21 +108,6 @@ class TestCounting:
     def test_degenerate_interval(self):
         with pytest.raises(DomainError):
             count_real_roots(poly(0, 1), 1, 1)
-
-
-class TestVariationBounds:
-    def test_descartes_cubic(self):
-        d, _ = variation_bounds(P.from_roots([1, 2, 3]))
-        assert d == 3
-
-    def test_descartes_no_positive(self):
-        d, _ = variation_bounds(poly(1, 0, 1))
-        assert d == 0
-
-    def test_budan_fourier(self):
-        _, bf = variation_bounds(poly(-2, 0, 1))
-        bound = bf(0, 2)
-        assert bound >= 1 and bound % 2 == 1
 
 
 class TestIsolation:
@@ -233,18 +216,6 @@ class TestRandomOracle:
         for _ in range(300):
             p, expected = random_factored_poly(rng)
             assert count_real_roots(p) == expected
-
-    def test_variation_bound_dominates_with_parity(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            p, _ = random_factored_poly(rng, max_deg=6)
-            true_pos = count_real_roots(p, 0, POS_INF)
-            d, _ = variation_bounds(p)
-            # Descartes counts with multiplicity; compare against the
-            # with-multiplicity positive count of the planted factors
-            sf = square_free_part(p)
-            true_pos_sf = count_real_roots(sf, 0, POS_INF)
-            assert d >= true_pos_sf
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
