@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedFlavorError,
 )
 from .ratpoly import (
+    NEG_INF,
     RationalPolynomial,
     RootInterval,
     _json_number,
@@ -31,7 +32,6 @@ from .ratpoly import (
     count_real_roots,
     isolate_real_roots,
     parse_rational,
-    refine_interval,
     poly_gcd,
     sturm_chain,
 )
@@ -547,27 +547,36 @@ def real_roots_with_multiplicity(p: RationalPolynomial) -> list[AlgebraicRoot]:
     return roots
 
 
-def _compare_roots(a: AlgebraicRoot, b: AlgebraicRoot,
-                   g: RationalPolynomial) -> int:
-    """-1 / 0 / +1 exact ordering of two isolated algebraic numbers;
-    g is poly_gcd(a.poly, b.poly)."""
-    iva, ivb = a.interval, b.interval
-    if not g.is_zero and g.degree >= 1:
-        lo = max(iva.lo, ivb.lo)
-        hi = min(iva.hi, ivb.hi)
-        # a root of g in both intervals is a root of a.poly in a's and of
-        # b.poly in b's, each of which isolates one: it is both roots
-        if lo < hi and count_real_roots(g, lo, hi) == 1:
-            return 0
-    # refine until disjoint
-    while True:
-        if iva.hi <= ivb.lo:
-            return -1
-        if ivb.hi <= iva.lo:
-            return 1
-        w = min(iva.width(), ivb.width()) / 2
-        iva = refine_interval(a.poly, iva, w)
-        ivb = refine_interval(b.poly, ivb, w)
+def _place_root(f: RationalPolynomial, h: RationalPolynomial,
+                iv: RootInterval, g: RationalPolynomial) -> tuple[int, bool]:
+    """(L, E) for the root s of the square-free h that iv = (a, b]
+    isolates: L distinct roots of the square-free f lie below s, and E
+    says whether s is one of f's roots.  g is poly_gcd(f, h).
+
+    f's Sturm chain counts its roots in (a, b].  None there: f has
+    V(-inf) - V(a) roots below s.  One there, and a root of g in (a, b]
+    (the only root of h there, so it is s): the same count, and E.  Else
+    (a, b] is halved on the side of s, read from the sign of h, and a
+    rational s found at a midpoint ends the search there.
+    """
+    chain = sturm_chain(f)
+    neg = chain.variations(NEG_INF)
+    a, b = iv.lo, iv.hi
+    va, vb = chain.variations(a), chain.variations(b)
+    shared = (va > vb and g.degree >= 1
+              and count_real_roots(g, a, b) == 1)
+    hb = h.sign_at(b)
+    while hb and va - vb > shared:
+        m = (a + b) / 2
+        vm = chain.variations(m)
+        hm = h.sign_at(m)
+        if hm == -hb:
+            a, va = m, vm
+        else:  # s < m, or s = m when h(m) = 0
+            b, vb, hb = m, vm, hm
+    if not hb:  # s = b
+        return neg - vb - shared, shared
+    return neg - va, shared
 
 
 @dataclass(frozen=True)
@@ -582,8 +591,12 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     """Cauchy interlacing: the eigenvalues of the trailing (n-1) x (n-1)
     block of A weakly interlace those of A.
 
-    Both root lists are expanded with multiplicity and the classical
-    lam_i <= mu_i <= lam_{i+1} chain is certified with exact comparisons.
+    Both root lists are expanded with multiplicity, and the classical
+    lam_i <= mu_i <= lam_{i+1} chain is read from each distinct inner
+    root's place among the distinct outer ones (`_place_root`): Sturm
+    counts of the outer polynomial at the ends of the inner root's
+    isolating interval, halved only while it holds outer roots other
+    than that root.  No isolating interval is refined.
     """
     A._require_exact()
     if not A.is_symmetric():
@@ -591,17 +604,23 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     outer = real_roots_with_multiplicity(char_poly(A).poly)
     inner = real_roots_with_multiplicity(
         char_poly(SquareMatrix([r[1:] for r in A.rows[1:]])).poly)
-    lam = [r for r in outer for _ in range(r.multiplicity)]
-    mu = [r for r in inner for _ in range(r.multiplicity)]
+    # lam[i] (mu[i]): the index of the i-th eigenvalue of A (of its
+    # block) among the distinct outer (inner) roots
+    lam = [j for j, r in enumerate(outer) for _ in range(r.multiplicity)]
+    mu = [j for j, r in enumerate(inner) for _ in range(r.multiplicity)]
     ok_overall = len(lam) == A.n and len(mu) == A.n - 1
     gaps = []
     if ok_overall and mu:
         # all outer roots share one square-free poly, all inner ones another
-        g = poly_gcd(lam[0].poly, mu[0].poly)
-        for i, m_root in enumerate(mu):
-            left_ok = _compare_roots(lam[i], m_root, g) <= 0
-            right_ok = _compare_roots(m_root, lam[i + 1], g) <= 0
-            gaps.append(left_ok and right_ok)
+        f, h = outer[0].poly, inner[0].poly
+        g = poly_gcd(f, h)
+        places = [_place_root(f, h, r.interval, g) for r in inner]
+        for i, j in enumerate(mu):
+            # outer roots 0..below-1 lie below mu_i; root `below` is mu_i
+            # itself when equal, and above it otherwise
+            below, equal = places[j]
+            left_ok = lam[i] < below or (lam[i] == below and equal)
+            gaps.append(left_ok and lam[i + 1] >= below)
         ok_overall = all(gaps)
     return InterlacingReport(
         ok_overall,

@@ -238,6 +238,13 @@ class LibrationStability:
         return max(freqs)
 
 
+def _nearer_primary(point: LibrationPoint, mu: float) -> tuple[str, float]:
+    """("primary" or "secondary", the point's distance from it)."""
+    x, y = point.position
+    r1, r2 = math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
+    return ("primary", r1) if r1 < r2 else ("secondary", r2)
+
+
 def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     """Equation in S at an equilibrium and its stability verdict.
 
@@ -252,8 +259,7 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     try:
         oxx, oxy, oyy = _omega_partials(x, y, mu, True)[2:]
     except SingularityError as e:
-        r1, r2 = math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
-        near, r = ("primary", r1) if r1 < r2 else ("secondary", r2)
+        near, r = _nearer_primary(point, mu)
         raise DomainError(
             f"{point.label} lies {r:.3g} from the {near}, inside the "
             f"collision radius {COLLISION_RADIUS:g}: no linearization") from e
@@ -402,12 +408,18 @@ def lyapunov_seed(mu: float, point: LibrationPoint, amplitude: float):
     At a collinear point the center mode with frequency w gives
     xi = -A cos(wt), eta = k A sin(wt) with k = (w^2 + Oxx)/(2w); the
     perpendicular x-axis crossing at t = 0 is the corrector's ansatz.
+    The linear orbit spans x in [L - A, L + A], so an amplitude A that is
+    not below the point's distance from the nearer primary is refused.
     """
     mu = _check_mu(mu)
     if point.position[1]:
         raise DomainError(f"no Lyapunov seed off the x-axis: {point.label} "
                           f"is at y = {point.position[1]:.6g}")
     stab = libration_stability(mu, point)
+    near, r = _nearer_primary(point, mu)
+    if abs(amplitude) >= r:  # NaN passes: integrate refuses the state
+        raise DomainError(f"seed amplitude {amplitude:g} reaches the {near}: "
+                          f"{point.label} lies {r:.3g} from it")
     w = stab.center_frequency
     oxx = _omega_partials(*point.position, mu, True)[2]
     k = (w * w + oxx) / (2.0 * w)

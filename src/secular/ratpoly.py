@@ -404,7 +404,11 @@ def _sign_variations_seq(values) -> int:
 
 
 def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
-    """Disjoint intervals, each isolating one distinct real root, ordered by lo."""
+    """Disjoint intervals, each isolating one distinct real root, ordered by lo.
+
+    Bisection by Sturm counts; a stack entry carries the chain's variations
+    at both of its ends, so a split evaluates the chain at its midpoint only.
+    """
     if p.is_zero:
         raise DomainError("root isolation of the zero polynomial")
     if p.degree == 0:
@@ -413,21 +417,20 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
     f = chain.polys[0]
     B = cauchy_root_bound(f)  # strict: neither -B nor B is a root
     out: list[RootInterval] = []
-    stack = [(-B, B, chain.variations(-B) - chain.variations(B))]
+    stack = [(-B, B, chain.variations(-B), chain.variations(B))]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
+        a, b, va, vb = stack.pop()
+        if va == vb:
             continue
-        if cnt == 1:
+        if va - vb == 1:
             out.append(RootInterval(a, b, 1))
             continue
         m = (a + b) / 2
         if f.sign_at(m) == 0:
             m = _nudge_endpoint(m, f)
         vm = chain.variations(m)
-        left = chain.variations(a) - vm
-        stack.append((m, b, cnt - left))
-        stack.append((a, m, left))
+        stack.append((m, b, vm, vb))
+        stack.append((a, m, va, vm))
     out.sort(key=lambda iv: iv.lo)
     return out
 

@@ -106,6 +106,23 @@ class TestExitCodes:
         assert err == (f"error: input: L1 lies {r} from the secondary, "
                        "inside the collision radius 1e-06: no linearization\n")
 
+    @pytest.mark.parametrize("mu, point, amplitude, r", [
+        ("1e-16", "L1", "1e-3", "3.22e-06"),
+        ("1e-16", "L2", "1e-3", "3.22e-06"),
+        ("0.0121", "L1", "0.5", "0.151"),
+        ("0.0121", "L1", "-0.5", "0.151"),
+    ])
+    def test_seed_amplitude_reaching_a_primary_is_input_error(
+            self, capsys, mu, point, amplitude, r):
+        # the linear orbit spans x in [L - A, L + A]: an |A| that is not
+        # below the point's distance from the nearer primary reaches it
+        code, out, err = invoke(capsys, [
+            "pcr3bp", "orbit", "--mu", mu, "--point", point,
+            "--seed-amplitude", amplitude])
+        assert (code, out) == (1, "")
+        assert err == (f"error: input: seed amplitude {float(amplitude):g} "
+                       f"reaches the secondary: {point} lies {r} from it\n")
+
     def test_stability_outside_collision_radius_keeps_its_bytes(self, capsys):
         code, out, err = invoke(capsys, [
             "pcr3bp", "stability", "--mu", "1e-16", "--point", "L1"])

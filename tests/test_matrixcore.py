@@ -7,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from secular.errors import DomainError, InternalInconsistencyError
 from secular.matrixcore import (
+    CharPoly,
     Inertia,
     QuadraticForm,
     SquareMatrix,
     _exact_quotient,
+    _place_root,
     char_poly,
     faddeev_leverrier,
     hermite_root_count,
@@ -19,7 +21,13 @@ from secular.matrixcore import (
     real_roots_with_multiplicity,
     reduce_to_squares,
 )
-from secular.ratpoly import RationalPolynomial as P, count_real_roots, square_free_part
+from secular.ratpoly import (
+    RationalPolynomial as P,
+    count_real_roots,
+    isolate_real_roots,
+    poly_gcd,
+    square_free_part,
+)
 
 # worked 3x3 example used throughout: eigenvalues {0, 1, 3}
 A_WORKED = SquareMatrix([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
@@ -398,6 +406,127 @@ class TestHermite:
             sf = square_free_part(p)
             assert distinct == sf.degree
             assert real == count_real_roots(p)
+
+
+# -- root placement against planted roots ------------------------------------
+#
+# A planted root x is keyed by x|x|, which is increasing in x and rational
+# for a rational x and for x = +-sqrt(k), k rational: keys order the roots
+# exactly, irrational ones included.
+
+def _key(x):
+    return x * abs(x)
+
+
+@st.composite
+def planted_root_pairs(draw):
+    """(outer factors, outer keys, inner factors, inner keys): the inner
+    roots are shared with the outer ones, near-shared (10^-3 .. 10^-12
+    apart), or free; an x^2 - k pair, k not a square, is shared or
+    near-shared when drawn."""
+    outer = draw(st.lists(rationals, min_size=1, max_size=5, unique=True))
+    o_fac = [P([-r, 1]) for r in outer]
+    o_key = [_key(r) for r in outer]
+    i_fac, i_key = [], []
+    for r in outer:
+        kind = draw(st.sampled_from(["shared", "near", "skip"]))
+        if kind == "skip":
+            continue
+        if kind == "near":
+            r += draw(st.sampled_from([-1, 1])) * Fraction(
+                1, 10 ** draw(st.integers(3, 12)))
+        i_fac.append(P([-r, 1]))
+        i_key.append(_key(r))
+    for r in draw(st.lists(rationals, max_size=3)):
+        i_fac.append(P([-r, 1]))
+        i_key.append(_key(r))
+    if draw(st.booleans()):
+        k = Fraction(draw(st.sampled_from([2, 3, 5, 6, 7])))
+        o_fac.append(P([-k, 0, 1]))
+        o_key += [-k, k]  # the keys of -sqrt(k) and sqrt(k)
+        if draw(st.booleans()):
+            k += Fraction(1, 10 ** draw(st.integers(3, 12)))
+        i_fac.append(P([-k, 0, 1]))
+        i_key += [-k, k]
+    return o_fac, o_key, i_fac, i_key
+
+
+def _product(factors):
+    p = P([1])
+    for q in factors:
+        p = p * q
+    return p
+
+
+@given(planted_root_pairs())
+@settings(max_examples=150, deadline=None)
+@example(([P([0, 1]), P([-1, 1])], [0, 1],
+          [P([0, 1]), P([-1, 1]), P([Fraction(-1, 10 ** 12), 1])],
+          [0, 1, Fraction(1, 10 ** 24)]))
+@example(([P([0, 1]), P([Fraction(-1, 2), 1])], [0, Fraction(1, 4)],
+          [P([0, 1])], [0]))  # shared s = 0 is the first midpoint of (-1, 1]
+def test_root_place_matches_planted_roots(planted):
+    # (L, E) for each distinct inner root s: L distinct outer roots lie
+    # below s, and E says whether s is one of them
+    o_fac, o_key, i_fac, i_key = planted
+    f = square_free_part(_product(o_fac))
+    h = square_free_part(_product(i_fac))
+    g = poly_gcd(f, h)
+    outer, inner = sorted(set(o_key)), sorted(set(i_key))
+    ivs = isolate_real_roots(h)
+    assert len(ivs) == len(inner)
+    for iv, s in zip(ivs, inner):
+        below = sum(1 for r in outer if r < s)
+        assert _place_root(f, h, iv, g) == (below, s in outer)
+
+
+@st.composite
+def householder_repeats(draw):
+    """H D H, H = I - 2 v v^t / v^t v rational, D with repeated entries."""
+    n = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.fractions(-3, 3, max_denominator=2), min_size=1,
+                         max_size=max(1, n - 1)))
+    eigs = [draw(st.sampled_from(pool)) for _ in range(n)]
+    v = [draw(st.fractions(Fraction(1, 3), 4, max_denominator=3))
+         for _ in range(n)]
+    vv = sum(x * x for x in v)
+    H = [[Fraction(int(r == c)) - 2 * v[r] * v[c] / vv for c in range(n)]
+         for r in range(n)]
+    return SquareMatrix([[sum(H[r][k] * eigs[k] * H[k][c] for k in range(n))
+                          for c in range(n)] for r in range(n)])
+
+
+@given(householder_repeats())
+@settings(max_examples=60, deadline=None)
+def test_interlacing_of_planted_repeated_eigenvalues(A):
+    rep = interlacing_check(A)
+    assert rep.passed
+    assert len(rep.gap_results) == A.n - 1
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_gaps_follow_planted_inner_roots(data):
+    # Cauchy's theorem passes every symmetric A, so plant the trailing
+    # block's eigenvalues (shared with A's, near them, or free, with
+    # repeats) and check each gap lam_i <= mu_i <= lam_{i+1} as planted
+    lam = sorted(data.draw(st.lists(rationals, min_size=2, max_size=5)))
+    near = st.builds(lambda r, j: r + Fraction(1, 10 ** j),
+                     st.sampled_from(lam), st.integers(3, 12))
+    mu = sorted(data.draw(st.lists(st.one_of(st.sampled_from(lam), near,
+                                             rationals),
+                                   min_size=len(lam) - 1,
+                                   max_size=len(lam) - 1)))
+    A = SquareMatrix([[lam[i] if i == j else 0 for j in range(len(lam))]
+                      for i in range(len(lam))])
+
+    def planted(M):  # this module's char_poly is the unpatched one
+        return char_poly(M) if M.n == A.n else CharPoly(P.from_roots(mu))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("secular.matrixcore.char_poly", planted)
+        rep = interlacing_check(A)
+    gaps = tuple(lam[i] <= m <= lam[i + 1] for i, m in enumerate(mu))
+    assert (rep.gap_results, rep.passed) == (gaps, all(gaps))
 
 
 class TestInterlacing:

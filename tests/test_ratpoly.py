@@ -10,6 +10,9 @@ from secular.ratpoly import (
     NEG_INF,
     RationalPolynomial as P,
     RootInterval,
+    SturmChain,
+    _nudge_endpoint,
+    cauchy_root_bound,
     count_real_roots,
     isolate_real_roots,
     refine_root,
@@ -130,6 +133,37 @@ class TestIsolation:
         p = P.from_roots([-5, 0, 0, 1, Fraction(3, 7)])
         for iv in isolate_real_roots(p):
             assert count_real_roots(p, iv.lo, iv.hi) == 1
+
+    @pytest.mark.parametrize("p", [
+        P.from_roots([-5, 0, 0, 1, Fraction(3, 7)]),  # 0 is the first midpoint
+        P.from_roots([1, 2, 3]) * poly(-2, 0, 1),
+        P.from_roots([Fraction(1, 10 ** 6), Fraction(2, 10 ** 6), 7]),
+    ])
+    def test_chain_is_read_once_per_split(self, monkeypatch, p):
+        # the bisection tree, counted by count_real_roots: a node with two
+        # or more roots is split at its midpoint, moved off a root as
+        # isolation moves it
+        f = square_free_part(p)
+        B = cauchy_root_bound(f)
+
+        def splits(a, b):
+            if count_real_roots(f, a, b) < 2:
+                return 0
+            m = (a + b) / 2
+            if f.eval_frac(m) == 0:
+                m = _nudge_endpoint(m, f)
+            return 1 + splits(a, m) + splits(m, b)
+        expected = 2 + splits(-B, B)
+        points = []
+        variations = SturmChain.variations
+
+        def counted(chain, x):
+            points.append(x)
+            return variations(chain, x)
+        monkeypatch.setattr(SturmChain, "variations", counted)
+        isolate_real_roots(p)
+        assert len(points) == expected
+        assert len(set(points)) == expected  # no point is read twice
 
 
 class TestRefine:
