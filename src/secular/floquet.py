@@ -55,13 +55,14 @@ _FAILURES = (None, _TOO_SMALL, "the step size is not finite")
 
 def _interpolate(t, t_old, h, y_old, F):
     """DOP853's 7th-order dense output at time t of the step (t_old, h,
-    y_old, F), as scipy's Dop853DenseOutput computes it."""
-    x = (t - t_old) / h
-    y = np.zeros_like(y_old)
-    for i in range(len(F)):
-        y += F[-1 - i]
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+    y_old, F), as scipy's Dop853DenseOutput computes it: each component
+    on Python floats, by its operations in its order over F's 7 rows."""
+    x = float((t - t_old) / h)
+    u = 1 - x
+    return np.array([
+        (((((((0.0 + a) * x + b) * u + c) * x + d) * u + e) * x + f) * u
+         + g) * x + y for a, b, c, d, e, f, g, y in zip(*F[::-1].tolist(),
+                                                         y_old.tolist())])
 
 
 def _dense_coefficients(rhs, K, t_old, h, y_old, y):
@@ -152,7 +153,7 @@ def _first_step(h0, d1, df, interval):
 
 
 def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
-              t_eval=None) -> Trajectory:
+              t_eval=None, relay=None) -> Trajectory:
     """Adaptive DOP853 integration, sampled at ``t_eval`` if given.
 
     Per-step relative error is bounded by tol (atol scaled to tol * 1e-2
@@ -179,6 +180,11 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     end of the span.  ``final`` holds each member's last state and ``t``
     the start and the latest end; it takes no t_eval.  A SingularityError
     names in ``members`` the members at fault, by their index in x0.
+    ``relay`` hands a member on where its terminal event ends a leg:
+    relay(j, t, x) gets its index in x0 and the event's time and state,
+    and returns None, and the member leaves, or its next start and event,
+    which it flies from t0 in its own place in the calls.  A relayed
+    member's steps and events add up over its legs.
 
     The start's width picks the loop, under one step rule, scipy's.  A
     flight of one, a lone start or a stack of one, runs scipy's scalar
@@ -188,7 +194,7 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     numpy, with one f call per stage for every member in flight; each
     member's stages are combined by a BLAS call of its own, so a member
     takes the steps of its flight alone, bit for bit if f treats its
-    members apart.
+    members apart.  A relayed flight runs the stack's loop at any m.
     """
     tol = float(tol)
     t0, t_end = map(float, t_span)
@@ -206,6 +212,9 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     if stacked and (t_eval is not None or len(events) not in (0, m)):
         raise DomainError("a stacked flight takes no t_eval and one event "
                           "per member")
+    if relay is not None and not (stacked and events):
+        raise DomainError("a relay hands on the members of a stacked "
+                          "flight with events")
     direction = 1.0 if t_end >= t0 else -1.0
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
@@ -216,8 +225,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         if (np.diff(ahead) < 0).any():
             raise DomainError("t_eval must be sorted in the flight's direction")
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2
-    if m > 1:
-        T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events)
+    if m > 1 or relay is not None:
+        T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay)
         t_out = np.array([t0, T[np.argmax(direction * T)]])
         y_out = np.column_stack((x0.ravel(), Y.ravel()))
     else:
@@ -382,17 +391,16 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
         K[0] = K[_S]
 
 
-def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
-    """m > 1 starts flown in one loop, scipy's controller over the stack in
-    numpy.  Returns each member's last time and state, its events, and the
-    work done."""
+def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
+    """m starts flown in one loop, scipy's controller over the stack in
+    numpy; a member that ``relay`` hands on flies its next leg in its own
+    place.  Returns each member's last time and state, its events, and
+    the work done."""
     n, m = x0.shape
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
     clip = np.minimum if direction > 0 else np.maximum  # no step past t_end
-    # occurrences of each member's event that end its flight
-    max_events = [getattr(e, "terminal", None) or math.inf for e in events]
-    ev_dir = [getattr(e, "direction", 0) for e in events]
+    interval = abs(t_end - t0)
     states = 0
 
     def rhs(t, y, who):
@@ -410,11 +418,14 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
                 e.members = (int(who[0]),)
             raise
 
+    # per member: its event, the event's value and its occurrences in
+    # the member's leg so far
+    events = list(events)
+    g = [e(t0, x0[:, j]) for j, e in enumerate(events)]
+    count = [0] * len(events)
     T, Y = np.full(m, t0), x0.copy()  # each member's last
-    g = [e(t0, Y[:, j]) for j, e in enumerate(events)]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
-    count = [0] * len(events)
     n_acc, n_rej = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
     # the members in the calls to f, and per member its time, state,
     # derivative, whether its last try was rejected, its accepted and
@@ -440,24 +451,30 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
             f"integration failed near t={t[p]:.6g}: {reason}", t=float(t[p]),
             members=(int(cols[p]),))
 
-    if t0 == t_end:  # solve_ivp's one empty step
-        cols = cols[:0]
-    else:  # scipy's initial step
-        fy = rhs(np.array(t), y, cols)
-        interval = abs(t_end - t0)
+    def launch(who, y):
+        """scipy's initial step of the members ``who`` from their flat
+        states y at t0: their derivative there, and the end, length and
+        failure of their first try."""
+        k = len(who)
+        fy = rhs(np.full(k, t0), y, who)
         scale = atol + np.abs(y) * rtol
         with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
-            d0, d1 = (_norms(np.array((y / scale, fy / scale)), m)
+            d0, d1 = (_norms(np.array((y / scale, fy / scale)), k)
                       / n ** 0.5).tolist()
-        h0 = [_first_guess(a, b, interval) for a, b in zip(d0, d1)]
-        f1 = rhs(t0 + np.array(h0) * direction,
-                 y + (np.array(h0) * direction)[rows] * fy, cols)
-        df = (_norms((f1 - fy)[None] / scale, m)[0] / n ** 0.5).tolist()
+        h0 = np.array([_first_guess(a, b, interval) for a, b in zip(d0, d1)])
+        f1 = rhs(t0 + h0 * direction, y + np.tile(h0 * direction, n) * fy,
+                 who)
+        df = (_norms((f1 - fy)[None] / scale, k)[0] / n ** 0.5).tolist()
         H = np.array([_first_step(a, b, c, interval)
-                      for a, b, c in zip(h0, d1, df)])
-        t_new, hh, fail = plan(t, H, retry)
-        # d1 overflowed, as scipy's next error estimate will
-        fail[np.array(h0) == 0] = 1
+                      for a, b, c in zip(h0.tolist(), d1, df)])
+        tn, hh, fail = plan(np.full(k, t0), H, np.zeros(k, bool))
+        fail[h0 == 0] = 1  # d1 overflowed, as scipy's next error estimate will
+        return fy, tn, hh, fail
+
+    if t0 == t_end:  # solve_ivp's one empty step
+        cols = cols[:0]
+    else:
+        fy, t_new, hh, fail = launch(cols, y)
     while len(cols):
         k = len(cols)
         if fail.any():
@@ -509,12 +526,13 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
             y, fy = np.where(a, y_new, y), np.where(a, f_new, fy)
         leave = t == t_end if events else np.full(k, (t == t_end).all())
         exits = {}  # position -> (time, state) where a terminal event hit
+        back = {}  # position -> the next start of a member handed on
         t_now = t.tolist()
         moved = np.flatnonzero(accept & (h_step != 0)).tolist()
         for p in moved if events else ():
             j = cols[p]
             g_old, g[j] = g[j], events[j](t_now[p], y_new[p::k])
-            if not _fires(g_old, g[j], ev_dir[j]):
+            if not _fires(g_old, g[j], getattr(events[j], "direction", 0)):
                 continue
             step = (t_old[p], h_step[p], y_old[p::k], _dense_coefficients(
                 lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
@@ -523,9 +541,23 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events):
             count[j] += 1
             t_events[j].append(te)
             y_events[j].append(_interpolate(te, *step))
-            if count[j] >= max_events[j]:
+            # a terminal event ends the leg at its terminal-th occurrence
+            if count[j] < (getattr(events[j], "terminal", None) or math.inf):
+                continue
+            nxt = relay and relay(int(j), te, y_events[j][-1])
+            if nxt is None:
                 exits[p] = te, y_events[j][-1]
                 leave[p] = True
+            else:  # its next leg, from t0
+                back[p], events[j] = nxt
+                g[j], count[j] = events[j](t0, back[p]), 0
+        if back:
+            b, S = list(back), np.array(list(back.values()), dtype=float).T
+            fb, t_new[b], hh[b], fail[b] = launch(cols[b], S.ravel())
+            y, fy = (v.reshape(n, k).copy() for v in (y, fy))
+            y[:, b], fy[:, b] = S, fb.reshape(n, -1)
+            y, fy = y.ravel(), fy.ravel()
+            t[b], leave[b] = t0, False  # an accepted try: retry is False
         if leave.any():
             j = cols[leave]
             T[j], Y[:, j] = t[leave], y.reshape(n, k)[:, leave]

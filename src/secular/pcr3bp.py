@@ -12,10 +12,11 @@ The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
 stacks of states, and `_var_rhs` evaluates it on one state's floats,
 with the state-transition matrix from Omega's Hessian at the same radii.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
-the differential corrector here and by the return maps and manifold
-layers in `secular.section`; it flies one start, or a stack of starts in
-one loop.  A corrected orbit's monodromy is read off its half-period STM
-through the mirror, by the rule Hill's equation uses.
+the differential corrector here and by the return maps and manifolds in
+`secular.section`; it flies one start, or a stack of starts in one loop,
+each member relayed from crossing to crossing if asked.  A corrected
+orbit's monodromy is read off its half-period STM through the mirror, by
+the rule Hill's equation uses.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def _derivative(x, y, vx, vy, mu, hessian=False):
 def _flow_rhs(mu):
     """The equations of motion as an integrator right-hand side.
 
-    mu is not checked here: the README manifolds run makes 9,713 calls,
-    on 364,913 states in all, so the closure does no more than the
+    mu is not checked here: the README manifolds run makes 7,702 calls,
+    on 364,584 states in all, so the closure does no more than the
     derivative.  z is one state of 4 floats or a stack of m states
     flattened from the (4, m) layout, rows x, y, vx, vy.  One state is
     evaluated as a stack of one, so that it gets the same bits alone as
@@ -318,7 +319,7 @@ def _crossing_event(direction, terminal, past=False):
     return crossing
 
 
-def _flow_to_crossing(rhs, z0, t_end, tol, direction):
+def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
     """Fly z0 to its first y = 0 crossing; returns (t, z) there.
 
     z0 is one start of n floats (the state, then anything flown with it,
@@ -328,9 +329,13 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     (t, z) or raises; a stack returns, per member, (t, z) or the error
     that ended its flight.  A member that the RHS finds in collision, or
     whose step fails, leaves with its own SingularityError and the rest
-    fly again without it; one that has not crossed by t_end gets a
-    NonConvergenceError.  A SingularityError that names no member
-    propagates (every RHS here names the members at fault).
+    fly again without it, each from its start; one that has not crossed
+    by t_end gets a NonConvergenceError.  A SingularityError that names
+    no member propagates (every RHS here names the members at fault).
+    ``relay`` flies a stack's members on from crossing to crossing:
+    relay(i, (t, z)) gets member i's crossing as it lands and returns its
+    next start, which flies at once in its place, or None; member i's
+    outcome is then that of its last flight.
 
     ``direction`` is the scipy event direction: the sign of dy/dt times
     the sign of t_end.  A start on the axis (|y| <= 10 CROSSING_Y_TOL)
@@ -338,45 +343,59 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction):
     event reads as past the axis at t = 0, so it does not fire there and
     costs no interpolant or root search there.  The landing starts from
     the event state, which is evaluated on the interpolant of the step
-    that holds the event (the only interpolant the flight builds); if |y| > CROSSING_Y_TOL there, one first-order step
-    dt = -y / vy along the flow sets y to zero up to rounding.  A y of
-    zero takes the sign of the side the flight came from, so the mirror
+    that holds the event (the only interpolant the flight builds); if
+    |y| > CROSSING_Y_TOL there, one first-order step dt = -y / vy along
+    the flow sets y to zero up to rounding.  A y of zero takes the sign of
+    the side the flight came from, so the mirror
     R(x, y, vx, vy) = (x, -y, -vx, vy) maps crossings bit for bit.
     """
     z0 = np.asarray(z0, dtype=float)
-    Z = z0[:, None] if z0.ndim == 1 else z0
-    out = [None] * Z.shape[1]
+    Z = z0.reshape(len(z0), -1).copy()  # each member's current start
+    out = [None] * Z.shape[1]  # None while a member flies
     todo = list(range(Z.shape[1]))
+
+    def event(z):
+        moving = math.copysign(1.0, z[3]) * math.copysign(1.0, t_end)
+        return _crossing_event(direction, 1, abs(z[1]) <= 10.0
+                               * CROSSING_Y_TOL and moving == direction)
+
+    def landing(t, z):
+        t = float(t)
+        if abs(z[1]) > CROSSING_Y_TOL:
+            dt = -z[1] / z[3]
+            t, z = t + dt, z + dt * rhs(t, z)
+        z[1] = z[1] or -direction * 0.0  # the side the flight came from
+        return t, z
+
+    def relayed(j, t, z):
+        i = todo[j]
+        out[i] = landing(t, z)
+        nxt = relay(i, out[i])
+        if nxt is not None:
+            Z[:, i], out[i] = nxt, None
+            return nxt, event(nxt)
+
     while todo:
-        moving = np.copysign(1.0, Z[3, todo]) * math.copysign(1.0, t_end)
-        at_start = ((np.abs(Z[1, todo]) <= 10.0 * CROSSING_Y_TOL)
-                    & (moving == direction))
-        events = [_crossing_event(direction, 1, a) for a in at_start]
         try:
             traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
-                             events=events)
+                             events=[event(Z[:, i]) for i in todo],
+                             relay=relay and relayed)
         except SingularityError as e:
             if not e.members:
                 raise
             reasons = e.reasons or (str(e),) * len(e.members)
             for j, reason in zip(e.members, reasons):
                 out[todo[j]] = SingularityError(reason, e.t, (todo[j],))
-            todo = [i for i in todo if out[i] is None]
-            continue
-        final = traj.final.reshape(Z.shape[0], -1)
-        for j, i in enumerate(todo):
-            if not traj.t_events[j].size:
-                out[i] = NonConvergenceError(
-                    "no section crossing within the time budget",
-                    best=final[:, j])
-                continue
-            t, z = float(traj.t_events[j][0]), traj.y_events[j][0]
-            if abs(z[1]) > CROSSING_Y_TOL:
-                dt = -z[1] / z[3]
-                t, z = t + dt, z + dt * rhs(t, z)
-            z[1] = z[1] or -direction * 0.0  # the side the flight came from
-            out[i] = (t, z)
-        break
+        else:
+            final = traj.final.reshape(Z.shape[0], -1)
+            for j, i in enumerate(todo):
+                te = () if relay else traj.t_events[j]
+                if out[i] is None:  # not landed in flight
+                    out[i] = landing(te[0], traj.y_events[j][0]) if len(te) \
+                        else NonConvergenceError(
+                            "no section crossing within the time budget",
+                            best=final[:, j])
+        todo = [i for i in todo if out[i] is None]
     if z0.ndim == 2:
         return out
     if isinstance(out[0], Exception):

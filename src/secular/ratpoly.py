@@ -408,6 +408,8 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
 
     Bisection by Sturm counts; a stack entry carries the chain's variations
     at both of its ends, so a split evaluates the chain at its midpoint only.
+    A midpoint on a root of f moves off it; by the rational root theorem
+    only one whose denominator divides f's cleared lead can be one.
     """
     if p.is_zero:
         raise DomainError("root isolation of the zero polynomial")
@@ -416,6 +418,7 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
     chain = sturm_chain(p)
     f = chain.polys[0]
     B = cauchy_root_bound(f)  # strict: neither -B nor B is a root
+    lead = f._clear()[1][0]
     out: list[RootInterval] = []
     stack = [(-B, B, chain.variations(-B), chain.variations(B))]
     while stack:
@@ -426,7 +429,7 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
             out.append(RootInterval(a, b, 1))
             continue
         m = (a + b) / 2
-        if f.sign_at(m) == 0:
+        if lead % m.denominator == 0 and f.sign_at(m) == 0:
             m = _nudge_endpoint(m, f)
         vm = chain.variations(m)
         stack.append((m, b, vm, vb))

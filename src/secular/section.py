@@ -7,12 +7,12 @@ preserves area in (x, vx).  Every flight to the section, with or without
 the state-transition matrix, is one call of `pcr3bp._flow_to_crossing`
 with the time budget RETURN_TIME, and every one runs forward in time.
 
-Layer k of every manifold branch flies as one forward stack: the flow
-is reversible, so a stable branch's reversed-time map is the forward
-map seen through the mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each
-seed takes the steps and the arithmetic of its own flight: a manifold
-point is its seed's image under the return map, whatever else is in its
-layer.
+Every manifold branch's seeds fly as one forward stack, each seed's
+iterates one after another in its place: the flow is reversible, so a
+stable branch's reversed-time map is the forward map seen through the
+mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each seed takes the steps
+and the arithmetic of its own flights: a manifold point is its seed's
+image under the return map, whatever else is in the stack.
 """
 
 from __future__ import annotations
@@ -240,12 +240,15 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     (un)stable eigenvector and are iterated with the forward (unstable) or
     reversed-time (stable) return map.  R z(-t) solves the flow whenever
     z(t) does, so a seed's previous crossing is R of the next crossing
-    of R(seed), bit for bit, and layer k of every branch flies as one
-    forward stack (`pcr3bp._flow_to_crossing`).  A seed that leaves the
-    allowed region, collides or does not cross within the time budget
-    drops out and truncates its branch; the truncation is recorded, not
-    raised, and reads as the backward flight's would.  ``lin`` is the
-    fixed point's STM linearization at ``tol``, computed if not given.
+    of R(seed), bit for bit, and every branch's seeds fly in one forward
+    stack (`pcr3bp._flow_to_crossing`).  As a seed lands, its next start
+    is lifted and flies on at once in its place in the stack, so no seed
+    waits for another.  A seed that leaves the allowed region, collides or
+    does not cross within the time budget drops out and truncates its
+    branch, whose reason is that of its last seed to drop out by iterate,
+    then by place; the truncation is recorded, not raised, and reads as
+    the backward flight's would.  ``lin`` is the fixed point's STM
+    linearization at ``tol``, computed if not given.
     """
     for branch in branches:
         if branch not in _BRANCHES:
@@ -263,7 +266,7 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
-    layers, flips = [], []  # per branch: its seeds, and -1.0 if mirrored
+    qs, flips = [], []  # the seeds, branch by branch; -1.0 if mirrored
     for branch in branches:
         flips.append(1.0 if branch.startswith("unstable") else -1.0)
         idx = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
@@ -273,39 +276,48 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         # geometric ladder of seeds across one fundamental domain
         ratios = abs(float(np.real(eigvals[idx]))) ** np.linspace(
             0.0, 1.0, seeds, endpoint=False)
-        layers.append([p.as_array() + seed_offset * r * v for r in ratios])
-    polys = [[] for _ in branches]
-    reasons = [""] * len(branches)
-    for k in range(steps):
-        outcomes = []  # per branch and seed: its start, then (t, z) or error
-        for b, pts in enumerate(layers):
-            for q in pts:
-                try:
-                    z = lift(SectionPoint(*q), mu, sd)
-                    z[2] *= flips[b]  # R, once lift has checked q
-                except (DomainError, SingularityError) as e:
-                    z = e
-                outcomes.append((b, z))
-        starts = [z for _, z in outcomes if not isinstance(z, Exception)]
-        if starts:
-            flown = iter(_flow_to_crossing(_flow_rhs(mu), np.array(starts).T,
-                                           RETURN_TIME, tol, sd.direction))
-            outcomes = [(b, z if isinstance(z, Exception) else next(flown))
-                        for b, z in outcomes]
-        layers = [[] for _ in branches]
-        for b, o in outcomes:
-            if not isinstance(o, Exception):
-                layers[b].append(np.array([float(o[1][0]),
-                                           flips[b] * float(o[1][2])]))
-                continue
-            reasons[b] = f"iterate {k}: {o}"
-            if flips[b] < 0 and getattr(o, "t", None):  # integrate's time
-                reasons[b] = reasons[b].replace(f"t={o.t:.6g}:",
-                                                f"t={-o.t:.6g}:", 1)
-        for poly, layer in zip(polys, layers):
-            poly.extend(layer)
-    return [ManifoldBranch(branch, np.array(poly), bool(reason), reason)
-            for branch, poly, reason in zip(branches, polys, reasons)]
+        qs += [p.as_array() + seed_offset * r * v for r in ratios]
+    points = [[] for _ in qs]  # per seed, its iterates
+    drops = []  # (iterate, seed, reason) of each seed that dropped out
+
+    def drop(i, e):
+        reason = f"iterate {len(points[i])}: {e}"
+        if flips[i // seeds] < 0 and getattr(e, "t", None):  # integrate's
+            reason = reason.replace(f"t={e.t:.6g}:", f"t={-e.t:.6g}:", 1)
+        drops.append((len(points[i]), i, reason))
+
+    def start(i, q):
+        """Seed i's start from section point q, or None if it drops."""
+        try:
+            z = lift(SectionPoint(*q), mu, sd)
+        except (DomainError, SingularityError) as e:
+            return drop(i, e)
+        z[2] *= flips[i // seeds]  # R, once lift has checked q
+        return z
+
+    def relay(j, landed):  # the crossing of the stack's member j
+        i, z = flown[j], landed[1]
+        points[i].append(np.array([float(z[0]),
+                                   flips[i // seeds] * float(z[2])]))
+        return start(i, points[i][-1]) if len(points[i]) < steps else None
+
+    starts = [start(i, q) for i, q in enumerate(qs)]
+    flown = [i for i, z in enumerate(starts) if z is not None]
+    ends = _flow_to_crossing(_flow_rhs(mu), np.reshape(
+        [starts[i] for i in flown], (-1, 4)).T, RETURN_TIME, tol,
+        sd.direction, relay)
+    for i, end in zip(flown, ends):
+        if isinstance(end, Exception):
+            drop(i, end)
+    out = []
+    for b, branch in enumerate(branches):
+        mine = range(b * seeds, (b + 1) * seeds)
+        poly = [points[i][k] for k in range(steps) for i in mine
+                if len(points[i]) > k]
+        reason = max((d for d in drops if d[1] in mine), default=(0, 0, ""))[2]
+        out.append(ManifoldBranch(branch, np.array(poly), bool(reason),
+                                  reason))
+    return out
 
 
 def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
@@ -314,40 +326,33 @@ def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
     return manifold_segments(p, mu, sd, (branch,), *args, **kwargs)[0]
 
 
-def _segment_intersection(a0, a1, b0, b1):
-    """Intersection point of two closed segments, or None."""
-    d1, d2 = a1 - a0, b1 - b0
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < 1e-300:
-        return None
-    r = b0 - a0
-    t = (r[0] * d2[1] - r[1] * d2[0]) / denom
-    s = (r[0] * d1[1] - r[1] * d1[0]) / denom
-    if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-        return a0 + t * d1
-    return None
-
-
 def homoclinic_intersection(unstable: ManifoldBranch,
                             stable: ManifoldBranch) -> HomoclinicReport:
     """First transversal crossing between stable and unstable polylines.
 
     Consecutive iterates of a seed ladder form the polyline segments; the
     transversality angle is the angle between the crossing segments.
+    Each unstable segment meets all stable ones in one numpy pass, and
+    the first crossing in (unstable, stable) order is reported.
     """
-    U, S = unstable.points, stable.points
+    U, S = unstable.points, stable.points.reshape(-1, 2)
+    B0, D2 = S[:-1], S[1:] - S[:-1]
     for i in range(len(U) - 1):
-        for j in range(len(S) - 1):
-            hit = _segment_intersection(U[i], U[i + 1], S[j], S[j + 1])
-            if hit is None:
-                continue
-            du = U[i + 1] - U[i]
-            ds = S[j + 1] - S[j]
-            nu, ns = np.linalg.norm(du), np.linalg.norm(ds)
+        d1 = U[i + 1] - U[i]
+        denom = d1[0] * D2[:, 1] - d1[1] * D2[:, 0]
+        r = B0 - U[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (r[:, 0] * D2[:, 1] - r[:, 1] * D2[:, 0]) / denom
+            s = (r[:, 0] * d1[1] - r[:, 1] * d1[0]) / denom
+        hits = ((np.abs(denom) >= 1e-300) & (0.0 <= t) & (t <= 1.0)
+                & (0.0 <= s) & (s <= 1.0))
+        for j in np.flatnonzero(hits).tolist():
+            nu, ns = np.linalg.norm(d1), np.linalg.norm(D2[j])
             if nu < 1e-300 or ns < 1e-300:
                 continue
-            cosang = abs(float(np.dot(du, ds))) / (nu * ns)
+            cosang = abs(float(np.dot(d1, D2[j]))) / (nu * ns)
             angle = math.acos(min(1.0, cosang))
+            hit = U[i] + t[j] * d1
             return HomoclinicReport(True, (float(hit[0]), float(hit[1])),
                                     angle, i, j)
     return HomoclinicReport(False)

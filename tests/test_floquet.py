@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg import expm
 
-from secular import pcr3bp
+from secular import floquet, pcr3bp
 from secular.cli import run
 from secular.errors import DomainError, SingularityError
 from secular.floquet import (
@@ -528,6 +529,105 @@ def test_stacked_member_flies_as_alone(phases, amp, with_events):
             assert len(stack.t_events[j]) == len(alone.t_events[0])
             assert np.allclose(stack.t_events[j], alone.t_events[0],
                                rtol=0.0, atol=1e-12)
+
+
+def _turned(phase, z):
+    """The start a relay hands on from landing z, its speed turned to the
+    given phase: (s cos(phase), -s sin(phase)) with s = |z[1]|."""
+    return abs(z[1]) * np.array([math.cos(phase), -math.sin(phase)])
+
+
+def _up_twice(t, y):
+    return y[0]
+
+
+_up_twice.terminal, _up_twice.direction = 2, 1.0
+
+
+@given(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.integers(1, 4)),
+                min_size=1, max_size=6),
+       st.floats(0.5, 2.0), st.sampled_from([_up, _up_twice]))
+@settings(max_examples=30, deadline=None)
+def test_relayed_legs_fly_as_alone(members, amp, up):
+    # member j flies legs[j] legs of x'' = -x, each to its first or its
+    # second upward crossing of x = 0 (within 4 pi < 13 of its start);
+    # the relay hands it on from each landing, turned by half a radian
+    # more, until its legs are done
+    phases = [phi for phi, _ in members]
+    legs = [n for _, n in members]
+    x0 = amp * np.array([np.cos(phases), -np.sin(phases)])
+    landed = [[] for _ in members]
+
+    def relay(j, t, z):
+        landed[j].append((t, z.copy()))
+        k = len(landed[j])
+        return (_turned(phases[j] + 0.5 * k, z), up) if k < legs[j] else None
+    stack = integrate(_oscillators, x0, (0.0, 13.0), 1e-10,
+                      [up] * len(members), relay=relay)
+    final = stack.final.reshape(2, -1)
+    states = 0
+    for j in range(len(members)):
+        start, acc, rej = x0[:, j], 0, 0
+        assert len(landed[j]) == legs[j]
+        for k, (t, z) in enumerate(landed[j]):
+            alone = integrate(_oscillators, start, (0.0, 13.0), 1e-10, [up])
+            acc += alone.accepted_steps[0]
+            rej += alone.rejected_steps[0]
+            states += alone.states_evaluated
+            assert t == alone.t_events[0][-1]
+            assert z.tobytes() == alone.y_events[0][-1].tobytes()
+            start = _turned(phases[j] + 0.5 * (k + 1), z)
+        assert (stack.accepted_steps[j], stack.rejected_steps[j]) == (acc, rej)
+        assert stack.t_events[j].tolist()[up.terminal - 1::up.terminal] \
+            == [t for t, _ in landed[j]]
+        assert final[:, j].tobytes() == landed[j][-1][1].tobytes()
+    assert stack.states_evaluated == states
+
+
+def test_relay_takes_a_stacked_flight_with_events():
+    x0 = np.ones((2, 3))
+    with pytest.raises(DomainError, match="relay"):
+        integrate(_oscillators, x0, (0.0, 1.0), relay=lambda j, t, z: None)
+    with pytest.raises(DomainError, match="relay"):
+        integrate(_oscillators, x0[:, 0], (0.0, 1.0), events=_up,
+                  relay=lambda j, t, z: None)
+
+
+def _dop853_step(f, y, h):
+    """One DOP853 step of x' = f(t, x) from (0, y) with step h: the stage
+    rows K, the derivative at the end last, and the step's end."""
+    K = np.empty((floquet._S + 1, len(y)))
+    K[0] = f(0.0, y)
+    for s in range(1, floquet._S):
+        K[s] = f(floquet._C[s] * h, y + h * np.dot(K[:s].T,
+                                                   floquet._A[s, :s]))
+    y_new = y + h * np.dot(K[:-1].T, floquet._B)
+    K[-1] = f(h, y_new)
+    return K, y_new
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.floats(1e-3, 1.0),
+       st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_interpolant_is_scipys_bit_for_bit(seed, n, h, t_old, direction,
+                                           where):
+    # the float interpolant of a random DOP853 step of x' = M x + sin(x),
+    # M random, at times across the step and at both ends, against scipy's
+    # own dense output of that step
+    rng = np.random.default_rng(seed)
+    M, y_old = rng.standard_normal((n, n)), rng.standard_normal(n)
+
+    def f(t, y):
+        return M @ y + np.sin(y)
+    h *= direction
+    K, y_new = _dop853_step(f, y_old, h)
+    F = floquet._dense_coefficients(f, K, t_old, h, y_old, y_new)
+    dense = Dop853DenseOutput(t_old, t_old + h, y_old, F)
+    dense.h = h  # the step's own length, as integrate keeps it
+    for t in [t_old, t_old + h] + [t_old + w * h for w in where]:
+        got = floquet._interpolate(t, t_old, h, y_old, F)
+        assert got.tobytes() == dense(t).tobytes()
 
 
 def test_readme_grid_as_one_family_matches_cells_alone():

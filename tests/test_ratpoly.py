@@ -166,6 +166,22 @@ class TestIsolation:
         assert len(set(points)) == expected  # no point is read twice
 
 
+@given(st.lists(st.builds(Fraction, st.integers(-24, 24),
+                          st.sampled_from([1, 2, 4, 8, 3])),
+                min_size=1, max_size=5, unique=True),
+       st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_each_root_lies_inside_its_interval(roots, repeats):
+    # dyadic and integer roots fall on bisection midpoints (0 is the
+    # first), where isolation must see them and move off them: each root
+    # lies strictly inside its isolating interval, never at its end
+    p = P.from_roots(roots + roots[:1] * repeats)
+    ivs = isolate_real_roots(p)
+    assert len(ivs) == len(roots)
+    for iv, r in zip(ivs, sorted(roots)):
+        assert iv.lo < r < iv.hi
+
+
 class TestRefine:
     def test_sqrt2(self):
         p = poly(-2, 0, 1)

@@ -474,3 +474,277 @@ class TestTimeReversal:
             assert br.points.tobytes() == alone.points.tobytes()
             assert (br.truncated, br.truncation_reason) == \
                 (alone.truncated, alone.truncation_reason)
+
+
+def _per_layer(p, mu, sd, branches, steps, seeds, seed_offset, tol, lin):
+    """The manifold rule the relay replaced, as the reference it must match
+    byte for byte: layer k of every branch flies as one `_flow_to_crossing`
+    stack once all of layer k - 1 has landed, and a branch's truncation
+    reason is that of its last seed to drop out, layer by layer.  It reads
+    section's lift, _flow_rhs and RETURN_TIME when called, so a test may
+    patch them."""
+    eigvals, eigvecs = np.linalg.eig(lin.jacobian)
+    layers, flips = [], []
+    for branch in branches:
+        flips.append(1.0 if branch.startswith("unstable") else -1.0)
+        i = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
+                else np.argmin(np.abs(eigvals)))
+        v = np.real(eigvecs[:, i])
+        v = v / np.linalg.norm(v) * (-1.0 if branch.endswith("-") else 1.0)
+        ratios = abs(float(np.real(eigvals[i]))) ** np.linspace(
+            0.0, 1.0, seeds, endpoint=False)
+        layers.append([p.as_array() + seed_offset * r * v for r in ratios])
+    polys = [[] for _ in branches]
+    reasons = [""] * len(branches)
+    for k in range(steps):
+        outcomes = []
+        for b, pts in enumerate(layers):
+            for q in pts:
+                try:
+                    z = secular.section.lift(SectionPoint(*q), mu, sd)
+                    z[2] *= flips[b]
+                except (DomainError, SingularityError) as e:
+                    z = e
+                outcomes.append((b, z))
+        starts = [z for _, z in outcomes if not isinstance(z, Exception)]
+        if starts:
+            flown = iter(_flow_to_crossing(
+                secular.section._flow_rhs(mu), np.array(starts).T,
+                secular.section.RETURN_TIME, tol, sd.direction))
+            outcomes = [(b, z if isinstance(z, Exception) else next(flown))
+                        for b, z in outcomes]
+        layers = [[] for _ in branches]
+        for b, o in outcomes:
+            if not isinstance(o, Exception):
+                layers[b].append(np.array([float(o[1][0]),
+                                           flips[b] * float(o[1][2])]))
+                continue
+            reasons[b] = f"iterate {k}: {o}"
+            if flips[b] < 0 and getattr(o, "t", None):
+                reasons[b] = reasons[b].replace(f"t={o.t:.6g}:",
+                                                f"t={-o.t:.6g}:", 1)
+        for poly, layer in zip(polys, layers):
+            poly.extend(layer)
+    return [ManifoldBranch(branch, np.array(poly), bool(reason), reason)
+            for branch, poly, reason in zip(branches, polys, reasons)]
+
+
+def _relay_and_per_layer(monkeypatch, p, sd, branches, **kw):
+    """manifold_segments and the per-layer reference on the same inputs,
+    which must agree byte for byte, with the states integrate evaluated
+    for each (the landings' one-state polish calls are not integrate's)."""
+    flow, states = secular.section._flow_rhs, [0]
+
+    def counted(mu):
+        f = flow(mu)
+
+        def rhs(t, z):
+            if isinstance(t, np.ndarray):
+                states[0] += t.size
+            return f(t, z)
+        return rhs
+    monkeypatch.setattr("secular.section._flow_rhs", counted)
+    relay = manifold_segments(p, MU_EM, sd, branches, **kw)
+    relay_states, states[0] = states[0], 0
+    reference = _per_layer(p, MU_EM, sd, branches, **kw)
+    for got, ref in zip(relay, reference, strict=True):
+        assert got.branch == ref.branch
+        assert got.points.shape == ref.points.shape
+        assert got.points.tobytes() == ref.points.tobytes()
+        assert (got.truncated, got.truncation_reason) == \
+            (ref.truncated, ref.truncation_reason)
+    return relay, relay_states, states[0]
+
+
+_FOUR = ("unstable+", "stable+", "unstable-", "stable-")
+
+
+@pytest.fixture(scope="module")
+def readme_lin():
+    sd = SectionDef(+1, README_C)
+    return linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
+
+
+class TestRelay:
+    """One relay flight per manifold run against the per-layer rule."""
+
+    @staticmethod
+    def _kw(lin, **kw):
+        return dict(dict(steps=3, seeds=4, seed_offset=1e-4, tol=1e-10,
+                         lin=lin), **kw)
+
+    def test_four_branches_match_per_layer(self, monkeypatch, readme_lin):
+        # unstable- loses a seed to the energy bound at iterate 0
+        sd = SectionDef(+1, README_C)
+        out, relay, reference = _relay_and_per_layer(
+            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
+        assert out[2].truncation_reason.startswith("iterate 0: section point")
+        assert relay == reference
+
+    def test_lift_failure_after_the_first_iterate(self, monkeypatch,
+                                                  readme_lin):
+        # a made-up fence refuses to lift a point left of x* - 0.45: the
+        # seeds lie inside it, their later iterates beyond it
+        lift_ = secular.section.lift
+
+        def fenced(q, mu, sd):
+            if q.x < README_FIXED.x - 0.45:
+                raise DomainError(f"section point ({q.x}, {q.vx}) fenced")
+            return lift_(q, mu, sd)
+        monkeypatch.setattr("secular.section.lift", fenced)
+        sd = SectionDef(+1, README_C)
+        out, relay, reference = _relay_and_per_layer(
+            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
+        late = [br for br in out if "fenced" in br.truncation_reason]
+        assert late and all(not br.truncation_reason.startswith("iterate 0")
+                            for br in late)
+        assert relay == reference
+
+    @pytest.mark.parametrize("factor", [1.02, 1.2])
+    def test_flights_without_a_crossing(self, monkeypatch, readme_lin,
+                                        factor):
+        # a time budget a little above the fixed point's return time: later
+        # iterates, far from the orbit, run out of it
+        sd = SectionDef(+1, README_C)
+        t_star, _ = _flow_to_crossing(_flow_rhs(MU_EM),
+                                      lift(README_FIXED, MU_EM, sd),
+                                      RETURN_TIME, 1e-10, 1.0)
+        monkeypatch.setattr("secular.section.RETURN_TIME", factor * t_star)
+        out, relay, reference = _relay_and_per_layer(
+            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
+        assert any(br.truncation_reason.startswith("iterate 1: no section")
+                   for br in out)
+        assert relay == reference
+
+    @pytest.mark.parametrize("factor", [1.02, 1.2])
+    def test_failed_flights_read_backward_on_stable_branches(
+            self, monkeypatch, readme_lin, factor):
+        # a right-hand side that fails a little after the fixed point's
+        # return time: integrate's failure ends a leg, at iterate 0 or
+        # later, and the rest fly again from their current legs' starts
+        sd = SectionDef(+1, README_C)
+        t_star, _ = _flow_to_crossing(_flow_rhs(MU_EM),
+                                      lift(README_FIXED, MU_EM, sd),
+                                      RETURN_TIME, 1e-10, 1.0)
+
+        def failing(mu):
+            flow = _flow_rhs(mu)
+
+            def rhs(t, z):
+                d = flow(t, z).reshape(4, -1)
+                return np.where(np.abs(t) > factor * t_star, np.nan,
+                                d).ravel()
+            return rhs
+        monkeypatch.setattr("secular.section._flow_rhs", failing)
+        out, _, _ = _relay_and_per_layer(
+            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
+        stable = out[1].truncation_reason
+        assert stable.startswith("iterate 1: integration failed near t=-")
+        assert "t=" in out[0].truncation_reason and \
+            "t=-" not in out[0].truncation_reason
+
+    @pytest.mark.parametrize("branch", ["unstable-", "stable+"])
+    def test_collision_after_the_first_iterate(self, monkeypatch, branch):
+        # the previous crossing c0 of the Moon-falling section point
+        # (xc, vxc): a seed at c0 lands by its first iterate next to
+        # (xc, vxc), and its second flight falls into the Moon.  A
+        # stable branch's seed is c0's mirror image
+        r0, ang = 1e-3, 3.0
+        v = math.sqrt(2.0 * MU_EM / r0)
+        fall = [1 - MU_EM + r0 * math.cos(ang), r0 * math.sin(ang),
+                -v * math.cos(ang), -v * math.sin(ang)]
+
+        def crossing(t, z):
+            return z[1]
+        crossing.terminal = True
+        sol = solve_ivp(_flow, (0.0, -5.0), fall, method="DOP853",
+                        rtol=1e-13, atol=1e-15, events=crossing)
+        xc, _, vxc, vyc = sol.y_events[0][0]
+        sd = SectionDef(+1, 2.0 * _omega(xc) - vxc ** 2 - vyc ** 2)
+        c0 = _inverse_map(SectionPoint(xc, vxc), MU_EM, sd)
+        lam = 10.0
+        if branch == "unstable-":
+            # seeds at c0 + 0.01, about c0 + 0.0068 and c0
+            lin = MapLinearization(np.diag([lam, 1.0 / lam]),
+                                   (complex(lam), complex(1.0 / lam)),
+                                   HYPERBOLIC)
+            off = 0.01 / (lam ** (2.0 / 3.0) - 1.0)
+            p = SectionPoint(c0.x + 0.01 + off, c0.vx)
+        else:
+            # seeds at the mirror of c0 and 0.0054, 0.0078 to its left
+            lin = MapLinearization(np.diag([1.0 / lam, lam]),
+                                   (complex(1.0 / lam), complex(lam)),
+                                   HYPERBOLIC)
+            off = 0.01
+            p = SectionPoint(c0.x - off, -c0.vx)
+        (out,), _, _ = _relay_and_per_layer(
+            monkeypatch, p, sd, (branch,), steps=3, seeds=3,
+            seed_offset=off, tol=1e-10, lin=lin)
+        assert out.truncation_reason.startswith(
+            "iterate 1: state within collision radius")
+        assert out.points.shape == (7, 2)
+
+    def test_one_flight_for_the_whole_run(self, monkeypatch, readme_lin):
+        # every seed of every branch is in the one stacked flight
+        flights = []
+
+        def counted(rhs, z0, *args):
+            flights.append(np.shape(z0))
+            return _flow_to_crossing(rhs, z0, *args)
+        monkeypatch.setattr("secular.section._flow_to_crossing", counted)
+        sd = SectionDef(+1, README_C)
+        manifold_segments(README_FIXED, MU_EM, sd, _FOUR,
+                          **self._kw(readme_lin, seed_offset=1e-6))
+        assert flights == [(4, 16)]
+
+
+def _crossing_reference(U, S):
+    """homoclinic_intersection's former double loop, one pair of segments
+    at a time: the reference its numpy pass must match bit for bit."""
+    for i in range(len(U) - 1):
+        for j in range(len(S) - 1):
+            a0, d1 = U[i], U[i + 1] - U[i]
+            b0, d2 = S[j], S[j + 1] - S[j]
+            denom = d1[0] * d2[1] - d1[1] * d2[0]
+            if abs(denom) < 1e-300:
+                continue
+            r = b0 - a0
+            t = (r[0] * d2[1] - r[1] * d2[0]) / denom
+            s = (r[0] * d1[1] - r[1] * d1[0]) / denom
+            if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
+                continue
+            hit = a0 + t * d1
+            nu, ns = np.linalg.norm(d1), np.linalg.norm(d2)
+            if nu < 1e-300 or ns < 1e-300:
+                continue
+            cosang = abs(float(np.dot(d1, d2))) / (nu * ns)
+            return (True, (float(hit[0]), float(hit[1])),
+                    math.acos(min(1.0, cosang)), i, j)
+    return (False, None, None, None, None)
+
+
+# small integer grids give parallel, degenerate (repeated) and collinear
+# segments and shared endpoints; scaled floats give general positions
+_vertex = st.one_of(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+
+
+@given(st.lists(_vertex, max_size=8), st.lists(_vertex, max_size=8),
+       st.sampled_from([1.0, 1e-3, 1e-160]))
+@settings(max_examples=200, deadline=None)
+def test_crossing_matches_the_double_loop(u, s, scale):
+    U = np.array(u, dtype=float).reshape(-1, 2) * scale
+    S = np.array(s, dtype=float).reshape(-1, 2) * scale
+    rep = homoclinic_intersection(ManifoldBranch("unstable+", U, False, ""),
+                                  ManifoldBranch("stable+", S, False, ""))
+    got = (rep.found, rep.point, rep.angle, rep.unstable_segment,
+           rep.stable_segment)
+    assert repr(got) == repr(_crossing_reference(U, S))
+
+
+def test_crossing_with_an_empty_stable_branch():
+    U = np.array([[0.0, 0.0], [1.0, 1.0]])
+    rep = homoclinic_intersection(
+        ManifoldBranch("unstable+", U, False, ""),
+        ManifoldBranch("stable+", np.array([]), True, "iterate 0: ..."))
+    assert not rep.found
