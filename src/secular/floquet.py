@@ -3,13 +3,14 @@
 The shared adaptive integrator (`integrate`) takes the Dormand-Prince
 8(5,3) step itself (Hairer, Norsett and Wanner, *Solving ODEs I*, II.10),
 with the tableau, step-size controller and initial-step rule of scipy's
-DOP853 and the event semantics of `solve_ivp`.  The start's width picks
-one of two loops under that one step rule.  A flight of one start, alone
-or as a stack of one, runs scipy's scalar controller on Python floats
-and is bit-identical to ``solve_ivp(method="DOP853")``.  A lone start is
-sampled at the times its caller names (``t_eval``): the 7th-order
-interpolant costs three more right-hand-side calls, so only a step that
-holds a sample or an event builds it.  A stack of starts flies in one
+DOP853.  It has one event, the one a return map needs: the flight ends
+where one component crosses zero in a given sense.  The start's shape
+picks one of two loops under that one step rule.  A 1-D start runs
+scipy's scalar controller on Python floats and is bit-identical to
+``solve_ivp(method="DOP853")`` with that terminal event.  It is sampled
+at the times its caller names (``t_eval``): the 7th-order interpolant
+costs three more right-hand-side calls, so only a step that holds a
+sample or the event's root builds it.  A 2-D stack of starts flies in one
 numpy loop: each member keeps its own time, step size and rejections,
 so it takes the steps of its own flight, while one vectorized
 right-hand-side call per stage serves every member.  The three-body and
@@ -81,19 +82,14 @@ def _dense_coefficients(rhs, K, t_old, h, y_old, y):
     return F
 
 
-def _fires(g_old, g, direction):
-    """Whether an event of scipy's ``direction`` fires as its value goes
-    from g_old to g over a step, as solve_ivp decides it."""
-    up, down = g_old <= 0 <= g, g_old >= 0 >= g
-    return up and direction > 0 or down and direction < 0 or (
-        up or down) and direction == 0
-
-
-def _root(event, step, t):
-    """The event's root in the step (t_old, h, y_old, F) that ends at t,
-    by brentq on the step's interpolant."""
-    return brentq(lambda tt: event(tt, _interpolate(tt, *step)), step[0], t,
-                  xtol=4 * _EPS, rtol=4 * _EPS)
+def _root(row, g_old, step, t):
+    """The root of component ``row`` in the step (t_old, h, y_old, F) that
+    ends at t, by brentq on that component's interpolant; g_old is the
+    event's value at t_old, which the step was tested with."""
+    t_old, h, y_old, F = step
+    part = t_old, h, y_old[row:row + 1], F[:, row:row + 1]
+    return brentq(lambda tt: g_old if tt == t_old else _interpolate(
+        tt, *part)[0], t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
 
 
 @dataclass(frozen=True)
@@ -157,44 +153,43 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     """Adaptive DOP853 integration, sampled at ``t_eval`` if given.
 
     Per-step relative error is bounded by tol (atol scaled to tol * 1e-2
-    to keep small components honest).  Events follow `solve_ivp`: each is
-    a function g(t, x) with optional ``terminal`` and ``direction``, its
-    roots are found by brentq on the interpolant of the step that holds
-    them, and a terminal one ends the flight at its root.  ``t_eval``
-    follows `solve_ivp` too: given times in the span, sorted in the
-    flight's direction (repeats allowed), ``t`` and ``y`` hold those
-    samples up to a terminal event's root, each read off the interpolant
-    of the step that holds it; without t_eval they hold the steps.  Only
-    a step that holds a sample or an event builds its interpolant.  A
-    step size that underflows, or a step size or error estimate that is
-    not finite, ends the flight with a SingularityError.
+    to keep small components honest).  ``events`` is the package's one
+    event, (row, sense) or (row, sense, g0): the flight ends at the first
+    root where component ``row`` crosses zero in ``sense`` (+1 up, -1
+    down, along the flight), found by brentq on the interpolant of the
+    step that holds it, where `solve_ivp` ends at a terminal event y[row]
+    of that direction.  g0, the event's value at t0, defaults to x0[row];
+    a g0 of ``sense`` lets a start on the zero that already moves that way
+    fly on to its next crossing.  ``t_eval`` follows `solve_ivp` too:
+    given times in the span, sorted in the flight's direction (repeats
+    allowed), ``t`` and ``y`` hold those samples up to the root, each read
+    off the interpolant of the step that holds it; without t_eval they
+    hold the steps.  Only a step that holds a sample or the root builds
+    its interpolant.  A step size that underflows, or a step size or
+    error estimate that is not finite, ends the flight with a
+    SingularityError.
 
-    x0 of shape (n, m) is a stack of m starts, each member with its own
-    time, step size and rejections.  f then takes the times of the k
-    members in the call, an array, and their states as the flattened
-    (n, k) row-major stack, and returns their derivatives likewise.
-    Without events every call holds all m members in x0's order, a member
-    that has reached the end standing still, so f may be a family of m
-    systems.  With events, ``events`` holds one per member, called with
-    its state, and a member leaves the calls at its terminal event or the
-    end of the span.  ``final`` holds each member's last state and ``t``
-    the start and the latest end; it takes no t_eval.  A SingularityError
-    names in ``members`` the members at fault, by their index in x0.
-    ``relay`` hands a member on where its terminal event ends a leg:
-    relay(j, t, x) gets its index in x0 and the event's time and state,
-    and returns None, and the member leaves, or its next start and event,
-    which it flies from t0 in its own place in the calls.  A relayed
-    member's steps and events add up over its legs.
-
-    The start's width picks the loop, under one step rule, scipy's.  A
-    flight of one, a lone start or a stack of one, runs scipy's scalar
-    controller on Python floats, with the stage sums and error norms of
-    scipy's numpy calls, so it is bit for bit ``solve_ivp(method=
-    "DOP853")``.  A stack of m > 1 runs the controller over the stack in
-    numpy, with one f call per stage for every member in flight; each
-    member's stages are combined by a BLAS call of its own, so a member
-    takes the steps of its flight alone, bit for bit if f treats its
-    members apart.  A relayed flight runs the stack's loop at any m.
+    The start's shape picks the loop, under scipy's step rule.  A 1-D
+    start flies on Python floats, with the stage sums and error norms of
+    scipy's numpy calls, bit for bit ``solve_ivp(method="DOP853")``.  x0
+    of shape (n, m), m = 1 included, is a stack of m starts in one numpy
+    loop, one f call per stage for every member in flight; each member
+    keeps its own time, step size and rejections, and its stages are
+    combined by a BLAS call of its own, so it takes the steps of its
+    flight alone, bit for bit if f treats its members apart.  f then
+    takes the k members' times, an array, and their states as the
+    flattened (n, k) row-major stack, and returns their derivatives
+    likewise.  Without an event every call holds all m members in x0's
+    order, a member at the end standing still, so f may be a family of m
+    systems.  With one, g0 is a float or one per member, and a member
+    leaves the calls at its root or the end of the span.  ``final`` holds
+    each member's last state and ``t`` the start and the latest end; a
+    stack takes no t_eval.  A SingularityError names in ``members`` the
+    members at fault, by their index in x0.  ``relay`` hands a member on
+    at its root: relay(j, t, x) gets its index in x0 and the root's time
+    and state, and returns None, and the member leaves, or (start, g0) of
+    its next leg, which it flies from t0 in its own place in the calls.
+    A relayed member's steps and roots add up over its legs.
     """
     tol = float(tol)
     t0, t_end = map(float, t_span)
@@ -206,15 +201,23 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     if not np.isfinite(x0).all():
         raise DomainError("initial state must be finite")
     stacked = x0.ndim == 2
-    n, m = x0.shape if stacked else (len(x0), 1)
-    events = () if events is None else \
-        (events,) if callable(events) else tuple(events)
-    if stacked and (t_eval is not None or len(events) not in (0, m)):
-        raise DomainError("a stacked flight takes no t_eval and one event "
-                          "per member")
+    if stacked and t_eval is not None:
+        raise DomainError("a stacked flight takes no t_eval")
     if relay is not None and not (stacked and events):
         raise DomainError("a relay hands on the members of a stacked "
-                          "flight with events")
+                          "flight with an event")
+    if events is not None:
+        row, sense, *g0 = events
+        if len(g0) > 1 or row not in range(len(x0)):
+            raise DomainError(f"events must be (row, sense[, g0]) with a "
+                              f"row of the state, got row {row}")
+        if sense not in (1, -1):
+            raise DomainError(f"event sense must be +1 or -1, got {sense}")
+        g0 = np.asarray(g0[0] if g0 else x0[row], dtype=float)
+        if g0.shape not in ((), x0.shape[1:]):
+            raise DomainError("event g0 must be a float or one per member")
+        events = (int(row), float(sense),
+                  np.broadcast_to(g0, x0.shape[1:]).tolist())
     direction = 1.0 if t_end >= t0 else -1.0
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
@@ -225,18 +228,18 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         if (np.diff(ahead) < 0).any():
             raise DomainError("t_eval must be sorted in the flight's direction")
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2
-    if m > 1 or relay is not None:
-        T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay)
-        t_out = np.array([t0, T[np.argmax(direction * T)]])
-        y_out = np.column_stack((x0.ravel(), Y.ravel()))
-    else:
-        ts, ys, *out = _fly_one(f, x0.ravel(), t0, t_end, rtol, atol, events,
-                                t_eval, stacked)
+    # a derivative or step that overflows ends the flight with a
+    # SingularityError, so numpy's warnings would only say it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if stacked:
-            t_out = np.array([t0, ts[-1]])
-            y_out = np.column_stack((x0.ravel(), ys[-1]))
+            T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events,
+                                    relay)
+            t_out = np.array([t0, T[np.argmax(direction * T)]])
+            y_out = np.column_stack((x0.ravel(), Y.ravel()))
         else:
-            t_out, y_out = np.array(ts), np.array(ys).reshape(-1, n).T
+            ts, ys, *out = _fly_one(f, x0, t0, t_end, rtol, atol, events,
+                                    t_eval)
+            t_out, y_out = np.array(ts), np.array(ys).reshape(-1, len(x0)).T
     t_events, y_events, n_acc, n_rej, states = out
     return Trajectory(
         t_out, y_out,
@@ -246,13 +249,12 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     )
 
 
-def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
+def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
     """One start's flight, scipy's DOP853 step by step: the stage sums
     np.dot(K[:s].T, a) * h and the error norms as scipy's numpy calls take
-    them, the controller on Python floats.  A stack of one (``stacked``)
-    is called with its time in an array and named as member 0 in a
-    SingularityError.  Returns the steps (the samples, given t_eval) and
-    the states there, the events, and the work done."""
+    them, the controller on Python floats.  Returns the steps (the samples,
+    given t_eval) and the states there, the event's root, and the work
+    done."""
     n = len(y)
     direction = 1.0 if t_end >= t else -1.0
     toward = direction * math.inf
@@ -262,25 +264,17 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
         nonlocal states
         states += 1
         try:
-            return f(np.array([t]) if stacked else t, y)
+            return f(t, y)
         except SingularityError as e:
-            if stacked:
-                e.members = (0,)
-            else:
-                e.members = e.reasons = ()
+            e.members = e.reasons = ()  # a lone start is no stack's member
             raise
 
     def failure(reason):
         return SingularityError(
-            f"integration failed near t={t:.6g}: {reason}", t=t,
-            members=(0,) if stacked else ())
+            f"integration failed near t={t:.6g}: {reason}", t=t)
 
-    g = [e(t, y) for e in events]
-    ev_dir = [getattr(e, "direction", 0) for e in events]
-    # occurrences of each event that end the flight
-    max_events = [getattr(e, "terminal", None) or math.inf for e in events]
-    count = [0] * len(events)
-    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    row, sense, g = event or (0, 0.0, 0.0)
+    t_events, y_events = [], []
     sampled = t_eval is not None
     if sampled:
         ahead, i_eval = direction * t_eval, 0  # the first sample not taken
@@ -288,7 +282,7 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
     acc = rej = 0
 
     def work():
-        return t_events, y_events, np.array([acc]), np.array([rej]), states
+        return [t_events], [y_events], np.array([acc]), np.array([rej]), states
 
     if t == t_end:  # solve_ivp's one empty step
         if sampled:
@@ -300,8 +294,7 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
     K[0] = rhs(t, y)
     interval = abs(t_end - t)
     scale = atol + np.abs(y) * rtol
-    with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
-        d0, d1 = _rms(y / scale), _rms(K[0] / scale)
+    d0, d1 = _rms(y / scale), _rms(K[0] / scale)  # d1 = inf: h0 = 0, as scipy
     h0 = _first_guess(d0, d1, interval)
     f1 = np.asarray(rhs(t + h0 * direction, y + h0 * direction * K[0]),
                     dtype=float)
@@ -354,26 +347,14 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
         retry = False
         t_old, y_old, t, y = t, y, t_new, y_new
         step = stop = None
-        active = []
-        for e, event in enumerate(events):
-            g_old, g[e] = g[e], event(t, y)
-            if _fires(g_old, g[e], ev_dir[e]):
-                active.append(e)
-        if active:
-            step = interpolant()
-            hits = [(e, _root(events[e], step, t)) for e in active]
-            for e in active:
-                count[e] += 1
-            if any(count[e] >= max_events[e] for e in active):
-                # the flight ends at the first root of a terminal event
-                hits.sort(key=lambda hit: direction * hit[1])
-                last = next(i for i, (e, _) in enumerate(hits)
-                            if count[e] >= max_events[e])
-                del hits[last + 1:]
-                stop = hits[-1][1], _interpolate(hits[-1][1], *step)
-            for e, te in hits:
-                t_events[e].append(te)
-                y_events[e].append(_interpolate(te, *step))
+        if event:  # the flight ends at the first root
+            g_old, g = g, y[row]
+            if sense * g_old <= 0 <= sense * g:
+                step = interpolant()
+                te = _root(row, g_old, step, t)
+                stop = te, _interpolate(te, *step)
+                t_events.append(te)
+                y_events.append(stop[1])
         if sampled:  # the samples in (t_old, t], t0's in the first step
             end = stop[0] if stop else t
             i_new = int(np.searchsorted(ahead, direction * end, "right"))
@@ -391,11 +372,11 @@ def _fly_one(f, y, t, t_end, rtol, atol, events, t_eval, stacked):
         K[0] = K[_S]
 
 
-def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
+def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     """m starts flown in one loop, scipy's controller over the stack in
     numpy; a member that ``relay`` hands on flies its next leg in its own
-    place.  Returns each member's last time and state, its events, and
-    the work done."""
+    place.  Returns each member's last time and state, its roots, and the
+    work done."""
     n, m = x0.shape
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
@@ -418,20 +399,15 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
                 e.members = (int(who[0]),)
             raise
 
-    # per member: its event, the event's value and its occurrences in
-    # the member's leg so far
-    events = list(events)
-    g = [e(t0, x0[:, j]) for j, e in enumerate(events)]
-    count = [0] * len(events)
     T, Y = np.full(m, t0), x0.copy()  # each member's last
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    t_events, y_events = [[] for _ in range(m)], [[] for _ in range(m)]
     n_acc, n_rej = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
     # the members in the calls to f, and per member its time, state,
     # derivative, whether its last try was rejected, its accepted and
-    # rejected steps, and the end, length and failure of its next try
-    # (0: none, else the index of its reason in _FAILURES)
-    cols = np.arange(m)
+    # rejected steps, the end, length and failure of its next try (0:
+    # none, else the index of its reason in _FAILURES), and its event value
+    row, sense, g = event or (0, 0.0, [0.0] * m)
+    cols, g = np.arange(m), np.array(g)
     t, y = np.full(m, t0), x0.ravel().copy()
     retry, acc, rej = np.zeros(m, bool), np.zeros(m, int), np.zeros(m, int)
     rows = np.tile(cols, n)  # the member of each entry of y
@@ -457,10 +433,9 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
         failure of their first try."""
         k = len(who)
         fy = rhs(np.full(k, t0), y, who)
-        scale = atol + np.abs(y) * rtol
-        with np.errstate(over="ignore"):  # d1 = inf gives h0 = 0, as in scipy
-            d0, d1 = (_norms(np.array((y / scale, fy / scale)), k)
-                      / n ** 0.5).tolist()
+        scale = atol + np.abs(y) * rtol  # d1 = inf gives h0 = 0, as in scipy
+        d0, d1 = (_norms(np.array((y / scale, fy / scale)), k)
+                  / n ** 0.5).tolist()
         h0 = np.array([_first_guess(a, b, interval) for a, b in zip(d0, d1)])
         f1 = rhs(t0 + h0 * direction, y + np.tile(h0 * direction, n) * fy,
                  who)
@@ -504,9 +479,8 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
         h_abs = np.abs(h)
         e5 = np.array([v ** 2 for v in norm5])
         e3 = np.array([v ** 2 for v in norm3])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            err = np.where((e5 == 0) & (e3 == 0), 0.0,
-                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * n))
+        err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                       h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * n))
         if not np.isfinite(err).all():
             p = int(np.flatnonzero(~np.isfinite(err))[0])
             raise failure(p, "the error estimate is not finite")
@@ -524,33 +498,35 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
         else:
             a = accept[rows]
             y, fy = np.where(a, y_new, y), np.where(a, f_new, fy)
-        leave = t == t_end if events else np.full(k, (t == t_end).all())
-        exits = {}  # position -> (time, state) where a terminal event hit
+        leave = t == t_end if event else np.full(k, (t == t_end).all())
+        exits = {}  # position -> (time, state) where its leg ended
         back = {}  # position -> the next start of a member handed on
-        t_now = t.tolist()
-        moved = np.flatnonzero(accept & (h_step != 0)).tolist()
-        for p in moved if events else ():
+        lands = []  # one array test finds the members whose root is here
+        if event:
+            moved = accept & (h_step != 0)
+            g_old, g = g, np.where(moved, y_new[row * k:(row + 1) * k], g)
+            lands = np.flatnonzero(moved & (sense * g_old <= 0)
+                                   & (sense * g >= 0)).tolist()
+        for p in lands:
             j = cols[p]
-            g_old, g[j] = g[j], events[j](t_now[p], y_new[p::k])
-            if not _fires(g_old, g[j], getattr(events[j], "direction", 0)):
-                continue
             step = (t_old[p], h_step[p], y_old[p::k], _dense_coefficients(
                 lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
                 K[p], t_old[p], h_step[p], y_old[p::k], y_new[p::k]))
-            te = _root(events[j], step, t_now[p])
-            count[j] += 1
+            te = _root(row, g_old[p], step, t[p])
             t_events[j].append(te)
             y_events[j].append(_interpolate(te, *step))
-            # a terminal event ends the leg at its terminal-th occurrence
-            if count[j] < (getattr(events[j], "terminal", None) or math.inf):
-                continue
             nxt = relay and relay(int(j), te, y_events[j][-1])
             if nxt is None:
                 exits[p] = te, y_events[j][-1]
                 leave[p] = True
-            else:  # its next leg, from t0
-                back[p], events[j] = nxt
-                g[j], count[j] = events[j](t0, back[p]), 0
+                continue
+            try:  # its next leg, from t0
+                back[p], g[p] = nxt
+            except (TypeError, ValueError):
+                back[p] = None
+            if np.shape(back[p]) != (n,):
+                raise DomainError("a relay returns None or (start, g0), a "
+                                  f"start of {n} floats")
         if back:
             b, S = list(back), np.array(list(back.values()), dtype=float).T
             fb, t_new[b], hh[b], fail[b] = launch(cols[b], S.ravel())
@@ -566,8 +542,8 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, events, relay=None):
                 T[cols[p]], Y[:, cols[p]] = te, ye
             stay = ~leave
             cols = cols[stay]
-            t, retry, acc, rej, t_new, hh, fail = (
-                v[stay] for v in (t, retry, acc, rej, t_new, hh, fail))
+            t, retry, acc, rej, t_new, hh, fail, g = (
+                v[stay] for v in (t, retry, acc, rej, t_new, hh, fail, g))
             y = y.reshape(n, k)[:, stay].ravel()
             fy = fy.reshape(n, k)[:, stay].ravel()
             rows = np.tile(np.arange(len(cols)), n)
@@ -608,7 +584,8 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
     sampled at t_eval if given; a family's m members fly as one
     (n * n, m) stack."""
     m = sys.members
-    n = np.shape(sys.A_of_t(0.0 if m is None else np.zeros(m)))[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate reports it
+        n = np.shape(sys.A_of_t(0.0 if m is None else np.zeros(m)))[-1]
     if m is None:
         def rhs(t, flat):
             X = flat.reshape(n, n)

@@ -13,7 +13,9 @@ stacks of states, and `_var_rhs` evaluates it on one state's floats,
 with the state-transition matrix from Omega's Hessian at the same radii.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifolds in
-`secular.section`; it flies one start, or a stack of starts in one loop,
+`secular.section`.  The crossing is `integrate`'s one event, y crossing
+zero in the section's sense, with the value at t = 0 set past the axis
+for a start on it; a 1-D start flies alone and a 2-D stack in one loop,
 each member relayed from crossing to crossing if asked.  A corrected
 orbit's monodromy is read off its half-period STM through the mirror, by
 the rule Hill's equation uses.
@@ -310,54 +312,43 @@ def _with_stm(state) -> np.ndarray:
     return np.concatenate((np.asarray(state, dtype=float), np.eye(4).ravel()))
 
 
-def _crossing_event(direction, terminal, past=False):
-    """The scipy-style event y = 0 of one state (x, y, ...); with ``past``
-    it reads ``direction`` at t = 0, so a start on the axis does not fire."""
-    def crossing(t, z):
-        return direction if past and t == 0 else z[1]
-    crossing.terminal, crossing.direction = terminal, direction
-    return crossing
-
-
 def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
     """Fly z0 to its first y = 0 crossing; returns (t, z) there.
 
     z0 is one start of n floats (the state, then anything flown with it,
-    such as an STM), or a stack of m starts with shape (n, m), which
-    `integrate` flies in one loop, each member with the steps of its own
-    flight, leaving the stack at its own crossing.  One start returns
-    (t, z) or raises; a stack returns, per member, (t, z) or the error
-    that ended its flight.  A member that the RHS finds in collision, or
-    whose step fails, leaves with its own SingularityError and the rest
-    fly again without it, each from its start; one that has not crossed
-    by t_end gets a NonConvergenceError.  A SingularityError that names
-    no member propagates (every RHS here names the members at fault).
-    ``relay`` flies a stack's members on from crossing to crossing:
-    relay(i, (t, z)) gets member i's crossing as it lands and returns its
-    next start, which flies at once in its place, or None; member i's
-    outcome is then that of its last flight.
+    such as an STM), which `integrate` flies alone, or a stack of m starts
+    with shape (n, m), which it flies in one loop, each member with the
+    steps of its own flight, leaving the stack at its own crossing.  One
+    start returns (t, z) or raises; a stack returns, per member, (t, z) or
+    the error that ended its flight.  A member that the RHS finds in
+    collision, or whose step fails, leaves with its own SingularityError
+    and the rest fly again without it, each from its start; one that has
+    not crossed by t_end gets a NonConvergenceError.  A SingularityError
+    that names no member propagates (every RHS here names the members at
+    fault).  ``relay`` flies a stack's members on from crossing to
+    crossing: relay(i, (t, z)) gets member i's crossing as it lands and
+    returns its next start, which flies at once in its place, or None;
+    member i's outcome is then that of its last flight.
 
-    ``direction`` is the scipy event direction: the sign of dy/dt times
-    the sign of t_end.  A start on the axis (|y| <= 10 CROSSING_Y_TOL)
-    that already moves in that direction flies to its next crossing: its
-    event reads as past the axis at t = 0, so it does not fire there and
-    costs no interpolant or root search there.  The landing starts from
-    the event state, which is evaluated on the interpolant of the step
-    that holds the event (the only interpolant the flight builds); if
-    |y| > CROSSING_Y_TOL there, one first-order step dt = -y / vy along
-    the flow sets y to zero up to rounding.  A y of zero takes the sign of
-    the side the flight came from, so the mirror
-    R(x, y, vx, vy) = (x, -y, -vx, vy) maps crossings bit for bit.
+    The crossing is `integrate`'s one event (1, direction, g0), with
+    ``direction`` the sign of dy/dt times the sign of t_end.  A start on
+    the axis (|y| <= 10 CROSSING_Y_TOL) that already moves that way has
+    g0 = ``direction``: the event reads it as past the axis, so it flies
+    to its next crossing and pays for no interpolant or root search at
+    t = 0.  Any other start's g0 is its y.  The landing starts from the
+    event state, read off the interpolant of the step that holds the root
+    (the only interpolant the flight builds); if |y| > CROSSING_Y_TOL
+    there, one first-order step dt = -y / vy along the flow sets y to zero
+    up to rounding.  A y of zero takes the sign of the side the flight
+    came from, so the mirror R(x, y, vx, vy) = (x, -y, -vx, vy) maps
+    crossings bit for bit.
     """
     z0 = np.asarray(z0, dtype=float)
-    Z = z0.reshape(len(z0), -1).copy()  # each member's current start
-    out = [None] * Z.shape[1]  # None while a member flies
-    todo = list(range(Z.shape[1]))
 
-    def event(z):
+    def g0(z):
         moving = math.copysign(1.0, z[3]) * math.copysign(1.0, t_end)
-        return _crossing_event(direction, 1, abs(z[1]) <= 10.0
-                               * CROSSING_Y_TOL and moving == direction)
+        past = abs(z[1]) <= 10.0 * CROSSING_Y_TOL and moving == direction
+        return direction if past else z[1]
 
     def landing(t, z):
         t = float(t)
@@ -367,19 +358,29 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
         z[1] = z[1] or -direction * 0.0  # the side the flight came from
         return t, z
 
+    missed = "no section crossing within the time budget"
+    if z0.ndim == 1:
+        traj = integrate(rhs, z0, (0.0, t_end), tol,
+                         events=(1, direction, g0(z0)))
+        if not len(traj.t_events[0]):
+            raise NonConvergenceError(missed, best=traj.final)
+        return landing(traj.t_events[0][0], traj.y_events[0][0])
+    Z = z0.copy()  # each member's current start
+    out = [None] * Z.shape[1]  # None while a member flies
+    todo = list(range(Z.shape[1]))
+
     def relayed(j, t, z):
         i = todo[j]
         out[i] = landing(t, z)
-        nxt = relay(i, out[i])
+        nxt = relay and relay(i, out[i])
         if nxt is not None:
             Z[:, i], out[i] = nxt, None
-            return nxt, event(nxt)
+            return nxt, g0(nxt)
 
     while todo:
         try:
-            traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol,
-                             events=[event(Z[:, i]) for i in todo],
-                             relay=relay and relayed)
+            traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol, events=(
+                1, direction, [g0(Z[:, i]) for i in todo]), relay=relayed)
         except SingularityError as e:
             if not e.members:
                 raise
@@ -389,18 +390,10 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
         else:
             final = traj.final.reshape(Z.shape[0], -1)
             for j, i in enumerate(todo):
-                te = () if relay else traj.t_events[j]
                 if out[i] is None:  # not landed in flight
-                    out[i] = landing(te[0], traj.y_events[j][0]) if len(te) \
-                        else NonConvergenceError(
-                            "no section crossing within the time budget",
-                            best=final[:, j])
+                    out[i] = NonConvergenceError(missed, best=final[:, j])
         todo = [i for i in todo if out[i] is None]
-    if z0.ndim == 2:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return out
 
 
 def variational_flow(state0, mu, T, tol=1e-12):

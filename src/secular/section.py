@@ -47,6 +47,8 @@ class SectionDef:
     def __post_init__(self):
         if self.direction not in (+1, -1):
             raise DomainError("direction must be +1 or -1")
+        if not math.isfinite(self.C):
+            raise DomainError(f"Jacobi constant C must be finite: {self.C}")
 
 
 @dataclass(frozen=True)

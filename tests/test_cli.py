@@ -965,6 +965,10 @@ def test_malformed_json_is_one_line_input_error(argv):
      "--state", "0.5,nan,0.2,-0.1", "--t", "1.0"],
     ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
      "--state", "0.5,0.3,0.2,-0.1", "--t", "inf"],
+    ["section", "crossings", "--mu", "0.012150585", "--C", "nan",
+     "--start", "0.86,0.0"],
+    ["section", "manifolds", "--mu", "0.012150585", "--C", "nan",
+     "--fixed", "0.8359151287720265,0.0"],
 ])
 def test_non_finite_input_is_one_line_input_error(capsys, argv):
     # each of these once flew forever: a NaN derivative made the first
@@ -972,4 +976,24 @@ def test_non_finite_input_is_one_line_input_error(capsys, argv):
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: input:")
+    assert err.count("\n") == 1
+    if "--C" in argv:  # the section names its bad constant
+        assert "Jacobi constant C must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["floquet", "--system", "hill", "--a", "1e308", "--q", "1e308"],
+    ["--format", "csv", "floquet", "--system", "hill",
+     "--grid", "1e308:1e308:2,1e308:1e308:1"],
+    ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+     "--state=1e200,0.3,0.2,-0.1", "--t", "1", "--samples", "3"],
+])
+def test_overflowing_input_is_one_line_error(capsys, argv):
+    # finite inputs whose values overflow: the flight reports the failure,
+    # and numpy warns of nothing before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: non-convergence:")
     assert err.count("\n") == 1

@@ -86,12 +86,14 @@ class TestIntegrate:
         assert none.t.shape == (0,) and none.y.shape == (1, 0)
 
     def test_event_detection(self):
+        # x = cos t crosses zero downwards at pi / 2, where the flight ends
         f = lambda t, y: np.array([y[1], -y[0]])
-        ev = lambda t, y: y[0]
-        traj = integrate(f, [1.0, 0.0], (0.0, 10.0), tol=1e-12, events=ev)
-        assert traj.t_events is not None
-        crossings = traj.t_events[0]
-        assert np.allclose(crossings[0], math.pi / 2, atol=1e-8)
+        traj = integrate(f, [1.0, 0.0], (0.0, 10.0), tol=1e-12,
+                         events=(0, -1))
+        (te,), = traj.t_events
+        assert np.allclose(te, math.pi / 2, atol=1e-8)
+        assert traj.t[-1] == te
+        assert np.array_equal(traj.final, traj.y_events[0][0])
 
     def test_blow_up_raises(self):
         # x' = x^2 escapes to infinity at t = 1
@@ -245,26 +247,52 @@ def _oscillators(t, z):
     return np.concatenate((v, -x))
 
 
+def _duffing(t, z):
+    """x'' = -x - x^3 / 10 for a stack of members, flattened from (2, k)."""
+    x, v = z.reshape(2, -1)
+    return np.concatenate((v, -x - 0.1 * x ** 3))
+
+
+def _same(mine, theirs):
+    """Equal shapes and bits."""
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    return mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
+
 class TestIntegrateAgainstSolveIvp:
-    def test_bit_identical_to_solve_ivp(self):
-        f = lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1] ** 3])
+    @given(st.sampled_from([_oscillators, _duffing]),
+           st.floats(-math.pi, math.pi), st.floats(0.5, 2.0),
+           st.sampled_from([9.0, -9.0]), st.integers(0, 1),
+           st.sampled_from([1.0, -1.0]),
+           st.one_of(st.none(), st.floats(-1.0, 1.0)),
+           st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                        max_size=12)))
+    @example(_oscillators, 0.0, 1.0, 9.0, 1, -1.0, 0.5, None)  # a g0 hit
+    @example(_duffing, 0.0, 1.0, -9.0, 0, 1.0, None, [0.0, 0.5, 1.0])
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_solve_ivp(self, f, phase, amp, t_end, row,
+                                        sense, g0, where):
+        # a flight to the first crossing of y[row] in sense, against
+        # solve_ivp's terminal event y[row] of that direction, which
+        # reads g0 at t = 0 if one is given; sampled at the times
+        # `where` places across the span if given
+        x0 = amp * np.array([math.cos(phase), -math.sin(phase)])
 
-        def up(t, y):
-            return y[0]
-        up.terminal, up.direction = 3, 1.0
-
-        def down(t, y):
-            return y[1] - 0.2
-        down.direction = -1.0
-        traj = integrate(f, [1.0, 0.0], (0.0, 40.0), 1e-10,
-                         events=[up, down])
-        ref = solve_ivp(f, (0.0, 40.0), [1.0, 0.0], method="DOP853",
-                        rtol=1e-10, atol=1e-12, events=[up, down])
-        assert np.array_equal(traj.t, ref.t)
-        assert np.array_equal(traj.y, ref.y)
-        for mine, theirs in zip(traj.t_events + traj.y_events,
-                                ref.t_events + ref.y_events):
-            assert np.array_equal(mine, theirs)
+        def crossing(t, y):
+            return g0 if g0 is not None and t == 0 else y[row]
+        crossing.terminal, crossing.direction = True, sense
+        ts = None if where is None else \
+            np.unique(np.array(where) * abs(t_end)) * math.copysign(1, t_end)
+        traj = integrate(f, x0, (0.0, t_end), 1e-10, t_eval=ts, events=(
+            row, sense) if g0 is None else (row, sense, g0))
+        ref = solve_ivp(f, (0.0, t_end), x0, method="DOP853", rtol=1e-10,
+                        atol=1e-12, events=crossing, t_eval=ts)
+        assert _same(traj.t, ref.t)
+        # solve_ivp's y is [] when the flight ends before its first sample
+        assert _same(traj.y, np.reshape(ref.y, (2, -1)))
+        assert _same(traj.t_events[0], ref.t_events[0])
+        assert _same(traj.y_events[0], ref.y_events[0])
+        assert traj.states_evaluated == ref.nfev
 
     @pytest.mark.parametrize("case", ["forward", "backward", "terminal",
                                       "backward_terminal"])
@@ -277,12 +305,8 @@ class TestIntegrateAgainstSolveIvp:
 
         def up(t, y):
             return y[0]
-        up.terminal, up.direction = 2 if t_end > 0 else 1, 1.0
-
-        def down(t, y):
-            return y[1] - 0.2
-        down.direction = -1.0
-        events = [up, down] if case.endswith("terminal") else None
+        up.terminal, up.direction = True, 1.0
+        events = (0, 1.0) if case.endswith("terminal") else None
         steps = integrate(f, [1.0, 0.0], (0.0, t_end), 1e-10).t
         ts = np.sort(np.concatenate((np.linspace(0.0, t_end, 57),
                                      steps[3:9])))
@@ -290,7 +314,8 @@ class TestIntegrateAgainstSolveIvp:
         traj = integrate(f, [1.0, 0.0], (0.0, t_end), 1e-10, events=events,
                          t_eval=ts)
         ref = solve_ivp(f, (0.0, t_end), [1.0, 0.0], method="DOP853",
-                        rtol=1e-10, atol=1e-12, events=events, t_eval=ts)
+                        rtol=1e-10, atol=1e-12, events=events and up,
+                        t_eval=ts)
         assert np.array_equal(traj.t, ref.t)
         assert np.array_equal(traj.y, ref.y)
         assert traj.states_evaluated == ref.nfev
@@ -316,8 +341,8 @@ class TestIntegrateAgainstSolveIvp:
 
 
 class TestFlightOfOne:
-    """The corrector's flight: one 20-float state and STM start, flown as
-    a stack of one to its crossing."""
+    """The corrector's flight: one 20-float state and STM start, flown
+    alone to its crossing."""
 
     @staticmethod
     def _corrector_flight(monkeypatch):
@@ -336,24 +361,32 @@ class TestFlightOfOne:
         rhs, z0 = pcr3bp._var_rhs(mu), pcr3bp._with_stm(state)
         pcr3bp._flow_to_crossing(rhs, z0, 4.0 * t_half, 1e-12, -1.0)
         ((_, Z, span, tol), kwargs, traj), = flights
-        assert Z.shape == (20, 1)
+        assert Z.shape == (20,)
         return rhs, z0, span, tol, kwargs["events"], traj
 
     def test_corrector_flight_bit_identical_to_solve_ivp(self, monkeypatch):
-        rhs, z0, span, tol, (crossing,), traj = \
+        rhs, z0, span, tol, (row, sense, g0), traj = \
             self._corrector_flight(monkeypatch)
+
+        def crossing(t, z):
+            return g0 if t == 0 else z[row]
+        crossing.terminal, crossing.direction = True, sense
         ref = solve_ivp(rhs, span, z0, method="DOP853", rtol=tol,
                         atol=tol * 1e-2, events=crossing)
         assert ref.status == 1
-        assert np.array_equal(traj.t_events[0], ref.t_events[0])
-        assert np.array_equal(traj.y_events[0], ref.y_events[0])
-        assert np.array_equal(traj.final, ref.y_events[0][-1])
+        assert _same(traj.t, ref.t)  # every step
+        assert _same(traj.y, ref.y)
+        assert _same(traj.t_events[0], ref.t_events[0])
+        assert _same(traj.y_events[0], ref.y_events[0])
         assert traj.states_evaluated == ref.nfev
 
     def test_stack_of_one_flies_as_the_lone_start(self, monkeypatch):
-        rhs, z0, span, tol, events, stack = \
+        # the corrector's start as a stack of one flies the stack's loop,
+        # and takes the lone flight's steps bit for bit
+        rhs, z0, span, tol, (row, sense, g0), alone = \
             self._corrector_flight(monkeypatch)
-        alone = integrate(rhs, z0, span, tol, events)
+        stack = integrate(rhs, z0[:, None], span, tol,
+                          events=(row, sense, [g0]))
         assert stack.t.shape == (2,) and stack.y.shape == (20, 2)
         assert np.array_equal(stack.final, alone.final)
         assert np.array_equal(stack.t[-1], alone.t[-1])
@@ -388,10 +421,7 @@ class TestStackedIntegrate:
             widths.append(len(z))
             return _oscillators(t, z)
 
-        def up(t, y):
-            return y[0]
-        up.terminal, up.direction = True, 1.0
-        traj = integrate(f, x0, (0.0, 4.0), 1e-10, events=[up, up, up])
+        traj = integrate(f, x0, (0.0, 4.0), 1e-10, events=(0, 1.0))
         final = traj.final.reshape(2, 3)
         for j, phi in enumerate(phis):
             t_up = (1.5 * math.pi - phi) % (2.0 * math.pi)
@@ -416,12 +446,41 @@ class TestStackedIntegrate:
             assert np.allclose(traj.final.reshape(2, 2)[:, j], alone.final,
                                atol=1e-9)
 
-    def test_stack_rejects_t_eval_and_shared_events(self):
+    def test_stack_rejects_t_eval(self):
         x0 = np.ones((2, 3))
         with pytest.raises(DomainError, match="t_eval"):
             integrate(_oscillators, x0, (0.0, 1.0), t_eval=[0.5])
-        with pytest.raises(DomainError):
-            integrate(_oscillators, x0, (0.0, 1.0), events=lambda t, y: y[0])
+
+    @pytest.mark.parametrize("x0, events", [
+        ([1.0, 0.0], (2, 1.0)),  # a row out of range
+        ([1.0, 0.0], (-1, 1.0)),
+        ([1.0, 0.0], (0.5, 1.0)),
+        (np.ones((2, 3)), (2, 1.0)),
+        ([1.0, 0.0], (0, 0.0)),  # a sense other than +-1
+        ([1.0, 0.0], (0, 2.0)),
+        ([1.0, 0.0], (0, math.nan)),
+        ([1.0, 0.0], (0, 1.0, [0.0])),  # a g0 of the wrong length
+        (np.ones((2, 3)), (0, 1.0, [0.0, 0.0])),
+        (np.ones((2, 3)), (0, 1.0, [[0.0] * 3])),
+        ([1.0, 0.0], (0, 1.0, 0.0, 0.0)),  # more than (row, sense, g0)
+    ])
+    def test_bad_event_is_a_domain_error(self, x0, events):
+        with pytest.raises(DomainError, match="event"):
+            integrate(_oscillators, x0, (0.0, 1.0), events=events)
+
+    @pytest.mark.parametrize("handed", [
+        5, "ab", (np.zeros(2),), (np.zeros(2), 0.0, 0.0),
+        (np.zeros(3), 0.0), (np.zeros((2, 1)), 0.0), (np.zeros(2), [0.0, 1.0]),
+        (np.zeros(2), "x"),
+    ])
+    def test_relay_returns_none_or_a_start_and_g0(self, handed):
+        # every member crosses x = 0 upwards within 2 pi, where the relay
+        # hands it on
+        phis = np.array([0.3, 1.1, -2.0])
+        x0 = np.array([np.cos(phis), -np.sin(phis)])
+        with pytest.raises(DomainError, match="relay returns None or"):
+            integrate(_oscillators, x0, (0.0, 7.0), 1e-10, events=(0, 1.0),
+                      relay=lambda j, t, z: handed)
 
 
 class TestStepper:
@@ -493,19 +552,6 @@ class TestStepper:
         assert len(set(traj.accepted_steps.tolist())) == 3
 
 
-def _duffing(t, z):
-    """x'' = -x - x^3 / 10 for a stack of members, flattened from (2, k)."""
-    x, v = z.reshape(2, -1)
-    return np.concatenate((v, -x - 0.1 * x ** 3))
-
-
-def _up(t, y):
-    return y[0]
-
-
-_up.terminal, _up.direction = True, 1.0
-
-
 @given(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
        st.floats(0.5, 2.0), st.booleans())
 # two stacks whose second member, combined by one gemv over the stack,
@@ -516,12 +562,12 @@ _up.terminal, _up.direction = True, 1.0
 def test_stacked_member_flies_as_alone(phases, amp, with_events):
     # each member of a stack takes the steps of its own flight
     x0 = amp * np.array([np.cos(phases), -np.sin(phases)])
-    events = [_up] * len(phases) if with_events else None
-    stack = integrate(_duffing, x0, (0.0, 9.0), 1e-10, events)
+    events = (0, 1.0) if with_events else None
+    stack = integrate(_duffing, x0, (0.0, 9.0), 1e-10, events=events)
     final = stack.final.reshape(2, -1)
     for j in range(len(phases)):
         alone = integrate(_duffing, x0[:, j], (0.0, 9.0), 1e-10,
-                          [_up] if with_events else None)
+                          events=events)
         assert np.max(np.abs(final[:, j] - alone.final)) <= 1e-12
         assert stack.accepted_steps[j] == alone.accepted_steps[0]
         assert stack.rejected_steps[j] == alone.rejected_steps[0]
@@ -537,40 +583,38 @@ def _turned(phase, z):
     return abs(z[1]) * np.array([math.cos(phase), -math.sin(phase)])
 
 
-def _up_twice(t, y):
-    return y[0]
-
-
-_up_twice.terminal, _up_twice.direction = 2, 1.0
-
-
 @given(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.integers(1, 4)),
                 min_size=1, max_size=6),
-       st.floats(0.5, 2.0), st.sampled_from([_up, _up_twice]))
+       st.floats(0.5, 2.0), st.sampled_from([1.0, -1.0]), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_relayed_legs_fly_as_alone(members, amp, up):
-    # member j flies legs[j] legs of x'' = -x, each to its first or its
-    # second upward crossing of x = 0 (within 4 pi < 13 of its start);
-    # the relay hands it on from each landing, turned by half a radian
-    # more, until its legs are done
+def test_relayed_legs_fly_as_alone(members, amp, sense, past):
+    # member j flies legs[j] legs of x'' = -x, each to its first crossing
+    # of x = 0 in sense (within 4 pi < 13 of its start); the relay hands
+    # it on from each landing, turned by half a radian more, with a g0 of
+    # sense if past, until its legs are done
     phases = [phi for phi, _ in members]
     legs = [n for _, n in members]
     x0 = amp * np.array([np.cos(phases), -np.sin(phases)])
     landed = [[] for _ in members]
 
+    def g0(start):
+        return sense if past else start[0]
+
     def relay(j, t, z):
         landed[j].append((t, z.copy()))
         k = len(landed[j])
-        return (_turned(phases[j] + 0.5 * k, z), up) if k < legs[j] else None
-    stack = integrate(_oscillators, x0, (0.0, 13.0), 1e-10,
-                      [up] * len(members), relay=relay)
+        nxt = _turned(phases[j] + 0.5 * k, z)
+        return (nxt, g0(nxt)) if k < legs[j] else None
+    stack = integrate(_oscillators, x0, (0.0, 13.0), 1e-10, events=(
+        0, sense, [g0(z) for z in x0.T]), relay=relay)
     final = stack.final.reshape(2, -1)
     states = 0
     for j in range(len(members)):
         start, acc, rej = x0[:, j], 0, 0
         assert len(landed[j]) == legs[j]
         for k, (t, z) in enumerate(landed[j]):
-            alone = integrate(_oscillators, start, (0.0, 13.0), 1e-10, [up])
+            alone = integrate(_oscillators, start, (0.0, 13.0), 1e-10,
+                              events=(0, sense, g0(start)))
             acc += alone.accepted_steps[0]
             rej += alone.rejected_steps[0]
             states += alone.states_evaluated
@@ -578,8 +622,7 @@ def test_relayed_legs_fly_as_alone(members, amp, up):
             assert z.tobytes() == alone.y_events[0][-1].tobytes()
             start = _turned(phases[j] + 0.5 * (k + 1), z)
         assert (stack.accepted_steps[j], stack.rejected_steps[j]) == (acc, rej)
-        assert stack.t_events[j].tolist()[up.terminal - 1::up.terminal] \
-            == [t for t, _ in landed[j]]
+        assert stack.t_events[j].tolist() == [t for t, _ in landed[j]]
         assert final[:, j].tobytes() == landed[j][-1][1].tobytes()
     assert stack.states_evaluated == states
 
@@ -589,7 +632,7 @@ def test_relay_takes_a_stacked_flight_with_events():
     with pytest.raises(DomainError, match="relay"):
         integrate(_oscillators, x0, (0.0, 1.0), relay=lambda j, t, z: None)
     with pytest.raises(DomainError, match="relay"):
-        integrate(_oscillators, x0[:, 0], (0.0, 1.0), events=_up,
+        integrate(_oscillators, x0[:, 0], (0.0, 1.0), events=(0, 1.0),
                   relay=lambda j, t, z: None)
 
 

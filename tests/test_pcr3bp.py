@@ -320,15 +320,12 @@ CROSSING_CASES = ("forward", "backward", "stm", "t0_hit")
 class TestCrossingLocator:
     @pytest.mark.parametrize("case", CROSSING_CASES)
     def test_events_need_no_dense_output(self, case):
-        rhs, z0, t_end, direction, terminal = _crossing_flight(case)
-
-        def crossing(t, z):
-            return z[1]
-        crossing.terminal, crossing.direction = terminal, direction
+        rhs, z0, t_end, direction, _ = _crossing_flight(case)
+        crossing = (1, direction)
         sparse = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing)
-        assert len(sparse.t_events[0]) == terminal
+        assert len(sparse.t_events[0]) == 1
         assert (sparse.t_events[0][0] == 0.0) == (case == "t0_hit")
-        # sampled at its event times, a flight reads each event state off
+        # sampled at its event time, a flight reads the event state off
         # the interpolant its event was found on
         sampled = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing,
                             t_eval=sparse.t_events[0])
@@ -350,14 +347,17 @@ class TestCrossingLocator:
 class TestStackedLocator:
     @pytest.mark.parametrize("case", CROSSING_CASES)
     def test_stack_of_one_is_a_plain_flight(self, case):
+        # against solve_ivp's flight, which registers the t0_hit start as
+        # a crossing at t = 0 and stops at the second one
         rhs, z0, t_end, direction, terminal = _crossing_flight(case)
         (got,) = _flow_to_crossing(rhs, z0[:, None], t_end, 1e-10, direction)
 
         def crossing(t, z):
             return z[1]
         crossing.terminal, crossing.direction = terminal, direction
-        traj = integrate(rhs, z0, (0.0, t_end), 1e-10, events=crossing)
-        t, z = float(traj.t_events[0][-1]), traj.y_events[0][-1]
+        ref = solve_ivp(rhs, (0.0, t_end), z0, method="DOP853", rtol=1e-10,
+                        atol=1e-12, events=crossing)
+        t, z = float(ref.t_events[0][-1]), ref.y_events[0][-1]
         if abs(z[1]) > CROSSING_Y_TOL:
             dt = -z[1] / z[3]
             t, z = t + dt, z + dt * rhs(t, z)
@@ -413,32 +413,31 @@ class TestStackedLocator:
         assert not isinstance(out[2], Exception)
 
     def test_on_axis_starts_pay_for_no_event_at_t0(self):
-        # starts on the axis that already move upwards: against a flight
-        # that registers each start as a crossing at t = 0 and stops at the
-        # second one, integrate's RHS makes 3 one-state calls (the
+        # starts on the axis that already move upwards: against solve_ivp's
+        # flights, which register each start as a crossing at t = 0 and
+        # stop at the second one, integrate's RHS evaluates 3 states (the
         # interpolant of the first step) fewer per member, and every
         # member lands on the same crossing
         flow = _flow_rhs(MU_EM)
-        calls = []
+        states = []
 
         def rhs(t, z):
             if isinstance(t, np.ndarray):  # integrate's, not the landing's
-                calls.append(t.size)
+                states.append(t.size)
             return flow(t, z)
         Z = np.array(self._section_starts()).T
         m = Z.shape[1]
         out = _flow_to_crossing(rhs, Z, 4.0, 1e-10, 1.0)
-        located = len(calls)
-        calls.clear()
 
         def crossing(t, z):
             return z[1]
         crossing.terminal, crossing.direction = 2, 1.0
-        traj = integrate(rhs, Z, (0.0, 4.0), 1e-10, [crossing] * m)
-        assert all(te[0] == 0.0 for te in traj.t_events)
-        assert located == len(calls) - 3 * m
-        for j in range(m):
-            t, z = float(traj.t_events[j][1]), traj.y_events[j][1]
+        refs = [solve_ivp(flow, (0.0, 4.0), z0, method="DOP853", rtol=1e-10,
+                          atol=1e-12, events=crossing) for z0 in Z.T]
+        assert all(ref.t_events[0][0] == 0.0 for ref in refs)
+        assert sum(states) == sum(ref.nfev for ref in refs) - 3 * m
+        for j, ref in enumerate(refs):
+            t, z = float(ref.t_events[0][1]), ref.y_events[0][1]
             if abs(z[1]) > CROSSING_Y_TOL:
                 dt = -z[1] / z[3]
                 t, z = t + dt, z + dt * flow(t, z)
@@ -479,10 +478,9 @@ class TestStackedLocator:
         # no member; the stacked flight names it
         early = self._section_starts()[0]
         early[1] = -1e-4
-        events = [pcr3bp._crossing_event(1.0, True) for _ in range(2)]
         with pytest.raises(SingularityError) as err:
             integrate(_flow_rhs(MU_EM), np.array([early, self._moon_fall()]).T,
-                      (0.0, 4.0), 1e-10, events)
+                      (0.0, 4.0), 1e-10, events=(1, 1.0))
         assert err.value.members == (1,)
 
     def test_stacked_failure_naming_no_member_propagates(self):
@@ -595,16 +593,15 @@ def _section_start(x, vx, C=3.1882812173139823):
 @settings(max_examples=20, deadline=None)
 def test_stacked_section_start_flies_as_alone(points):
     # each member of a stack of section starts takes the steps of its own
-    # flight to its next upward crossing
+    # flight to its next upward crossing, its start read as past the axis
     starts = [z for z in (_section_start(x, vx) for x, vx in points) if z]
     assume(starts)
     rhs, Z = _flow_rhs(MU_EM), np.array(starts).T
-    events = [pcr3bp._crossing_event(1.0, 2) for _ in starts]
-    stack = integrate(rhs, Z, (0.0, 30.0), 1e-10, events)
+    past = (1, 1.0, 1.0)
+    stack = integrate(rhs, Z, (0.0, 30.0), 1e-10, events=past)
     located = _flow_to_crossing(rhs, Z, 30.0, 1e-10, 1.0)
     for j, z0 in enumerate(starts):
-        alone = integrate(rhs, np.array(z0), (0.0, 30.0), 1e-10,
-                          [pcr3bp._crossing_event(1.0, 2)])
+        alone = integrate(rhs, np.array(z0), (0.0, 30.0), 1e-10, events=past)
         assert stack.accepted_steps[j] == alone.accepted_steps[0]
         assert stack.rejected_steps[j] == alone.rejected_steps[0]
         assert np.allclose(stack.t_events[j], alone.t_events[0], rtol=0.0,
