@@ -190,7 +190,7 @@ def _cmd_sturm(args, cfg: RunConfig) -> int:
     if args.lo is None or args.hi is None:
         raise DomainError("refine requires --lo and --hi")
     iv = RootInterval(parse_rational(args.lo, "--lo"),
-                      parse_rational(args.hi, "--hi"), 1)
+                      parse_rational(args.hi, "--hi"))
     r = refine_root(p, iv, parse_rational(args.reftol, "--tol")
                     if args.reftol else Fraction(1, 10 ** 10))
     _emit(cfg, f"{float(r)!r}\n")
@@ -199,9 +199,8 @@ def _cmd_sturm(args, cfg: RunConfig) -> int:
 
 def _cmd_charpoly(args, cfg: RunConfig) -> int:
     A = _matrix_arg(args.matrix)
-    cp = char_poly(A)
     _emit_json(cfg, {
-        "char_poly": {"coeffs": [_frac_str(c) for c in cp.poly.coeffs]},
+        "char_poly": {"coeffs": [_frac_str(c) for c in char_poly(A).coeffs]},
     })
     return 0
 
@@ -218,7 +217,7 @@ def _cmd_inertia(args, cfg: RunConfig) -> int:
 
 def _cmd_hermite_count(args, cfg: RunConfig) -> int:
     A = _matrix_arg(args.matrix)
-    distinct, distinct_real = hermite_root_count(char_poly(A).poly)
+    distinct, distinct_real = hermite_root_count(char_poly(A))
     _emit_json(cfg, {"distinct": distinct, "distinct_real": distinct_real})
     return 0
 

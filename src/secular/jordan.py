@@ -1,6 +1,7 @@
 """Eigenvalue multiplicity analysis and Jordan canonical decomposition.
 
-Exact flavor handles matrices whose eigenvalues are all rational; anything
+Exact flavor handles matrices whose eigenvalues are all rational, read off
+the Sturm isolation of the characteristic polynomial's real roots; anything
 else is served by the numeric flavor, which clusters floating eigenvalues
 within a tolerance before reading off block structure.
 
@@ -12,7 +13,6 @@ the span test differs: exact elimination, or a least-squares residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +24,14 @@ from .errors import (
     InternalInconsistencyError,
     UnsupportedFlavorError,
 )
-from .matrixcore import NUMERIC, SquareMatrix, char_poly, _row_echelon
-from .ratpoly import RationalPolynomial, square_free_part
+from .matrixcore import (
+    NUMERIC,
+    SquareMatrix,
+    _row_echelon,
+    char_poly,
+    real_roots_with_multiplicity,
+)
+from .ratpoly import RationalPolynomial, refine_root, square_free_part
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
@@ -62,42 +68,25 @@ class DiagonalizabilityReport:
 # -- rational spectrum extraction --------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def rational_roots(p: RationalPolynomial) -> dict[Fraction, int]:
-    """Rational roots of p with multiplicities (rational root theorem)."""
+    """Rational roots of p with multiplicities, in increasing order, read
+    off the Sturm isolation of its real roots.
+
+    Every rational root r of p's square-free part f has L r an integer, L
+    the lead of f's cleared coefficients (rational root theorem), so r
+    refined to within 1/(2L) and rounded to the nearest k/L is its only
+    candidate; a candidate counts if it lies in r's own isolating
+    interval and f vanishes there.
+    """
     if p.is_zero:
         raise DomainError("roots of the zero polynomial")
     roots: dict[Fraction, int] = {}
-    # strip roots at zero
-    q = p
-    while q.coeffs and q.coeffs[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        q = RationalPolynomial(q.coeffs[1:])
-    if q.degree == 0:
-        return roots
-    den = math.lcm(*(c.denominator for c in q.coeffs))
-    ints = [int(c * den) for c in q.coeffs]
-    for num_d in _divisors(ints[0]):
-        for den_d in _divisors(ints[-1]):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * num_d, den_d)
-                while q.eval_frac(cand) == 0:
-                    roots[cand] = roots.get(cand, 0) + 1
-                    q = q // RationalPolynomial([-cand, 1])
-                    if q.degree == 0:
-                        return roots
+    for r in real_roots_with_multiplicity(p):
+        f, iv = r.poly, r.interval
+        L = f._clear()[1][0]
+        c = Fraction(round(refine_root(f, iv, Fraction(1, 2 * L)) * L), L)
+        if iv.lo < c <= iv.hi and f.sign_at(c) == 0:
+            roots[c] = r.multiplicity
     return roots
 
 
@@ -323,8 +312,7 @@ def jordan_form(A: SquareMatrix, cluster_tol=DEFAULT_CLUSTER_TOL) -> JordanDecom
     """
     if A.flavor == NUMERIC:
         return _jordan_numeric(A, cluster_tol)
-    cp = char_poly(A).poly
-    roots = rational_roots(cp)
+    roots = rational_roots(char_poly(A))
     if sum(roots.values()) != A.n:
         raise UnsupportedFlavorError(
             "matrix has irrational eigenvalues; use the numeric flavor"
@@ -378,7 +366,7 @@ def symmetric_diagonalizability_check(A: SquareMatrix) -> DiagonalizabilityRepor
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("expected a symmetric matrix")
-    cp = char_poly(A).poly
+    cp = char_poly(A)
     sf = square_free_part(cp)
     # evaluate sf(A) exactly
     acc = SquareMatrix(

@@ -275,18 +275,7 @@ def _row_echelon(m) -> list[int]:
 # -- characteristic polynomial ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial det(S*I - A)."""
-
-    poly: RationalPolynomial
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-
-def char_poly(A: SquareMatrix) -> CharPoly:
+def char_poly(A: SquareMatrix) -> RationalPolynomial:
     """Monic det(S*I - A), exact via Faddeev-LeVerrier, numeric via numpy."""
     if A.flavor == NUMERIC:
         cs = np.poly(A.rows)  # highest degree first, monic
@@ -296,10 +285,8 @@ def char_poly(A: SquareMatrix) -> CharPoly:
             raise UnsupportedFlavorError(
                 "numeric char_poly requires (numerically) real coefficients"
             )
-        return CharPoly(
-            RationalPolynomial([Fraction(float(c.real)) for c in coeffs])
-        )
-    return CharPoly(RationalPolynomial(faddeev_leverrier(A.rows)[0]))
+        return RationalPolynomial([Fraction(float(c.real)) for c in coeffs])
+    return RationalPolynomial(faddeev_leverrier(A.rows)[0])
 
 
 class _ScaledBack(UserList):
@@ -601,9 +588,9 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("interlacing_check expects a symmetric matrix")
-    outer = real_roots_with_multiplicity(char_poly(A).poly)
+    outer = real_roots_with_multiplicity(char_poly(A))
     inner = real_roots_with_multiplicity(
-        char_poly(SquareMatrix([r[1:] for r in A.rows[1:]])).poly)
+        char_poly(SquareMatrix([r[1:] for r in A.rows[1:]])))
     # lam[i] (mu[i]): the index of the i-th eigenvalue of A (of its
     # block) among the distinct outer (inner) roots
     lam = [j for j, r in enumerate(outer) for _ in range(r.multiplicity)]

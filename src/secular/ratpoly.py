@@ -302,21 +302,14 @@ class SturmChain:
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Half-open interval (lo, hi] isolating `contains_count` distinct roots."""
+    """Half-open interval (lo, hi] isolating one distinct root."""
 
     lo: Fraction
     hi: Fraction
-    contains_count: int = 1
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError("RootInterval requires lo < hi")
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def sturm_chain(p: RationalPolynomial) -> SturmChain:
@@ -370,16 +363,6 @@ def root_separation_lower_bound(p: RationalPolynomial) -> Fraction:
     return Fraction(1, n ** (n + 2) * ((n + 1) * int(h)) ** (n - 1))
 
 
-def _nudge_endpoint(e: Fraction, p: RationalPolynomial) -> Fraction:
-    """Shift an endpoint that is a root of the square-free part.
-
-    Moves by half the exact minimal-gap bound so no other root is crossed;
-    the shift direction (+) preserves half-open (lo, hi] semantics.
-    """
-    delta = root_separation_lower_bound(p) / 2
-    return e + delta
-
-
 def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
     """Number of distinct real roots of p in (lo, hi] by Sturm's theorem.
 
@@ -426,11 +409,13 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
         if va == vb:
             continue
         if va - vb == 1:
-            out.append(RootInterval(a, b, 1))
+            out.append(RootInterval(a, b))
             continue
         m = (a + b) / 2
         if lead % m.denominator == 0 and f.sign_at(m) == 0:
-            m = _nudge_endpoint(m, f)
+            # up by half the root-gap bound, so the root stays in the
+            # half-open (a, m] and no other root is crossed
+            m += root_separation_lower_bound(f) / 2
         vm = chain.variations(m)
         stack.append((m, b, vm, vb))
         stack.append((a, m, va, vm))
@@ -439,33 +424,25 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
 
 
 def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
-    """Refine an isolated simple root to within tol; the midpoint of
-    `refine_interval`."""
+    """The one root of p in iv = (lo, hi] to within tol: hi if it is the
+    root, else the midpoint of a bracket of width at most tol around it,
+    shrunk by bisection and guarded Newton on p's square-free part f.
+    """
     tol = _to_frac(tol)
     if tol <= 0:
         raise DomainError("tol must be positive")
     chain = sturm_chain(p)
-    f = chain.polys[0]  # p's square-free part
+    f = chain.polys[0]
     a, b = _to_frac(iv.lo), _to_frac(iv.hi)
     if chain.variations(a) - chain.variations(b) != 1:
         raise DomainError("interval does not isolate exactly one root")
     if f.sign_at(b) == 0:
         return b
     if f.sign_at(a) == 0:
-        # a root at lo lies outside (lo, hi]: step up past it, not down
-        a = _nudge_endpoint(a, f)
-    return refine_interval(f, RootInterval(a, b), tol).midpoint()
-
-
-def refine_interval(f: RationalPolynomial, iv: RootInterval,
-                    width) -> RootInterval:
-    """Shrink iv to at most `width` (bisection + guarded Newton).
-
-    f must be square-free, with exactly one root in iv and none at either
-    end; the root stays strictly inside the returned interval.
-    """
+        # a root at lo lies outside (lo, hi]: step up past it by half the
+        # root-gap bound, so the root in (lo, hi] stays inside
+        a += root_separation_lower_bound(f) / 2
     fp = f.derivative()
-    a, b = iv.lo, iv.hi
     sa = f.sign_at(a)
     dmax = max(abs(fp.eval_frac(a)), abs(fp.eval_frac(b)), Fraction(1))
     floor_deriv = dmax / Fraction(2 ** 40)
@@ -475,7 +452,7 @@ def refine_interval(f: RationalPolynomial, iv: RootInterval,
         nonlocal a, b
         s = f.sign_at(x)
         if s == 0:
-            h = min(width / 2, x - a, b - x)
+            h = min(tol / 2, x - a, b - x)
             a, b = x - h, x + h
             return True
         if s == sa:
@@ -484,7 +461,7 @@ def refine_interval(f: RationalPolynomial, iv: RootInterval,
             b = x
         return False
 
-    while b - a > width:
+    while b - a > tol:
         # bisection first: the bracket provably halves every pass
         if absorb((a + b) / 2):
             break
@@ -497,4 +474,4 @@ def refine_interval(f: RationalPolynomial, iv: RootInterval,
             xn = Fraction(xn_f)
             if a < xn < b and absorb(xn):
                 break
-    return RootInterval(a, b)
+    return (a + b) / 2

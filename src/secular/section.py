@@ -6,6 +6,8 @@ pair (x, vx) and vy is reconstructed from C.  The induced return map
 preserves area in (x, vx).  Every flight to the section, with or without
 the state-transition matrix, is one call of `pcr3bp._flow_to_crossing`
 with the time budget RETURN_TIME, and every one runs forward in time.
+`return_map` is one such flight, and `section_crossings` applies it n
+times; the map's Jacobian comes from the state-transition matrix alone.
 
 Every manifold branch's seeds fly as one forward stack, each seed's
 iterates one after another in its place: the flow is reversible, so a
@@ -76,30 +78,28 @@ def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
     return np.array([p.x, 0.0, p.vx, sd.direction * math.sqrt(vy2)])
 
 
+def return_map(p: SectionPoint, mu: float, sd: SectionDef,
+               tol: float = 1e-12) -> SectionPoint:
+    """One application of the section return map: the flight from p's
+    lift to its next crossing."""
+    _, z = _flow_to_crossing(_flow_rhs(mu), lift(p, mu, sd), RETURN_TIME,
+                             tol, sd.direction)
+    return SectionPoint(float(z[0]), float(z[2]))
+
+
 def section_crossings(start: SectionPoint, mu: float, sd: SectionDef,
                       n: int, tol: float = 1e-12) -> list[SectionPoint]:
-    """First n successive crossings starting from a section point.
-
-    Each crossing is re-lifted through the energy constraint before the
-    next flight, so composing return_map n times reproduces this list
-    exactly.
-    """
+    """First n successive crossings starting from a section point: the
+    return map applied n times, each crossing re-lifted through the
+    energy constraint before the next flight."""
     if n < 1:
         raise DomainError("n must be >= 1")
     out = []
     p = start
     for _ in range(n):
-        _, z = _flow_to_crossing(_flow_rhs(mu), lift(p, mu, sd), RETURN_TIME,
-                                 tol, sd.direction)
-        p = SectionPoint(float(z[0]), float(z[2]))
+        p = return_map(p, mu, sd, tol)
         out.append(p)
     return out
-
-
-def return_map(p: SectionPoint, mu: float, sd: SectionDef,
-               tol: float = 1e-12) -> SectionPoint:
-    """One application of the section return map."""
-    return section_crossings(p, mu, sd, 1, tol)[0]
 
 
 ELLIPTIC = "elliptic"
@@ -149,34 +149,14 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
 
 
 def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
-                  step: float = 1e-6, tol: float = 1e-12,
-                  method: str = "fd") -> MapLinearization:
-    """2x2 Jacobian of the return map.
+                  tol: float = 1e-12) -> MapLinearization:
+    """2x2 Jacobian of the return map, from the state-transition matrix
+    (`_stm_jacobian`), which stays accurate at strongly hyperbolic points.
 
-    method "fd" uses Richardson-refined central finite differences (step
-    halved once); method "stm" lifts section tangents through the energy
-    constraint and reduces the state-transition matrix, which stays
-    accurate for strongly hyperbolic points where FD loses digits.
     Classification by the trace of the (unit-determinant) Jacobian:
     |tr| < 2 elliptic, |tr| > 2 hyperbolic, |tr| = 2 within 1e-6 parabolic.
     """
-    if method == "stm":
-        _, J = _stm_jacobian(p, mu, sd, tol)
-    elif method == "fd":
-        def diff(h: float) -> np.ndarray:
-            J = np.empty((2, 2))
-            for j, e in enumerate((np.array([1.0, 0.0]),
-                                   np.array([0.0, 1.0]))):
-                qp = return_map(SectionPoint(*(p.as_array() + h * e)),
-                                mu, sd, tol)
-                qm = return_map(SectionPoint(*(p.as_array() - h * e)),
-                                mu, sd, tol)
-                J[:, j] = (qp.as_array() - qm.as_array()) / (2.0 * h)
-            return J
-
-        J = (4.0 * diff(step / 2.0) - diff(step)) / 3.0
-    else:
-        raise DomainError(f"unknown linearization method {method!r}")
+    _, J = _stm_jacobian(p, mu, sd, tol)
     eigs = np.linalg.eigvals(J)
     tr = float(np.trace(J))
     if abs(abs(tr) - 2.0) <= 1e-6:
@@ -264,7 +244,7 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         raise DomainError(
             f"seed offset must be positive and finite, got {seed_offset}")
     if lin is None:
-        lin = linearize_map(p, mu, sd, tol=tol, method="stm")
+        lin = linearize_map(p, mu, sd, tol=tol)
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
@@ -320,12 +300,6 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         out.append(ManifoldBranch(branch, np.array(poly), bool(reason),
                                   reason))
     return out
-
-
-def manifold_segment(p: SectionPoint, mu: float, sd: SectionDef, branch: str,
-                     *args, **kwargs) -> ManifoldBranch:
-    """One manifold branch: `manifold_segments` of it alone."""
-    return manifold_segments(p, mu, sd, (branch,), *args, **kwargs)[0]
 
 
 def homoclinic_intersection(unstable: ManifoldBranch,

@@ -39,7 +39,7 @@ from secular.section import (
     SectionPoint,
     homoclinic_intersection,
     linearize_map,
-    manifold_segment,
+    manifold_segments,
     return_map,
 )
 
@@ -88,7 +88,7 @@ def l1_orbit():
 def test_acceptance_01_worked_example():
     """Worked 3x3 example: equation in S and inertia, exactly."""
     A = SquareMatrix([[1, -1, 0], [-1, 2, 1], [0, 1, 1]])
-    cp = char_poly(A).poly
+    cp = char_poly(A)
     expected = RationalPolynomial.from_roots([0, 1, 3])
     assert cp == expected
     ine = inertia(QuadraticForm(A))
@@ -301,7 +301,7 @@ def test_acceptance_10_section_duality(l1_orbit):
     sd = SectionDef(+1, l1_orbit.jacobi)
     pstar = SectionPoint(float(l1_orbit.initial_state[0]),
                          float(l1_orbit.initial_state[2]))
-    lin = linearize_map(pstar, MU_EM, sd, method="stm")
+    lin = linearize_map(pstar, MU_EM, sd)
     det_err = abs(lin.det - 1.0)
     assert det_err <= 1e-6
     nontrivial = sorted((abs(s) for s in l1_orbit.multipliers),
@@ -354,8 +354,8 @@ def test_acceptance_11_homoclinic_golden(l1_orbit):
     pstar = SectionPoint(float(l1_orbit.initial_state[0]),
                          float(l1_orbit.initial_state[2]))
     kw = dict(steps=6, seeds=40, seed_offset=1e-7, tol=1e-10)
-    unstable = manifold_segment(pstar, MU_EM, sd, "unstable+", **kw)
-    stable = manifold_segment(pstar, MU_EM, sd, "stable+", **kw)
+    unstable, stable = manifold_segments(pstar, MU_EM, sd,
+                                         ("unstable+", "stable+"), **kw)
     rep = homoclinic_intersection(unstable, stable)
     assert rep.found
     assert rep.angle > 1e-3

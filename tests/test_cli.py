@@ -75,6 +75,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: non-convergence:")
 
+    def test_bad_mass_ratio_fails_before_the_flight(self, capsys,
+                                                    monkeypatch):
+        # propagate checks mu as it builds the flow, before any flight
+        flights = []
+        monkeypatch.setattr("secular.cli.integrate",
+                            lambda *a, **k: flights.append(a))
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "pcr3bp", "propagate", "--mu", "0.7",
+            "--state", "0.5,0.3,0.2,-0.1", "--t", "300"])
+        assert (code, out, flights) == (1, "", [])
+        assert err == ("error: input: mass ratio must lie in (0, 1/2], "
+                       "got 0.7\n")
+
     def test_tiny_tol_is_one_line_non_convergence(self, capsys):
         # tol = 1e-300 overflows the integrator's initial-step rule
         with warnings.catch_warnings():
@@ -718,6 +731,24 @@ class TestOneJordanForm:
         assert json.loads(out)["type3"] == {"tag": "B", "scalar": False}
         assert (forms, polys) == (["exact"], ["exact"])
 
+    @pytest.mark.parametrize("argv", [["jordan"],
+                                      ["linsolve", "--x0", "0,1"]])
+    def test_huge_rational_eigenvalue_is_read_off_at_once(self, argv):
+        # the eigenvalue is read off the Sturm isolation; the timeout makes
+        # a search as slow as trial division fail instead of hang
+        big = 10 ** 300
+        res = subprocess.run(
+            [sys.executable, "-m", "secular.cli", *argv, "--matrix",
+             '[["1e300","1"],["0","1e300"]]'],
+            capture_output=True, text=True, timeout=30)
+        assert (res.returncode, res.stderr) == (0, "")
+        out = json.loads(res.stdout)
+        if argv[0] == "jordan":
+            assert out["blocks"] == [{"lambda": f"{big}/1", "sizes": [2]}]
+        else:  # one 2-block: x(t) = e^{lam t} (x0 + t N x0)
+            assert [(t["lambda"], len(t["poly"])) for t in out["terms"]] \
+                == [([float(big), 0.0], 2)]
+
     def test_classify3_tag_reads_the_printed_blocks(self, capsys):
         # at --cluster-tol 1e-4 the eigenvalues 1 and 1 + 1e-6 are one
         # double eigenvalue with two 1-blocks, so the tag is C, not A
@@ -965,6 +996,8 @@ def test_malformed_json_is_one_line_input_error(argv):
      "--state", "0.5,nan,0.2,-0.1", "--t", "1.0"],
     ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
      "--state", "0.5,0.3,0.2,-0.1", "--t", "inf"],
+    ["--format", "csv", "pcr3bp", "propagate", "--mu", "nan",
+     "--state", "0.5,0.3,0.2,-0.1", "--t", "1.0"],
     ["section", "crossings", "--mu", "0.012150585", "--C", "nan",
      "--start", "0.86,0.0"],
     ["section", "manifolds", "--mu", "0.012150585", "--C", "nan",
@@ -979,6 +1012,8 @@ def test_non_finite_input_is_one_line_input_error(capsys, argv):
     assert err.count("\n") == 1
     if "--C" in argv:  # the section names its bad constant
         assert "Jacobi constant C must be finite" in err
+    if "--mu" in argv and argv[argv.index("--mu") + 1] == "nan":
+        assert "mass ratio must lie in (0, 1/2], got nan" in err
 
 
 @pytest.mark.parametrize("argv", [

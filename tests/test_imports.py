@@ -110,8 +110,7 @@ def test_finds_an_unread_public():
 # reaches it
 TEST_ONLY_API = ["floquet.floquet_solution",
                  "jordan.symmetric_diagonalizability_check",
-                 "pcr3bp.variational_flow", "section.fixed_point",
-                 "section.manifold_segment"]
+                 "pcr3bp.variational_flow", "section.fixed_point"]
 
 
 def test_only_the_documented_publics_go_unread():

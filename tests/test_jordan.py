@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -255,7 +256,7 @@ class TestPoincareNullity:
             A = SquareMatrix(rows)
             if A.rank() != n - p:
                 continue
-            cp = char_poly(A).poly
+            cp = char_poly(A)
             assert all(c == 0 for c in cp.coeffs[:p])
 
 
@@ -361,3 +362,27 @@ class TestRationalRoots:
 
     def test_zero_roots(self):
         assert rational_roots(P([0, 0, 1])) == {Fraction(0): 2}
+
+    def test_candidate_must_lie_in_its_own_interval(self):
+        # -sqrt(2) rounds to the rational root -3/2, which f also has: only
+        # the interval of -3/2 may count it
+        p = P.from_roots([Fraction(-3, 2), Fraction(-3, 2), 7]) * P([-2, 0, 1])
+        assert rational_roots(p) == {Fraction(-3, 2): 2, Fraction(7): 1}
+
+
+IRREDUCIBLE = [P([1]), P([1, 0, 1]), P([-2, 0, 1]), P([-3, 1, 0, 1])]
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(1, 60)), max_size=6),
+       st.lists(st.integers(0, 2), max_size=6),
+       st.sampled_from(IRREDUCIBLE),
+       st.builds(Fraction, st.integers(-50, 50).filter(bool),
+                 st.integers(1, 50)))
+@settings(max_examples=80, deadline=None)
+def test_rational_roots_are_the_planted_ones(roots, repeats, extra, scale):
+    # rational linear factors, some repeated, times x^2 + 1, x^2 - 2,
+    # x^3 + x - 3 or 1, times a rational scale
+    planted = roots + [r for r, k in zip(roots, repeats) for _ in range(k)]
+    p = (P.from_roots(planted) * extra).scale(scale)
+    assert rational_roots(p) == Counter(planted)

@@ -11,11 +11,11 @@ from secular.ratpoly import (
     RationalPolynomial as P,
     RootInterval,
     SturmChain,
-    _nudge_endpoint,
     cauchy_root_bound,
     count_real_roots,
     isolate_real_roots,
     refine_root,
+    root_separation_lower_bound,
     square_free_part,
     sturm_chain,
 )
@@ -151,7 +151,7 @@ class TestIsolation:
                 return 0
             m = (a + b) / 2
             if f.eval_frac(m) == 0:
-                m = _nudge_endpoint(m, f)
+                m += root_separation_lower_bound(f) / 2
             return 1 + splits(a, m) + splits(m, b)
         expected = 2 + splits(-B, B)
         points = []

@@ -28,7 +28,6 @@ from secular.section import (
     homoclinic_intersection,
     lift,
     linearize_map,
-    manifold_segment,
     manifold_segments,
     return_map,
     section_crossings,
@@ -106,9 +105,23 @@ class TestReturnMap:
             section_crossings(pstar, MU_EM, sd, 0)
 
 
+def _fd_jacobian(p, mu, sd, step=1e-6, tol=1e-12):
+    """The return map's Jacobian by Richardson-refined central differences
+    (step halved once), the reference for the STM linearization."""
+    def diff(h):
+        J = np.empty((2, 2))
+        for j, e in enumerate(np.eye(2)):
+            qp = return_map(SectionPoint(*(p.as_array() + h * e)), mu, sd, tol)
+            qm = return_map(SectionPoint(*(p.as_array() - h * e)), mu, sd, tol)
+            J[:, j] = (qp.as_array() - qm.as_array()) / (2.0 * h)
+        return J
+
+    return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+
+
 class TestLinearization:
     def test_stm_matches_orbit_multipliers(self, orbit, pstar, sd):
-        lin = linearize_map(pstar, MU_EM, sd, method="stm")
+        lin = linearize_map(pstar, MU_EM, sd)
         assert lin.tag == HYPERBOLIC
         assert abs(lin.det - 1.0) < 1e-6
         nontrivial = sorted(orbit.multipliers, key=lambda s: abs(s - 1.0))[2:]
@@ -119,14 +132,10 @@ class TestLinearization:
     def test_fd_agrees_with_stm_in_mild_region(self, sd):
         # near-Earth region where the map is only mildly nonlinear
         p = SectionPoint(0.22, 0.0)
-        fd = linearize_map(p, MU_EM, sd, method="fd")
-        stm = linearize_map(p, MU_EM, sd, method="stm")
-        assert np.allclose(fd.jacobian, stm.jacobian, rtol=1e-4, atol=1e-5)
+        fd = _fd_jacobian(p, MU_EM, sd)
+        stm = linearize_map(p, MU_EM, sd)
+        assert np.allclose(fd, stm.jacobian, rtol=1e-4, atol=1e-5)
         assert abs(stm.det - 1.0) < 1e-6
-
-    def test_unknown_method(self, pstar, sd):
-        with pytest.raises(DomainError):
-            linearize_map(pstar, MU_EM, sd, method="secant")
 
 
 class TestFixedPoint:
@@ -211,18 +220,19 @@ def test_return_map_preserves_area(sd, dx, dvx, th, phi, a, b):
 class TestManifolds:
     def test_branch_validation(self, pstar, sd):
         with pytest.raises(DomainError):
-            manifold_segment(pstar, MU_EM, sd, "sideways", steps=1, seeds=2)
+            manifold_segments(pstar, MU_EM, sd, ("sideways",), steps=1,
+                              seeds=2)
 
     def test_unstable_seed_layer_follows_eigenvector(self, pstar, sd):
-        lin = linearize_map(pstar, MU_EM, sd, method="stm")
+        lin = linearize_map(pstar, MU_EM, sd)
         eigvals, eigvecs = np.linalg.eig(lin.jacobian)
         iu = int(np.argmax(np.abs(eigvals)))
         lam = float(np.real(eigvals[iu]))
         v = np.real(eigvecs[:, iu])
         v /= np.linalg.norm(v)
         off = 1e-8
-        br = manifold_segment(pstar, MU_EM, sd, "unstable+",
-                              steps=1, seeds=4, seed_offset=off, tol=1e-12)
+        br, = manifold_segments(pstar, MU_EM, sd, ("unstable+",),
+                                steps=1, seeds=4, seed_offset=off, tol=1e-12)
         first = br.points[0] - pstar.as_array()
         expected = lam * off * v
         if np.dot(first, expected) < 0:
@@ -306,9 +316,10 @@ class TestStackedLayers:
         # the README manifolds run flies each layer of 40 seeds as one
         # stack, at a tolerance that keeps it no looser than solo flights
         sd = SectionDef(+1, README_C)
-        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
-        br = manifold_segment(README_FIXED, MU_EM, sd, branch, steps=1,
-                              seeds=40, seed_offset=1e-7, tol=1e-10, lin=lin)
+        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10)
+        br, = manifold_segments(README_FIXED, MU_EM, sd, (branch,), steps=1,
+                                seeds=40, seed_offset=1e-7, tol=1e-10,
+                                lin=lin)
         assert not br.truncated and br.points.shape == (40, 2)
         eigvals, eigvecs = np.linalg.eig(lin.jacobian)
         unstable = branch.startswith("unstable")
@@ -351,8 +362,8 @@ class TestStackedLayers:
                                (complex(lam), complex(1.0 / lam)), HYPERBOLIC)
         off = 0.01 / (lam ** (2.0 / 3.0) - 1.0)
         p = SectionPoint(xc + 0.01 + off, vxc)
-        br = manifold_segment(p, MU_EM, sd, "unstable-", steps=1, seeds=3,
-                              seed_offset=off, tol=1e-10, lin=lin)
+        br, = manifold_segments(p, MU_EM, sd, ("unstable-",), steps=1,
+                                seeds=3, seed_offset=off, tol=1e-10, lin=lin)
         assert br.truncated
         assert br.truncation_reason.startswith("iterate 0: ")
         assert "collision" in br.truncation_reason
@@ -384,8 +395,8 @@ class TestStackedLayers:
                                (complex(1.0 / lam), complex(lam)), HYPERBOLIC)
         off = 0.01
         p = SectionPoint(xc - off, -vxc)
-        br = manifold_segment(p, MU_EM, sd, "stable+", steps=1, seeds=3,
-                              seed_offset=off, tol=1e-10, lin=lin)
+        br, = manifold_segments(p, MU_EM, sd, ("stable+",), steps=1,
+                                seeds=3, seed_offset=off, tol=1e-10, lin=lin)
         assert br.truncated
         assert br.truncation_reason == ("iterate 0: state within collision "
                                         "radius of a primary "
@@ -412,8 +423,9 @@ class TestStackedLayers:
         sd = SectionDef(+1, README_C)
         lin = MapLinearization(np.diag([0.5, 2.0]),
                                (complex(0.5), complex(2.0)), HYPERBOLIC)
-        br = manifold_segment(README_FIXED, MU_EM, sd, "stable+", steps=1,
-                              seeds=2, seed_offset=1e-3, tol=1e-10, lin=lin)
+        br, = manifold_segments(README_FIXED, MU_EM, sd, ("stable+",),
+                                steps=1, seeds=2, seed_offset=1e-3, tol=1e-10,
+                                lin=lin)
         last = README_FIXED.as_array() + 1e-3 * 0.5 ** 0.5 * np.array([1, 0])
         with pytest.raises(SingularityError) as backward:
             _next_crossing(lift(SectionPoint(*last), MU_EM, sd), MU_EM, sd,
@@ -463,13 +475,14 @@ class TestTimeReversal:
 
     def test_branches_in_one_stack_are_each_alone(self):
         sd = SectionDef(+1, README_C)
-        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
+        lin = linearize_map(README_FIXED, MU_EM, sd, tol=1e-10)
         kw = dict(steps=2, seeds=6, seed_offset=1e-7, tol=1e-10, lin=lin)
         names = ("unstable+", "stable+", "unstable-", "stable-")
         together = manifold_segments(README_FIXED, MU_EM, sd, names, **kw)
         assert [br.branch for br in together] == list(names)
         for br in together:
-            alone = manifold_segment(README_FIXED, MU_EM, sd, br.branch, **kw)
+            alone, = manifold_segments(README_FIXED, MU_EM, sd, (br.branch,),
+                                       **kw)
             assert br.points.shape == (12, 2)
             assert br.points.tobytes() == alone.points.tobytes()
             assert (br.truncated, br.truncation_reason) == \
@@ -562,7 +575,7 @@ _FOUR = ("unstable+", "stable+", "unstable-", "stable-")
 @pytest.fixture(scope="module")
 def readme_lin():
     sd = SectionDef(+1, README_C)
-    return linearize_map(README_FIXED, MU_EM, sd, tol=1e-10, method="stm")
+    return linearize_map(README_FIXED, MU_EM, sd, tol=1e-10)
 
 
 class TestRelay:
