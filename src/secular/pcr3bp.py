@@ -1,12 +1,10 @@
 """Planar circular restricted three-body problem in the rotating frame.
 
 Nondimensional units throughout: primary separation 1, angular rate 1,
-total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  The
-collinear libration points are located exactly: the axis equilibrium
-condition becomes a quintic with rational coefficients on each axis
-segment, isolated with a Sturm chain and refined to 1e-13, or, for L1
-and L2 at a tiny mu, to 1e-5 of their distance from the secondary where
-that is narrower.
+total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  Each
+collinear libration point is the one root of Omega_x on its axis
+segment, where Omega_x rises strictly, correctly rounded to a double by
+bisection on its exact rational sign.
 
 The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
 stacks of states, and `_var_rhs` evaluates it on one state's floats,
@@ -30,18 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalInconsistencyError,
-    NonConvergenceError,
-    SingularityError,
-)
+from .errors import DomainError, NonConvergenceError, SingularityError
 from .floquet import integrate, reversed_monodromy
-from .ratpoly import (
-    RationalPolynomial,
-    isolate_real_roots,
-    refine_root,
-)
 
 COLLISION_RADIUS = 1e-6
 CROSSING_Y_TOL = 1e-12
@@ -52,6 +40,8 @@ def _check_mu(mu: float) -> float:
     mu = float(mu)
     if not 0.0 < mu <= 0.5:
         raise DomainError(f"mass ratio must lie in (0, 1/2], got {mu}")
+    if mu < np.finfo(float).tiny:  # L3's q = Oxx Oyy, of order mu, underflows
+        raise DomainError(f"mass ratio {mu} is subnormal")
     return mu
 
 
@@ -144,64 +134,51 @@ class LibrationPoint:
     position: tuple[float, float]
 
 
-def _collinear_quintic(mu: Fraction, segment: str) -> RationalPolynomial:
-    """Axis equilibrium Omega_x = 0 cleared of denominators on one segment.
-
-    With a = x + mu and b = x - 1 + mu the condition is
-    x - (1 - mu) a / |a|^3 - mu b / |b|^3 = 0; fixing the signs of a and b
-    on the segment and multiplying by a^2 b^2 yields a quintic.
-    """
-    X = RationalPolynomial((Fraction(0), Fraction(1)))
-    a = X + RationalPolynomial((mu,))
-    b = X + RationalPolynomial((mu - 1,))
-    lead = X * a * a * b * b
-    t1 = (b * b).scale(1 - mu)
-    t2 = (a * a).scale(mu)
-    if segment == "L1":  # -mu < x < 1 - mu: a > 0, b < 0
-        return lead - t1 + t2
-    if segment == "L2":  # x > 1 - mu: a > 0, b > 0
-        return lead - t1 - t2
-    if segment == "L3":  # x < -mu: a < 0, b < 0
-        return lead + t1 + t2
-    raise DomainError(f"unknown collinear segment {segment!r}")
-
-
 def _collinear_root(mu: Fraction, segment: str) -> float:
+    """The collinear point on one axis segment, correctly rounded.
+
+    On the x-axis Omega_xx = 1 + 2 (1 - mu) / r1^3 + 2 mu / r2^3 > 0, so
+    Omega_x = x - (1 - mu) a / |a|^3 - mu b / |b|^3, a = x + mu and
+    b = x - 1 + mu, rises strictly from -inf to +inf across each segment:
+    one root.  Its exact sign, -1 at or left of the segment and +1 at or
+    right of it (its limits there), drives bisection over the doubles to
+    two neighbours; the sign at their exact midpoint picks the nearer one.
+    """
     lo, hi = {
         "L1": (-mu, 1 - mu),
         "L2": (1 - mu, Fraction(3)),
         "L3": (Fraction(-3), -mu),
     }[segment]
-    p = _collinear_quintic(mu, segment)
-    tol = Fraction(1, 10 ** 13)
-    if segment != "L3":
-        # L1 and L2 lie rho = |x - (1 - mu)| from the secondary, where
-        # mu / rho^2 = (1 - mu) |1 / (1 -+ rho)^2 - 1| + rho is at most
-        # 4 rho for L1 with rho <= 1/10 and 3 rho for L2: rho >= min(1/10,
-        # (mu/4)^(1/3)).  The least m with 8^m >= 4e15 / mu makes 2^-m at
-        # most 1e-5 (mu/4)^(1/3), narrower than 1e-13 only for mu below
-        # about 3e-23, and the midpoint stays inside the segment
-        v = -(-4 * 10 ** 15 * mu.denominator // mu.numerator)
-        m = -(-(v - 1).bit_length() // 3)
-        tol = min(tol, Fraction(1, 2 ** m))
-    hits = []
-    for iv in isolate_real_roots(p):  # one Sturm chain, kept on p
-        r = refine_root(p, iv, tol)
-        if lo < r < hi:
-            hits.append(r)
-    if len(hits) != 1:
-        raise InternalInconsistencyError(
-            f"expected one collinear equilibrium on segment {segment}, "
-            f"found {len(hits)}"
-        )
-    return float(hits[0])
+    p, q = mu.numerator, mu.denominator
+
+    def sign(x) -> int:
+        # x = n/d (a float or a Fraction) inside the segment: a = A/(d q),
+        # b = B/(d q), and Omega_x times d |A|^3 |B|^3 > 0 is v
+        if not lo < x < hi:
+            return -1 if x <= lo else 1
+        n, d = x.as_integer_ratio()
+        A, B = n * q + p * d, n * q - (q - p) * d
+        A3, B3 = abs(A) ** 3, abs(B) ** 3
+        v = n * A3 * B3 - d ** 3 * q * ((q - p) * A * B3 + p * B * A3)
+        return (v > 0) - (v < 0)
+
+    # doubles at or past the segment's ends, where sign(x) < 0 < sign(y)
+    x = math.nextafter(float(lo), -math.inf)
+    y = math.nextafter(float(hi), math.inf)
+    while (m := 0.5 * (x + y)) not in (x, y):
+        if (s := sign(m)) == 0:
+            return m
+        x, y = (m, y) if s < 0 else (x, m)
+    m = (Fraction(x) + Fraction(y)) / 2
+    s = sign(m)
+    return x if s > 0 else y if s < 0 else float(m)  # a tie rounds to even
 
 
 LIBRATION_LABELS = ("L1", "L2", "L3", "L4", "L5")
 
 
 def libration_point(mu: float, label: str) -> LibrationPoint:
-    """One equilibrium by label; only a collinear one refines a quintic."""
+    """One equilibrium by label; only a collinear one is solved for."""
     mu = _check_mu(mu)
     if label not in LIBRATION_LABELS:
         raise DomainError(f"unknown libration point {label!r}")
@@ -256,8 +233,9 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     The linearization x' = A x has the even quartic characteristic
     polynomial s^4 + (4 - Oxx - Oyy) s^2 + (Oxx Oyy - Oxy^2).  The point
     is linearly stable iff both roots in s^2 are real, negative, and
-    distinct (four distinct purely imaginary exponents).  A point inside
-    the collision radius of a primary has no linearization: DomainError.
+    distinct (four distinct purely imaginary exponents); q < 0 alone
+    decides a saddle x center.  A point inside the collision radius of a
+    primary has no linearization: DomainError.
     """
     mu = _check_mu(mu)
     x, y = point.position
@@ -279,7 +257,7 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     roots = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
     if disc > 0.0 and all(abs(s2.imag) < 1e-12 and s2.real < 0.0 for s2 in sigma):
         verdict = STABLE
-    elif any(abs(s.imag) < 1e-9 and s.real > 1e-9 for s in roots):
+    elif q < 0.0:
         verdict = SADDLE_CENTER
     else:
         verdict = COMPLEX_UNSTABLE

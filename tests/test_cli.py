@@ -144,12 +144,12 @@ class TestExitCodes:
             '{"classification": "saddle_center", '
             '"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
             '"version": "0.1.0"}, "mu": 1e-16, "point": "L1", '
-            '"position": [0.9999967817054791, 0.0], '
-            '"quartic": {"const": -27.000288617805637, '
-            '"s2_coeff": -2.0000192411376796}, '
-            '"roots": [[-2.508294506744099, -0.0], [-0.0, '
-            '-2.071598921467412], [0.0, 2.071598921467412], '
-            '[2.508294506744099, 0.0]], "verdict": "unstable"}\n')
+            '"position": [0.9999967817055037, 0.0], '
+            '"quartic": {"const": -27.000289647038503, '
+            '"s2_coeff": -2.00001930975285}, '
+            '"roots": [[-2.5082945342615943, -0.0], [-0.0, '
+            '-2.0715989382247084], [0.0, 2.0715989382247084], '
+            '[2.5082945342615943, 0.0]], "verdict": "unstable"}\n')
 
     def test_memory_error_is_one_line(self, capsys, monkeypatch):
         def too_big(*args, **kwargs):
@@ -177,17 +177,16 @@ class TestExitCodes:
                        "(best iterate: [0.83, 0.0, 0.0, 0.0125])\n")
 
     def test_internal_error_is_not_input_error(self, capsys, monkeypatch):
-        # a root isolation that loses the collinear equilibria is a bug,
-        # not bad input
-        monkeypatch.setattr("secular.pcr3bp.isolate_real_roots",
-                            lambda p: [])
+        # a gcd that does not divide its polynomial is a bug, not bad input
+        monkeypatch.setattr("secular.ratpoly.poly_gcd",
+                            lambda a, b: RationalPolynomial((3, 1)))
         code, out, err = invoke(capsys, [
-            "pcr3bp", "lagrange", "--mu", "0.01",
+            "sturm", "count", "--poly=-2,0,1",
         ])
         assert code == 3
         assert out == ""
-        assert err == ("error: internal: expected one collinear equilibrium "
-                       "on segment L1, found 0\n")
+        assert err == ("error: internal: square-free part: gcd(p, p') does "
+                       "not divide p\n")
 
     def test_negative_value_is_attached_with_equals(self, capsys):
         # written apart, a value that starts with "-" reads as a flag
@@ -998,6 +997,7 @@ def test_malformed_json_is_one_line_input_error(argv):
      "--state", "0.5,0.3,0.2,-0.1", "--t", "inf"],
     ["--format", "csv", "pcr3bp", "propagate", "--mu", "nan",
      "--state", "0.5,0.3,0.2,-0.1", "--t", "1.0"],
+    ["pcr3bp", "stability", "--mu", "5e-324", "--point", "L3"],
     ["section", "crossings", "--mu", "0.012150585", "--C", "nan",
      "--start", "0.86,0.0"],
     ["section", "manifolds", "--mu", "0.012150585", "--C", "nan",
@@ -1014,6 +1014,8 @@ def test_non_finite_input_is_one_line_input_error(capsys, argv):
         assert "Jacobi constant C must be finite" in err
     if "--mu" in argv and argv[argv.index("--mu") + 1] == "nan":
         assert "mass ratio must lie in (0, 1/2], got nan" in err
+    if "5e-324" in argv:  # a subnormal mu, at which L3's q underflows
+        assert "mass ratio 5e-324 is subnormal" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,9 +33,32 @@ from secular.pcr3bp import (
     orbit_exponents,
     variational_flow,
 )
-from secular.ratpoly import isolate_real_roots, refine_root
+from secular.ratpoly import RationalPolynomial, isolate_real_roots, refine_root
 
 MU_EM = 0.012150585  # Earth-Moon-like mass ratio
+
+
+def _quintic_root(mu, label):
+    """The collinear point as a double, by a method of its own: Omega_x = 0
+    on the point's axis segment, cleared of a^2 b^2 into a rational
+    quintic whose one root there is isolated by its Sturm chain, refined
+    to 1e-40 and rounded."""
+    mu = Fraction(mu)
+    X = RationalPolynomial((Fraction(0), Fraction(1)))
+    a = X + RationalPolynomial((mu,))
+    b = X + RationalPolynomial((mu - 1,))
+    lead = X * a * a * b * b
+    t1, t2 = (b * b).scale(1 - mu), (a * a).scale(mu)
+    p, lo, hi = {  # the signs of a and b fixed on each segment
+        "L1": (lead - t1 + t2, -mu, 1 - mu),
+        "L2": (lead - t1 - t2, 1 - mu, 3),
+        "L3": (lead + t1 + t2, -3, -mu),
+    }[label]
+    roots = [r for iv in isolate_real_roots(p)
+             for r in [refine_root(p, iv, Fraction(1, 10 ** 40))]
+             if lo < r < hi]
+    assert len(roots) == 1
+    return float(roots[0])
 
 
 class TestEom:
@@ -125,12 +148,12 @@ class TestLibrationPoint:
 
     def test_refines_only_the_requested_quintic(self, monkeypatch):
         calls = []
-        refine = pcr3bp.refine_root
+        solve = pcr3bp._collinear_root
 
         def counted(*args):
             calls.append(args)
-            return refine(*args)
-        monkeypatch.setattr(pcr3bp, "refine_root", counted)
+            return solve(*args)
+        monkeypatch.setattr(pcr3bp, "_collinear_root", counted)
         libration_point(MU_EM, "L2")
         assert len(calls) == 1
         libration_point(MU_EM, "L4")
@@ -139,32 +162,38 @@ class TestLibrationPoint:
 
 class TestTinyMu:
     # L1 and L2 lie about (mu/3)^(1/3) from the secondary at 1 - mu: for a
-    # tiny mu that is less than the 1e-13 refinement width
+    # tiny mu that is less than a 1e-13 refinement width
     @pytest.mark.parametrize("mu", [1e-42, 1e-100])
     @pytest.mark.parametrize("label", ["L1", "L2"])
     def test_within_one_ulp_of_a_fine_refinement(self, mu, label):
-        q = Fraction(mu)
-        p = pcr3bp._collinear_quintic(q, label)
-        lo, hi = (-q, 1 - q) if label == "L1" else (1 - q, 3)
-        fine = [r for iv in isolate_real_roots(p)
-                for r in [refine_root(p, iv, Fraction(1, 10 ** 40))]
-                if lo < r < hi]
-        assert len(fine) == 1
-        ref = float(fine[0])
+        ref = _quintic_root(mu, label)
         x = libration_point(mu, label).position[0]
         assert abs(x - ref) <= math.ulp(ref)
 
-    # (mu, L1, L2) as 1e-13 refinement prints them
+    # at mu = 1e-100 the exact L1 rounds to 1.0, the float end of its segment
+    @given(st.floats(-100.0, math.log10(0.5)).map(
+        lambda e: min(0.5, 10.0 ** e)))
+    @example(1e-42)
+    @example(1e-100)
+    @example(0.5)
+    @example(MU_EM)
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_correctly_rounded_root(self, mu):
+        for label in ("L1", "L2", "L3"):
+            assert (libration_point(mu, label).position[0]
+                    == _quintic_root(mu, label))
+
+    # (mu, L1, L2) correctly rounded, as `_quintic_root` gives them
     FROZEN = [
-        (1e-20, 0.9999998506198637, 1.0000001493801467),
-        (1e-16, 0.9999967817054791, 1.000003218301437),
-        (1e-12, 0.9999306654741305, 1.0000693377288667),
-        (1e-08, 0.998506932599053, 1.0014945350292792),
-        (3.04e-06, 0.9899864459208131, 1.01007473104683),
-        (0.0001, 0.9680652061484591, 1.0324251916896303),
-        (0.00095, 0.9324577512801214, 1.0687376998596545),
-        (0.012150585, 0.8369151287720265, 1.1556821631002157),
-        (0.1, 0.6090351100232483, 1.2596998329023024),
+        (1e-20, 0.9999998506198492, 1.0000001493801656),
+        (1e-16, 0.9999967817055037, 1.0000032183014012),
+        (1e-12, 0.9999306654741015, 1.0000693377288976),
+        (1e-08, 0.9985069325990085, 1.0014945350292792),
+        (3.04e-06, 0.9899864459207689, 1.0100747310468299),
+        (0.0001, 0.968065206148433, 1.03242519168963),
+        (0.00095, 0.9324577512800786, 1.0687376998596936),
+        (0.012150585, 0.8369151287720266, 1.1556821631002154),
+        (0.1, 0.6090351100232024, 1.2596998329023315),
         (0.5, 0.0, 1.19840614455492),
     ]
 
@@ -194,6 +223,26 @@ class TestStability:
             st = libration_stability(mu, l1)
             assert st.verdict == SADDLE_CENTER
             assert any(abs(s.imag) < 1e-9 and s.real > 0 for s in st.roots)
+
+    # q < 0 at every collinear point; at L3 the real pair shrinks with mu,
+    # to about 6e-10 at mu = 1e-18, yet the point stays a saddle x center
+    @given(st.floats(0.0, 0.5, exclude_min=True))
+    @example(1e-18)
+    @example(np.finfo(float).tiny)
+    @settings(max_examples=50, deadline=None)
+    def test_collinear_points_are_saddle_centers(self, mu):
+        if mu < np.finfo(float).tiny:  # L3's q, of order mu, would underflow
+            with pytest.raises(DomainError, match="is subnormal"):
+                libration_point(mu, "L3")
+            return
+        for label in ("L1", "L2", "L3"):
+            point = libration_point(mu, label)
+            try:
+                verdict = libration_stability(mu, point).verdict
+            except DomainError as e:
+                assert "inside the collision radius" in str(e)
+            else:
+                assert verdict == SADDLE_CENTER
 
 
 class TestVariationalFlow:
