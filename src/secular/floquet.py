@@ -13,13 +13,15 @@ costs three more right-hand-side calls, so only a step that holds a
 sample or the event's root builds it.  A 2-D stack of starts flies in one
 numpy loop: each member keeps its own time, step size and rejections,
 so it takes the steps of its own flight, while one vectorized
-right-hand-side call per stage serves every member.  The three-body and
-surface-of-section modules reuse it, and `monodromy` flies a family of
-periodic systems, such as a Hill grid, as one stack.  A
-time-reversible system, such as Hill's equation, flies half a period and
-`reversed_monodromy` reads M off it, the rule by which the three-body
-corrector reads a symmetric orbit's M off its half-period STM.
-`characteristic_exponents` reads a family of monodromies in one batch.
+right-hand-side call per stage serves every member, as do three more
+for the interpolants of all members whose roots fall in one pass of
+the loop.  The three-body and surface-of-section modules reuse it, and
+`monodromy` flies a family of periodic systems, such as a Hill grid, as
+one stack.  A time-reversible system, such as Hill's equation, flies
+half a period and `reversed_monodromy` reads M off it, the rule by which
+the three-body corrector reads a symmetric orbit's M off its half-period
+STM.  `characteristic_exponents` reads a family of monodromies in one
+batch.
 """
 
 from __future__ import annotations
@@ -54,42 +56,65 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 _FAILURES = (None, _TOO_SMALL, "the step size is not finite")
 
 
+def _horner(x, u, a, b, c, d, e, f, g, y):
+    """One component of DOP853's 7th-order dense output at x = (t - t_old)
+    / h, u = 1 - x: a..g are its column of F from the last row up and y
+    its value at t_old; scipy's Dop853DenseOutput's operations in their
+    order."""
+    return (((((((0.0 + a) * x + b) * u + c) * x + d) * u + e) * x + f) * u
+            + g) * x + y
+
+
 def _interpolate(t, t_old, h, y_old, F):
-    """DOP853's 7th-order dense output at time t of the step (t_old, h,
-    y_old, F), as scipy's Dop853DenseOutput computes it: each component
-    on Python floats, by its operations in its order over F's 7 rows."""
+    """The dense output at time t of the step (t_old, h, y_old, F), as
+    scipy's Dop853DenseOutput computes it: each component on Python
+    floats."""
     x = float((t - t_old) / h)
     u = 1 - x
-    return np.array([
-        (((((((0.0 + a) * x + b) * u + c) * x + d) * u + e) * x + f) * u
-         + g) * x + y for a, b, c, d, e, f, g, y in zip(*F[::-1].tolist(),
-                                                         y_old.tolist())])
+    return np.array([_horner(x, u, *col)
+                     for col in zip(*F[::-1].tolist(), y_old.tolist())])
 
 
 def _dense_coefficients(rhs, K, t_old, h, y_old, y):
-    """The interpolant's F of one member's step, from its 13 stage rows K;
-    rhs evaluates that member alone."""
-    K = np.concatenate((K, np.empty((len(_A_EXTRA), K.shape[1]))))
+    """The interpolants' F of L members' steps: K holds their 13 stage
+    rows, shape (L, 13, n); t_old and h give their steps' starts and
+    lengths, L of each (or floats for L = 1); y_old and y, their states at
+    both ends, and rhs's states and derivatives are flat (n, L) stacks.
+    The three extra stages are three rhs calls on all L members.  Row i of
+    the (7, n L) result is row i of each member's F as a flat (n, L)
+    stack, so one member's F is its (7, n) array.  Each member gets the
+    bits it gets alone: its stage sums are `_combine`'s, and its F's last
+    four rows one gemm of its own."""
+    L = np.size(h)
+    K = np.reshape(K, (L, _S + 1, -1))
+    K = np.concatenate((K, np.empty((L, len(_A_EXTRA), K.shape[2]))), axis=1)
+    hs = np.tile(h, K.shape[2])
     for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_S + 1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = rhs(t_old + c * h, y_old + dy)
+        dy = _combine(K[:, :s], a[:s]) * hs
+        K[:, s] = rhs(t_old + c * h, y_old + dy).reshape(-1, L).T
+    f_old, delta_y = K[:, 0], y - y_old
     F = np.empty((_dop.INTERPOLATOR_POWER, len(y)))
-    f_old, delta_y = K[0], y - y_old
     F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[_S] + f_old)
-    F[3:] = h * np.dot(_dop.D, K)
+    F[1] = hs * f_old.T.ravel() - delta_y
+    F[2] = 2 * delta_y - hs * (K[:, _S] + f_old).T.ravel()
+    hD = np.matmul(_dop.D, K) * np.reshape(h, (L, 1, 1))  # (L, 4, n)
+    F[3:] = hD.transpose(1, 2, 0).reshape(len(_dop.D), -1)
     return F
 
 
 def _root(row, g_old, step, t):
     """The root of component ``row`` in the step (t_old, h, y_old, F) that
-    ends at t, by brentq on that component's interpolant; g_old is the
-    event's value at t_old, which the step was tested with."""
+    ends at t, by brentq on that component's interpolant on Python floats;
+    g_old is the event's value at t_old, which the step was tested with."""
     t_old, h, y_old, F = step
-    part = t_old, h, y_old[row:row + 1], F[:, row:row + 1]
-    return brentq(lambda tt: g_old if tt == t_old else _interpolate(
-        tt, *part)[0], t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+    col = F[::-1, row].tolist() + [float(y_old[row])]
+
+    def g(tt):
+        if tt == t_old:
+            return g_old
+        x = float((tt - t_old) / h)
+        return _horner(x, 1 - x, *col)
+    return brentq(g, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
 
 
 @dataclass(frozen=True)
@@ -507,11 +532,15 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
             g_old, g = g, np.where(moved, y_new[row * k:(row + 1) * k], g)
             lands = np.flatnonzero(moved & (sense * g_old <= 0)
                                    & (sense * g >= 0)).tolist()
-        for p in lands:
+        if lands:  # their interpolants, three rhs calls for them all
+            F = _dense_coefficients(
+                lambda tt, yy: rhs(tt, yy, cols[lands]), K[lands],
+                t_old[lands], h_step[lands],
+                *(v.reshape(n, k)[:, lands].ravel() for v in (y_old, y_new))
+            ).reshape(-1, n, len(lands))
+        for i, p in enumerate(lands):
             j = cols[p]
-            step = (t_old[p], h_step[p], y_old[p::k], _dense_coefficients(
-                lambda tt, yy: rhs(np.array([tt]), yy, cols[p:p + 1]),
-                K[p], t_old[p], h_step[p], y_old[p::k], y_new[p::k]))
+            step = t_old[p], h_step[p], y_old[p::k], F[:, :, i]
             te = _root(row, g_old[p], step, t[p])
             t_events[j].append(te)
             y_events[j].append(_interpolate(te, *step))

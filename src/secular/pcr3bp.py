@@ -6,9 +6,11 @@ collinear libration point is the one root of Omega_x on its axis
 segment, where Omega_x rises strictly, correctly rounded to a double by
 bisection on its exact rational sign.
 
-The flow is stated once, in `_derivative`; `_flow_rhs` evaluates it on
-stacks of states, and `_var_rhs` evaluates it on one state's floats,
-with the state-transition matrix from Omega's Hessian at the same radii.
+The flow is stated in `_derivative`, on one state's floats, which
+`_var_rhs` evaluates with the state-transition matrix from Omega's
+Hessian at the same radii.  `_flow_rhs` evaluates it on stacks of
+states with `_derivative`'s operations in their order, both primaries'
+terms along one axis, so that a stack costs about one call's overhead.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifolds in
 `secular.section`.  The crossing is `integrate`'s one event, y crossing
@@ -45,28 +47,15 @@ def _check_mu(mu: float) -> float:
     return mu
 
 
-def _radii(x, y, mu):
-    """Distances to the primaries; x and y are floats or arrays of them.
+_COLLIDES = "state within collision radius of a primary "
 
-    For arrays (a stack of states) a collision names the stack members
-    at fault, each with a reason that gives its own distances.
-    """
-    what = "state within collision radius of a primary "
-    if isinstance(x, np.ndarray):
-        r1 = np.hypot(x + mu, y)
-        r2 = np.hypot(x - 1.0 + mu, y)
-        if np.minimum(r1, r2).min() < COLLISION_RADIUS:
-            bad = np.flatnonzero((r1 < COLLISION_RADIUS)
-                                 | (r2 < COLLISION_RADIUS))
-            pairs = [f"(r1={r1[j]:.3g}, r2={r2[j]:.3g})" for j in bad]
-            raise SingularityError(what + ", ".join(pairs),
-                                   members=tuple(bad.tolist()),
-                                   reasons=tuple(what + p for p in pairs))
-        return r1, r2
+
+def _radii(x, y, mu):
+    """One state's distances to the primaries, on floats."""
     r1 = math.hypot(x + mu, y)
     r2 = math.hypot(x - 1.0 + mu, y)
     if r1 < COLLISION_RADIUS or r2 < COLLISION_RADIUS:
-        raise SingularityError(what + f"(r1={r1:.3g}, r2={r2:.3g})")
+        raise SingularityError(_COLLIDES + f"(r1={r1:.3g}, r2={r2:.3g})")
     return r1, r2
 
 
@@ -77,8 +66,8 @@ def effective_potential(x, y, mu):
 
 
 def _omega_partials(x, y, mu, hessian=False):
-    """Omega's gradient (ox, oy) at (x, y), floats or arrays; with
-    ``hessian``, its Hessian (oxx, oxy, oyy) follows, from the same radii."""
+    """Omega's gradient (ox, oy) at (x, y), floats; with ``hessian``, its
+    Hessian (oxx, oxy, oyy) follows, from the same radii."""
     r1, r2 = _radii(x, y, mu)
     a, b = x + mu, x - 1.0 + mu
     c1, c2 = (1.0 - mu) / r1 ** 3, mu / r2 ** 3
@@ -92,9 +81,9 @@ def _omega_partials(x, y, mu, hessian=False):
 
 
 def _derivative(x, y, vx, vy, mu, hessian=False):
-    """The one statement of the flow: the derivative (x', y', vx', vy') of
-    one state (floats) or of a stack of states (arrays), as a tuple; with
-    ``hessian``, Omega's Hessian (oxx, oxy, oyy) at the state follows."""
+    """The flow's derivative (x', y', vx', vy') of one state, on floats, as
+    a tuple; with ``hessian``, Omega's Hessian (oxx, oxy, oyy) at the state
+    follows."""
     ox, oy, *second = _omega_partials(x, y, mu, hessian)
     return (vx, vy, 2.0 * vy + ox, -2.0 * vx + oy, *second)
 
@@ -102,17 +91,39 @@ def _derivative(x, y, vx, vy, mu, hessian=False):
 def _flow_rhs(mu):
     """The equations of motion as an integrator right-hand side.
 
-    mu is checked once, here, as the closure is built: the README
-    manifolds run makes 7,702 calls, on 364,584 states in all, so the
-    closure does no more than the derivative.  z is one state of 4
-    floats or a stack of m states flattened from the (4, m) layout, rows
-    x, y, vx, vy.  One state is evaluated as a stack of one, so that it
-    gets the same bits alone as in any stack.
+    z is an array: one state of 4 floats or a stack of k states flattened
+    from the (4, k) layout, rows x, y, vx, vy.  One state is evaluated as
+    a stack of one, so that it gets the same bits alone as in any stack.
+    The README manifolds run makes 6,823 calls, on 364,584 states in all,
+    so per-call overhead, not arithmetic, sets their cost: mu is checked
+    once, as the closure is built, and each call takes both primaries'
+    terms in one numpy call each, along an axis of length 2, with
+    `_derivative`'s operations in its order.  A collision names the
+    members at fault, each with a reason that gives its own distances.
     """
     mu = _check_mu(mu)
+    mass = np.array([[1.0 - mu], [mu]])
+    shift = np.array([[0.0], [1.0]])
 
     def rhs(t, z):
-        return np.array(_derivative(*np.reshape(z, (4, -1)), mu)).ravel()
+        S = z.reshape(4, -1)
+        x, y = S[0], S[1]
+        P = x - shift  # the offsets from the primaries: a, then b
+        P += mu
+        R = np.hypot(P, y)  # r1, r2
+        if R.min() < COLLISION_RADIUS:
+            bad = np.flatnonzero((R < COLLISION_RADIUS).any(axis=0))
+            pairs = [f"(r1={R[0, j]:.3g}, r2={R[1, j]:.3g})" for j in bad]
+            raise SingularityError(_COLLIDES + ", ".join(pairs),
+                                   members=tuple(bad.tolist()),
+                                   reasons=tuple(_COLLIDES + p for p in pairs))
+        C = mass / np.power(R, 3)  # c1, c2
+        CP, Cy = C * P, C * y
+        out = np.empty(S.shape)
+        out[:2] = S[2:]
+        out[2] = 2.0 * S[3] + (x - CP[0] - CP[1])
+        out[3] = -2.0 * S[2] + (y - Cy[0] - Cy[1])
+        return out.ravel()
     return rhs
 
 
@@ -231,31 +242,37 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
     """Equation in S at an equilibrium and its stability verdict.
 
     The linearization x' = A x has the even quartic characteristic
-    polynomial s^4 + (4 - Oxx - Oyy) s^2 + (Oxx Oyy - Oxy^2).  The point
-    is linearly stable iff both roots in s^2 are real, negative, and
-    distinct (four distinct purely imaginary exponents); q < 0 alone
+    polynomial s^4 + p s^2 + q, p = 4 - Oxx - Oyy and q = Oxx Oyy - Oxy^2.
+    At L4 and L5 (as `libration_point` places them) they are p = 1 and
+    q = (27/4) mu (1 - mu) in closed form: Oxx Oyy - Oxy^2 cancels there,
+    to a wrong sign at tiny mu.  The
+    point is linearly stable iff both roots in s^2 are real, negative and
+    distinct (four distinct purely imaginary exponents): p^2 > 4q, p > 0
+    and q > 0, which at L4 is Routh's 27 mu (1 - mu) < 1.  q < 0 alone
     decides a saddle x center.  A point inside the collision radius of a
     primary has no linearization: DomainError.
     """
     mu = _check_mu(mu)
-    x, y = point.position
-    try:
-        oxx, oxy, oyy = _omega_partials(x, y, mu, True)[2:]
-    except SingularityError as e:
-        near, r = _nearer_primary(point, mu)
-        raise DomainError(
-            f"{point.label} lies {r:.3g} from the {near}, inside the "
-            f"collision radius {COLLISION_RADIUS:g}: no linearization") from e
-    p = 4.0 - oxx - oyy
-    q = oxx * oyy - oxy * oxy
-    disc = p * p - 4.0 * q
-    sigma = np.roots([1.0, p, q])  # roots in s^2
+    if point.label in ("L4", "L5") and point == libration_point(
+            mu, point.label):
+        p, q = 1.0, 6.75 * mu * (1.0 - mu)
+    else:
+        try:
+            oxx, oxy, oyy = _omega_partials(*point.position, mu, True)[2:]
+        except SingularityError as e:
+            near, r = _nearer_primary(point, mu)
+            raise DomainError(
+                f"{point.label} lies {r:.3g} from the {near}, inside the "
+                f"collision radius {COLLISION_RADIUS:g}: no linearization"
+            ) from e
+        p = 4.0 - oxx - oyy
+        q = oxx * oyy - oxy * oxy
     roots = []
-    for s2 in sigma:
+    for s2 in np.roots([1.0, p, q]):  # roots in s^2
         r = cmath.sqrt(complex(s2))
         roots.extend([r, -r])
     roots = tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
-    if disc > 0.0 and all(abs(s2.imag) < 1e-12 and s2.real < 0.0 for s2 in sigma):
+    if p * p - 4.0 * q > 0.0 and p > 0.0 and q > 0.0:
         verdict = STABLE
     elif q < 0.0:
         verdict = SADDLE_CENTER

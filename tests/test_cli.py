@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -871,6 +872,21 @@ def test_readme_example_runs(capsys, line):
     code, out, err = invoke(capsys, shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+# the README manifolds run's stdout, frozen: a change to how the flights
+# are done keeps every crossing's bits.  ROADMAP item 3 (a homoclinic
+# point that converges, with its error) moves the output on purpose and
+# re-freezes this digest.
+README_MANIFOLDS_SHA256 = (
+    "8c7ad9689a9fd661adac35c83321580ddd6b5fd81759a38de05a239370c5b014")
+
+
+def test_readme_manifolds_keep_their_bytes(capsys):
+    line, = (line for line in _readme_cli_lines() if " manifolds " in line)
+    code, out, err = invoke(capsys, shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == README_MANIFOLDS_SHA256
 
 
 def test_readme_names_every_global_flag():

@@ -673,6 +673,34 @@ def test_interpolant_is_scipys_bit_for_bit(seed, n, h, t_old, direction,
         assert got.tobytes() == dense(t).tobytes()
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20), st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_stacked_interpolants_are_each_members_own(seed, n, L):
+    # L random DOP853 steps of x' = M_j x + sin(x), one system each, whose
+    # interpolants are built together: each member's F has every bit of
+    # the F built for it alone
+    rng = np.random.default_rng(seed)
+    Ms = rng.standard_normal((L, n, n))
+    Y0 = rng.standard_normal((L, n))
+    t_old = rng.uniform(-10.0, 10.0, L)
+    h = rng.uniform(1e-3, 1.0, L) * rng.choice([1.0, -1.0], L)
+    fs = [lambda t, y, M=M: M @ y + np.sin(y) for M in Ms]
+    steps = [_dop853_step(f, y, hj) for f, y, hj in zip(fs, Y0, h)]
+    alone = [floquet._dense_coefficients(f, K, t0, hj, y, y_new)
+             for f, (K, y_new), t0, hj, y in zip(fs, steps, t_old, h, Y0)]
+
+    def stacked(t, flat):
+        Y = flat.reshape(n, L)
+        return np.column_stack([f(tj, Y[:, j]) for j, (f, tj)
+                                in enumerate(zip(fs, t))]).ravel()
+    F = floquet._dense_coefficients(
+        stacked, np.array([K for K, _ in steps]), t_old, h, Y0.T.ravel(),
+        np.array([y_new for _, y_new in steps]).T.ravel())
+    F = F.reshape(-1, n, L)
+    for j in range(L):
+        assert F[:, :, j].tobytes() == alone[j].tobytes()
+
+
 def test_readme_grid_as_one_family_matches_cells_alone():
     a_grid, q_grid = np.meshgrid(np.linspace(0.5, 1.5, 21),
                                  np.linspace(0.0, 0.4, 9), indexing="ij")

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from secular import pcr3bp
+from secular import floquet, pcr3bp
 from secular.cli import run
 from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.floquet import integrate
@@ -19,6 +19,7 @@ from secular.pcr3bp import (
     CROSSING_Y_TOL,
     SADDLE_CENTER,
     STABLE,
+    LibrationPoint,
     _flow_rhs,
     _flow_to_crossing,
     _var_rhs,
@@ -204,10 +205,31 @@ class TestTinyMu:
 
 
 class TestStability:
-    def test_l4_routh_criterion(self):
-        for mu, want in [(0.01, STABLE), (0.05, COMPLEX_UNSTABLE)]:
-            l4 = libration_points(mu)[3]
-            assert libration_stability(mu, l4).verdict == want
+    # Routh's criterion 27 mu (1 - mu) < 1 at L4 and L5, over log-uniform
+    # mu; at mu = 7.2e-17, Oxx Oyy - Oxy^2 cancels to -2.2e-16 there, a
+    # constant that would call both points saddle x centers
+    @given(st.floats(math.log(np.finfo(float).tiny), math.log(0.5)),
+           st.sampled_from(["L4", "L5"]))
+    @example(math.log(0.01), "L4")
+    @example(math.log(0.05), "L4")
+    @example(math.log(7.211175119495613e-17), "L4")
+    @example(math.log(7.211175119495613e-17), "L5")
+    @example(math.log(np.finfo(float).tiny), "L5")
+    @settings(max_examples=60, deadline=None)
+    def test_l4_routh_criterion(self, log_mu, label):
+        mu = min(math.exp(log_mu), 0.5)
+        st_ = libration_stability(mu, libration_point(mu, label))
+        assert st_.quartic_coeffs == (1.0, 6.75 * mu * (1.0 - mu))
+        want = STABLE if 27.0 * mu * (1.0 - mu) < 1.0 else COMPLEX_UNSTABLE
+        assert st_.verdict == want
+
+    def test_closed_form_only_where_the_point_is(self):
+        # a point labelled L4 elsewhere gets the Hessian's coefficients
+        pos = (0.3, 0.7)
+        got, want = (libration_stability(0.01, LibrationPoint(label, pos))
+                     for label in ("L4", "L1"))
+        assert got.quartic_coeffs == want.quartic_coeffs
+        assert got.quartic_coeffs[0] != 1.0
 
     def test_l4_quartic_coefficients(self):
         # the L4 equation in S is s^4 + s^2 + (27/4) mu (1 - mu)
@@ -637,12 +659,20 @@ def _section_start(x, vx, C=3.1882812173139823):
     return [x, 0.0, vx, math.sqrt(vy2)] if vy2 > 0 else None
 
 
+# three close starts that land in one iteration of the stack's loop, with
+# a fourth between them that lands earlier
+SIMULTANEOUS = [(0.83, 0.0), (0.85, -0.02), (0.8300001, 0.0),
+                (0.8300002, 0.0)]
+
+
 @given(st.lists(st.tuples(st.floats(0.80, 0.87), st.floats(-0.03, 0.03)),
                 min_size=1, max_size=6))
+@example(SIMULTANEOUS)
 @settings(max_examples=20, deadline=None)
 def test_stacked_section_start_flies_as_alone(points):
     # each member of a stack of section starts takes the steps of its own
-    # flight to its next upward crossing, its start read as past the axis
+    # flight to its next upward crossing, its start read as past the axis,
+    # and lands on its crossing bit for bit, whoever lands with it
     starts = [z for z in (_section_start(x, vx) for x, vx in points) if z]
     assume(starts)
     rhs, Z = _flow_rhs(MU_EM), np.array(starts).T
@@ -653,13 +683,28 @@ def test_stacked_section_start_flies_as_alone(points):
         alone = integrate(rhs, np.array(z0), (0.0, 30.0), 1e-10, events=past)
         assert stack.accepted_steps[j] == alone.accepted_steps[0]
         assert stack.rejected_steps[j] == alone.rejected_steps[0]
-        assert np.allclose(stack.t_events[j], alone.t_events[0], rtol=0.0,
-                           atol=1e-12)
+        assert np.array_equal(stack.t_events[j], alone.t_events[0])
+        assert np.array_equal(stack.y_events[j], alone.y_events[0])
         assert np.max(np.abs(stack.final.reshape(4, -1)[:, j]
                              - alone.final)) <= 1e-12
         t, z = _flow_to_crossing(rhs, np.array(z0), 30.0, 1e-10, 1.0)
         assert abs(located[j][0] - t) <= 1e-12
         assert np.max(np.abs(located[j][1] - z)) <= 1e-12
+
+
+def test_simultaneous_landings_share_their_interpolants(monkeypatch):
+    # SIMULTANEOUS's three close members land in one iteration: one call
+    # builds their three interpolants
+    built, dense = [], floquet._dense_coefficients
+
+    def counted(rhs, K, t_old, h, y_old, y):
+        built.append(np.size(h))
+        return dense(rhs, K, t_old, h, y_old, y)
+    monkeypatch.setattr(floquet, "_dense_coefficients", counted)
+    starts = [_section_start(x, vx) for x, vx in SIMULTANEOUS]
+    integrate(_flow_rhs(MU_EM), np.array(starts).T, (0.0, 30.0), 1e-10,
+              events=(1, 1.0, 1.0))
+    assert sorted(built) == [1, 3]
 
 
 def _var_rhs_composed(mu):
@@ -691,6 +736,30 @@ def _var_rhs_composed(mu):
                       [oxy, oyy, -2.0, 0.0]])
         return np.concatenate((derivative(*z[:4]),
                                (A @ z[4:].reshape(4, 4)).ravel()))
+    return rhs
+
+
+def _flow_rhs_by_arrays(mu):
+    """The flow on a stack of states by the one-state formula on arrays,
+    one for each row, each primary's terms apart: the oracle of
+    `_flow_rhs`, which takes the pair of primaries along one axis."""
+    what = "state within collision radius of a primary "
+
+    def rhs(t, z):
+        x, y, vx, vy = np.reshape(z, (4, -1))
+        r1 = np.hypot(x + mu, y)
+        r2 = np.hypot(x - 1.0 + mu, y)
+        if np.minimum(r1, r2).min() < pcr3bp.COLLISION_RADIUS:
+            bad = np.flatnonzero((r1 < pcr3bp.COLLISION_RADIUS)
+                                 | (r2 < pcr3bp.COLLISION_RADIUS))
+            pairs = [f"(r1={r1[j]:.3g}, r2={r2[j]:.3g})" for j in bad]
+            raise SingularityError(what + ", ".join(pairs),
+                                   members=tuple(bad.tolist()),
+                                   reasons=tuple(what + p for p in pairs))
+        a, b = x + mu, x - 1.0 + mu
+        c1, c2 = (1.0 - mu) / r1 ** 3, mu / r2 ** 3
+        ox, oy = x - c1 * a - c2 * b, y - c1 * y - c2 * y
+        return np.array((vx, vy, 2.0 * vy + ox, -2.0 * vx + oy)).ravel()
     return rhs
 
 
@@ -726,4 +795,36 @@ def test_fused_var_rhs_is_the_composition(mu, center, log_r, angle, v, stm):
         return
     got = _var_rhs(mu)(0.0, z)
     assert got.dtype == np.float64 and got.shape == (20,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(st.sampled_from([MU_EM, 0.3, 0.5, 1e-7]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 80), st.integers(0, 3))
+@example(MU_EM, 0, 1, 1)  # a stack of one, in collision
+@example(MU_EM, 1, 80, 3)
+@settings(max_examples=200, deadline=None)
+def test_stacked_flow_rhs_is_the_array_formula(mu, seed, width, colliding):
+    # a stack of 1-80 states, each at distance 10^u of a primary or a
+    # collinear point, up to 3 of them inside the collision radius: every
+    # bit of the array formula, or the same members with the same reasons
+    rng = np.random.default_rng(seed)
+    centers = np.array(_centers(mu))[rng.integers(0, 5, width)]
+    r = 10.0 ** rng.uniform(-5.5, 0.5, width)
+    hit = rng.choice(width, min(colliding, width), replace=False)
+    centers[hit] = np.array([-mu, 1.0 - mu])[rng.integers(0, 2, len(hit))]
+    r[hit] = 10.0 ** rng.uniform(-9.0, -6.0, len(hit))
+    angle = rng.uniform(-math.pi, math.pi, width)
+    Z = np.array([centers + r * np.cos(angle), r * np.sin(angle),
+                  *rng.uniform(-3.0, 3.0, (2, width))])
+    try:
+        want = _flow_rhs_by_arrays(mu)(0.0, Z.ravel())
+    except SingularityError as e:
+        with pytest.raises(SingularityError) as got:
+            _flow_rhs(mu)(0.0, Z.ravel())
+        assert str(got.value) == str(e)
+        assert got.value.members == e.members
+        assert got.value.reasons == e.reasons
+        return
+    got = _flow_rhs(mu)(0.0, Z.ravel())
+    assert got.dtype == np.float64 and got.shape == (4 * width,)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
