@@ -14,6 +14,7 @@ from collections import UserList
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -327,8 +328,8 @@ def faddeev_leverrier(rows):
     Ms = []
     for k in range(1, n + 1):
         Ms.append(M)
-        AM = [[sum(rows[i][l] * M[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
+        cols = list(zip(*M))
+        AM = [[sum(map(mul, r, col)) for col in cols] for r in rows]
         t = -sum(AM[i][i] for i in range(n))
         c = _exact_quotient(t, k) if exact else t / k
         coeffs[n - k] = c
@@ -465,21 +466,27 @@ def inertia(q: QuadraticForm) -> Inertia:
 
 
 def newton_power_sums(p: RationalPolynomial, upto: int) -> list[Fraction]:
-    """Power sums s_0..s_upto of the roots, by Newton's identities."""
+    """Power sums s_0..s_upto of the roots, by Newton's identities
+    s_k + a_1 s_{k-1} + ... + a_{k-1} s_1 + k a_k = 0 of a monic
+    polynomial, a_i its coefficient of x^{d-i} (zero for i > d).
+
+    They run in integers on the monic q(x) = D^d p(x/D) / lc(p), D the lcm
+    of the denominators of p / lc(p), whose roots are D times p's: its
+    power sums are D^k s_k.
+    """
     if p.is_zero:
         raise DomainError("power sums of the zero polynomial")
-    mon = p.monic()
-    d = mon.degree
-    # e_k = (-1)^k * coefficient of x^{d-k}
-    e = [(-1) ** k * mon.coeffs[d - k] for k in range(d + 1)]
-    s = [Fraction(d)]
+    d = p.degree
+    mon = [c / p.leading for c in reversed(p.coeffs)]  # highest degree first
+    D = math.lcm(*(c.denominator for c in mon))
+    a = [c.numerator * (D ** i // c.denominator) for i, c in enumerate(mon)]
+    s = [d]
     for k in range(1, upto + 1):
-        acc = sum(((-1) ** (i - 1) * e[i] * s[k - i]
-                   for i in range(1, min(k - 1, d) + 1)), Fraction(0))
+        acc = -sum(a[i] * s[k - i] for i in range(1, min(k - 1, d) + 1))
         if k <= d:
-            acc += (-1) ** (k - 1) * k * e[k]
+            acc -= k * a[k]
         s.append(acc)
-    return s
+    return [Fraction(x, D ** k) for k, x in enumerate(s)]
 
 
 def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:

@@ -161,13 +161,17 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
         "L3": (Fraction(-3), -mu),
     }[segment]
     p, q = mu.numerator, mu.denominator
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
 
     def sign(x) -> int:
-        # x = n/d (a float or a Fraction) inside the segment: a = A/(d q),
-        # b = B/(d q), and Omega_x times d |A|^3 |B|^3 > 0 is v
-        if not lo < x < hi:
-            return -1 if x <= lo else 1
+        # x = n/d (a float or a Fraction), tested against the ends in
+        # integers; inside the segment a = A/(d q), b = B/(d q), and
+        # Omega_x times d |A|^3 |B|^3 > 0 is v
         n, d = x.as_integer_ratio()
+        if n * ld <= ln * d:
+            return -1
+        if n * hd >= hn * d:
+            return 1
         A, B = n * q + p * d, n * q - (q - p) * d
         A3, B3 = abs(A) ** 3, abs(B) ** 3
         v = n * A3 * B3 - d ** 3 * q * ((q - p) * A * B3 + p * B * A3)

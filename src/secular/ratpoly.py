@@ -4,11 +4,14 @@ Coefficients are `fractions.Fraction`, stored lowest degree first.  All
 root counting is for DISTINCT real roots: inputs are silently reduced to
 their square-free part before a Sturm chain is built.
 
-Evaluation and long division run on the integer coefficients over their
-lcm denominator, and return the Fractions the rational loops would; gcds,
-square-free parts and Sturm chains get the same remainders through
-division.  A polynomial keeps its cleared coefficients, derivative,
-square-free part (with gcd(p, p')) and Sturm chain once computed.
+Evaluation, a Sturm chain's sign variations and long division run on the
+integer coefficients over their lcm denominator, and return the values
+the rational loops would.  One integer division loop serves divmod, the
+remainders of Sturm chains, and gcds, which run Euclid on primitive
+integer remainders and are made monic at the end.  Input text "p" or
+"p/q" in ASCII digits is read with `int`.  A polynomial keeps its cleared
+coefficients, derivative, square-free part (with gcd(p, p')) and Sturm
+chain once computed.
 """
 
 from __future__ import annotations
@@ -41,8 +44,20 @@ def parse_rational(x, what: str) -> Fraction:
     """One input number, from JSON or text, as a Fraction; `what` names it
     in the DomainError for a value that is not a number (JSON true and
     false, text such as "abc", and NaN included) or has a zero
-    denominator."""
+    denominator.
+
+    Text "p" or "p/q" of ASCII digits, p with an optional sign, is read
+    with `int`; anything else (whitespace, `_`, other digits,
+    decimals, JSON numbers) by `Fraction`, whose values and errors these
+    match.
+    """
     try:
+        if type(x) is str:
+            num, slash, den = x.partition("/")
+            digits = num[1:] if num[:1] in ("-", "+") else num
+            if (digits.isascii() and digits.isdigit()
+                    and (not slash or den.isascii() and den.isdigit())):
+                return Fraction(int(num), int(den) if slash else 1)
         return Fraction(_json_number(x))
     except (TypeError, OverflowError) as e:
         raise DomainError(f"bad {what}: {e}") from e
@@ -152,49 +167,31 @@ class RationalPolynomial:
         return RationalPolynomial([k * c for c in self.coeffs])
 
     def __divmod__(self, other: "RationalPolynomial"):
-        """Long division, run on the cleared integer coefficients.
-
-        With A = C_A / L_A and B = C_B / L_B, each pass scales the integer
-        remainder by u = b / gcd(b, t), b = lc(C_B) and t its leading entry,
-        and subtracts (t / gcd) x^k C_B; the remainder is then the integer
-        list over a running scale s, and the quotient term is (t / gcd) / s.
-        Fractions are built once, at the end: the quotient and remainder of
-        A by B are those of C_A by C_B times L_B / L_A and 1 / L_A.
-        """
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        La, rem = self._clear()
+        """Long division, run on the cleared integer coefficients by
+        `_int_divmod`, with Fractions built once, at the end: the quotient
+        and remainder of A = C_A / L_A by B = C_B / L_B are those of C_A by
+        C_B times L_B / L_A and 1 / L_A."""
+        La, A = self._clear()
         Lb, B = other._clear()
-        d = len(B) - 1
-        n = len(rem) - d  # quotient terms
-        if n <= 0:
+        quo, rem, s = _int_divmod(A, B)
+        if not quo:
             return RationalPolynomial.zero(), self
-        rem, b, s = list(rem), B[0], 1
-        quo = []  # highest degree first, as (numerator, scale)
-        for i in range(n):
-            t = rem[i]
-            if not t:
-                quo.append((0, 1))
-                continue
-            g = math.gcd(t, b)
-            u, v = b // g, t // g
-            if u != 1:
-                s *= u
-                for j in range(i + 1, len(rem)):
-                    rem[j] *= u
-            for j in range(1, d + 1):
-                rem[i + j] -= v * B[j]
-            quo.append((v, s))
         return (RationalPolynomial([Fraction(v * Lb, w * La)
                                     for v, w in reversed(quo)]),
                 RationalPolynomial([Fraction(r, s * La)
-                                    for r in reversed(rem[n:])]))
+                                    for r in reversed(rem)]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder of `divmod`, with no quotient Fractions built."""
+        La, A = self._clear()
+        quo, rem, s = _int_divmod(A, other._clear()[1])
+        if not quo:
+            return self
+        return RationalPolynomial([Fraction(r, s * La)
+                                   for r in reversed(rem)])
 
     def monic(self) -> "RationalPolynomial":
         if self.is_zero:
@@ -257,11 +254,56 @@ class RationalPolynomial:
         return (v > 0) - (v < 0)
 
 
+def _int_divmod(A, B):
+    """Long division of integer coefficient lists, highest degree first:
+    (quo, rem, s) with A = Q B + rem / s, rem the integer remainder (with
+    any leading zeros) over a running scale s > 0, and quo Q's terms,
+    highest degree first, as (numerator, scale) pairs.
+
+    Each pass scales the remainder by u = b / gcd(b, t), b = B[0] and t
+    the remainder's leading entry, and subtracts (t / gcd) x^k B: the
+    quotient term is (t / gcd) / s after s *= u.
+    """
+    if not B:
+        raise DomainError("division by the zero polynomial")
+    d = len(B) - 1
+    n = max(len(A) - d, 0)  # quotient terms
+    rem, b, s = list(A), B[0], 1
+    quo = []
+    for i in range(n):
+        t = rem[i]
+        if not t:
+            quo.append((0, 1))
+            continue
+        g = math.gcd(t, b)
+        u, v = b // g, t // g
+        if u != 1:
+            s *= u
+            for j in range(i + 1, len(rem)):
+                rem[j] *= u
+        for j in range(1, d + 1):
+            rem[i + j] -= v * B[j]
+        quo.append((v, s))
+    return quo, rem[n:], s
+
+
+def _primitive(C) -> tuple[int, ...]:
+    """The integer list C without its leading zeros, over its content."""
+    i = 0
+    while i < len(C) and not C[i]:
+        i += 1
+    g = math.gcd(*C)
+    return tuple(c // g for c in C[i:]) if g > 1 else tuple(C[i:])
+
+
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    """Monic gcd by Euclid on primitive integer remainders (Collins): a
+    remainder over its content has the same gcd up to a constant, and only
+    the monic gcd, formed at the end, is read."""
+    A, B = _primitive(a._clear()[1]), _primitive(b._clear()[1])
+    while B:
+        A, B = B, _primitive(_int_divmod(A, B)[1])
+    return RationalPolynomial([Fraction(c, A[0]) for c in reversed(A)])
 
 
 def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
@@ -296,8 +338,30 @@ class SturmChain:
     polys: tuple[RationalPolynomial, ...]
 
     def variations(self, x) -> int:
-        """Number of sign variations of the chain at x (rational or ±inf)."""
-        return _sign_variations_seq([p.sign_at(x) for p in self.polys])
+        """Number of sign variations of the chain at x (rational or ±inf),
+        in one pass over the members' cleared integers: at ±inf a member
+        has the sign of its leading term there, at x = n/d that of the
+        homogeneous Horner sum d^k p(x) L, k its degree; zeros are skipped.
+        """
+        inf = x is POS_INF or x is NEG_INF
+        if not inf:
+            x = _to_frac(x)
+            n, d = x.numerator, x.denominator
+        count = last = 0
+        for p in self.polys:
+            C = p._clear()[1]
+            if inf:
+                v = C[0] if x is POS_INF or len(C) % 2 else -C[0]
+            else:
+                v, dk = C[0], 1
+                for c in C[1:]:
+                    dk *= d
+                    v = v * n + c * dk
+            if v:
+                if (v < 0) != (last < 0) and last:
+                    count += 1
+                last = v
+        return count
 
 
 @dataclass(frozen=True)
@@ -378,12 +442,6 @@ def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
         raise DomainError("degenerate interval: need lo < hi")
     chain = sturm_chain(p)
     return chain.variations(a) - chain.variations(b)
-
-
-def _sign_variations_seq(values) -> int:
-    signs = [(v > 0) - (v < 0) for v in values]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
@@ -467,11 +525,14 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
             break
         # Newton acceleration from a float image of the midpoint; the
         # candidate is only trusted for its sign, so float error is safe
-        xm = float((a + b) / 2)
-        dfm = fp.eval_float(xm) if a < Fraction(xm) < b else 0.0
-        if abs(dfm) > float(floor_deriv):
-            xn_f = xm - f.eval_float(xm) / dfm
-            xn = Fraction(xn_f)
-            if a < xn < b and absorb(xn):
-                break
+        try:
+            xm = float((a + b) / 2)
+            dfm = fp.eval_float(xm) if a < Fraction(xm) < b else 0.0
+            if abs(dfm) <= float(floor_deriv):
+                continue
+            xn = Fraction(xm - f.eval_float(xm) / dfm)
+        except OverflowError:
+            continue  # a value with no finite float image: bisect only
+        if a < xn < b and absorb(xn):
+            break
     return (a + b) / 2

@@ -17,6 +17,7 @@ from secular.matrixcore import (
     hermite_root_count,
     inertia,
     interlacing_check,
+    newton_power_sums,
     real_roots_with_multiplicity,
     reduce_to_squares,
 )
@@ -379,6 +380,37 @@ def test_fraction_free_squares_match_the_fraction_steps(rows):
     assert inertia(QuadraticForm(G)) == Inertia(
         sum(c > 0 for c in reference), sum(c < 0 for c in reference),
         sum(c == 0 for c in reference))
+
+
+def _fraction_power_sums(coeffs, upto):
+    """Newton's identities in Fractions on the monic polynomial, lowest
+    degree first: the reference for the integer recursion."""
+    mon = [c / coeffs[-1] for c in coeffs]
+    d = len(mon) - 1
+    e = [(-1) ** k * mon[d - k] for k in range(d + 1)]  # elementary
+    s = [Fraction(d)]
+    for k in range(1, upto + 1):
+        acc = sum(((-1) ** (i - 1) * e[i] * s[k - i]
+                   for i in range(1, min(k - 1, d) + 1)), Fraction(0))
+        if k <= d:
+            acc += (-1) ** (k - 1) * k * e[k]
+        s.append(acc)
+    return s
+
+
+_coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@given(st.lists(_coeff, max_size=8), _coeff.filter(bool),
+       st.integers(0, 18))
+@example([], Fraction(-3, 7), 4)  # a constant: s_0 = 0, the rest 0
+@example([Fraction(1, 2), 0, Fraction(-5, 3)], Fraction(-2, 9), 0)
+@settings(max_examples=200, deadline=None)
+def test_integer_power_sums_match_fractions(lower, lead, upto):
+    p = P(lower + [lead])
+    s = newton_power_sums(p, upto)
+    assert s == _fraction_power_sums(p.coeffs, upto)
+    assert all(type(x) is Fraction for x in s)
 
 
 class TestHermite:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -5,15 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import secular.ratpoly
+from secular.cli import run
 from secular.errors import DomainError, InternalInconsistencyError
 from secular.ratpoly import (
     NEG_INF,
+    POS_INF,
     RationalPolynomial as P,
     RootInterval,
     SturmChain,
     cauchy_root_bound,
     count_real_roots,
     isolate_real_roots,
+    parse_rational,
+    poly_gcd,
     refine_root,
     root_separation_lower_bound,
     square_free_part,
@@ -398,3 +405,114 @@ def test_sturm_chain_matches_fraction_remainders(p):
     chain = sturm_chain(p).polys
     assert chain == _fraction_sturm_chain(p.coeffs)
     assert all(type(c) is Fraction for f in chain for c in f.coeffs)
+
+
+def _fraction_gcd(a, b):
+    """Monic gcd by Euclid on the Fraction remainders of `_fraction_divmod`:
+    the reference for the primitive integer Euclid of `poly_gcd`."""
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+_maybe_zero = st.one_of(_polys(0, 6), st.just(P.zero()))
+
+
+@given(_maybe_zero, _maybe_zero, _polys(0, 3))
+@example(P.zero(), P.zero(), P([1]))
+@example(P.zero(), P([Fraction(-5, 3)]), P([1]))  # zero and a constant
+@example(P([Fraction(7, 2)]), P([-4]), P([1]))  # two constants
+@example(P([2, 0, -1]), P([-3, 1]), P([Fraction(1, 2), -3]))  # negative leads
+@settings(max_examples=200, deadline=None)
+def test_primitive_euclid_matches_fraction_gcd(a, b, common):
+    a, b = a * common, b * common  # most draws share a factor
+    g = poly_gcd(a, b)
+    assert g.coeffs == _fraction_gcd(a.coeffs, b.coeffs)
+    assert all(type(c) is Fraction for c in g.coeffs)
+
+
+def _sign_variations_seq(values) -> int:
+    signs = [s for s in ((v > 0) - (v < 0) for v in values) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+_small_roots = st.lists(st.fractions(-6, 6, max_denominator=6), max_size=5)
+
+
+@given(_small_roots, _polys(0, 4), st.lists(_points, max_size=6))
+@example([Fraction(1), Fraction(1), Fraction(-2)], P([1]), [])
+@example([], P([-2, 0, 1]), [Fraction(0)])
+@settings(max_examples=200, deadline=None)
+def test_one_pass_variations_match_member_signs(roots, factor, xs):
+    p = P.from_roots(roots) * factor
+    if p.degree == 0:
+        p = p * P([0, 1])
+    chain = sturm_chain(p)
+    # planted roots of f, and the root of each linear member
+    member_roots = [-m.coeffs[0] / m.coeffs[1]
+                    for m in chain.polys if m.degree == 1]
+    for x in [NEG_INF, POS_INF, 0, *roots, *member_roots, *xs]:
+        assert chain.variations(x) == _sign_variations_seq(
+            [m.sign_at(x) for m in chain.polys])
+
+
+def _fraction_parse(x, what):
+    """`parse_rational` by `Fraction` alone, as (value, None), or (None,
+    the message of its DomainError)."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError(f"{json.dumps(x)} is not a number")
+        return Fraction(x), None
+    except (TypeError, OverflowError) as e:
+        return None, f"bad {what}: {e}"
+    except ValueError:
+        return None, f"bad {what}: {x} is not a number"
+    except ZeroDivisionError:
+        return None, f"bad {what}: {x} has a zero denominator"
+
+
+_texts = st.one_of(
+    st.text(alphabet="0123456789+-/_. eE\t\u0663\u00b2", max_size=8),
+    st.builds("{}/{}".format, st.integers(), st.integers(0, 10 ** 30)),
+    st.integers().map(str),
+    st.sampled_from(["nan", "inf", "-Infinity", "true", "false", "0x10"]),
+)
+
+
+@given(st.one_of(_texts, st.integers(), st.booleans(), st.none(),
+                 st.floats()))
+@example("1/0")
+@example("1/00")
+@example("-0/7")
+@example("+12/-4")
+@example(" 3/4")
+@example("1_000/3")
+@example("\u0663/4")
+@example("1/" + "1" * 5000)  # beyond int's digit limit
+@example(True)
+@example(False)
+@example(float("nan"))
+@example(1e400)
+@example(0.1)
+@settings(max_examples=500, deadline=None)
+def test_integer_parse_matches_fraction(x):
+    try:
+        got = parse_rational(x, "entry"), None
+    except DomainError as e:
+        got = None, str(e)
+    assert got == _fraction_parse(x, "entry")
+    assert got[0] is None or type(got[0]) is Fraction
+
+
+@pytest.mark.parametrize("lo, hi, root", [
+    ("0", "1e400", 2 ** 0.5), ("-1e400", "0", -2 ** 0.5),
+    ("0", "1e300", 2 ** 0.5), ("-1e300", "-1", -2 ** 0.5)])
+def test_refine_past_the_float_range_bisects(lo, hi, root):
+    # a midpoint, or a value there, with no finite float takes no Newton step
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["sturm", "refine", "--poly=-2,0,1", f"--lo={lo}",
+                    f"--hi={hi}", "--tol", "1/1000000"])
+    assert (code, err.getvalue()) == (0, "")
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and abs(float(lines[0]) - root) <= 1e-6
