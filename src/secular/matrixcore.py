@@ -465,14 +465,16 @@ def inertia(q: QuadraticForm) -> Inertia:
 # -- Hermite root counting ---------------------------------------------------
 
 
-def newton_power_sums(p: RationalPolynomial, upto: int) -> list[Fraction]:
+def newton_power_sums(p: RationalPolynomial, upto: int
+                      ) -> tuple[int, list[int]]:
     """Power sums s_0..s_upto of the roots, by Newton's identities
     s_k + a_1 s_{k-1} + ... + a_{k-1} s_1 + k a_k = 0 of a monic
-    polynomial, a_i its coefficient of x^{d-i} (zero for i > d).
+    polynomial, a_i its coefficient of x^{d-i} (zero for i > d), as
+    (D, [S_0..S_upto]) with S_k = D^k s_k.
 
     They run in integers on the monic q(x) = D^d p(x/D) / lc(p), D the lcm
-    of the denominators of p / lc(p), whose roots are D times p's: its
-    power sums are D^k s_k.
+    of the denominators of p / lc(p), whose roots are D times p's: S_k is
+    q's k-th power sum.
     """
     if p.is_zero:
         raise DomainError("power sums of the zero polynomial")
@@ -486,7 +488,7 @@ def newton_power_sums(p: RationalPolynomial, upto: int) -> list[Fraction]:
         if k <= d:
             acc -= k * a[k]
         s.append(acc)
-    return [Fraction(x, D ** k) for k, x in enumerate(s)]
+    return D, s
 
 
 def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:
@@ -496,14 +498,16 @@ def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:
     to the number of distinct complex roots, and signature equal to the
     number of distinct real roots (Hermite/Sylvester).  Both come from its
     inertia: a symmetric form's rank is its number of nonzero squares.
+    The form is built on the integer sums S_k = D^k s_k: their Hankel
+    matrix is diag(D^i) H diag(D^i), congruent to H, with H's inertia.
     """
     if p.is_zero:
         raise DomainError("root count of the zero polynomial")
     d = p.degree
     if d == 0:
         return (0, 0)
-    s = newton_power_sums(p, 2 * d - 2)
-    H = SquareMatrix([[s[i + j] for j in range(d)] for i in range(d)])
+    _, S = newton_power_sums(p, 2 * d - 2)
+    H = SquareMatrix([[S[i + j] for j in range(d)] for i in range(d)])
     ine = inertia(QuadraticForm(H))
     return ine.n_pos + ine.n_neg, ine.signature
 

@@ -481,10 +481,25 @@ def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
     return out
 
 
+def _horner(coeffs, x: float) -> float:
+    """A polynomial in floats, coefficients highest degree first."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
     """The one root of p in iv = (lo, hi] to within tol: hi if it is the
-    root, else the midpoint of a bracket of width at most tol around it,
-    shrunk by bisection and guarded Newton on p's square-free part f.
+    root, else the midpoint of a bracket of width at most tol around it.
+
+    Each pass takes a float Newton step on p's square-free part f from its
+    last iterate (the bracket's midpoint at first) and trusts it only for
+    its exact sign: the iterate closes one side of the bracket, and a
+    probe one step length past it closes the other, if that step is at
+    most half the bracket.  A derivative within 2^-40 of the larger |f'|
+    at the bracket's ends, or with no finite float, skips the step, and a
+    pass that does not halve the bracket ends with a bisection.
     """
     tol = _to_frac(tol)
     if tol <= 0:
@@ -500,10 +515,12 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
         # a root at lo lies outside (lo, hi]: step up past it by half the
         # root-gap bound, so the root in (lo, hi] stays inside
         a += root_separation_lower_bound(f) / 2
-    fp = f.derivative()
     sa = f.sign_at(a)
-    dmax = max(abs(fp.eval_frac(a)), abs(fp.eval_frac(b)), Fraction(1))
-    floor_deriv = dmax / Fraction(2 ** 40)
+    try:
+        fc = [float(c) for c in reversed(f.coeffs)]
+        dc = [float(c) for c in reversed(f.derivative().coeffs)]
+    except OverflowError:
+        fc = dc = None  # coefficients with no float image: bisect only
 
     def absorb(x: Fraction) -> bool:
         """Shrink the bracket using the sign of f at an interior point."""
@@ -519,20 +536,35 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
             b = x
         return False
 
-    while b - a > tol:
-        # bisection first: the bracket provably halves every pass
-        if absorb((a + b) / 2):
-            break
-        # Newton acceleration from a float image of the midpoint; the
-        # candidate is only trusted for its sign, so float error is safe
+    def newton(x: Fraction) -> Fraction | None:
+        """The Newton iterate from x, or None where there is none."""
+        if fc is None:
+            return None
         try:
-            xm = float((a + b) / 2)
-            dfm = fp.eval_float(xm) if a < Fraction(xm) < b else 0.0
-            if abs(dfm) <= float(floor_deriv):
-                continue
-            xn = Fraction(xm - f.eval_float(xm) / dfm)
-        except OverflowError:
-            continue  # a value with no finite float image: bisect only
-        if a < xn < b and absorb(xn):
+            xf = float(x)
+            d = _horner(dc, xf)
+            ends = max(abs(_horner(dc, float(a))), abs(_horner(dc, float(b))))
+            if not (math.isfinite(d) and abs(d) > ends * 2.0 ** -40):
+                return None
+            return Fraction(xf - _horner(fc, xf) / d)
+        except (OverflowError, ValueError):
+            return None  # a value with no finite float image
+
+    x = None  # the last Newton iterate while it is an end of the bracket
+    while b - a > tol:
+        width = b - a
+        x0 = (a + b) / 2 if x is None else x
+        xn = newton(x0)
+        if xn is not None and a < xn < b:
+            if absorb(xn):
+                break
+            step = abs(xn - x0)
+            probe = xn + step if xn == a else xn - step
+            if 2 * step <= b - a and a < probe < b and absorb(probe):
+                break
+            x = xn if xn in (a, b) else probe
+        if b - a > width / 2 and absorb((a + b) / 2):
             break
+        if x not in (a, b):
+            x = None
     return (a + b) / 2

@@ -9,12 +9,14 @@ with the time budget RETURN_TIME, and every one runs forward in time.
 `return_map` is one such flight, and `section_crossings` applies it n
 times; the map's Jacobian comes from the state-transition matrix alone.
 
-Every manifold branch's seeds fly as one forward stack, each seed's
-iterates one after another in its place: the flow is reversible, so a
-stable branch's reversed-time map is the forward map seen through the
-mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each seed takes the steps
-and the arithmetic of its own flights: a manifold point is its seed's
-image under the return map, whatever else is in the stack.
+Every flown manifold branch's seeds fly as one forward stack, each
+seed's iterates one after another in its place: the flow is reversible,
+so a stable branch's reversed-time map is the forward map seen through
+the mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each seed takes the
+steps and the arithmetic of its own flights: a manifold point is its
+seed's image under the return map, whatever else is in the stack.  At a
+fixed point on the line vx = 0, which R leaves fixed, a stable branch is
+not flown: it is R of the unstable branch of its sign.
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ class HomoclinicReport:
 
 
 _BRANCHES = ("unstable+", "unstable-", "stable+", "stable-")
+_R = np.array([1.0, -1.0])  # the mirror R on a section point (x, vx)
 
 
 def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
@@ -218,7 +221,7 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
                       ) -> list[ManifoldBranch]:
     """Trace manifold branches of a hyperbolic fixed point, one per name.
 
-    Seeds fill a fundamental domain [offset, |lambda| * offset] along the
+    Seeds fill a fundamental domain [offset, |lambda| * offset) along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
     reversed-time (stable) return map.  R z(-t) solves the flow whenever
     z(t) does, so a seed's previous crossing is R of the next crossing
@@ -231,6 +234,14 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     then by place; the truncation is recorded, not raised, and reads as
     the backward flight's would.  ``lin`` is the fixed point's STM
     linearization at ``tol``, computed if not given.
+
+    A fixed point on the line vx = 0 is its own mirror, and R P R = P^-1
+    there, so the stable manifold is R of the unstable one (Devaney,
+    Trans. AMS 218, 1976).  At such a point stable+- is R of unstable+-:
+    its seeds are the mirrors of that branch's on [offset, |lambda_u|
+    offset), their flights are its flights, and only the unstable branch
+    flies, once, whether it was asked for or not.  Off the line every
+    branch flies.
     """
     for branch in branches:
         if branch not in _BRANCHES:
@@ -247,9 +258,13 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         lin = linearize_map(p, mu, sd, tol=tol)
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
+    # the branch that flies for each name: on vx = 0, unstable for stable
+    source = {b: "un" + b if p.vx == 0.0 and b.startswith("stable") else b
+              for b in branches}
+    names = list(dict.fromkeys(source.values()))
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
     qs, flips = [], []  # the seeds, branch by branch; -1.0 if mirrored
-    for branch in branches:
+    for branch in names:
         flips.append(1.0 if branch.startswith("unstable") else -1.0)
         idx = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
                   else np.argmin(np.abs(eigvals)))
@@ -260,20 +275,14 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
             0.0, 1.0, seeds, endpoint=False)
         qs += [p.as_array() + seed_offset * r * v for r in ratios]
     points = [[] for _ in qs]  # per seed, its iterates
-    drops = []  # (iterate, seed, reason) of each seed that dropped out
-
-    def drop(i, e):
-        reason = f"iterate {len(points[i])}: {e}"
-        if flips[i // seeds] < 0 and getattr(e, "t", None):  # integrate's
-            reason = reason.replace(f"t={e.t:.6g}:", f"t={-e.t:.6g}:", 1)
-        drops.append((len(points[i]), i, reason))
+    drops = []  # (iterate, seed, error, point it failed to lift or None)
 
     def start(i, q):
         """Seed i's start from section point q, or None if it drops."""
         try:
             z = lift(SectionPoint(*q), mu, sd)
         except (DomainError, SingularityError) as e:
-            return drop(i, e)
+            return drops.append((len(points[i]), i, e, q))
         z[2] *= flips[i // seeds]  # R, once lift has checked q
         return z
 
@@ -290,15 +299,34 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         sd.direction, relay)
     for i, end in zip(flown, ends):
         if isinstance(end, Exception):
-            drop(i, end)
+            drops.append((len(points[i]), i, end, None))
+
+    def reason(k, i, e, q, mirrored):
+        """Seed i's drop at iterate k, read on its branch or its mirror."""
+        if mirrored and q is not None:  # the mirror's own lift names it
+            try:
+                lift(SectionPoint(q[0], -q[1]), mu, sd)
+            except (DomainError, SingularityError) as m:
+                e = m
+        text = f"iterate {k}: {e}"
+        backward = mirrored != (flips[i // seeds] < 0)
+        if backward and getattr(e, "t", None):  # integrate's, read backward
+            text = text.replace(f"t={e.t:.6g}:", f"t={-e.t:.6g}:", 1)
+        return text
+
     out = []
-    for b, branch in enumerate(branches):
+    for branch in branches:
+        b = names.index(source[branch])
+        mirrored = source[branch] != branch
         mine = range(b * seeds, (b + 1) * seeds)
         poly = [points[i][k] for k in range(steps) for i in mine
                 if len(points[i]) > k]
-        reason = max((d for d in drops if d[1] in mine), default=(0, 0, ""))[2]
-        out.append(ManifoldBranch(branch, np.array(poly), bool(reason),
-                                  reason))
+        last = max((d for d in drops if d[1] in mine), default=None,
+                   key=lambda d: d[:2])
+        why = "" if last is None else reason(*last, mirrored)
+        if mirrored:
+            poly = [q * _R for q in poly]
+        out.append(ManifoldBranch(branch, np.array(poly), bool(why), why))
     return out
 
 

@@ -22,6 +22,7 @@ from secular.cli import run
 from secular.errors import NonConvergenceError
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import RationalPolynomial
+from secular.pcr3bp import _flow_to_crossing
 from secular.section import linearize_map
 
 WORKED = ('{"n":3,"flavor":"exact","rows":'
@@ -814,7 +815,9 @@ class TestSection:
                        "r2=9.97e-07)\n")
 
     def test_truncated_branch_says_so(self, capsys):
-        # seeds 0.02 from the fixed point start outside the allowed region
+        # seeds 0.02 from the fixed point start outside the allowed region;
+        # on vx = 0 stable+ is R of unstable+, so it is cut short with it,
+        # at the mirror of the point unstable+ could not lift
         argv = ["section", "manifolds", "--mu", "0.012150585",
                 "--C", "3.1882812173139823",
                 "--fixed", "0.8359151287720265,0.0", "--steps", "2",
@@ -825,10 +828,14 @@ class TestSection:
         code, out, err = invoke(capsys, [*argv, "--seed-offset", "0.02"])
         assert code == 0
         assert "homoclinic" in json.loads(out)
-        assert err.count("\n") == 1
-        assert err.startswith("warning: unstable+ branch truncated: iterate 0: "
-                              "section point")
-        assert "outside the energetically allowed region" in err
+        unstable, stable = err.splitlines()
+        assert unstable.startswith("warning: unstable+ branch truncated: "
+                                   "iterate 0: section point (")
+        assert "outside the energetically allowed region" in unstable
+        x, vx = unstable.split("(", 1)[1].split(")", 1)[0].split(", ")
+        assert stable == unstable.replace(
+            "unstable+", "stable+").replace(f"({x}, {vx})",
+                                            f"({x}, {-float(vx)!r})")
 
     def test_truncated_stable_branch_says_so(self, capsys):
         # the "fixed" point is a section point whose reversed-time flight
@@ -875,11 +882,11 @@ def test_readme_example_runs(capsys, line):
 
 
 # the README manifolds run's stdout, frozen: a change to how the flights
-# are done keeps every crossing's bits.  ROADMAP item 3 (a homoclinic
-# point that converges, with its error) moves the output on purpose and
-# re-freezes this digest.
+# are done keeps every crossing's bits.  Its stable branch is R of its
+# unstable one.  ROADMAP item 4 (a homoclinic point that converges, with
+# its error) moves the output on purpose and re-freezes this digest.
 README_MANIFOLDS_SHA256 = (
-    "8c7ad9689a9fd661adac35c83321580ddd6b5fd81759a38de05a239370c5b014")
+    "52a6f38e364d95aff6d75fac9d58f464f49d2c88e28a18b9722ab5657ef0f67c")
 
 
 def test_readme_manifolds_keep_their_bytes(capsys):
@@ -887,6 +894,27 @@ def test_readme_manifolds_keep_their_bytes(capsys):
     code, out, err = invoke(capsys, shlex.split(line)[1:])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == README_MANIFOLDS_SHA256
+
+
+@pytest.mark.parametrize("vx, width", [("0.0", 40), ("1e-9", 80)])
+def test_readme_manifolds_fly_one_stack(capsys, monkeypatch, vx, width):
+    # the README run's fixed point is on vx = 0, so its stable branch is
+    # the mirror of its unstable one and only the unstable seeds fly: one
+    # stack of 40.  Moved off the line, both branches fly: one of 80
+    flights = []
+
+    def counted(rhs, z0, *args):
+        flights.append(np.shape(z0))
+        return _flow_to_crossing(rhs, z0, *args)
+    monkeypatch.setattr("secular.section._flow_to_crossing", counted)
+    line, = (line for line in _readme_cli_lines() if " manifolds " in line)
+    argv = shlex.split(line)[1:]
+    x, _ = argv[argv.index("--fixed") + 1].split(",")
+    argv[argv.index("--fixed") + 1] = f"{x},{vx}"
+    code, _, _ = invoke(capsys, argv)
+    assert code == 0
+    # the fixed point's STM linearization, then the one stacked flight
+    assert flights == [(20,), (4, width)]
 
 
 def test_readme_names_every_global_flag():

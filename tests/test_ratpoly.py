@@ -242,6 +242,25 @@ class TestRefine:
             refine_root(p, RootInterval(Fraction(0), Fraction(4)),
                         Fraction(1, 100))
 
+    @pytest.mark.parametrize("hi, tol, most", [
+        (2, Fraction(1, 10 ** 12), 40),  # Newton's rate within float precision
+        (10 ** 300, Fraction(1, 10 ** 6), 1020),  # no dearer than bisection
+    ], ids=("narrow", "wide"))
+    def test_newton_closes_the_bracket(self, monkeypatch, hi, tol, most):
+        # every exact evaluation of a polynomial (sign, value or rounded
+        # value) outside the Sturm chain's variations is counted
+        evals = [0]
+        ratio = P._eval_ratio
+
+        def counted(self, x):
+            evals[0] += 1
+            return ratio(self, x)
+        monkeypatch.setattr(P, "_eval_ratio", counted)
+        p = poly(-2, 0, 1)
+        r = refine_root(p, RootInterval(Fraction(0), Fraction(hi)), tol)
+        assert evals[0] <= most
+        assert count_real_roots(p, r - tol / 2, r + tol / 2) == 1
+
 
 def random_factored_poly(rng, max_deg=8):
     """Product of random linear and irreducible quadratic factors.
@@ -516,3 +535,36 @@ def test_refine_past_the_float_range_bisects(lo, hi, root):
     assert (code, err.getvalue()) == (0, "")
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and abs(float(lines[0]) - root) <= 1e-6
+
+
+def test_refine_with_an_overflowing_derivative_bisects():
+    # f and f' are finite at 0 and 0.9 but f' has no finite float at 0.45
+    coeffs = [Fraction(c) for c in (-0.514e308, 1.5e308, 0.895e308,
+                                    -0.597e308, 1)]
+    poly_arg = ",".join(str(int(c)) for c in coeffs)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["sturm", "refine", f"--poly={poly_arg}", "--lo=0",
+                    "--hi=0.9", "--tol", "1/1000000"])
+    assert (code, err.getvalue()) == (0, "")
+    r = Fraction(out.getvalue().strip())
+    h = Fraction(1, 2 * 10 ** 6)
+    assert count_real_roots(P(coeffs), r - h, r + h) == 1
+
+
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=8),
+       st.integers(0, 60))
+@example([-2, 0, 1], 30)
+@example([0, -2, 1], 12)  # a root at 0, an end of an isolating interval
+@settings(max_examples=60, deadline=None)
+def test_refined_root_stays_in_its_bracket(coeffs, digits):
+    # every root of a random integer polynomial, refined to 10^-digits, is
+    # the one root of its interval within tol / 2 of the answer
+    p = P(coeffs)
+    if p.is_zero or p.degree == 0:
+        return
+    tol = Fraction(1, 10 ** digits)
+    for iv in isolate_real_roots(p):
+        r = refine_root(p, iv, tol)
+        lo, hi = max(iv.lo, r - tol / 2), min(iv.hi, r + tol / 2)
+        assert lo < hi and count_real_roots(p, lo, hi) == 1

@@ -321,11 +321,13 @@ class TestStackedLayers:
                                 seeds=40, seed_offset=1e-7, tol=1e-10,
                                 lin=lin)
         assert not br.truncated and br.points.shape == (40, 2)
+        # the README fixed point is on vx = 0: a stable seed is the mirror
+        # R of an unstable one, on the unstable branch's ladder
         eigvals, eigvecs = np.linalg.eig(lin.jacobian)
         unstable = branch.startswith("unstable")
-        i = int(np.argmax(np.abs(eigvals)) if unstable
-                else np.argmin(np.abs(eigvals)))
+        i = int(np.argmax(np.abs(eigvals)))
         v = np.real(eigvecs[:, i]) / np.linalg.norm(np.real(eigvecs[:, i]))
+        v = v if unstable else v * R2
         ratios = abs(eigvals[i].real) ** np.linspace(0.0, 1.0, 40,
                                                      endpoint=False)
         step = return_map if unstable else _inverse_map
@@ -411,7 +413,9 @@ class TestStackedLayers:
     def test_failed_stable_flight_reports_backward_time(self, monkeypatch):
         # a right-hand side that fails after |t| = 0.05: every seed's flight
         # ends with integrate's "integration failed near t=...", and a
-        # stable seed's time reads as its reversed-time flight has it
+        # stable seed's time reads as its reversed-time flight has it.  On
+        # vx = 0 the stable seeds are R of the unstable ones, p + 1e-3 r
+        # (0, -1) for r = 1, sqrt(2), and the last to drop out is the second
         def failing(mu):
             flow = _flow_rhs(mu)
 
@@ -426,7 +430,7 @@ class TestStackedLayers:
         br, = manifold_segments(README_FIXED, MU_EM, sd, ("stable+",),
                                 steps=1, seeds=2, seed_offset=1e-3, tol=1e-10,
                                 lin=lin)
-        last = README_FIXED.as_array() + 1e-3 * 0.5 ** 0.5 * np.array([1, 0])
+        last = README_FIXED.as_array() + 1e-3 * 2.0 ** 0.5 * np.array([0, -1])
         with pytest.raises(SingularityError) as backward:
             _next_crossing(lift(SectionPoint(*last), MU_EM, sd), MU_EM, sd,
                            forward=False, tol=1e-10)
@@ -436,8 +440,10 @@ class TestStackedLayers:
             "iterate 0: integration failed near t=-0.0")
 
 
-# the time-reversal reflection R(x, y, vx, vy) = (x, -y, -vx, vy)
+# the time-reversal reflection R(x, y, vx, vy) = (x, -y, -vx, vy), and on
+# a section point (x, vx)
 R = np.array([1.0, -1.0, -1.0, 1.0])
+R2 = np.array([1.0, -1.0])
 
 
 class TestTimeReversal:
@@ -493,17 +499,23 @@ def _per_layer(p, mu, sd, branches, steps, seeds, seed_offset, tol, lin):
     """The manifold rule the relay replaced, as the reference it must match
     byte for byte: layer k of every branch flies as one `_flow_to_crossing`
     stack once all of layer k - 1 has landed, and a branch's truncation
-    reason is that of its last seed to drop out, layer by layer.  It reads
-    section's lift, _flow_rhs and RETURN_TIME when called, so a test may
-    patch them."""
+    reason is that of its last seed to drop out, layer by layer.  At a
+    fixed point on vx = 0 a stable branch's seeds are R of the unstable
+    ones of its sign, R v_u on the |lambda_u| ladder, flown with the
+    reversed map: their lifted, mirrored starts are the unstable seeds'
+    own, and within a layer a start flies once however many seeds have
+    it.  It reads section's lift, _flow_rhs and RETURN_TIME when called,
+    so a test may patch them."""
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
     layers, flips = [], []
     for branch in branches:
         flips.append(1.0 if branch.startswith("unstable") else -1.0)
-        i = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
+        i = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0 or p.vx == 0.0
                 else np.argmin(np.abs(eigvals)))
         v = np.real(eigvecs[:, i])
         v = v / np.linalg.norm(v) * (-1.0 if branch.endswith("-") else 1.0)
+        if flips[-1] < 0 and p.vx == 0.0:
+            v = v * R2
         ratios = abs(float(np.real(eigvals[i]))) ** np.linspace(
             0.0, 1.0, seeds, endpoint=False)
         layers.append([p.as_array() + seed_offset * r * v for r in ratios])
@@ -519,13 +531,15 @@ def _per_layer(p, mu, sd, branches, steps, seeds, seed_offset, tol, lin):
                 except (DomainError, SingularityError) as e:
                     z = e
                 outcomes.append((b, z))
-        starts = [z for _, z in outcomes if not isinstance(z, Exception)]
+        starts = {z.tobytes(): z for _, z in outcomes
+                  if not isinstance(z, Exception)}
         if starts:
-            flown = iter(_flow_to_crossing(
-                secular.section._flow_rhs(mu), np.array(starts).T,
-                secular.section.RETURN_TIME, tol, sd.direction))
-            outcomes = [(b, z if isinstance(z, Exception) else next(flown))
-                        for b, z in outcomes]
+            flown = dict(zip(starts, _flow_to_crossing(
+                secular.section._flow_rhs(mu),
+                np.array(list(starts.values())).T,
+                secular.section.RETURN_TIME, tol, sd.direction)))
+            outcomes = [(b, z if isinstance(z, Exception)
+                         else flown[z.tobytes()]) for b, z in outcomes]
         layers = [[] for _ in branches]
         for b, o in outcomes:
             if not isinstance(o, Exception):
@@ -570,6 +584,9 @@ def _relay_and_per_layer(monkeypatch, p, sd, branches, **kw):
 
 
 _FOUR = ("unstable+", "stable+", "unstable-", "stable-")
+# the README fixed point, where a stable branch is R of an unstable one,
+# and a point just off vx = 0, where every branch flies
+ON_AND_OFF = (README_FIXED, SectionPoint(README_FIXED.x, 1e-9))
 
 
 @pytest.fixture(scope="module")
@@ -589,10 +606,12 @@ class TestRelay:
     def test_four_branches_match_per_layer(self, monkeypatch, readme_lin):
         # unstable- loses a seed to the energy bound at iterate 0
         sd = SectionDef(+1, README_C)
-        out, relay, reference = _relay_and_per_layer(
-            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
-        assert out[2].truncation_reason.startswith("iterate 0: section point")
-        assert relay == reference
+        for p in ON_AND_OFF:
+            out, relay, reference = _relay_and_per_layer(
+                monkeypatch, p, sd, _FOUR, **self._kw(readme_lin))
+            assert out[2].truncation_reason.startswith(
+                "iterate 0: section point")
+            assert relay == reference
 
     def test_lift_failure_after_the_first_iterate(self, monkeypatch,
                                                   readme_lin):
@@ -606,12 +625,14 @@ class TestRelay:
             return lift_(q, mu, sd)
         monkeypatch.setattr("secular.section.lift", fenced)
         sd = SectionDef(+1, README_C)
-        out, relay, reference = _relay_and_per_layer(
-            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
-        late = [br for br in out if "fenced" in br.truncation_reason]
-        assert late and all(not br.truncation_reason.startswith("iterate 0")
-                            for br in late)
-        assert relay == reference
+        for p in ON_AND_OFF:
+            out, relay, reference = _relay_and_per_layer(
+                monkeypatch, p, sd, _FOUR, **self._kw(readme_lin))
+            late = [br for br in out if "fenced" in br.truncation_reason]
+            assert late and all(
+                not br.truncation_reason.startswith("iterate 0")
+                for br in late)
+            assert relay == reference
 
     @pytest.mark.parametrize("factor", [1.02, 1.2])
     def test_flights_without_a_crossing(self, monkeypatch, readme_lin,
@@ -623,11 +644,12 @@ class TestRelay:
                                       lift(README_FIXED, MU_EM, sd),
                                       RETURN_TIME, 1e-10, 1.0)
         monkeypatch.setattr("secular.section.RETURN_TIME", factor * t_star)
-        out, relay, reference = _relay_and_per_layer(
-            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
-        assert any(br.truncation_reason.startswith("iterate 1: no section")
-                   for br in out)
-        assert relay == reference
+        for p in ON_AND_OFF:
+            out, relay, reference = _relay_and_per_layer(
+                monkeypatch, p, sd, _FOUR, **self._kw(readme_lin))
+            assert any(br.truncation_reason.startswith(
+                "iterate 1: no section") for br in out)
+            assert relay == reference
 
     @pytest.mark.parametrize("factor", [1.02, 1.2])
     def test_failed_flights_read_backward_on_stable_branches(
@@ -649,12 +671,13 @@ class TestRelay:
                                 d).ravel()
             return rhs
         monkeypatch.setattr("secular.section._flow_rhs", failing)
-        out, _, _ = _relay_and_per_layer(
-            monkeypatch, README_FIXED, sd, _FOUR, **self._kw(readme_lin))
-        stable = out[1].truncation_reason
-        assert stable.startswith("iterate 1: integration failed near t=-")
-        assert "t=" in out[0].truncation_reason and \
-            "t=-" not in out[0].truncation_reason
+        for p in ON_AND_OFF:
+            out, _, _ = _relay_and_per_layer(
+                monkeypatch, p, sd, _FOUR, **self._kw(readme_lin))
+            stable = out[1].truncation_reason
+            assert stable.startswith("iterate 1: integration failed near t=-")
+            assert "t=" in out[0].truncation_reason and \
+                "t=-" not in out[0].truncation_reason
 
     @pytest.mark.parametrize("branch", ["unstable-", "stable+"])
     def test_collision_after_the_first_iterate(self, monkeypatch, branch):
@@ -698,7 +721,8 @@ class TestRelay:
         assert out.points.shape == (7, 2)
 
     def test_one_flight_for_the_whole_run(self, monkeypatch, readme_lin):
-        # every seed of every branch is in the one stacked flight
+        # every seed of every flown branch is in the one stacked flight: on
+        # vx = 0 the two unstable branches', off it all four branches'
         flights = []
 
         def counted(rhs, z0, *args):
@@ -706,9 +730,63 @@ class TestRelay:
             return _flow_to_crossing(rhs, z0, *args)
         monkeypatch.setattr("secular.section._flow_to_crossing", counted)
         sd = SectionDef(+1, README_C)
-        manifold_segments(README_FIXED, MU_EM, sd, _FOUR,
-                          **self._kw(readme_lin, seed_offset=1e-6))
-        assert flights == [(4, 16)]
+        for p in ON_AND_OFF:
+            manifold_segments(p, MU_EM, sd, _FOUR,
+                              **self._kw(readme_lin, seed_offset=1e-6))
+        assert flights == [(4, 8), (4, 16)]
+
+
+def _flown_stable_branch(p, sd, sign, steps, seeds, seed_offset, tol, lin):
+    """The stable branch of sign `sign` flown through the reversed map from
+    the seeds p + seed_offset r R v_u, r on the |lambda_u| ladder: each
+    layer is one stacked flight back in time to the previous crossing, and
+    a seed that fails to lift or to land drops out.  Its polyline."""
+    eigvals, eigvecs = np.linalg.eig(lin.jacobian)
+    i = int(np.argmax(np.abs(eigvals)))
+    v = np.real(eigvecs[:, i])
+    v = v / np.linalg.norm(v) * sign * R2
+    ratios = abs(float(np.real(eigvals[i]))) ** np.linspace(
+        0.0, 1.0, seeds, endpoint=False)
+    layer = [p.as_array() + seed_offset * r * v for r in ratios]
+    poly = []
+    for _ in range(steps):
+        starts = []
+        for q in layer:
+            try:
+                starts.append(lift(SectionPoint(*q), MU_EM, sd))
+            except (DomainError, SingularityError):
+                pass
+        if not starts:
+            break
+        back = _next_crossing(np.array(starts).T, MU_EM, sd, forward=False,
+                              tol=tol)
+        layer = [np.array([float(z[0]), float(z[2])]) for z in back
+                 if not isinstance(z, Exception)]
+        poly += layer
+    return np.array(poly)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds=st.integers(1, 4), steps=st.integers(1, 3),
+       exponent=st.floats(-8.0, -4.0))
+def test_stable_branch_is_the_mirror_of_the_unstable(readme_lin, seeds,
+                                                     steps, exponent):
+    # at the README fixed point (vx = 0) each stable branch is R of the
+    # unstable branch of its sign, and it is the stable branch that the
+    # reversed map flies from the mirrored seeds, byte for byte
+    sd = SectionDef(+1, README_C)
+    kw = dict(steps=steps, seeds=seeds, seed_offset=10.0 ** exponent,
+              tol=1e-10, lin=readme_lin)
+    out = dict(zip(_FOUR, manifold_segments(README_FIXED, MU_EM, sd, _FOUR,
+                                            **kw)))
+    for sign in ("+", "-"):
+        u, s = out["unstable" + sign], out["stable" + sign]
+        mirror = np.array([(x, -vx) for x, vx in u.points])
+        assert s.points.tobytes() == mirror.tobytes()
+        assert s.truncated == u.truncated
+        flown = _flown_stable_branch(README_FIXED, sd,
+                                     1.0 if sign == "+" else -1.0, **kw)
+        assert s.points.tobytes() == flown.tobytes()
 
 
 def _crossing_reference(U, S):
