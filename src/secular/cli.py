@@ -267,6 +267,8 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
     if args.form == "second":
         v0 = ([parse_rational(v, "--v0 entry") for v in args.v0.split(",")]
               if args.v0 else [Fraction(0)] * len(x0))
+        if len(v0) != A.n:
+            raise DomainError(f"--v0 needs {A.n} values, got {len(v0)}")
         sol, modes, verdict = solve_lagrange_oscillation(
             SecondOrderSystem(A), x0, v0)
         payload = {

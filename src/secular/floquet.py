@@ -79,27 +79,27 @@ def _dense_coefficients(rhs, K, t_old, h, y_old, y):
     """The interpolants' F of L members' steps: K holds their 13 stage
     rows, shape (L, 13, n); t_old and h give their steps' starts and
     lengths, L of each (or floats for L = 1); y_old and y, their states at
-    both ends, and rhs's states and derivatives are flat (n, L) stacks.
-    The three extra stages are three rhs calls on all L members.  Row i of
-    the (7, n L) result is row i of each member's F as a flat (n, L)
-    stack, so one member's F is its (7, n) array.  Each member gets the
-    bits it gets alone: its stage sums are `_combine`'s, and its F's last
-    four rows one gemm of its own."""
+    both ends, and rhs's states and derivatives are flat (n, L) stacks,
+    worked on as (n, L) columns.  The three extra stages are three rhs
+    calls on all L members.  Row i of the (7, n L) result is row i of each
+    member's F as a flat (n, L) stack, so one member's F is its (7, n)
+    array.  Each member gets the bits it gets alone: its stage sums are
+    `_combine`'s, and its F's last four rows one gemm of its own."""
     L = np.size(h)
     K = np.reshape(K, (L, _S + 1, -1))
     K = np.concatenate((K, np.empty((L, len(_A_EXTRA), K.shape[2]))), axis=1)
-    hs = np.tile(h, K.shape[2])
+    y_old = np.reshape(y_old, (-1, L))
     for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_S + 1):
-        dy = _combine(K[:, :s], a[:s]) * hs
-        K[:, s] = rhs(t_old + c * h, y_old + dy).reshape(-1, L).T
-    f_old, delta_y = K[:, 0], y - y_old
-    F = np.empty((_dop.INTERPOLATOR_POWER, len(y)))
+        dy = _combine(K[:, :s], a[:s]) * h
+        K[:, s] = rhs(t_old + c * h, (y_old + dy).ravel()).reshape(-1, L).T
+    delta_y = np.reshape(y, (-1, L)) - y_old
+    F = np.empty((_dop.INTERPOLATOR_POWER, *delta_y.shape))
     F[0] = delta_y
-    F[1] = hs * f_old.T.ravel() - delta_y
-    F[2] = 2 * delta_y - hs * (K[:, _S] + f_old).T.ravel()
+    F[1] = h * K[:, 0].T - delta_y
+    F[2] = 2 * delta_y - h * (K[:, _S] + K[:, 0]).T
     hD = np.matmul(_dop.D, K) * np.reshape(h, (L, 1, 1))  # (L, 4, n)
-    F[3:] = hD.transpose(1, 2, 0).reshape(len(_dop.D), -1)
-    return F
+    F[3:] = hD.transpose(1, 2, 0)
+    return F.reshape(len(F), -1)
 
 
 def _root(row, g_old, step, t):
@@ -136,11 +136,11 @@ class Trajectory:
         return self.y[:, -1]
 
 
-def _norms(W, k):
-    """The 2-norm of each member's part of each row of W, a row being a
-    flat (n, k) stack: shape (len(W), k).  Bit for bit as np.linalg.norm
-    takes it of the part alone, since both use BLAS's dot."""
-    E = np.ascontiguousarray(W.reshape(len(W), -1, k).transpose(0, 2, 1))
+def _norms(W):
+    """The 2-norm of each column of each row of W, shape (rows, n, k): shape
+    (rows, k).  Bit for bit as np.linalg.norm takes it of the column alone,
+    since both use BLAS's dot."""
+    E = np.ascontiguousarray(W.transpose(0, 2, 1))
     return np.sqrt(np.matmul(E[..., None, :], E[..., None])[..., 0, 0])
 
 
@@ -151,12 +151,10 @@ def _rms(v):
 
 def _combine(K, a):
     """The combination a of each member's stage rows, K of shape (k,
-    len(a), n), as the flat (n, k) stack.  One gemv per member, bit for
-    bit np.dot(K[j].T, a) of the member alone: one gemv over the whole
+    len(a), n), as C-contiguous (n, k) columns.  One gemv per member, bit
+    for bit np.dot(K[j].T, a) of the member alone: one gemv over the whole
     stack rounds an entry by where it falls in BLAS's blocks."""
-    if len(K) == 1:  # the same gemv, without the batch loop
-        return np.dot(K[0].T, a)
-    return np.matmul(K.transpose(0, 2, 1), a).T.ravel()
+    return np.matmul(K.transpose(0, 2, 1), a).T.copy()
 
 
 def _first_guess(d0, d1, interval):
@@ -198,13 +196,13 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     start flies on Python floats, with the stage sums and error norms of
     scipy's numpy calls, bit for bit ``solve_ivp(method="DOP853")``.  x0
     of shape (n, m), m = 1 included, is a stack of m starts in one numpy
-    loop, one f call per stage for every member in flight; each member
-    keeps its own time, step size and rejections, and its stages are
-    combined by a BLAS call of its own, so it takes the steps of its
-    flight alone, bit for bit if f treats its members apart.  f then
-    takes the k members' times, an array, and their states as the
-    flattened (n, k) row-major stack, and returns their derivatives
-    likewise.  Without an event every call holds all m members in x0's
+    loop, one f call per stage for every member in flight, each member a
+    column of the loop's (n, k) arrays; each keeps its own time, step
+    size and rejections, and its stages are combined by a BLAS call of its
+    own, so it takes the steps of its flight alone, bit for bit if f
+    treats its members apart.  f then takes the k members' times, an
+    array, and their states as the flattened (n, k) row-major stack, and
+    returns their derivatives likewise.  Without an event every call holds all m members in x0's
     order, a member at the end standing still, so f may be a family of m
     systems.  With one, g0 is a float or one per member, and a member
     leaves the calls at its root or the end of the span.  ``final`` holds
@@ -293,6 +291,8 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
         except SingularityError as e:
             e.members = e.reasons = ()  # a lone start is no stack's member
             raise
+        except OverflowError:  # a float f's ** where numpy's would be inf
+            return np.full(n, math.inf)
 
     def failure(reason):
         return SingularityError(
@@ -399,9 +399,10 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
 
 def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     """m starts flown in one loop, scipy's controller over the stack in
-    numpy; a member that ``relay`` hands on flies its next leg in its own
-    place.  Returns each member's last time and state, its roots, and the
-    work done."""
+    numpy, each state, derivative and stage sum held as (n, k) columns of
+    the k members in flight; a member that ``relay`` hands on flies its
+    next leg in its own column.  Returns each member's last time and
+    state, its roots, and the work done."""
     n, m = x0.shape
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
@@ -410,11 +411,11 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     states = 0
 
     def rhs(t, y, who):
-        """f at times t and flat states y of the members ``who``."""
+        """f at times t and (n, k) states y of the members ``who``."""
         nonlocal states
         states += len(who)
         try:
-            return np.asarray(f(t, y), dtype=float)
+            return np.asarray(f(t, y.ravel()), dtype=float).reshape(n, -1)
         except SingularityError as e:
             # name the members at fault by their index in x0; with one
             # member in the call, that member is at fault
@@ -433,9 +434,8 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     # none, else the index of its reason in _FAILURES), and its event value
     row, sense, g = event or (0, 0.0, [0.0] * m)
     cols, g = np.arange(m), np.array(g)
-    t, y = np.full(m, t0), x0.ravel().copy()
+    t, y = np.full(m, t0), x0.copy()
     retry, acc, rej = np.zeros(m, bool), np.zeros(m, int), np.zeros(m, int)
-    rows = np.tile(cols, n)  # the member of each entry of y
 
     def plan(t, H, retry):
         """Each member's next try from |step| H, as scipy's step starts
@@ -453,18 +453,17 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
             members=(int(cols[p]),))
 
     def launch(who, y):
-        """scipy's initial step of the members ``who`` from their flat
-        states y at t0: their derivative there, and the end, length and
-        failure of their first try."""
+        """scipy's initial step of the members ``who`` from their states
+        y at t0: their derivative there, and the end, length and failure
+        of their first try."""
         k = len(who)
         fy = rhs(np.full(k, t0), y, who)
         scale = atol + np.abs(y) * rtol  # d1 = inf gives h0 = 0, as in scipy
-        d0, d1 = (_norms(np.array((y / scale, fy / scale)), k)
+        d0, d1 = (_norms(np.array((y / scale, fy / scale)))
                   / n ** 0.5).tolist()
         h0 = np.array([_first_guess(a, b, interval) for a, b in zip(d0, d1)])
-        f1 = rhs(t0 + h0 * direction, y + np.tile(h0 * direction, n) * fy,
-                 who)
-        df = (_norms((f1 - fy)[None] / scale, k)[0] / n ** 0.5).tolist()
+        f1 = rhs(t0 + h0 * direction, y + h0 * direction * fy, who)
+        df = (_norms((f1 - fy)[None] / scale)[0] / n ** 0.5).tolist()
         H = np.array([_first_step(a, b, c, interval)
                       for a, b, c in zip(h0.tolist(), d1, df)])
         tn, hh, fail = plan(np.full(k, t0), H, np.zeros(k, bool))
@@ -481,19 +480,18 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
             p = int(np.flatnonzero(fail)[0])
             raise failure(p, _FAILURES[fail[p]])
         h = hh
-        hs = h[rows]
         tc = t + _C[:, None] * h  # the stages' times
         K = np.empty((k, _S + 1, n))  # each member's stage rows
-        K[:, 0] = fy.reshape(n, k).T
+        K[:, 0] = fy.T
         for s in range(1, _S):
-            dy = _combine(K[:, :s], _A[s, :s]) * hs
-            K[:, s] = rhs(tc[s], y + dy, cols).reshape(n, k).T
-        y_new = y + hs * _combine(K[:, :-1], _B)
+            dy = _combine(K[:, :s], _A[s, :s]) * h
+            K[:, s] = rhs(tc[s], y + dy, cols).T
+        y_new = y + h * _combine(K[:, :-1], _B)
         f_new = rhs(tc[0] + h, y_new, cols)
-        K[:, -1] = f_new.reshape(n, k).T
+        K[:, -1] = f_new.T
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         W = np.array((_combine(K, _dop.E5), _combine(K, _dop.E3))) / scale
-        norm5, norm3 = _norms(W, k).tolist()
+        norm5, norm3 = _norms(W).tolist()
         # scipy's controller over the stack, then the next tries.  The
         # powers are Python's, libm's as scipy's scalars take them, and
         # the rest is exact arithmetic.  An accepted try has err < 1, so
@@ -518,64 +516,52 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         rej += ~accept
         t, retry = np.where(accept, t_new, t), ~accept
         t_new, hh, fail = plan(t, h_abs * factor, retry)
-        if accept.all():
-            y, fy = y_new, f_new
-        else:
-            a = accept[rows]
-            y, fy = np.where(a, y_new, y), np.where(a, f_new, fy)
+        y, fy = np.where(accept, y_new, y), np.where(accept, f_new, fy)
         leave = t == t_end if event else np.full(k, (t == t_end).all())
-        exits = {}  # position -> (time, state) where its leg ended
-        back = {}  # position -> the next start of a member handed on
+        back = []  # the positions of the members handed on
         lands = []  # one array test finds the members whose root is here
         if event:
             moved = accept & (h_step != 0)
-            g_old, g = g, np.where(moved, y_new[row * k:(row + 1) * k], g)
+            g_old, g = g, np.where(moved, y_new[row], g)
             lands = np.flatnonzero(moved & (sense * g_old <= 0)
                                    & (sense * g >= 0)).tolist()
         if lands:  # their interpolants, three rhs calls for them all
             F = _dense_coefficients(
                 lambda tt, yy: rhs(tt, yy, cols[lands]), K[lands],
-                t_old[lands], h_step[lands],
-                *(v.reshape(n, k)[:, lands].ravel() for v in (y_old, y_new))
+                t_old[lands], h_step[lands], y_old[:, lands], y_new[:, lands]
             ).reshape(-1, n, len(lands))
         for i, p in enumerate(lands):
             j = cols[p]
-            step = t_old[p], h_step[p], y_old[p::k], F[:, :, i]
+            step = t_old[p], h_step[p], y_old[:, p], F[:, :, i]
             te = _root(row, g_old[p], step, t[p])
             t_events[j].append(te)
             y_events[j].append(_interpolate(te, *step))
             nxt = relay and relay(int(j), te, y_events[j][-1])
-            if nxt is None:
-                exits[p] = te, y_events[j][-1]
-                leave[p] = True
+            if nxt is None:  # its flight ends at the root
+                t[p], y[:, p], leave[p] = te, y_events[j][-1], True
                 continue
-            try:  # its next leg, from t0
-                back[p], g[p] = nxt
+            try:  # its next leg, from t0, in its column
+                start, g[p] = nxt
             except (TypeError, ValueError):
-                back[p] = None
-            if np.shape(back[p]) != (n,):
+                start = None
+            if np.shape(start) != (n,):
                 raise DomainError("a relay returns None or (start, g0), a "
                                   f"start of {n} floats")
+            y[:, p] = start
+            back.append(p)
         if back:
-            b, S = list(back), np.array(list(back.values()), dtype=float).T
-            fb, t_new[b], hh[b], fail[b] = launch(cols[b], S.ravel())
-            y, fy = (v.reshape(n, k).copy() for v in (y, fy))
-            y[:, b], fy[:, b] = S, fb.reshape(n, -1)
-            y, fy = y.ravel(), fy.ravel()
-            t[b], leave[b] = t0, False  # an accepted try: retry is False
+            fy[:, back], t_new[back], hh[back], fail[back] = launch(
+                cols[back], y[:, back])
+            t[back], leave[back] = t0, False  # an accepted try: no retry
         if leave.any():
             j = cols[leave]
-            T[j], Y[:, j] = t[leave], y.reshape(n, k)[:, leave]
+            T[j], Y[:, j] = t[leave], y[:, leave]
             n_acc[j], n_rej[j] = acc[leave], rej[leave]
-            for p, (te, ye) in exits.items():
-                T[cols[p]], Y[:, cols[p]] = te, ye
             stay = ~leave
             cols = cols[stay]
             t, retry, acc, rej, t_new, hh, fail, g = (
                 v[stay] for v in (t, retry, acc, rej, t_new, hh, fail, g))
-            y = y.reshape(n, k)[:, stay].ravel()
-            fy = fy.reshape(n, k)[:, stay].ravel()
-            rows = np.tile(np.arange(len(cols)), n)
+            y, fy = y[:, stay], fy[:, stay]
     return T, Y, t_events, y_events, n_acc, n_rej, states
 
 

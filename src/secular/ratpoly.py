@@ -391,11 +391,10 @@ def sturm_chain(p: RationalPolynomial) -> SturmChain:
             chain = [f]
             if f.degree >= 1:
                 chain.append(f.derivative())
-                while not chain[-1].is_zero and chain[-1].degree >= 1:
-                    r = chain[-2] % chain[-1]
-                    if r.is_zero:
-                        break
-                    chain.append(-r)
+                # f is square-free, so gcd(f, f') is a constant and no
+                # remainder vanishes before one is
+                while chain[-1].degree >= 1:
+                    chain.append(-(chain[-2] % chain[-1]))
             f._sturm = SturmChain(tuple(chain))
         p._sturm = f._sturm
     return p._sturm

@@ -71,7 +71,11 @@ def lift(p: SectionPoint, mu: float, sd: SectionDef) -> np.ndarray:
     section functions check the mass ratio.
     """
     mu = _check_mu(mu)
-    vy2 = 2.0 * effective_potential(p.x, 0.0, mu) - p.vx ** 2 - sd.C
+    try:
+        vx2 = p.vx ** 2
+    except OverflowError:  # Python's float ** raises where numpy's is inf
+        vx2 = math.inf
+    vy2 = 2.0 * effective_potential(p.x, 0.0, mu) - vx2 - sd.C
     if vy2 < 0.0:
         raise DomainError(
             f"section point ({p.x}, {p.vx}) outside the energetically "

@@ -304,6 +304,15 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: input: --x0 needs 2 values")
 
+    @pytest.mark.parametrize("v0", ["1", "1,2,3"])
+    def test_linsolve_v0_of_wrong_length_is_input_error(self, capsys, v0):
+        code, out, err = invoke(capsys, [
+            "linsolve", "--matrix", '[["0","1"],["1","0"]]', "--x0", "1,0",
+            "--form", "second", "--v0", v0])
+        assert (code, out) == (1, "")
+        assert err == ("error: input: --v0 needs 2 values, got "
+                       f"{len(v0.split(','))}\n")
+
     @pytest.mark.parametrize("option, value, message", [
         # every seed on the fixed point: its own rounding made a branch
         ("--seed-offset", "0", "seed offset must be positive and finite, "
@@ -1068,6 +1077,9 @@ def test_non_finite_input_is_one_line_input_error(capsys, argv):
      "--grid", "1e308:1e308:2,1e308:1e308:1"],
     ["--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
      "--state=1e200,0.3,0.2,-0.1", "--t", "1", "--samples", "3"],
+    # the STM flight from x = 1e70, where Python's r1 ** 5 overflows
+    ["section", "manifolds", "--mu", "0.012150585", "--C", "3",
+     "--fixed", "1e70,0.0"],
 ])
 def test_overflowing_input_is_one_line_error(capsys, argv):
     # finite inputs whose values overflow: the flight reports the failure,
@@ -1078,3 +1090,19 @@ def test_overflowing_input_is_one_line_error(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: non-convergence:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "csv", "section", "crossings", "--mu", "0.012150585",
+     "--C", "3", "--start", "0.86,1e200", "--n", "1"],
+    ["section", "manifolds", "--mu", "0.012150585", "--C", "3",
+     "--fixed", "0.86,1e200"],
+])
+def test_overflowing_section_point_is_one_line_input_error(capsys, argv):
+    # vx ** 2 overflows: no energy is left for vy, as with numpy's inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: input: section point (0.86, 1e+200) outside the "
+                   "energetically allowed region at C=3.0\n")

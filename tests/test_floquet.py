@@ -468,6 +468,28 @@ class TestStackedIntegrate:
         with pytest.raises(DomainError, match="event"):
             integrate(_oscillators, x0, (0.0, 1.0), events=events)
 
+    @pytest.mark.parametrize("events", [None, (0, 1.0)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_empty_span_stands_at_the_start(self, m, events):
+        # t0 == t_end: no step and no call of f, and final is x0, as for
+        # a lone start
+        def never(t, y):
+            raise AssertionError("f was called")
+        x0 = np.arange(2.0 * m).reshape(2, m) - 1.0
+        alone = integrate(never, x0[:, 0], (1.0, 1.0), events=events)
+        stack = integrate(never, x0, (1.0, 1.0), events=events)
+        assert alone.t.tolist() == [1.0] and stack.t.tolist() == [1.0, 1.0]
+        assert np.array_equal(alone.final, x0[:, 0])
+        assert np.array_equal(stack.final, x0.ravel())
+        for traj, k in ((alone, 1), (stack, m)):
+            assert traj.accepted_steps.tolist() == [0] * k
+            assert traj.rejected_steps.tolist() == [0] * k
+            assert traj.states_evaluated == 0
+            if events:
+                assert [len(te) for te in traj.t_events] == [0] * k
+            else:
+                assert traj.t_events is None
+
     @pytest.mark.parametrize("handed", [
         5, "ab", (np.zeros(2),), (np.zeros(2), 0.0, 0.0),
         (np.zeros(3), 0.0), (np.zeros((2, 1)), 0.0), (np.zeros(2), [0.0, 1.0]),
@@ -538,6 +560,24 @@ class TestStepper:
             assert traj.states_evaluated == ref.nfev == \
                 2 + 12 * (steps + int(traj.rejected_steps[0])) \
                 + 3 * steps * sampled
+
+    def test_zero_derivative_takes_solve_ivps_steps(self):
+        # f = 0: every error estimate is exactly 0, so each step grows
+        # tenfold, alone and in a stack
+        f = lambda t, y: np.zeros_like(y)
+        x0 = np.array([[1.0, 3.0], [2.0, 4.0]])
+        ref = solve_ivp(f, (0.0, 10.0), x0[:, 0], method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        alone = integrate(f, x0[:, 0], (0.0, 10.0), 1e-10)
+        assert np.array_equal(alone.t, ref.t)
+        assert np.array_equal(alone.y, ref.y)
+        assert alone.states_evaluated == ref.nfev
+        stack = integrate(f, x0, (0.0, 10.0), 1e-10)
+        assert stack.t.tolist() == [0.0, 10.0]
+        assert np.array_equal(stack.final, x0.ravel())
+        assert stack.accepted_steps.tolist() == [len(ref.t) - 1] * 2
+        assert stack.rejected_steps.tolist() == [0, 0]
+        assert stack.states_evaluated == 2 * ref.nfev
 
     def test_family_members_hold_their_columns(self):
         # x' = -k_j x for member j: a family whose rhs needs its members'
