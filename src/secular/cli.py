@@ -257,16 +257,28 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _vector_arg(text: str, what: str) -> list[Fraction]:
+    """Comma-separated exact values, each with the float image that the
+    linear solvers take."""
+    vals = [parse_rational(v, what) for v in text.split(",")]
+    for v, x in zip(text.split(","), vals):
+        try:
+            float(x)
+        except OverflowError:
+            raise DomainError(f"bad {what}: {v} has no float image") from None
+    return vals
+
+
 def _cmd_linsolve(args, cfg: RunConfig) -> int:
     if args.v0 is not None and args.form != "second":
         raise DomainError("usage: --v0 applies only to --form second")
     A = _matrix_arg(args.matrix)
-    x0 = [parse_rational(v, "--x0 entry") for v in args.x0.split(",")]
+    x0 = _vector_arg(args.x0, "--x0 entry")
     if len(x0) != A.n:
         raise DomainError(f"--x0 needs {A.n} values, got {len(x0)}")
     if args.form == "second":
-        v0 = ([parse_rational(v, "--v0 entry") for v in args.v0.split(",")]
-              if args.v0 else [Fraction(0)] * len(x0))
+        v0 = (_vector_arg(args.v0, "--v0 entry") if args.v0
+              else [Fraction(0)] * len(x0))
         if len(v0) != A.n:
             raise DomainError(f"--v0 needs {A.n} values, got {len(v0)}")
         sol, modes, verdict = solve_lagrange_oscillation(

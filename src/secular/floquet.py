@@ -274,10 +274,10 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
 
 def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
     """One start's flight, scipy's DOP853 step by step: the stage sums
-    np.dot(K[:s].T, a) * h and the error norms as scipy's numpy calls take
-    them, the controller on Python floats.  Returns the steps (the samples,
-    given t_eval) and the states there, the event's root, and the work
-    done."""
+    K[:s].T.dot(a) * h (np.dot's routine, without its dispatch) and the
+    error norms as scipy's numpy calls take them, the controller on Python
+    floats.  Returns the steps (the samples, given t_eval) and the states
+    there, the event's root, and the work done."""
     n = len(y)
     direction = 1.0 if t_end >= t else -1.0
     toward = direction * math.inf
@@ -345,12 +345,12 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
         h = t_new - t
         for s in range(1, _S):
             K[s] = rhs(t + _C_FLOATS[s] * h,
-                       y + np.dot(KT[s], _A_ROWS[s]) * h)
-        y_new = y + h * np.dot(KT[_S], _B)
+                       y + KT[s].dot(_A_ROWS[s]) * h)
+        y_new = y + h * KT[_S].dot(_B)
         K[_S] = rhs(t + h, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        w5 = np.dot(KT[_S + 1], _dop.E5) / scale
-        w3 = np.dot(KT[_S + 1], _dop.E3) / scale
+        w5 = KT[_S + 1].dot(_dop.E5) / scale
+        w3 = KT[_S + 1].dot(_dop.E3) / scale
         # the powers are Python's, libm's as scipy's scalars take them
         e5, e3 = math.sqrt(w5.dot(w5)) ** 2, math.sqrt(w3.dot(w3)) ** 2
         h_abs = abs(h)

@@ -3,13 +3,14 @@
 Nondimensional units throughout: primary separation 1, angular rate 1,
 total mass 1.  The primaries sit at (-mu, 0) and (1 - mu, 0).  Each
 collinear libration point is the one root of Omega_x on its axis
-segment, where Omega_x rises strictly, correctly rounded to a double by
-bisection on its exact rational sign.
+segment, where Omega_x rises strictly, correctly rounded to a double:
+bisection in floats guesses it, and bisection on its exact rational sign,
+from a bracket of the guess that the sign confirms, rounds it.
 
-The flow is stated in `_derivative`, on one state's floats, which
-`_var_rhs` evaluates with the state-transition matrix from Omega's
-Hessian at the same radii.  `_flow_rhs` evaluates it on stacks of
-states with `_derivative`'s operations in their order, both primaries'
+The flow is stated in `_derivative`, on one state's floats.  `_var_rhs`
+flies it with the state-transition matrix, from one flat `_omega_partials`
+call for Omega's gradient and Hessian.  `_flow_rhs` evaluates it on stacks
+of states with `_derivative`'s operations in their order, both primaries'
 terms along one axis, so that a stack costs about one call's overhead.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifolds in
@@ -67,25 +68,25 @@ def effective_potential(x, y, mu):
 
 def _omega_partials(x, y, mu, hessian=False):
     """Omega's gradient (ox, oy) at (x, y), floats; with ``hessian``, its
-    Hessian (oxx, oxy, oyy) follows, from the same radii."""
-    r1, r2 = _radii(x, y, mu)
+    Hessian (oxx, oxy, oyy) follows, from the same radii.  One flat body,
+    `_radii`'s check included, since `_var_rhs` calls it at every stage."""
     a, b = x + mu, x - 1.0 + mu
+    r1, r2 = math.hypot(a, y), math.hypot(b, y)
+    if r1 < COLLISION_RADIUS or r2 < COLLISION_RADIUS:
+        raise SingularityError(_COLLIDES + f"(r1={r1:.3g}, r2={r2:.3g})")
     c1, c2 = (1.0 - mu) / r1 ** 3, mu / r2 ** 3
-    grad = (x - c1 * a - c2 * b, y - c1 * y - c2 * y)
+    ox, oy = x - c1 * a - c2 * b, y - c1 * y - c2 * y
     if not hessian:
-        return grad
+        return ox, oy
     d1, d2 = 3.0 * (1.0 - mu) / r1 ** 5, 3.0 * mu / r2 ** 5
-    return grad + (1.0 - c1 - c2 + d1 * a ** 2 + d2 * b ** 2,
-                   d1 * a * y + d2 * b * y,
-                   1.0 - c1 - c2 + d1 * y * y + d2 * y * y)
+    return (ox, oy, 1.0 - c1 - c2 + d1 * a ** 2 + d2 * b ** 2,
+            d1 * a * y + d2 * b * y, 1.0 - c1 - c2 + d1 * y * y + d2 * y * y)
 
 
-def _derivative(x, y, vx, vy, mu, hessian=False):
-    """The flow's derivative (x', y', vx', vy') of one state, on floats, as
-    a tuple; with ``hessian``, Omega's Hessian (oxx, oxy, oyy) at the state
-    follows."""
-    ox, oy, *second = _omega_partials(x, y, mu, hessian)
-    return (vx, vy, 2.0 * vy + ox, -2.0 * vx + oy, *second)
+def _derivative(x, y, vx, vy, mu):
+    """The flow's derivative (x', y', vx', vy') of one state's floats."""
+    ox, oy = _omega_partials(x, y, mu)
+    return vx, vy, 2.0 * vy + ox, -2.0 * vx + oy
 
 
 def _flow_rhs(mu):
@@ -151,9 +152,14 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
     On the x-axis Omega_xx = 1 + 2 (1 - mu) / r1^3 + 2 mu / r2^3 > 0, so
     Omega_x = x - (1 - mu) a / |a|^3 - mu b / |b|^3, a = x + mu and
     b = x - 1 + mu, rises strictly from -inf to +inf across each segment:
-    one root.  Its exact sign, -1 at or left of the segment and +1 at or
-    right of it (its limits there), drives bisection over the doubles to
-    two neighbours; the sign at their exact midpoint picks the nearer one.
+    one root.  Bisection over the doubles on Omega_x in floats guesses it,
+    and one Newton step on Omega_x's exact value takes out the float
+    error of a few eps, many ulps near x = 0.  Omega_x's exact sign, -1
+    at or left of the segment and +1 at or right of it (its limits there),
+    confirms a bracket 1, 2, 4, ... ulps either side of the guess (else,
+    after 8 tries, the whole segment) and drives bisection over the doubles
+    to two neighbours; the sign at their exact midpoint picks the nearer
+    one.  The root is unique, so every confirmed bracket gives one double.
     """
     lo, hi = {
         "L1": (-mu, 1 - mu),
@@ -162,31 +168,56 @@ def _collinear_root(mu: Fraction, segment: str) -> float:
     }[segment]
     p, q = mu.numerator, mu.denominator
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    fmu, f_lo, f_hi = float(mu), float(lo), float(hi)
 
-    def sign(x) -> int:
+    def omega_x(x):
         # x = n/d (a float or a Fraction), tested against the ends in
-        # integers; inside the segment a = A/(d q), b = B/(d q), and
-        # Omega_x times d |A|^3 |B|^3 > 0 is v
+        # integers: (-1, 0) at or left of the segment, (1, 0) at or right
+        # of it; inside, a = A/(d q), b = B/(d q) and Omega_x = v / w,
+        # w = d |A|^3 |B|^3 > 0
         n, d = x.as_integer_ratio()
         if n * ld <= ln * d:
-            return -1
+            return -1, 0
         if n * hd >= hn * d:
-            return 1
+            return 1, 0
         A, B = n * q + p * d, n * q - (q - p) * d
         A3, B3 = abs(A) ** 3, abs(B) ** 3
-        v = n * A3 * B3 - d ** 3 * q * ((q - p) * A * B3 + p * B * A3)
-        return (v > 0) - (v < 0)
+        return (n * A3 * B3 - d ** 3 * q * ((q - p) * A * B3 + p * B * A3),
+                d * A3 * B3)
 
-    # doubles at or past the segment's ends, where sign(x) < 0 < sign(y)
-    x = math.nextafter(float(lo), -math.inf)
-    y = math.nextafter(float(hi), math.inf)
+    def rough(x):  # Omega_x in floats, exact where they fail
+        if not f_lo < x < f_hi:
+            return -1 if x <= f_lo else 1
+        a, b = x + fmu, x - 1.0 + fmu
+        try:
+            return x - (1.0 - fmu) * a / abs(a) ** 3 - fmu * b / abs(b) ** 3
+        except ZeroDivisionError:
+            return omega_x(x)[0]
+
+    # doubles at or past the segment's ends, where Omega_x's sign is -1, +1
+    x0 = x = math.nextafter(f_lo, -math.inf)
+    y0 = y = math.nextafter(f_hi, math.inf)
+    while (g := 0.5 * (x + y)) not in (x, y) and (v := rough(g)):
+        x, y = (g, y) if v < 0 else (x, g)
+    v, w = omega_x(g)
+    try:  # w = 0 at or past an end: no step
+        g -= v / w / (1.0 + 2.0 * (1.0 - fmu) / abs(g + fmu) ** 3
+                      + 2.0 * fmu / abs(g - 1.0 + fmu) ** 3)
+    except ArithmeticError:
+        pass
+    for k in range(8):
+        x, y = g - 2.0 ** k * math.ulp(g), g + 2.0 ** k * math.ulp(g)
+        if omega_x(x)[0] < 0 < omega_x(y)[0]:
+            break
+    else:  # the guess is off: the whole segment
+        x, y = x0, y0
     while (m := 0.5 * (x + y)) not in (x, y):
-        if (s := sign(m)) == 0:
+        if (v := omega_x(m)[0]) == 0:
             return m
-        x, y = (m, y) if s < 0 else (x, m)
+        x, y = (m, y) if v < 0 else (x, m)
     m = (Fraction(x) + Fraction(y)) / 2
-    s = sign(m)
-    return x if s > 0 else y if s < 0 else float(m)  # a tie rounds to even
+    v = omega_x(m)[0]
+    return x if v > 0 else y if v < 0 else float(m)  # a tie rounds to even
 
 
 LIBRATION_LABELS = ("L1", "L2", "L3", "L4", "L5")
@@ -288,10 +319,11 @@ def libration_stability(mu: float, point: LibrationPoint) -> LibrationStability:
 def _var_rhs(mu):
     """x' = f(x) jointly with STM' = A(x) STM, packed as 20 floats.
 
-    One state on Python floats: its radii serve the flow and the Hessian
-    in A alike.  The closure keeps A, whose constant entries are set once,
-    and each call returns a new 20-vector: the state's derivative, then
-    A STM written into it.
+    One state on Python floats: one `_omega_partials` call, one flat body,
+    gives the gradient for the flow and the Hessian in A from the same
+    radii, with no call under it.  The closure keeps A, whose constant
+    entries are set once, and each call returns a new 20-vector: the
+    state's derivative, then A STM written into it.
     """
     A = np.array([[0.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0],
@@ -299,10 +331,11 @@ def _var_rhs(mu):
                   [0.0, 0.0, -2.0, 0.0]])
 
     def rhs(t, z):
+        x, y, vx, vy = z[:4].tolist()
+        ox, oy, A[2, 0], oxy, A[3, 1] = _omega_partials(x, y, mu, True)
+        A[2, 1] = A[3, 0] = oxy
         out = np.empty(20)
-        (out[0], out[1], out[2], out[3],
-         A[2, 0], A[2, 1], A[3, 1]) = _derivative(*z[:4].tolist(), mu, True)
-        A[3, 0] = A[2, 1]
+        out[:4] = vx, vy, 2.0 * vy + ox, -2.0 * vx + oy
         np.matmul(A, z[4:].reshape(4, 4), out=out[4:].reshape(4, 4))
         return out
     return rhs

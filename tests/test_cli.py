@@ -313,6 +313,24 @@ class TestExitCodes:
         assert err == ("error: input: --v0 needs 2 values, got "
                        f"{len(v0.split(','))}\n")
 
+    # exact entries with no float image, which the solvers take as floats
+    @pytest.mark.parametrize("argv, what", [
+        (["--x0", "1e400,0", "--method", "jordan"], "--x0"),
+        (["--x0", "1e400,0", "--method", "residue"], "--x0"),
+        (["--matrix", '[["1","0"],["0","2"]]', "--form", "second",
+          "--x0", "1e400,0", "--v0", "0,0"], "--x0"),
+        (["--matrix", '[["1","0"],["0","2"]]', "--form", "second",
+          "--x0", "1,0", "--v0", "1e400,0"], "--v0"),
+    ], ids=["jordan", "residue", "second-x0", "second-v0"])
+    def test_linsolve_entry_past_the_floats_is_input_error(self, capsys,
+                                                          argv, what):
+        matrix = [] if "--matrix" in argv else [
+            "--matrix", '[["0","1"],["-1","0"]]']
+        code, out, err = invoke(capsys, ["linsolve", *matrix, *argv])
+        assert (code, out) == (1, "")
+        assert err == (f"error: input: bad {what} entry: 1e400 has no float "
+                       "image\n")
+
     @pytest.mark.parametrize("option, value, message", [
         # every seed on the fixed point: its own rounding made a branch
         ("--seed-offset", "0", "seed offset must be positive and finite, "

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,79 @@ class TestTinyMu:
     def test_larger_mu_keeps_its_bits(self, mu, l1, l2):
         assert libration_point(mu, "L1").position[0] == l1
         assert libration_point(mu, "L2").position[0] == l2
+
+
+def _collinear_by_whole_segment(mu, segment):
+    """The collinear point by bisection over the doubles on Omega_x's exact
+    sign, from one double past each float end of the segment: the oracle
+    of `_collinear_root`, which brackets a float guess first."""
+    lo, hi = {
+        "L1": (-mu, 1 - mu),
+        "L2": (1 - mu, Fraction(3)),
+        "L3": (Fraction(-3), -mu),
+    }[segment]
+    p, q = mu.numerator, mu.denominator
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+
+    def sign(x):
+        n, d = x.as_integer_ratio()
+        if n * ld <= ln * d:
+            return -1
+        if n * hd >= hn * d:
+            return 1
+        A, B = n * q + p * d, n * q - (q - p) * d
+        A3, B3 = abs(A) ** 3, abs(B) ** 3
+        v = n * A3 * B3 - d ** 3 * q * ((q - p) * A * B3 + p * B * A3)
+        return (v > 0) - (v < 0)
+
+    x = math.nextafter(float(lo), -math.inf)
+    y = math.nextafter(float(hi), math.inf)
+    while (m := 0.5 * (x + y)) not in (x, y):
+        if (s := sign(m)) == 0:
+            return m
+        x, y = (m, y) if s < 0 else (x, m)
+    m = (Fraction(x) + Fraction(y)) / 2
+    s = sign(m)
+    return x if s > 0 else y if s < 0 else float(m)
+
+
+def _counted_collinear_root(mu, segment):
+    """`_collinear_root`'s double and its count of exact Omega_x
+    evaluations, read by a profile hook on calls of its inner omega_x."""
+    calls = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "omega_x"
+                and code.co_filename == pcr3bp.__file__):
+            calls.append(1)
+    sys.setprofile(hook)
+    try:
+        x = pcr3bp._collinear_root(mu, segment)
+    finally:
+        sys.setprofile(None)
+    return x, len(calls)
+
+
+class TestCollinearRoot:
+    # every double, the sign of a zero included, is the whole-segment
+    # bisection's; at mu near 1/2, L1 lies near x = 0, where the float
+    # guess is off by many ulps, and at mu = 1/2 it is exactly 0
+    @given(st.floats(math.log(np.finfo(float).tiny), math.log(0.5)).map(
+        lambda e: min(0.5, math.exp(e))))
+    @example(0.5)
+    @example(0.49999999999999994)
+    @example(1e-100)
+    @example(MU_EM)
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_whole_segments_double(self, mu):
+        for label in ("L1", "L2", "L3"):
+            got, evaluations = _counted_collinear_root(Fraction(mu), label)
+            want = _collinear_by_whole_segment(Fraction(mu), label)
+            assert repr(got) == repr(want)  # -0.0 is not 0.0 here
+            # the whole segment takes about 55, and a guess that creeps to
+            # x = 0 by halving, 1,000
+            assert evaluations <= 20
 
 
 class TestStability:
@@ -413,6 +487,29 @@ class TestCrossingLocator:
         assert t / t_end > 0.1  # never the start itself
         assert abs(z[1]) <= CROSSING_Y_TOL
         assert z.shape == z0.shape
+
+    # a free flight whose event state lies past CROSSING_Y_TOL, so the
+    # landing takes one first-order step, dt = -y / vy, onto the axis:
+    # (vy, y0) for a start (0.5, y0, 0.1, vy) and whether it steps
+    @pytest.mark.parametrize("vy, y0, steps", [
+        (1e3, -1e6, True), (7.0, -7e3, True), (1e2, -123456.7, False)])
+    def test_first_order_landing_step(self, vy, y0, steps):
+        calls = []
+
+        def rhs(t, z):
+            calls.append(t)
+            return np.array([z[2], z[3], 0.0, 0.0])
+        z0 = np.array([0.5, y0, 0.1, vy])
+        event = integrate(rhs, z0, (0.0, 1e4), 1e-10, events=(1, 1.0, y0))
+        te, ze = event.t_events[0][0], event.y_events[0][0]
+        assert (abs(ze[1]) > CROSSING_Y_TOL) == steps
+        flown, calls[:] = len(calls), []
+        t, z = _flow_to_crossing(rhs, z0, 1e4, 1e-10, 1.0)
+        assert len(calls) == flown + steps  # the step's one RHS call
+        assert t == (te - ze[1] / ze[3] if steps else te)
+        assert z[1] == 0.0 and math.copysign(1.0, z[1]) == -1.0  # from below
+        if vy == 1e3:
+            assert (ze[1], t) == (1.7462298274040222e-10, 999.9999999999997)
 
 
 class TestStackedLocator:
