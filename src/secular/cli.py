@@ -140,13 +140,17 @@ def _poly_arg(text: str) -> RationalPolynomial:
                                for c in text.split(",")])
 
 
-def _matrix_arg(text: str) -> SquareMatrix:
-    """Matrix from inline JSON (a list of rows or an object) or a file path."""
+def _matrix_text(text: str) -> str:
+    """Matrix JSON given inline (a list of rows or an object) or by path."""
     text = text.strip()
     if not text.startswith(("[", "{")):
         with open(text) as fh:
             text = fh.read()
-    return SquareMatrix.from_json(text)
+    return text
+
+
+def _matrix_arg(text: str) -> SquareMatrix:
+    return SquareMatrix.from_json(_matrix_text(text))
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -257,11 +261,10 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _vector_arg(text: str, what: str) -> list[Fraction]:
-    """Comma-separated exact values, each with the float image that the
-    linear solvers take."""
-    vals = [parse_rational(v, what) for v in text.split(",")]
-    for v, x in zip(text.split(","), vals):
+def _vector_arg(texts, what: str) -> list[Fraction]:
+    """Exact values, each with the float image the linear solvers take."""
+    vals = [parse_rational(v, what) for v in texts]
+    for v, x in zip(texts, vals):
         try:
             float(x)
         except OverflowError:
@@ -272,12 +275,17 @@ def _vector_arg(text: str, what: str) -> list[Fraction]:
 def _cmd_linsolve(args, cfg: RunConfig) -> int:
     if args.v0 is not None and args.form != "second":
         raise DomainError("usage: --v0 applies only to --form second")
-    A = _matrix_arg(args.matrix)
-    x0 = _vector_arg(args.x0, "--x0 entry")
+    text = _matrix_text(args.matrix)
+    A = SquareMatrix.from_json(text)
+    if A.flavor == EXACT:
+        rows = json.loads(text)
+        _vector_arg(sum(rows["rows"] if isinstance(rows, dict) else rows, []),
+                    "matrix entry")
+    x0 = _vector_arg(args.x0.split(","), "--x0 entry")
     if len(x0) != A.n:
         raise DomainError(f"--x0 needs {A.n} values, got {len(x0)}")
     if args.form == "second":
-        v0 = (_vector_arg(args.v0, "--v0 entry") if args.v0
+        v0 = (_vector_arg(args.v0.split(","), "--v0 entry") if args.v0
               else [Fraction(0)] * len(x0))
         if len(v0) != A.n:
             raise DomainError(f"--v0 needs {A.n} values, got {len(v0)}")

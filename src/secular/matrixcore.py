@@ -28,6 +28,7 @@ from .ratpoly import (
     RationalPolynomial,
     RootInterval,
     _json_number,
+    _midpoint,
     _square_free,
     _to_frac,
     count_real_roots,
@@ -329,12 +330,13 @@ def faddeev_leverrier(rows):
     for k in range(1, n + 1):
         Ms.append(M)
         cols = list(zip(*M))
-        AM = [[sum(map(mul, r, col)) for col in cols] for r in rows]
-        t = -sum(AM[i][i] for i in range(n))
+        diag = [sum(map(mul, r, col)) for r, col in zip(rows, cols)]
+        t = -sum(diag)
         c = _exact_quotient(t, k) if exact else t / k
         coeffs[n - k] = c
-        M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
-             for i in range(n)]
+        if k < n:  # M_n = 0 (Cayley-Hamilton): the last pass reads a trace
+            M = [[diag[i] + c if i == j else sum(map(mul, r, col))
+                  for j, col in enumerate(cols)] for i, r in enumerate(rows)]
     if exact:
         coeffs = [Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs)]
         Ms = _ScaledBack(Ms, D)
@@ -555,17 +557,19 @@ def _place_root(f: RationalPolynomial, h: RationalPolynomial,
     V(-inf) - V(a) roots below s.  One there, and a root of g in (a, b]
     (the only root of h there, so it is s): the same count, and E.  Else
     (a, b] is halved on the side of s, read from the sign of h, and a
-    rational s found at a midpoint ends the search there.
+    rational s found at a midpoint ends the search there.  The halving
+    runs on integer (numerator, denominator) pairs.
     """
     chain = sturm_chain(f)
     neg = chain.variations(NEG_INF)
-    a, b = iv.lo, iv.hi
+    a = iv.lo.numerator, iv.lo.denominator
+    b = iv.hi.numerator, iv.hi.denominator
     va, vb = chain.variations(a), chain.variations(b)
     shared = (va > vb and g.degree >= 1
-              and count_real_roots(g, a, b) == 1)
+              and count_real_roots(g, iv.lo, iv.hi) == 1)
     hb = h.sign_at(b)
     while hb and va - vb > shared:
-        m = (a + b) / 2
+        m = _midpoint(a, b)
         vm = chain.variations(m)
         hm = h.sign_at(m)
         if hm == -hb:

@@ -4,22 +4,25 @@ Coefficients are `fractions.Fraction`, stored lowest degree first.  All
 root counting is for DISTINCT real roots: inputs are silently reduced to
 their square-free part before a Sturm chain is built.
 
-Evaluation, a Sturm chain's sign variations and long division run on the
-integer coefficients over their lcm denominator, and return the values
-the rational loops would.  One integer division loop serves divmod, the
-remainders of Sturm chains, and gcds, which run Euclid on primitive
-integer remainders and are made monic at the end.  Input text "p" or
-"p/q" in ASCII digits is read with `int`.  A polynomial keeps its cleared
-coefficients, derivative, square-free part (with gcd(p, p')) and Sturm
-chain once computed.
+Evaluation and long division run on the integer coefficients over their
+lcm denominator, and return the values the rational loops would.  One
+integer division loop serves divmod, gcds, which run Euclid on primitive
+integer remainders and are made monic at the end, and Sturm chains, held
+as each member's sign and primitive integer part (Collins's primitive
+remainder sequence): their sign variations are read off those integers,
+and root isolation bisects on integer (numerator, denominator) pairs.
+Input text "p" or "p/q" in ASCII digits is read with `int`.  A polynomial
+keeps its cleared coefficients, derivative, square-free part (with
+gcd(p, p')) and Sturm chain once computed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalInconsistencyError
@@ -145,11 +148,8 @@ class RationalPolynomial:
         b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
         return RationalPolynomial([x + y for x, y in zip(a, b)])
 
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
-
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero or other.is_zero:
@@ -181,23 +181,6 @@ class RationalPolynomial:
                 RationalPolynomial([Fraction(r, s * La)
                                     for r in reversed(rem)]))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        """The remainder of `divmod`, with no quotient Fractions built."""
-        La, A = self._clear()
-        quo, rem, s = _int_divmod(A, other._clear()[1])
-        if not quo:
-            return self
-        return RationalPolynomial([Fraction(r, s * La)
-                                   for r in reversed(rem)])
-
-    def monic(self) -> "RationalPolynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
     def derivative(self) -> "RationalPolynomial":
         if self._deriv is None:
             self._deriv = RationalPolynomial(
@@ -214,14 +197,14 @@ class RationalPolynomial:
         return self._cleared
 
     def _eval_ratio(self, x) -> tuple[int, int]:
-        """(N, D) with p(x) = N / D and D > 0, in integers.
+        """(N, D) with p(x) = N / D and D > 0, in integers; x is rational
+        or an integer pair (n, d), d > 0, standing for n/d.
 
         At x = n/d, N = sum C_i n^i d^(k-i) by a homogeneous Horner loop
         over the cleared coefficients and D = L d^k, k the degree.
         """
         L, C = self._clear()
-        x = _to_frac(x)
-        n, d = x.numerator, x.denominator
+        n, d = _pair(x)
         if not C:
             return 0, 1
         acc, dk = C[0], 1
@@ -254,15 +237,30 @@ class RationalPolynomial:
         return (v > 0) - (v < 0)
 
 
+def _pair(x) -> tuple[int, int]:
+    """x as an integer pair (n, d), d > 0, standing for n/d."""
+    if type(x) is tuple:
+        return x
+    x = _to_frac(x)
+    return x.numerator, x.denominator
+
+
+def _midpoint(a, b) -> tuple[int, int]:
+    """The midpoint of two integer pairs, over twice their lcm denominator."""
+    (na, da), (nb, db) = a, b
+    g = math.gcd(da, db)
+    return na * (db // g) + nb * (da // g), 2 * da * (db // g)
+
+
 def _int_divmod(A, B):
     """Long division of integer coefficient lists, highest degree first:
-    (quo, rem, s) with A = Q B + rem / s, rem the integer remainder (with
-    any leading zeros) over a running scale s > 0, and quo Q's terms,
-    highest degree first, as (numerator, scale) pairs.
+    (quo, rem, s) with s A = s Q B + rem in integers, rem the integer
+    remainder (with any leading zeros) over a running scale s > 0, and
+    quo Q's terms, highest degree first, as (numerator, scale) pairs.
 
-    Each pass scales the remainder by u = b / gcd(b, t), b = B[0] and t
-    the remainder's leading entry, and subtracts (t / gcd) x^k B: the
-    quotient term is (t / gcd) / s after s *= u.
+    Each pass scales the remainder by u = |b| / gcd(b, t) > 0, b = B[0]
+    and t the remainder's leading entry, and subtracts v x^k B, v = u t / b:
+    the quotient term is v / s after s *= u.
     """
     if not B:
         raise DomainError("division by the zero polynomial")
@@ -277,6 +275,8 @@ def _int_divmod(A, B):
             continue
         g = math.gcd(t, b)
         u, v = b // g, t // g
+        if u < 0:
+            u, v = -u, -v
         if u != 1:
             s *= u
             for j in range(i + 1, len(rem)):
@@ -287,22 +287,26 @@ def _int_divmod(A, B):
     return quo, rem[n:], s
 
 
-def _primitive(C) -> tuple[int, ...]:
-    """The integer list C without its leading zeros, over its content."""
+def _primitive(C) -> tuple[int, tuple[int, ...]]:
+    """(g, P) with C = g P: P the primitive part of the integer list C,
+    without its leading zeros and with a positive lead, and g the content
+    of C, signed as its lead (0 for a zero C)."""
     i = 0
     while i < len(C) and not C[i]:
         i += 1
     g = math.gcd(*C)
-    return tuple(c // g for c in C[i:]) if g > 1 else tuple(C[i:])
+    if i < len(C) and C[i] < 0:
+        g = -g
+    return g, tuple(c // g for c in C[i:]) if g != 1 else tuple(C[i:])
 
 
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd by Euclid on primitive integer remainders (Collins): a
     remainder over its content has the same gcd up to a constant, and only
     the monic gcd, formed at the end, is read."""
-    A, B = _primitive(a._clear()[1]), _primitive(b._clear()[1])
+    A, B = _primitive(a._clear()[1])[1], _primitive(b._clear()[1])[1]
     while B:
-        A, B = B, _primitive(_int_divmod(A, B)[1])
+        A, B = B, _primitive(_int_divmod(A, B)[1])[1]
     return RationalPolynomial([Fraction(c, A[0]) for c in reversed(A)])
 
 
@@ -318,7 +322,7 @@ def _square_free(p: RationalPolynomial):
         raise DomainError("square-free part of the zero polynomial")
     if p._sqfree is None:
         if p.degree == 0:
-            f = g = p.monic()
+            f = g = p.scale(1 / p.leading)
         else:
             g = poly_gcd(p, p.derivative())
             q, r = divmod(p, g)
@@ -333,34 +337,47 @@ def _square_free(p: RationalPolynomial):
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm chain of the square-free part of a polynomial."""
+    """Sturm chain of the square-free part f of a polynomial: member k is
+    e_k lam_k P_k, (e_k, P_k) in `members` with e_k = +-1 and P_k primitive
+    integers, highest degree first, with a positive lead; lam_k > 0 is
+    lam_(k-2) c_k / s_k, lam_(-2) = lam_(-1) = 1, (c_k, s_k) in `ratios`."""
 
-    polys: tuple[RationalPolynomial, ...]
+    f: RationalPolynomial
+    members: tuple[tuple[int, tuple[int, ...]], ...]
+    ratios: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def polys(self) -> tuple[RationalPolynomial, ...]:
+        """The members as exact polynomials, built when first read."""
+        lams, out = [1, 1], []
+        for (e, P), (c, s) in zip(self.members, self.ratios):
+            lams.append(lams[-2] * Fraction(c, s))
+            out.append(RationalPolynomial([e * lams[-1] * x
+                                           for x in reversed(P)]))
+        return tuple(out)
 
     def variations(self, x) -> int:
-        """Number of sign variations of the chain at x (rational or ±inf),
-        in one pass over the members' cleared integers: at ±inf a member
-        has the sign of its leading term there, at x = n/d that of the
-        homogeneous Horner sum d^k p(x) L, k its degree; zeros are skipped.
-        """
+        """Sign variations of the chain at x (rational, a pair (n, d) or
+        +-inf) in one pass: member k has the sign e_k (-1)^deg at -inf, and
+        at n/d e_k times that of the homogeneous Horner sum d^deg P_k(x)."""
         inf = x is POS_INF or x is NEG_INF
         if not inf:
-            x = _to_frac(x)
-            n, d = x.numerator, x.denominator
+            n, d = _pair(x)
         count = last = 0
-        for p in self.polys:
-            C = p._clear()[1]
+        for e, P in self.members:
             if inf:
-                v = C[0] if x is POS_INF or len(C) % 2 else -C[0]
+                sign = e if x is POS_INF or len(P) % 2 else -e
             else:
-                v, dk = C[0], 1
-                for c in C[1:]:
+                v, dk = P[0], 1
+                for c in P[1:]:
                     dk *= d
                     v = v * n + c * dk
-            if v:
-                if (v < 0) != (last < 0) and last:
-                    count += 1
-                last = v
+                if not v:
+                    continue
+                sign = e if v > 0 else -e
+            if last == -sign:
+                count += 1
+            last = sign
         return count
 
 
@@ -377,9 +394,10 @@ class RootInterval:
 
 
 def sturm_chain(p: RationalPolynomial) -> SturmChain:
-    """Sturm chain: square-free part, derivative, then negated remainders.
-
-    Built once per polynomial object and kept on it and on its square-free
+    """Sturm chain: square-free part f, f', then negated remainders, as
+    Collins's primitive remainder sequence: with A, B the last two P's,
+    `_int_divmod` gives s A = s Q B + R, s > 0, and R = c P, c signed as
+    R's lead, so e = -e_(k-1) sign(c) and lam = lam_(k-1) |c| / s.  Built once per polynomial object and kept on it and on its square-free
     part, so isolating and then refining the roots of one p, or counting
     them in many intervals, builds one chain.
     """
@@ -388,14 +406,23 @@ def sturm_chain(p: RationalPolynomial) -> SturmChain:
     if p._sturm is None:
         f = square_free_part(p)
         if f._sturm is None:
-            chain = [f]
-            if f.degree >= 1:
-                chain.append(f.derivative())
-                # f is square-free, so gcd(f, f') is a constant and no
-                # remainder vanishes before one is
-                while chain[-1].degree >= 1:
-                    chain.append(-(chain[-2] % chain[-1]))
-            f._sturm = SturmChain(tuple(chain))
+            L, C = f._clear()
+            c, P = _primitive(C)  # f is monic: a positive lead
+            members, ratios = [(1, P)], [(c, L)]
+            if len(P) > 1:  # f' = (c / L) P'
+                d1, P1 = _primitive([(len(P) - 1 - i) * x
+                                     for i, x in enumerate(P[:-1])])
+                members.append((1, P1))
+                ratios.append((c * d1, L))
+            # f is square-free, so gcd(f, f') is a constant and no
+            # remainder vanishes before one is
+            while len(members[-1][1]) > 1:
+                (e, A), B = members[-2], members[-1][1]
+                _, R, s = _int_divmod(A, B)
+                c, P = _primitive(R)
+                members.append((-e if c > 0 else e, P))
+                ratios.append((abs(c), s))
+            f._sturm = SturmChain(f, tuple(members), tuple(ratios))
         p._sturm = f._sturm
     return p._sturm
 
@@ -406,8 +433,9 @@ def cauchy_root_bound(p: RationalPolynomial) -> Fraction:
         raise DomainError("root bound of the zero polynomial")
     if p.degree == 0:
         return Fraction(1)
-    lc = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lc
+    C = p._clear()[1]
+    lc = abs(C[0])
+    return Fraction(lc + max(abs(c) for c in C[1:]), lc)
 
 
 def root_separation_lower_bound(p: RationalPolynomial) -> Fraction:
@@ -420,10 +448,9 @@ def root_separation_lower_bound(p: RationalPolynomial) -> Fraction:
     n = f.degree
     if n <= 1:
         return Fraction(1)
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    h = max(abs(c * den) for c in f.coeffs)
+    h = max(map(abs, f._clear()[1]))
     # sqrt(3)/n^{(n+2)/2} >= n^{-(n+2)};  ||p||_2 <= (n+1) H
-    return Fraction(1, n ** (n + 2) * ((n + 1) * int(h)) ** (n - 1))
+    return Fraction(1, n ** (n + 2) * ((n + 1) * h) ** (n - 1))
 
 
 def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
@@ -446,38 +473,52 @@ def count_real_roots(p: RationalPolynomial, lo=NEG_INF, hi=POS_INF) -> int:
 def isolate_real_roots(p: RationalPolynomial) -> list[RootInterval]:
     """Disjoint intervals, each isolating one distinct real root, ordered by lo.
 
-    Bisection by Sturm counts; a stack entry carries the chain's variations
-    at both of its ends, so a split evaluates the chain at its midpoint only.
-    A midpoint on a root of f moves off it; by the rational root theorem
-    only one whose denominator divides f's cleared lead can be one.
+    Bisection by Sturm counts on integer (numerator, denominator) pairs; a
+    stack entry carries the chain's variations at both of its ends, so a
+    split evaluates the chain at its midpoint only.  A midpoint on a root
+    of f moves off it; by the rational root theorem only one whose reduced
+    denominator divides f's cleared lead can be one.
     """
     if p.is_zero:
         raise DomainError("root isolation of the zero polynomial")
     if p.degree == 0:
         return []
     chain = sturm_chain(p)
-    f = chain.polys[0]
+    f = chain.f
     B = cauchy_root_bound(f)  # strict: neither -B nor B is a root
     lead = f._clear()[1][0]
     out: list[RootInterval] = []
-    stack = [(-B, B, chain.variations(-B), chain.variations(B))]
+    a, b = (-B.numerator, B.denominator), (B.numerator, B.denominator)
+    stack = [(a, b, chain.variations(a), chain.variations(b))]
     while stack:
         a, b, va, vb = stack.pop()
         if va == vb:
             continue
         if va - vb == 1:
-            out.append(RootInterval(a, b))
+            out.append(RootInterval(Fraction(*a), Fraction(*b)))
             continue
-        m = (a + b) / 2
-        if lead % m.denominator == 0 and f.sign_at(m) == 0:
+        m = _midpoint(a, b)
+        # lead n / d is an integer iff n/d's reduced denominator divides lead
+        if lead * m[0] % m[1] == 0 and f.sign_at(m) == 0:
             # up by half the root-gap bound, so the root stays in the
             # half-open (a, m] and no other root is crossed
-            m += root_separation_lower_bound(f) / 2
+            m = _pair(Fraction(*m) + root_separation_lower_bound(f) / 2)
         vm = chain.variations(m)
         stack.append((m, b, vm, vb))
-        stack.append((a, m, va, vm))
-    out.sort(key=lambda iv: iv.lo)
+        stack.append((a, m, va, vm))  # popped first: out is ordered
     return out
+
+
+def _order_split(a: Fraction, b: Fraction) -> Fraction | None:
+    """The power of two of the middle binary order of a < b, signed as the
+    end of larger order, if their orders lie 32 or more apart, else None;
+    x's order is max(0, e), 2^(e-1) < |x| < 2^(e+1), so it lies inside."""
+    ea, eb = (max(0, x.numerator.bit_length() - x.denominator.bit_length())
+              for x in (a, b))
+    if abs(ea - eb) < 32:
+        return None
+    m = Fraction(2) ** ((ea + eb) // 2)
+    return m if (b if eb > ea else a) > 0 else -m
 
 
 def _horner(coeffs, x: float) -> float:
@@ -498,13 +539,15 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
     probe one step length past it closes the other, if that step is at
     most half the bracket.  A derivative within 2^-40 of the larger |f'|
     at the bracket's ends, or with no finite float, skips the step, and a
-    pass that does not halve the bracket ends with a bisection.
+    pass that does not halve the bracket ends with a bisection.  Far from
+    the root a step only divides x by about d / (d - 1), d the degree, so
+    a bracket that `_order_split` splits takes no step.
     """
     tol = _to_frac(tol)
     if tol <= 0:
         raise DomainError("tol must be positive")
     chain = sturm_chain(p)
-    f = chain.polys[0]
+    f = chain.f
     a, b = _to_frac(iv.lo), _to_frac(iv.hi)
     if chain.variations(a) - chain.variations(b) != 1:
         raise DomainError("interval does not isolate exactly one root")
@@ -552,8 +595,9 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
     x = None  # the last Newton iterate while it is an end of the bracket
     while b - a > tol:
         width = b - a
+        m = _order_split(a, b)
         x0 = (a + b) / 2 if x is None else x
-        xn = newton(x0)
+        xn = None if m else newton(x0)
         if xn is not None and a < xn < b:
             if absorb(xn):
                 break
@@ -562,7 +606,7 @@ def refine_root(p: RationalPolynomial, iv: RootInterval, tol) -> Fraction:
             if 2 * step <= b - a and a < probe < b and absorb(probe):
                 break
             x = xn if xn in (a, b) else probe
-        if b - a > width / 2 and absorb((a + b) / 2):
+        if b - a > width / 2 and absorb(m or (a + b) / 2):
             break
         if x not in (a, b):
             x = None

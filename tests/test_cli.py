@@ -321,7 +321,19 @@ class TestExitCodes:
           "--x0", "1e400,0", "--v0", "0,0"], "--x0"),
         (["--matrix", '[["1","0"],["0","2"]]', "--form", "second",
           "--x0", "1,0", "--v0", "1e400,0"], "--v0"),
-    ], ids=["jordan", "residue", "second-x0", "second-v0"])
+        (["--matrix", '[["1e400","0"],["0","1"]]', "--x0", "1,0",
+          "--method", "jordan"], "matrix"),
+        (["--matrix", '[["1e400","0"],["0","1"]]', "--x0", "1,0",
+          "--method", "residue"], "matrix"),
+        (["--matrix", '[["0","1e400"],["-1","0"]]', "--x0", "1,0",
+          "--method", "jordan"], "matrix"),
+        (["--matrix", '[["0","1e400"],["-1","0"]]', "--x0", "1,0",
+          "--method", "residue"], "matrix"),
+        (["--form", "second", "--matrix", '[["1e400","0"],["0","2"]]',
+          "--x0", "1,0"], "matrix"),
+    ], ids=["jordan", "residue", "second-x0", "second-v0", "matrix-jordan",
+            "matrix-residue", "off-diagonal-jordan", "off-diagonal-residue",
+            "second-matrix"])
     def test_linsolve_entry_past_the_floats_is_input_error(self, capsys,
                                                           argv, what):
         matrix = [] if "--matrix" in argv else [

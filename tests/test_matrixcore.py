@@ -130,6 +130,55 @@ def _fraction_faddeev_leverrier(rows):
     return coeffs, Ms
 
 
+def _full_faddeev_leverrier(rows):
+    """The recursion with every pass's whole product A M_{k-1} and M_k,
+    M_n included, in faddeev_leverrier's order of operations: the
+    reference for its last pass, which takes only the trace."""
+    n = len(rows)
+    one = rows[0][0] ** 0
+    coeffs = [one] * (n + 1)
+    M = [[one * (i == j) for j in range(n)] for i in range(n)]
+    Ms = []
+    for k in range(1, n + 1):
+        Ms.append(M)
+        cols = list(zip(*M))
+        AM = [[sum(map(lambda x, y: x * y, r, col)) for col in cols]
+              for r in rows]
+        c = -sum(AM[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
+             for i in range(n)]
+    return coeffs, Ms, M
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                allow_infinity=False),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[1j, 2.5], [-0.1, 3 - 1e-3j]])
+@settings(max_examples=100, deadline=None)
+def test_complex_recursion_keeps_the_full_recursions_bits(rows):
+    # the last pass sums the trace's n dot products in the order the whole
+    # product A M_{n-1} would, so every coefficient keeps its bits
+    coeffs, Ms = faddeev_leverrier(rows)
+    ref_coeffs, ref_Ms, _ = _full_faddeev_leverrier(rows)
+    assert [(c.real, c.imag) for c in coeffs] == [
+        (c.real, c.imag) for c in ref_coeffs]
+    assert Ms == ref_Ms
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=50, deadline=None)
+def test_last_recursion_matrix_vanishes(rows):
+    # Cayley-Hamilton: M_n = A M_{n-1} + c_0 I = 0, which the last pass
+    # of faddeev_leverrier does not build
+    rows = [[Fraction(x) for x in r] for r in rows]
+    _, _, M_n = _full_faddeev_leverrier(rows)
+    assert all(x == 0 for r in M_n for x in r)
+
+
 @st.composite
 def rational_matrices(draw):
     n = draw(st.integers(1, 6))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -424,6 +425,101 @@ def test_sturm_chain_matches_fraction_remainders(p):
     chain = sturm_chain(p).polys
     assert chain == _fraction_sturm_chain(p.coeffs)
     assert all(type(c) is Fraction for f in chain for c in f.coeffs)
+
+
+def _signed_primitive(p):
+    """(e, P) with p = e lam P, lam > 0: e the sign of p's lead and P its
+    primitive integer part, highest degree first, with a positive lead."""
+    L = math.lcm(*(c.denominator for c in p.coeffs))
+    C = [int(c * L) for c in reversed(p.coeffs)]
+    e = 1 if C[0] > 0 else -1
+    g = e * math.gcd(*C)
+    return e, tuple(c // g for c in C)
+
+
+@given(st.one_of(_polys(1, 12),
+                 st.builds(lambda a, b: a * b * b, _polys(0, 4), _polys(1, 4))),
+       st.lists(_points, max_size=4))
+@example(P([-2, 0, 1]), [Fraction(0)])
+@example(P([Fraction(-3, 2), 0, 0, Fraction(-7, 5)]), [])  # negative lead
+@example(P([1, -2, 1]) * P([0, 0, Fraction(-1, 3)]), [Fraction(1)])
+@settings(max_examples=100, deadline=None)
+def test_signed_primitive_members_match_fraction_chain(p, xs):
+    # each member is the sign and primitive part of the Fraction chain's,
+    # and reading the chain's variations, or isolating with it, never
+    # builds its Fraction members
+    chain = sturm_chain(p)
+    for x in [NEG_INF, POS_INF, *xs]:
+        chain.variations(x)
+    isolate_real_roots(p)
+    assert "polys" not in vars(chain)
+    assert chain.members == tuple(
+        _signed_primitive(m) for m in _fraction_sturm_chain(p.coeffs))
+    assert chain.f == chain.polys[0]
+
+
+_int_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10)
+_divisors = st.lists(st.integers(-50, 50), max_size=6).flatmap(
+    lambda tail: st.integers(-12, 12).filter(bool).map(
+        lambda lead: [lead] + tail))  # negative leads included
+
+
+@given(_int_lists, _divisors)
+@example([1, 0], [-2, 1])  # one scaling pass by a negative lead
+@example([3, 1, 4, 1, 5], [-3, 2])
+@example([7, 0, 0, 0], [-2, 0, 3])
+@example([], [-5])
+@example([2], [4, 1])  # a dividend of lower degree
+@settings(max_examples=300, deadline=None)
+def test_int_divmod_scale_is_positive(A, B):
+    # s A = s Q B + rem in integers, s > 0, with Q's terms v / w, w | s
+    quo, rem, s = secular.ratpoly._int_divmod(A, B)
+    assert s > 0
+    d = len(B) - 1
+    assert len(quo) == max(len(A) - d, 0)
+    assert all(s % w == 0 for _, w in quo)
+    sQ = [v * (s // w) for v, w in quo]
+    sQB = [0] * len(A)
+    for i, q in enumerate(sQ):
+        for j, b in enumerate(B):
+            sQB[i + j] += q * b
+    assert len(rem) == (d if quo else len(A))
+    assert [s * a for a in A] == [x + y for x, y in zip(
+        sQB, [0] * (len(A) - len(rem)) + list(rem))]
+
+
+@given(st.fractions(-10 ** 40, 10 ** 40), st.fractions(-10 ** 40, 10 ** 40))
+@example(Fraction(0), Fraction(10 ** 300))
+@example(Fraction(-10 ** 400), Fraction(0))
+@example(Fraction(-10 ** 20), Fraction(10 ** 20))
+@example(Fraction(1, 10 ** 30), Fraction(2 ** 40))
+@settings(max_examples=300, deadline=None)
+def test_order_split_is_a_power_of_two_inside(a, b):
+    if not a < b:
+        a, b = b, a + 1
+    m = secular.ratpoly._order_split(a, b)
+    if m is not None:
+        assert a < m < b
+        r = abs(m)
+        assert r.denominator == 1 and r.numerator & (r.numerator - 1) == 0
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 10 ** 300), (0, 10 ** 400), (-10 ** 400, 0), (-10 ** 300, -1)])
+def test_wide_bracket_is_split_by_orders(monkeypatch, lo, hi):
+    # far from the root a Newton step only divides x by about 2 here: the
+    # bracket's orders are halved instead, each at one exact evaluation
+    evals = [0]
+    ratio = P._eval_ratio
+
+    def counted(self, x):
+        evals[0] += 1
+        return ratio(self, x)
+    monkeypatch.setattr(P, "_eval_ratio", counted)
+    p, tol = poly(-2, 0, 1), Fraction(1, 10 ** 6)
+    r = refine_root(p, RootInterval(Fraction(lo), Fraction(hi)), tol)
+    assert evals[0] <= 100
+    assert count_real_roots(p, r - tol / 2, r + tol / 2) == 1
 
 
 def _fraction_gcd(a, b):
