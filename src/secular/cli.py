@@ -3,7 +3,8 @@
 Subcommands mirror the library modules: sturm, charpoly, inertia,
 hermite-count, interlace, jordan, linsolve, floquet, pcr3bp, section.
 All numeric defaults live in RunConfig and are echoed into every JSON
-output (CSV outputs carry them in a leading comment line).  Exit codes:
+output (CSV outputs carry them in a leading comment line).  The
+subcommands print and return nothing; `run()` alone sets the exit code:
 0 success, 1 domain or input error, 2 numeric non-convergence (with its
 best iterate when there is one), 3 failed internal invariant (a bug, not
 bad input).
@@ -177,56 +178,58 @@ def _emit_csv(cfg: RunConfig, header: str, rows) -> None:
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_sturm(args, cfg: RunConfig) -> int:
+def _cmd_sturm(args, cfg: RunConfig) -> None:
+    if args.action != "refine" and args.reftol is not None:
+        raise DomainError("usage: --tol applies only to sturm refine")
+    if args.action == "isolate" and (args.lo, args.hi) != (None, None):
+        raise DomainError("usage: --lo and --hi do not apply to sturm isolate")
     p = _poly_arg(args.poly)
     if args.action == "count":
         lo = NEG_INF if args.lo is None else parse_rational(args.lo, "--lo")
         hi = POS_INF if args.hi is None else parse_rational(args.hi, "--hi")
         _emit(cfg, f"{count_real_roots(p, lo, hi)}\n")
-        return 0
-    if args.action == "isolate":
+    elif args.action == "isolate":
         ivs = isolate_real_roots(p)
         _emit_json(cfg, {
             "intervals": [[_frac_str(iv.lo), _frac_str(iv.hi)] for iv in ivs],
         })
-        return 0
-    # refine
-    if args.lo is None or args.hi is None:
-        raise DomainError("refine requires --lo and --hi")
-    iv = RootInterval(parse_rational(args.lo, "--lo"),
-                      parse_rational(args.hi, "--hi"))
-    r = refine_root(p, iv, parse_rational(args.reftol, "--tol")
-                    if args.reftol else Fraction(1, 10 ** 10))
-    _emit(cfg, f"{float(r)!r}\n")
-    return 0
+    else:  # refine
+        if args.lo is None or args.hi is None:
+            raise DomainError("refine requires --lo and --hi")
+        iv = RootInterval(parse_rational(args.lo, "--lo"),
+                          parse_rational(args.hi, "--hi"))
+        r = refine_root(p, iv, parse_rational(args.reftol, "--tol")
+                        if args.reftol else Fraction(1, 10 ** 10))
+        try:
+            r = float(r)
+        except OverflowError:
+            raise DomainError("the refined root has no float image") from None
+        _emit(cfg, f"{r!r}\n")
 
 
-def _cmd_charpoly(args, cfg: RunConfig) -> int:
+def _cmd_charpoly(args, cfg: RunConfig) -> None:
     A = _matrix_arg(args.matrix)
     _emit_json(cfg, {
         "char_poly": {"coeffs": [_frac_str(c) for c in char_poly(A).coeffs]},
     })
-    return 0
 
 
-def _cmd_inertia(args, cfg: RunConfig) -> int:
+def _cmd_inertia(args, cfg: RunConfig) -> None:
     A = _matrix_arg(args.matrix)
     ine = inertia(QuadraticForm(A))
     _emit_json(cfg, {
         "inertia": {"pos": ine.n_pos, "neg": ine.n_neg, "zero": ine.n_zero},
         "signature": ine.signature,
     })
-    return 0
 
 
-def _cmd_hermite_count(args, cfg: RunConfig) -> int:
+def _cmd_hermite_count(args, cfg: RunConfig) -> None:
     A = _matrix_arg(args.matrix)
     distinct, distinct_real = hermite_root_count(char_poly(A))
     _emit_json(cfg, {"distinct": distinct, "distinct_real": distinct_real})
-    return 0
 
 
-def _cmd_interlace(args, cfg: RunConfig) -> int:
+def _cmd_interlace(args, cfg: RunConfig) -> None:
     A = _matrix_arg(args.matrix)
     rep = interlacing_check(A)
     _emit_json(cfg, {
@@ -237,11 +240,11 @@ def _cmd_interlace(args, cfg: RunConfig) -> int:
                             for iv in rep.inner_intervals],
         "gaps": list(rep.gap_results),
     })
-    return 0
 
 
-def _cmd_jordan(args, cfg: RunConfig) -> int:
-    A = _matrix_arg(args.matrix)
+def _cmd_jordan(args, cfg: RunConfig) -> None:
+    read = _float_matrix_arg if args.flavor == NUMERIC else _matrix_arg
+    A = read(args.matrix)
     if args.flavor == NUMERIC:
         A = SquareMatrix(A.to_numpy(), NUMERIC)
     elif args.flavor == EXACT and A.flavor != EXACT:
@@ -258,7 +261,6 @@ def _cmd_jordan(args, cfg: RunConfig) -> int:
         t3 = classify_3x3(A, dec.blocks)
         out["type3"] = {"tag": t3.tag, "scalar": t3.scalar}
     _emit_json(cfg, out)
-    return 0
 
 
 def _vector_arg(texts, what: str) -> list[Fraction]:
@@ -272,15 +274,21 @@ def _vector_arg(texts, what: str) -> list[Fraction]:
     return vals
 
 
-def _cmd_linsolve(args, cfg: RunConfig) -> int:
-    if args.v0 is not None and args.form != "second":
-        raise DomainError("usage: --v0 applies only to --form second")
-    text = _matrix_text(args.matrix)
+def _float_matrix_arg(text: str) -> SquareMatrix:
+    """A matrix whose exact entries each have a float image."""
+    text = _matrix_text(text)
     A = SquareMatrix.from_json(text)
     if A.flavor == EXACT:
         rows = json.loads(text)
         _vector_arg(sum(rows["rows"] if isinstance(rows, dict) else rows, []),
                     "matrix entry")
+    return A
+
+
+def _cmd_linsolve(args, cfg: RunConfig) -> None:
+    if args.v0 is not None and args.form != "second":
+        raise DomainError("usage: --v0 applies only to --form second")
+    A = _float_matrix_arg(args.matrix)
     x0 = _vector_arg(args.x0.split(","), "--x0 entry")
     if len(x0) != A.n:
         raise DomainError(f"--x0 needs {A.n} values, got {len(x0)}")
@@ -310,12 +318,13 @@ def _cmd_linsolve(args, cfg: RunConfig) -> int:
         for t in sol.terms
     ]
     _emit_json(cfg, payload)
-    return 0
 
 
-def _cmd_floquet(args, cfg: RunConfig) -> int:
+def _cmd_floquet(args, cfg: RunConfig) -> None:
     if args.system != "hill":
         raise DomainError(f"unknown built-in system {args.system!r}")
+    if args.grid is not None and (args.a, args.q) != (None, None):
+        raise DomainError("usage: --a and --q do not apply with --grid")
     if args.grid:
         try:
             a_part, q_part = args.grid.split(",")
@@ -338,23 +347,22 @@ def _cmd_floquet(args, cfg: RunConfig) -> int:
             rows.append((float(a), float(q), float(smax),
                          classify_periodic_stability(exps).tag))
         _emit_csv(cfg, "a,q,smax,verdict", rows)
-        return 0
-    if args.a is None or args.q is None:
-        raise DomainError("floquet requires --a and --q (or --grid)")
-    exps = characteristic_exponents(
-        monodromy(hill_system(args.a, args.q), cfg.tol), cfg.cluster_tol)
-    verdict = classify_periodic_stability(exps)
-    _emit_json(cfg, {
-        "a": args.a,
-        "q": args.q,
-        "period": exps.period,
-        "multipliers": [_cplx(s) for s in exps.multipliers],
-        "exponents": [_cplx(s) for s in exps.exponents],
-        "verdict": verdict.tag,
-        "marginal_multipliers": [_cplx(s)
-                                 for s in verdict.marginal_multipliers],
-    })
-    return 0
+    else:
+        if args.a is None or args.q is None:
+            raise DomainError("floquet requires --a and --q (or --grid)")
+        exps = characteristic_exponents(
+            monodromy(hill_system(args.a, args.q), cfg.tol), cfg.cluster_tol)
+        verdict = classify_periodic_stability(exps)
+        _emit_json(cfg, {
+            "a": args.a,
+            "q": args.q,
+            "period": exps.period,
+            "multipliers": [_cplx(s) for s in exps.multipliers],
+            "exponents": [_cplx(s) for s in exps.exponents],
+            "verdict": verdict.tag,
+            "marginal_multipliers": [_cplx(s)
+                                     for s in verdict.marginal_multipliers],
+        })
 
 
 def _parse_state(text: str, n: int):
@@ -364,7 +372,7 @@ def _parse_state(text: str, n: int):
     return vals
 
 
-def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
+def _cmd_pcr3bp(args, cfg: RunConfig) -> None:
     if args.action == "lagrange":
         pts = libration_points(args.mu)
         _emit_json(cfg, {
@@ -373,8 +381,7 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
                         "position": [p.position[0], p.position[1]]}
                        for p in pts],
         })
-        return 0
-    if args.action == "stability":
+    elif args.action == "stability":
         st = libration_stability(args.mu,
                                  libration_point(args.mu, args.point))
         _emit_json(cfg, {
@@ -387,8 +394,7 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
             "classification": st.verdict,
             "verdict": "stable" if st.verdict == STABLE else "unstable",
         })
-        return 0
-    if args.action == "orbit":
+    elif args.action == "orbit":
         seed, t_half = lyapunov_seed(args.mu,
                                      libration_point(args.mu, args.point),
                                      args.seed_amplitude)
@@ -406,23 +412,21 @@ def _cmd_pcr3bp(args, cfg: RunConfig) -> int:
             "verdict": "unstable" if unstable else "stable",
             "invariant_flags": list(rep.flags),
         })
-        return 0
-    # propagate
-    if args.state is None or args.t is None:
-        raise DomainError("propagate requires --state and --t")
-    state0 = _parse_state(args.state, 4)
-    with np.errstate(invalid="ignore"):  # a non-finite --t fails in integrate
-        ts = np.linspace(0.0, args.t, args.samples)
-    traj = integrate(_flow_rhs(args.mu), state0, (0.0, args.t), cfg.tol,
-                     t_eval=ts)
-    rows = [(float(t), float(x), float(y), float(vx), float(vy),
-             float(jacobi_constant((x, y, vx, vy), args.mu)))
-            for t, (x, y, vx, vy) in zip(ts, traj.y.T)]
-    _emit_csv(cfg, "t,x,y,vx,vy,C", rows)
-    return 0
+    else:  # propagate
+        if args.state is None or args.t is None:
+            raise DomainError("propagate requires --state and --t")
+        state0 = _parse_state(args.state, 4)
+        with np.errstate(invalid="ignore"):  # a non-finite --t fails in integrate
+            ts = np.linspace(0.0, args.t, args.samples)
+        traj = integrate(_flow_rhs(args.mu), state0, (0.0, args.t), cfg.tol,
+                         t_eval=ts)
+        rows = [(float(t), float(x), float(y), float(vx), float(vy),
+                 float(jacobi_constant((x, y, vx, vy), args.mu)))
+                for t, (x, y, vx, vy) in zip(ts, traj.y.T)]
+        _emit_csv(cfg, "t,x,y,vx,vy,C", rows)
 
 
-def _cmd_section(args, cfg: RunConfig) -> int:
+def _cmd_section(args, cfg: RunConfig) -> None:
     sd = SectionDef(args.direction, args.C)
     if args.action == "manifolds":
         if args.fixed is None:
@@ -460,15 +464,14 @@ def _cmd_section(args, cfg: RunConfig) -> int:
             payload["stable_polyline"] = [[float(a), float(b)]
                                           for a, b in stable.points]
         _emit_json(cfg, payload)
-        return 0
-    if args.start is None:
-        raise DomainError("section crossings requires --start")
-    x, vx = _parse_state(args.start, 2)
-    pts = section_crossings(SectionPoint(x, vx), args.mu, sd, args.n,
-                            tol=cfg.tol)
-    rows = [(i + 1, float(q.x), float(q.vx)) for i, q in enumerate(pts)]
-    _emit_csv(cfg, "i,x,vx", rows)
-    return 0
+    else:  # crossings
+        if args.start is None:
+            raise DomainError("section crossings requires --start")
+        x, vx = _parse_state(args.start, 2)
+        pts = section_crossings(SectionPoint(x, vx), args.mu, sd, args.n,
+                                tol=cfg.tol)
+        rows = [(i + 1, float(q.x), float(q.vx)) for i, q in enumerate(pts)]
+        _emit_csv(cfg, "i,x,vx", rows)
 
 
 # -- parser ------------------------------------------------------------------
@@ -579,7 +582,8 @@ def run(argv=None) -> int:
         if args.format == "csv" and not _writes_csv(args):
             raise DomainError("usage: --format csv applies only to floquet "
                               "--grid, section crossings and pcr3bp propagate")
-        return args.fn(args, cfg)
+        args.fn(args, cfg)
+        return 0
     except (NonConvergenceError, SingularityError) as e:
         best = getattr(e, "best", None)
         shown = "" if best is None else f" (best iterate: {_one_line(best)})"
@@ -591,7 +595,7 @@ def run(argv=None) -> int:
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
-    except (SecularError, OSError, ValueError, ZeroDivisionError, KeyError) as e:
+    except (SecularError, OSError, ValueError, ArithmeticError, KeyError) as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 1
 

@@ -273,7 +273,7 @@ def _jordan_numeric(A: SquareMatrix, cluster_tol: float) -> JordanDecomposition:
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) < 10 * tol:
                 warnings.append(
-                    f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
+                    f"eigenvalue clusters {centers[i]} and {centers[j]} "
                     "are within 10x of merging: block structure ill-conditioned"
                 )
     items = sorted(
@@ -368,17 +368,11 @@ def symmetric_diagonalizability_check(A: SquareMatrix) -> DiagonalizabilityRepor
         raise DomainError("expected a symmetric matrix")
     cp = char_poly(A)
     sf = square_free_part(cp)
-    # evaluate sf(A) exactly
-    acc = SquareMatrix(
-        [[sf.coeffs[0] if i == j else Fraction(0) for j in range(A.n)] for i in range(A.n)]
-    )
-    Ak = SquareMatrix.identity(A.n)
-    for c in sf.coeffs[1:]:
-        Ak = Ak.matmul(A)
-        acc = acc.add(Ak.scale(c))
-    annihilated = all(
-        acc.rows[i][j] == 0 for i in range(A.n) for j in range(A.n)
-    )
+    # evaluate sf(A) exactly, by Horner
+    acc = SquareMatrix.identity(A.n).scale(sf.coeffs[-1])
+    for c in reversed(sf.coeffs[:-1]):
+        acc = acc.matmul(A).shift(-c)
+    annihilated = all(x == 0 for row in acc.rows for x in row)
     reports = [_exact_kernels(A, lam, alg)[2]
                for lam, alg in rational_roots(cp).items()]
     ok = annihilated and all(r.algebraic == r.geometric for r in reports)

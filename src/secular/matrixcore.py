@@ -146,15 +146,6 @@ class SquareMatrix:
         if self.flavor != EXACT:
             raise UnsupportedFlavorError("operation requires exact flavor")
 
-    def add(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._require_exact()
-        return SquareMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         self._require_exact()
         n = self.n
@@ -281,6 +272,9 @@ def char_poly(A: SquareMatrix) -> RationalPolynomial:
     """Monic det(S*I - A), exact via Faddeev-LeVerrier, numeric via numpy."""
     if A.flavor == NUMERIC:
         cs = np.poly(A.rows)  # highest degree first, monic
+        if not np.isfinite(cs).all():
+            raise DomainError("numeric char_poly coefficients overflow the "
+                              "floats")
         coeffs = [complex(c) for c in cs[::-1]]
         scale = max(abs(c) for c in coeffs)
         if any(abs(c.imag) > 1e-12 * scale for c in coeffs):

@@ -7,11 +7,12 @@ segment, where Omega_x rises strictly, correctly rounded to a double:
 bisection in floats guesses it, and bisection on its exact rational sign,
 from a bracket of the guess that the sign confirms, rounds it.
 
-The flow is stated in `_derivative`, on one state's floats.  `_var_rhs`
-flies it with the state-transition matrix, from one flat `_omega_partials`
-call for Omega's gradient and Hessian.  `_flow_rhs` evaluates it on stacks
-of states with `_derivative`'s operations in their order, both primaries'
-terms along one axis, so that a stack costs about one call's overhead.
+The flow is stated in `eom`, on one state's floats, from the gradient
+that `_omega_partials` gives.  `_var_rhs` flies it with the
+state-transition matrix, from one flat `_omega_partials` call for Omega's
+gradient and Hessian.  `_flow_rhs` evaluates it on stacks of states with
+`eom`'s operations in their order, both primaries' terms along one axis,
+so that a stack costs about one call's overhead.
 `_flow_to_crossing` is the one y = 0 section-crossing locator, shared by
 the differential corrector here and by the return maps and manifolds in
 `secular.section`.  The crossing is `integrate`'s one event, y crossing
@@ -83,12 +84,6 @@ def _omega_partials(x, y, mu, hessian=False):
             d1 * a * y + d2 * b * y, 1.0 - c1 - c2 + d1 * y * y + d2 * y * y)
 
 
-def _derivative(x, y, vx, vy, mu):
-    """The flow's derivative (x', y', vx', vy') of one state's floats."""
-    ox, oy = _omega_partials(x, y, mu)
-    return vx, vy, 2.0 * vy + ox, -2.0 * vx + oy
-
-
 def _flow_rhs(mu):
     """The equations of motion as an integrator right-hand side.
 
@@ -99,7 +94,7 @@ def _flow_rhs(mu):
     so per-call overhead, not arithmetic, sets their cost: mu is checked
     once, as the closure is built, and each call takes both primaries'
     terms in one numpy call each, along an axis of length 2, with
-    `_derivative`'s operations in its order.  A collision names the
+    `eom`'s operations in its order.  A collision names the
     members at fault, each with a reason that gives its own distances.
     """
     mu = _check_mu(mu)
@@ -130,7 +125,9 @@ def _flow_rhs(mu):
 
 def eom(state, mu):
     """Rotating-frame equations of motion (x, y, vx, vy) -> derivative."""
-    return np.array(_derivative(*state, _check_mu(mu)))
+    x, y, vx, vy = state
+    ox, oy = _omega_partials(x, y, _check_mu(mu))
+    return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
 
 
 def jacobi_constant(state, mu):

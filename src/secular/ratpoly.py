@@ -73,17 +73,17 @@ def parse_rational(x, what: str) -> Fraction:
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    # _cleared, _deriv, _sqfree and _sturm are filled on first use, by
-    # _clear, derivative, square_free_part and sturm_chain; the
-    # coefficients never change after __init__
-    __slots__ = ("coeffs", "_cleared", "_deriv", "_sqfree", "_sturm")
+    # _cleared, _sqfree and _sturm are filled on first use, by _clear,
+    # square_free_part and sturm_chain; the coefficients never change
+    # after __init__
+    __slots__ = ("coeffs", "_cleared", "_sqfree", "_sturm")
 
     def __init__(self, coeffs: Iterable):
         cs = [_to_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._cleared = self._deriv = self._sqfree = self._sturm = None
+        self._cleared = self._sqfree = self._sturm = None
 
     # -- constructors -------------------------------------------------
 
@@ -182,10 +182,8 @@ class RationalPolynomial:
                                     for r in reversed(rem)]))
 
     def derivative(self) -> "RationalPolynomial":
-        if self._deriv is None:
-            self._deriv = RationalPolynomial(
-                [i * c for i, c in enumerate(self.coeffs)][1:])
-        return self._deriv
+        return RationalPolynomial(
+            [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def _clear(self) -> tuple[int, tuple[int, ...]]:
         """(L, C): L the lcm of the coefficients' denominators and

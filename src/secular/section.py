@@ -9,14 +9,14 @@ with the time budget RETURN_TIME, and every one runs forward in time.
 `return_map` is one such flight, and `section_crossings` applies it n
 times; the map's Jacobian comes from the state-transition matrix alone.
 
-Every flown manifold branch's seeds fly as one forward stack, each
-seed's iterates one after another in its place: the flow is reversible,
-so a stable branch's reversed-time map is the forward map seen through
-the mirror R(x, y, vx, vy) = (x, -y, -vx, vy).  Each seed takes the
-steps and the arithmetic of its own flights: a manifold point is its
-seed's image under the return map, whatever else is in the stack.  At a
-fixed point on the line vx = 0, which R leaves fixed, a stable branch is
-not flown: it is R of the unstable branch of its sign.
+Every manifold branch is a forward ladder of seeds or its mirror, and
+all ladders fly as one forward stack, each seed's iterates one after
+another in its place.  The flow is reversible, so a stable branch is
+R(x, y, vx, vy) = (x, -y, -vx, vy) of the ladder of its seeds' mirrors.
+Each seed takes the steps and the arithmetic of its own flights: a
+manifold point is its seed's image under the return map, whatever else
+is in the stack.  At a fixed point on the line vx = 0, which R leaves
+fixed, that ladder is the unstable ladder of its sign, flown once.
 """
 
 from __future__ import annotations
@@ -228,24 +228,22 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
     Seeds fill a fundamental domain [offset, |lambda| * offset) along the
     (un)stable eigenvector and are iterated with the forward (unstable) or
     reversed-time (stable) return map.  R z(-t) solves the flow whenever
-    z(t) does, so a seed's previous crossing is R of the next crossing
-    of R(seed), bit for bit, and every branch's seeds fly in one forward
-    stack (`pcr3bp._flow_to_crossing`).  As a seed lands, its next start
-    is lifted and flies on at once in its place in the stack, so no seed
+    z(t) does, so a stable branch is R of the forward ladder of its seeds'
+    mirrors, bit for bit, and every ladder flies in one forward stack
+    (`pcr3bp._flow_to_crossing`).  As a seed lands, its next start is
+    lifted and flies on at once in its place in the stack, so no seed
     waits for another.  A seed that leaves the allowed region, collides or
     does not cross within the time budget drops out and truncates its
     branch, whose reason is that of its last seed to drop out by iterate,
-    then by place; the truncation is recorded, not raised, and reads as
-    the backward flight's would.  ``lin`` is the fixed point's STM
-    linearization at ``tol``, computed if not given.
+    then by place; the truncation is recorded, not raised, and a stable
+    branch reads it through R, a failed flight's time negated.  ``lin``
+    is the fixed point's STM linearization at ``tol``, computed if not
+    given.
 
     A fixed point on the line vx = 0 is its own mirror, and R P R = P^-1
     there, so the stable manifold is R of the unstable one (Devaney,
-    Trans. AMS 218, 1976).  At such a point stable+- is R of unstable+-:
-    its seeds are the mirrors of that branch's on [offset, |lambda_u|
-    offset), their flights are its flights, and only the unstable branch
-    flies, once, whether it was asked for or not.  Off the line every
-    branch flies.
+    Trans. AMS 218, 1976).  At such a point the ladder of stable+- is
+    that of unstable+-, on [offset, |lambda_u| offset), flown once.
     """
     for branch in branches:
         if branch not in _BRANCHES:
@@ -262,38 +260,34 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         lin = linearize_map(p, mu, sd, tol=tol)
     if lin.tag != HYPERBOLIC:
         raise DomainError(f"fixed point is {lin.tag}, not hyperbolic")
-    # the branch that flies for each name: on vx = 0, unstable for stable
-    source = {b: "un" + b if p.vx == 0.0 and b.startswith("stable") else b
-              for b in branches}
-    names = list(dict.fromkeys(source.values()))
+    # each branch's forward ladder: (on the stable eigenvector, sign)
+    ladders = [(b.startswith("stable") and p.vx != 0.0, b[-1])
+               for b in branches]
+    flying = list(dict.fromkeys(ladders))
     eigvals, eigvecs = np.linalg.eig(lin.jacobian)
-    qs, flips = [], []  # the seeds, branch by branch; -1.0 if mirrored
-    for branch in names:
-        flips.append(1.0 if branch.startswith("unstable") else -1.0)
-        idx = int(np.argmax(np.abs(eigvals)) if flips[-1] > 0
-                  else np.argmin(np.abs(eigvals)))
+    qs = []  # the forward seeds, ladder by ladder
+    for stable, sign in flying:
+        idx = int((np.argmin if stable else np.argmax)(np.abs(eigvals)))
         v = np.real(eigvecs[:, idx])
-        v = v / np.linalg.norm(v) * (-1.0 if branch.endswith("-") else 1.0)
+        v = v / np.linalg.norm(v) * (-1.0 if sign == "-" else 1.0)
         # geometric ladder of seeds across one fundamental domain
         ratios = abs(float(np.real(eigvals[idx]))) ** np.linspace(
             0.0, 1.0, seeds, endpoint=False)
-        qs += [p.as_array() + seed_offset * r * v for r in ratios]
+        ladder = [p.as_array() + seed_offset * r * v for r in ratios]
+        qs += [q * _R for q in ladder] if stable else ladder
     points = [[] for _ in qs]  # per seed, its iterates
     drops = []  # (iterate, seed, error, point it failed to lift or None)
 
     def start(i, q):
         """Seed i's start from section point q, or None if it drops."""
         try:
-            z = lift(SectionPoint(*q), mu, sd)
+            return lift(SectionPoint(*q), mu, sd)
         except (DomainError, SingularityError) as e:
             return drops.append((len(points[i]), i, e, q))
-        z[2] *= flips[i // seeds]  # R, once lift has checked q
-        return z
 
     def relay(j, landed):  # the crossing of the stack's member j
         i, z = flown[j], landed[1]
-        points[i].append(np.array([float(z[0]),
-                                   flips[i // seeds] * float(z[2])]))
+        points[i].append(np.array([float(z[0]), float(z[2])]))
         return start(i, points[i][-1]) if len(points[i]) < steps else None
 
     starts = [start(i, q) for i, q in enumerate(qs)]
@@ -309,19 +303,18 @@ def manifold_segments(p: SectionPoint, mu: float, sd: SectionDef,
         """Seed i's drop at iterate k, read on its branch or its mirror."""
         if mirrored and q is not None:  # the mirror's own lift names it
             try:
-                lift(SectionPoint(q[0], -q[1]), mu, sd)
+                lift(SectionPoint(*(q * _R)), mu, sd)
             except (DomainError, SingularityError) as m:
                 e = m
         text = f"iterate {k}: {e}"
-        backward = mirrored != (flips[i // seeds] < 0)
-        if backward and getattr(e, "t", None):  # integrate's, read backward
+        if mirrored and getattr(e, "t", None):  # integrate's, read backward
             text = text.replace(f"t={e.t:.6g}:", f"t={-e.t:.6g}:", 1)
         return text
 
     out = []
-    for branch in branches:
-        b = names.index(source[branch])
-        mirrored = source[branch] != branch
+    for branch, ladder in zip(branches, ladders):
+        b = flying.index(ladder)
+        mirrored = branch.startswith("stable")
         mine = range(b * seeds, (b + 1) * seeds)
         poly = [points[i][k] for k in range(steps) for i in mine
                 if len(points[i]) > k]

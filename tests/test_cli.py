@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -1136,3 +1137,60 @@ def test_overflowing_section_point_is_one_line_input_error(capsys, argv):
     assert (code, out) == (1, "")
     assert err == ("error: input: section point (0.86, 1e+200) outside the "
                    "energetically allowed region at C=3.0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the root lies past the float range
+    (["sturm", "refine", "--poly=-1e400,1", "--lo", "0", "--hi", "1e401"],
+     "the refined root has no float image"),
+    # an entry has no float image
+    (["jordan", "--flavor", "numeric", "--matrix",
+      '[["1e400","0"],["0","1"]]'],
+     "bad matrix entry: 1e400 has no float image"),
+    # the coefficients overflow
+    (["charpoly", "--matrix", '{"flavor":"numeric","rows":'
+      '[[[1e200,0],[0,0]],[[0,0],[1e200,0]]]}'],
+     "numeric char_poly coefficients overflow the floats"),
+])
+def test_overflow_is_one_line_input_error(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: input: {message}\n")
+
+
+def test_arithmetic_error_is_one_line_input_error(capsys, monkeypatch):
+    def overflowing(*args):
+        raise OverflowError("integer division result too large for a float")
+    monkeypatch.setattr("secular.cli.count_real_roots", overflowing)
+    code, out, err = invoke(capsys, ["sturm", "count", "--poly=-2,0,1"])
+    assert (code, out) == (1, "")
+    assert err == ("error: input: integer division result too large for a "
+                   "float\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["floquet", "--grid", "0:1:2,0:1:2", "--a", "1"],
+     "--a and --q do not apply with --grid"),
+    (["floquet", "--grid", "0:1:2,0:1:2", "--q", "0.1"],
+     "--a and --q do not apply with --grid"),
+    (["sturm", "count", "--poly=-2,0,1", "--tol", "1/100"],
+     "--tol applies only to sturm refine"),
+    (["sturm", "isolate", "--poly=-2,0,1", "--tol", "1/100"],
+     "--tol applies only to sturm refine"),
+    (["sturm", "isolate", "--poly=-2,0,1", "--lo", "0"],
+     "--lo and --hi do not apply to sturm isolate"),
+    (["sturm", "isolate", "--poly=-2,0,1", "--hi", "2"],
+     "--lo and --hi do not apply to sturm isolate"),
+])
+def test_ignored_flag_is_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: input: usage: {message}\n")
+
+
+def test_only_run_sets_the_exit_code():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert handlers
+    for node in handlers:
+        assert not any(isinstance(n, ast.Return) for n in ast.walk(node)), \
+            node.name

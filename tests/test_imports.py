@@ -116,3 +116,38 @@ TEST_ONLY_API = ["floquet.floquet_solution",
 def test_only_the_documented_publics_go_unread():
     assert unread_publics({p.stem: p.read_text()
                            for p in sorted(SRC.glob("*.py"))}) == TEST_ONLY_API
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Methods and properties of module-level classes, dunders aside, as
+    module.Class.name, that no module reads as a name, an attribute or an
+    import."""
+    defined, read = _module_names(sources)
+    return sorted(f"{m}.{name}.{f.name}" for m, name, node in defined
+                  if isinstance(node, ast.ClassDef) for f in node.body
+                  if isinstance(f, ast.FunctionDef)
+                  and not f.name.startswith("__") and f.name not in read)
+
+
+def test_finds_an_unread_method():
+    assert unread_methods({
+        "a": "class C:\n    def f(self):\n        return self.g()\n"
+             "    def g(self):\n        pass\n    @property\n"
+             "    def p(self):\n        pass\n    def __len__(self):\n"
+             "        return 0\n",
+    }) == ["a.C.f", "a.C.p"]
+
+
+# methods that only tests call, and argparse's hook, which it calls
+TEST_ONLY_METHODS = ["cli._Parser.error",
+                     "linode.LinearSolution.has_secular_terms",
+                     "ratpoly.RationalPolynomial.eval_float",
+                     "ratpoly.RationalPolynomial.eval_frac",
+                     "ratpoly.RationalPolynomial.from_roots",
+                     "ratpoly.SturmChain.polys"]
+
+
+def test_only_the_listed_methods_go_unread():
+    assert unread_methods({p.stem: p.read_text()
+                           for p in sorted(SRC.glob("*.py"))}) == \
+        TEST_ONLY_METHODS

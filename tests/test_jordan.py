@@ -112,6 +112,16 @@ class TestJordanForm:
         assert sizes == (2,)
         assert np.allclose(A @ dec.P.rows, dec.P.rows @ dec.J.rows, atol=1e-5)
 
+    def test_numeric_near_merge_warning_names_both_centres(self):
+        # 5e-8 apart, above the cluster tolerance 3e-8 (scale 3) and within
+        # 10x of it
+        A = np.diag([1.0, 1.0 + 5e-8, 3.0])
+        dec = jordan_form(SquareMatrix(A, flavor="numeric"))
+        assert [sizes for _, sizes in dec.blocks] == [(1,), (1,), (1,)]
+        assert dec.warnings == (
+            "eigenvalue clusters (1+0j) and (1.00000005+0j) are within 10x "
+            "of merging: block structure ill-conditioned",)
+
     def test_numeric_small_eigenvalue_beside_a_cluster(self):
         # the powers of N = A - 0 I shrink 2^-9 to 2^-27, under the rank
         # tolerance, while the triple zero still has three 1-blocks
@@ -284,6 +294,14 @@ class TestClassify3:
     def test_scalar(self):
         res = classify_3x3(SquareMatrix([[5, 0, 0], [0, 5, 0], [0, 0, 5]]))
         assert res.tag == "C" and res.scalar
+
+    def test_irrational_cubic(self):
+        # the companion matrix of x^3 - 2: its roots are irrational, so it
+        # has no exact Jordan form, and three distinct roots
+        A = SquareMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(UnsupportedFlavorError):
+            jordan_form(A)
+        assert classify_3x3(A).tag == "A"
 
     def test_similarity_invariance(self):
         rng = random.Random(31)

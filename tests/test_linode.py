@@ -258,3 +258,12 @@ class TestLagrangeOscillation:
         big[n:, :n] = A_np
         ref = integrate_oracle(big, list(x0) + list(v0), t=1.3)
         assert np.allclose(sol(1.3).real, ref[:n], atol=1e-8)
+
+    def test_zero_eigenvalue_drifts(self):
+        # alpha = 0 is a drift mode: xi = (1 + t, sin t)
+        sys = SecondOrderSystem(SquareMatrix([[0, 0], [0, -1]]))
+        sol, modes, verdict = solve_lagrange_oscillation(sys, [1, 0], [1, 1])
+        assert sorted(m.alpha for m in modes) == [-1.0, 0.0]
+        for t in (0.0, 0.7, 2.5):
+            assert np.allclose(sol(t), [1 + t, math.sin(t)], atol=1e-12)
+        assert verdict.tag == SECULAR
