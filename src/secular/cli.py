@@ -225,6 +225,7 @@ def _cmd_inertia(args, cfg: RunConfig) -> None:
 
 def _cmd_hermite_count(args, cfg: RunConfig) -> None:
     A = _matrix_arg(args.matrix)
+    A._require_exact()  # a numeric polynomial's roots have no exact count
     distinct, distinct_real = hermite_root_count(char_poly(A))
     _emit_json(cfg, {"distinct": distinct, "distinct_real": distinct_real})
 

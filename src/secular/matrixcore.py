@@ -1,18 +1,19 @@
 """Dense square matrices in exact-rational and complex-floating flavors.
 
-Exact flavor carries `fractions.Fraction` entries and backs all algebraic
-theorems (characteristic polynomial, inertia, Hermite counting,
-interlacing).  Numeric flavor wraps a complex numpy array and is used by
-the periodic-coefficient and three-body pipelines.
+Exact flavor backs all algebraic theorems (characteristic polynomial,
+inertia, Hermite counting, interlacing), which run on its integer form
+(D, B), D the lcm of the entries' denominators and B = D A.  A matrix
+keeps the one it was built from, `fractions.Fraction` rows or form, and
+builds the other on first read; one read from JSON is built from its form.
+Numeric flavor wraps a complex numpy array and is used by the
+periodic-coefficient and three-body pipelines.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import UserList
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -29,11 +30,11 @@ from .ratpoly import (
     RootInterval,
     _json_number,
     _midpoint,
+    _rational_pair,
     _square_free,
     _to_frac,
     count_real_roots,
     isolate_real_roots,
-    parse_rational,
     poly_gcd,
     sturm_chain,
 )
@@ -43,23 +44,20 @@ NUMERIC = "numeric"
 
 
 class SquareMatrix:
-    """n x n matrix, either exact (Fraction entries) or numeric (complex)."""
+    """n x n matrix, either exact (rational) or numeric (complex)."""
 
-    __slots__ = ("n", "flavor", "rows")
+    __slots__ = ("n", "flavor", "_rows", "_form")
 
     def __init__(self, rows, flavor=EXACT):
         if flavor not in (EXACT, NUMERIC):
             raise DomainError(f"unknown flavor {flavor!r}")
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise DomainError("matrix must be square")
-        self.n = n
+        self.n = _side(rows)
         self.flavor = flavor
+        self._form = None  # an exact matrix's form is built on first read
         if flavor == EXACT:
-            self.rows = tuple(tuple(_to_frac(x) for x in r) for r in rows)
+            self._rows = tuple(tuple(_to_frac(x) for x in r) for r in rows)
         else:
-            self.rows = np.array(rows, dtype=complex)
+            self._rows = np.array(rows, dtype=complex)
 
     # -- constructors ---------------------------------------------------
 
@@ -68,6 +66,12 @@ class SquareMatrix:
         return cls(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], flavor
         )
+
+    @classmethod
+    def _from_form(cls, D, B) -> "SquareMatrix":
+        m = cls.__new__(cls)  # the exact B / D: rows built on first read
+        m.n, m.flavor, m._rows, m._form = len(B), EXACT, None, (D, B)
+        return m
 
     @classmethod
     def from_json(cls, text: str) -> "SquareMatrix":
@@ -86,15 +90,21 @@ class SquareMatrix:
                                          for r in rows for x in r):
             raise DomainError("numeric matrix entries must be [re, im] pairs")
         if flavor == EXACT:
-            rows = [[parse_rational(x, "matrix entry") for x in r]
-                    for r in rows]
+            pairs = [[_rational_pair(x, "matrix entry") for x in r]
+                     for r in rows]
+            _side(pairs)
+            D = math.lcm(*(d for r in pairs for _, d in r))
+            m = cls._from_form(D, tuple(tuple(n * (D // d) for n, d in r)
+                                        for r in pairs))
         else:
             try:
                 rows = [[complex(*map(_json_number, x)) for x in r]
                         for r in rows]
             except (TypeError, OverflowError) as e:
                 raise DomainError(f"bad matrix entry: {e}") from e
-        m = cls(rows, flavor)
+            m = cls(rows, flavor)
+        if "n" in data and type(data["n"]) is not int:
+            raise DomainError("declared dimension must be an integer")
         if "n" in data and data["n"] != m.n:
             raise DomainError("declared dimension does not match rows")
         return m
@@ -110,6 +120,22 @@ class SquareMatrix:
 
     # -- access -----------------------------------------------------------
 
+    @property
+    def rows(self):
+        if self._rows is None:  # exact, built from its form
+            D, B = self._form
+            self._rows = tuple(tuple(Fraction(x, D) for x in r) for r in B)
+        return self._rows
+
+    @property
+    def form(self):
+        """(D, B): D the lcm of the exact entries' denominators, B = D A."""
+        if self._form is None:  # built from its rows
+            D = math.lcm(*(x.denominator for r in self._rows for x in r))
+            self._form = D, tuple(tuple(x.numerator * (D // x.denominator)
+                                        for x in r) for r in self._rows)
+        return self._form
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j] if self.flavor == EXACT else self.rows[i, j]
@@ -122,12 +148,9 @@ class SquareMatrix:
         )
 
     def is_symmetric(self) -> bool:
-        if self.flavor == EXACT:
-            return all(
-                self.rows[i][j] == self.rows[j][i]
-                for i in range(self.n)
-                for j in range(i)
-            )
+        if self.flavor == EXACT:  # B = D A is symmetric iff A is
+            B = self.form[1]
+            return tuple(map(tuple, B)) == tuple(zip(*B))
         return bool(np.allclose(self.rows, self.rows.T))
 
     def __eq__(self, other):
@@ -243,6 +266,13 @@ class SquareMatrix:
         return basis
 
 
+def _side(rows) -> int:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DomainError("matrix must be square")
+    return n
+
+
 def _row_echelon(m) -> list[int]:
     """In-place reduction over Fractions to reduced row-echelon form;
     returns the pivot columns, one per nonzero row."""
@@ -282,41 +312,35 @@ def char_poly(A: SquareMatrix) -> RationalPolynomial:
                 "numeric char_poly requires (numerically) real coefficients"
             )
         return RationalPolynomial([Fraction(float(c.real)) for c in coeffs])
-    return RationalPolynomial(faddeev_leverrier(A.rows)[0])
+    D, B = A.form
+    return RationalPolynomial(_over_powers(faddeev_leverrier(B)[0], D))
 
 
-class _ScaledBack(UserList):
-    """The M_k(A) = M_k(B)/D^k of an exact recursion, scaled back from
-    B's integer M_k when first read: `char_poly` reads none of them."""
-
-    def __init__(self, Ms, D):  # no list until one is read
-        self._Ms, self._D = Ms, D
-
-    @cached_property
-    def data(self):
-        return [[[Fraction(x, self._D ** k) for x in r] for r in M]
-                for k, M in enumerate(self._Ms)]
+def _over_powers(cs, D) -> list[Fraction]:
+    m = len(cs) - 1  # c_j / D^(m - j): B = D A's coefficients made A's
+    return [Fraction(c, D ** (m - j)) for j, c in enumerate(cs)]
 
 
 def faddeev_leverrier(rows):
     """det(sI - A) and adj(sI - A) by the Faddeev-LeVerrier recursion.
 
-    `rows` is a list of rows of Fraction or complex entries.  Returns
-    (coeffs, Ms): the monic coefficients of det(sI - A), lowest degree
-    first, and the matrices M_0..M_{n-1} (lists of rows) with
+    `rows` is a list of rows of integer, Fraction or complex entries.
+    Returns (coeffs, Ms): the monic coefficients of det(sI - A), lowest
+    degree first, and the matrices M_0..M_{n-1} (lists of rows) with
     adj(sI - A) = sum_k M_k s^{n-1-k}, all in the scalar type of `rows`.
     M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1})/k, M_k = A M_{k-1} + c_{n-k} I.
 
-    Exact rows run in integers: with A = B/D, D the lcm of the entries'
-    denominators, B's coefficients and M_k are integers, so each / k is
-    exact, and c_{n-k}(A) = c_{n-k}(B)/D^k, M_k(A) = M_k(B)/D^k, the
-    latter on first read of Ms, a list-like sequence then.
+    Integer rows run in integers, each / k exact.  Fraction rows run on
+    the integer form (D, B) of their matrix: c_{n-k}(A) = c_{n-k}(B)/D^k
+    and M_k(A) = M_k(B)/D^k.
     """
     n = len(rows)
-    exact = all(isinstance(x, Fraction) for r in rows for x in r)
-    if exact:
-        D = math.lcm(*(x.denominator for r in rows for x in r))
-        rows = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    if any(type(x) is Fraction for r in rows for x in r):
+        D, B = SquareMatrix(rows).form
+        coeffs, Ms = faddeev_leverrier(B)
+        return _over_powers(coeffs, D), [[[Fraction(x, D ** k) for x in r]
+                                          for r in M] for k, M in enumerate(Ms)]
+    exact = all(type(x) is int for r in rows for x in r)
     one = rows[0][0] ** 0 if n else 1  # 1 in the scalar type of the entries
     coeffs = [one] * (n + 1)
     M = [[one * (i == j) for j in range(n)] for i in range(n)]
@@ -331,9 +355,6 @@ def faddeev_leverrier(rows):
         if k < n:  # M_n = 0 (Cayley-Hamilton): the last pass reads a trace
             M = [[diag[i] + c if i == j else sum(map(mul, r, col))
                   for j, col in enumerate(cols)] for i, r in enumerate(rows)]
-    if exact:
-        coeffs = [Fraction(c, D ** (n - j)) for j, c in enumerate(coeffs)]
-        Ms = _ScaledBack(Ms, D)
     return coeffs, Ms
 
 
@@ -378,22 +399,22 @@ def reduce_to_squares(q: QuadraticForm):
     to the coefficients.  Individual coefficients are basis-dependent; only
     their sign pattern (the inertia) is an invariant.
 
-    The reduction runs on the integer matrix D G, D the lcm of the entries'
-    denominators, and G = T^t (D G) T holds throughout.  A square is
-    completed as x_j <- G_kk x_j - G_kj x_k on T's columns and G's rows and
-    columns; T's column j is then divided by the gcd of its entries, and
-    G's row and column j with it, which that identity keeps exact.  T is
-    the basis of the Fraction steps x_j <- x_j - (G_kj / G_kk) x_k times
-    nonzero column scales s, and x_k <- x_k + x_j is taken in that basis,
-    so G is D diag(s) G' diag(s), G' their matrix: every pivot choice and
-    every coefficient's sign are theirs.  The coefficients are G_ii / D.
+    The reduction runs on the Gram matrix's integer form (D, B), and
+    G = T^t B T holds throughout.  A square is completed as
+    x_j <- G_kk x_j - G_kj x_k on T's columns and G's rows and columns; T's
+    column j is then divided by the gcd of its entries, and G's row and
+    column j with it, which that identity keeps exact.  T is the basis of
+    the Fraction steps x_j <- x_j - (G_kj / G_kk) x_k times nonzero column
+    scales s, held as integer (numerator, denominator) pairs, and
+    x_k <- x_k + x_j is taken in that basis, so G is D diag(s) G' diag(s),
+    G' their matrix: every pivot choice and every coefficient's sign are
+    theirs.  The coefficients are G_ii / D.
     """
-    rows = q.gram.rows
-    n = q.gram.n
-    D = math.lcm(*(x.denominator for r in rows for x in r))
-    G = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    D, B = q.gram.form
+    n = len(B)
+    G = [list(r) for r in B]
     T = [[int(i == j) for j in range(n)] for i in range(n)]
-    s = [Fraction(1)] * n
+    s = [(1, 1)] * n
 
     def combine(j, i, a, b):
         # x_j <- a x_j + b x_i: a column op on G and T, then the row op on G
@@ -401,7 +422,7 @@ def reduce_to_squares(q: QuadraticForm):
             for r in M:
                 r[j] = a * r[j] + b * r[i]
         G[j] = [a * x + b * y for x, y in zip(G[j], G[i])]
-        s[j] *= a
+        s[j] = s[j][0] * a, s[j][1]
 
     def swap(i, j):
         for M in (G, T):
@@ -431,8 +452,8 @@ def reduce_to_squares(q: QuadraticForm):
                 if i != k:
                     swap(k, i)
                     i, j = k, (i if j == k else j)
-                c = s[k] / s[j]  # x_k <- x_k + x_j in the Fraction basis
-                combine(k, j, c.denominator, c.numerator)
+                c = Fraction(s[k][0] * s[j][1], s[k][1] * s[j][0])  # s_k/s_j
+                combine(k, j, c.denominator, c.numerator)  # x_k <- x_k + x_j
         pivot = G[k][k]
         if pivot == 0:
             continue
@@ -445,9 +466,9 @@ def reduce_to_squares(q: QuadraticForm):
                         for r in M:
                             r[j] //= g
                     G[j] = [x // g for x in G[j]]
-                    s[j] /= g
+                    s[j] = s[j][0], s[j][1] * g
     coeffs = [Fraction(G[i][i], D) for i in range(n)]
-    return coeffs, SquareMatrix(T)
+    return coeffs, SquareMatrix._from_form(1, tuple(map(tuple, T)))
 
 
 def inertia(q: QuadraticForm) -> Inertia:
@@ -503,8 +524,8 @@ def hermite_root_count(p: RationalPolynomial) -> tuple[int, int]:
     if d == 0:
         return (0, 0)
     _, S = newton_power_sums(p, 2 * d - 2)
-    H = SquareMatrix([[S[i + j] for j in range(d)] for i in range(d)])
-    ine = inertia(QuadraticForm(H))
+    H = [[S[i + j] for j in range(d)] for i in range(d)]
+    ine = inertia(QuadraticForm(SquareMatrix._from_form(1, H)))
     return ine.n_pos + ine.n_neg, ine.signature
 
 
@@ -575,6 +596,16 @@ def _place_root(f: RationalPolynomial, h: RationalPolynomial,
     return neg - va, shared
 
 
+def _char_polys(A: SquareMatrix):
+    """det(sI - A) and det(sI - A_11), A_11 the trailing block, from one
+    recursion on A's form (D, B): the latter is the (1,1) cofactor of
+    sI - A, the [0][0] entry of adj(sI - A) = sum_k M_k(B)/D^k s^{n-1-k}."""
+    D, B = A.form
+    coeffs, Ms = faddeev_leverrier(B)
+    return (RationalPolynomial(_over_powers(coeffs, D)), RationalPolynomial(
+        _over_powers([M[0][0] for M in reversed(Ms)], D)))
+
+
 @dataclass(frozen=True)
 class InterlacingReport:
     passed: bool
@@ -597,9 +628,7 @@ def interlacing_check(A: SquareMatrix) -> InterlacingReport:
     A._require_exact()
     if not A.is_symmetric():
         raise DomainError("interlacing_check expects a symmetric matrix")
-    outer = real_roots_with_multiplicity(char_poly(A))
-    inner = real_roots_with_multiplicity(
-        char_poly(SquareMatrix([r[1:] for r in A.rows[1:]])))
+    outer, inner = map(real_roots_with_multiplicity, _char_polys(A))
     # lam[i] (mu[i]): the index of the i-th eigenvalue of A (of its
     # block) among the distinct outer (inner) roots
     lam = [j for j, r in enumerate(outer) for _ in range(r.multiplicity)]

@@ -6,14 +6,14 @@ their square-free part before a Sturm chain is built.
 
 Evaluation and long division run on the integer coefficients over their
 lcm denominator, and return the values the rational loops would.  One
-integer division loop serves divmod, gcds, which run Euclid on primitive
-integer remainders and are made monic at the end, and Sturm chains, held
-as each member's sign and primitive integer part (Collins's primitive
-remainder sequence): their sign variations are read off those integers,
-and root isolation bisects on integer (numerator, denominator) pairs.
-Input text "p" or "p/q" in ASCII digits is read with `int`.  A polynomial
-keeps its cleared coefficients, derivative, square-free part (with
-gcd(p, p')) and Sturm chain once computed.
+integer division loop serves divmod, square-free parts, gcds, which run
+Euclid on primitive integer remainders and are made monic at the end,
+and Sturm chains, held as each member's sign and primitive integer part
+(Collins's primitive remainder sequence): their sign variations are read
+off those integers, and root isolation bisects on integer (numerator,
+denominator) pairs.  Input text "p" or "p/q" in ASCII digits is read with
+`int`.  A polynomial keeps its cleared coefficients, square-free part
+(with gcd(p, p')) and Sturm chain once computed.
 """
 
 from __future__ import annotations
@@ -44,10 +44,15 @@ def _json_number(x):
 
 
 def parse_rational(x, what: str) -> Fraction:
-    """One input number, from JSON or text, as a Fraction; `what` names it
-    in the DomainError for a value that is not a number (JSON true and
-    false, text such as "abc", and NaN included) or has a zero
-    denominator.
+    """`_rational_pair`'s number as a Fraction."""
+    return Fraction(*_rational_pair(x, what))
+
+
+def _rational_pair(x, what: str) -> tuple[int, int]:
+    """One input number, from JSON or text, as its lowest terms (n, d),
+    d > 0; `what` names it in the DomainError for a value that is not a
+    number (JSON true and false, text such as "abc", and NaN included) or
+    has a zero denominator.
 
     Text "p" or "p/q" of ASCII digits, p with an optional sign, is read
     with `int`; anything else (whitespace, `_`, other digits,
@@ -60,8 +65,13 @@ def parse_rational(x, what: str) -> Fraction:
             digits = num[1:] if num[:1] in ("-", "+") else num
             if (digits.isascii() and digits.isdigit()
                     and (not slash or den.isascii() and den.isdigit())):
-                return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(_json_number(x))
+                n, d = int(num), int(den) if slash else 1
+                if not d:
+                    raise ZeroDivisionError
+                g = math.gcd(n, d)
+                return n // g, d // g
+        x = Fraction(_json_number(x))
+        return x.numerator, x.denominator
     except (TypeError, OverflowError) as e:
         raise DomainError(f"bad {what}: {e}") from e
     except ValueError as e:
@@ -315,19 +325,27 @@ def square_free_part(p: RationalPolynomial) -> RationalPolynomial:
 
 def _square_free(p: RationalPolynomial):
     """(square-free part, gcd(p, p')), computed once per polynomial and
-    kept on it; a square-free part is its own square-free part."""
+    kept on it; a square-free part is its own square-free part.  p' is
+    read off p's cleared coefficients, and p / g is taken on primitive
+    parts: by Gauss's lemma the quotient Q has integer terms and is
+    primitive, with a positive lead, so the monic Q / Q_0 clears to Q."""
     if p.is_zero:
         raise DomainError("square-free part of the zero polynomial")
     if p._sqfree is None:
         if p.degree == 0:
             f = g = p.scale(1 / p.leading)
         else:
-            g = poly_gcd(p, p.derivative())
-            q, r = divmod(p, g)
-            if not r.is_zero:
+            C = p._clear()[1]
+            g = poly_gcd(p, RationalPolynomial(
+                [i * c for i, c in enumerate(reversed(C))][1:]))
+            quo, rem, _ = _int_divmod(_primitive(C)[1],
+                                      _primitive(g._clear()[1])[1])
+            if any(rem):
                 raise InternalInconsistencyError(
                     "square-free part: gcd(p, p') does not divide p")
-            f = q.scale(1 / q.leading) if p.leading != 1 else q
+            Q = tuple(v for v, _ in quo)
+            f = RationalPolynomial([Fraction(v, Q[0]) for v in reversed(Q)])
+            f._cleared = Q[0], Q
         f._sqfree = (f, RationalPolynomial([1]))
         p._sqfree = (f, g)
     return p._sqfree

@@ -7,16 +7,18 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secular import cli
 from secular.cli import run
@@ -283,6 +285,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: input:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["inertia", "hermite-count", "interlace"])
+    def test_exact_only_command_refuses_numeric_matrix(self, capsys, cmd):
+        # eigenvalues 0.4, 1, 1: hermite-count once printed "distinct": 3,
+        # "distinct_real": 1, a complex pair for a real symmetric matrix
+        code, out, err = invoke(capsys, [cmd, "--matrix", (
+            '{"flavor":"numeric","rows":[[[0.7,0],[0.3,0],[0,0]],'
+            '[[0.3,0],[0.7,0],[0,0]],[[0,0],[0,0],[1,0]]]}')])
+        assert (code, out) == (1, "")
+        assert err == "error: input: operation requires exact flavor\n"
+
+    @pytest.mark.parametrize("n", ["true", "1.0", '"1"', "null"])
+    def test_declared_dimension_must_be_an_integer(self, capsys, n):
+        # true == 1 and 1.0 == 1 in Python: both once passed as n = 1
+        code, out, err = invoke(capsys, [
+            "charpoly", "--matrix", '{"rows": [[1]], "n": %s}' % n])
+        assert (code, out) == (1, "")
+        assert err == "error: input: declared dimension must be an integer\n"
 
     def test_jordan_exact_flavor_of_numeric_matrix_is_input_error(
             self, capsys):
@@ -701,6 +721,45 @@ def test_exact_commands_print_frozen_bytes(capsys, name):
         assert invoke(capsys, [cmd, "--matrix", matrix]) == (0, expected, "")
 
 
+def _seeded_exact_corpus():
+    """Rational symmetric matrices, n = 1..7, with p/q entries: per n one
+    drawn at random and one H D H, H a rational Householder reflection and
+    D with a repeated eigenvalue."""
+    rng = random.Random(31)
+    mats = []
+    for n in range(1, 8):
+        M = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(n)] for _ in range(n)]
+        mats.append([[M[min(i, j)][max(i, j)] for j in range(n)]
+                     for i in range(n)])
+        eigs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(n)]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            eigs[j] = eigs[i]
+        v = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n)]
+        vv = sum(x * x for x in v)
+        H = [[int(r == c) - 2 * v[r] * v[c] / vv for c in range(n)]
+             for r in range(n)]
+        mats.append([[sum(H[r][k] * eigs[k] * H[k][c] for k in range(n))
+                      for c in range(n)] for r in range(n)])
+    return mats
+
+
+def test_exact_commands_on_seeded_corpus_print_frozen_bytes(capsys):
+    # the exact commands' bytes on 14 matrices, jordan's "irrational
+    # eigenvalues" refusals of the random ones included, as one digest
+    digest = hashlib.sha256()
+    for M in _seeded_exact_corpus():
+        text = json.dumps({"rows": [[str(x) for x in r] for r in M]})
+        for cmd in ("charpoly", "inertia", "hermite-count", "interlace",
+                    "jordan"):
+            code, out, err = invoke(capsys, [cmd, "--matrix", text])
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == (
+        "6d1a0677f129982e28b165f34b45e11b95d8aa19119f34a3d0ed3f014892725f")
+
+
 class TestDeterminism:
     def test_identical_bytes(self, capsys, worked_matrix):
         runs = []
@@ -1031,8 +1090,10 @@ def _malformed_matrix(draw):
         data["rows"] = draw(_json_scalars)
     elif defect == "empty":
         data["rows"] = []
-    elif defect == "n":
-        data["n"] = n + draw(st.integers(1, 3))
+    elif defect == "n":  # a wrong size, or n itself as no JSON integer
+        data["n"] = draw(st.one_of(
+            st.integers(1, 3).map(lambda k: n + k),
+            st.sampled_from([True, False, float(n), str(n), None, [n]])))
     else:
         data["flavor"] = draw(st.text(alphabet="xyz", min_size=1, max_size=3))
     return json.dumps(data)
@@ -1052,6 +1113,8 @@ def _malformed_poly(draw):
 
 @given(st.one_of(_malformed_matrix().map(lambda t: ["charpoly", "--matrix", t]),
                  _malformed_poly().map(lambda t: ["sturm", "count", "--poly", t])))
+@example(["charpoly", "--matrix", '{"rows": [[1]], "n": true}'])
+@example(["charpoly", "--matrix", '{"rows": [[1, 0], [0, 1]], "n": 2.0}'])
 @settings(max_examples=150, deadline=None)
 def test_malformed_json_is_one_line_input_error(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from secular.matrixcore import (
     Inertia,
     QuadraticForm,
     SquareMatrix,
+    _char_polys,
     _exact_quotient,
     _place_root,
     char_poly,
@@ -25,6 +27,7 @@ from secular.ratpoly import (
     RationalPolynomial as P,
     count_real_roots,
     isolate_real_roots,
+    parse_rational,
     poly_gcd,
     square_free_part,
 )
@@ -80,6 +83,96 @@ class TestCharPoly:
         A = SquareMatrix([[2.0, 0.0], [0.0, 3.0]], flavor="numeric")
         cp = char_poly(A)
         assert abs(float(cp.coeffs[0]) - 6.0) < 1e-9
+
+
+_digits = st.one_of(st.integers(0, 12), st.integers(0, 10 ** 30)).map(str)
+_spellings = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),  # JSON integers
+    # p or p/q in ASCII digits: signs, leading zeros, 0 numerators, p/0
+    st.builds(lambda sign, zeros, p, q: f"{sign}{zeros}{p}{q}",
+              st.sampled_from(["", "-", "+"]), st.sampled_from(["", "0", "00"]),
+              _digits, st.one_of(st.just(""), _digits.map("/{}".format),
+                                 _digits.map("/00{}".format))),
+    # whitespace, `_`, decimals, exponents and other spellings (a small
+    # right side: Fraction("1e<k>") takes time that grows faster than k)
+    st.builds("{}{}{}".format, _digits,
+              st.sampled_from([" ", "_", ".", "e", "e-", "E+", " / ", "/-",
+                               "//", "/+", "\u0663"]),
+              st.integers(0, 99).map(str)),
+    st.builds(" {} ".format, _digits),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([True, False, None, "", "-", "/", "abc", [1], {}]))
+
+
+@st.composite
+def json_matrix_rows(draw):
+    """Rows of spellings, square, ragged or with an empty row or none."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_spellings, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["square"] * 3 + ["ragged", "empty row",
+                                                   "no rows"]))
+    if shape == "ragged":
+        del rows[draw(st.integers(0, n - 1))][-1]
+    elif shape == "empty row":
+        rows[draw(st.integers(0, n - 1))] = []
+    elif shape == "no rows":
+        rows = []
+    return rows
+
+
+@given(json_matrix_rows())
+@settings(max_examples=300, deadline=None)
+def test_matrix_reader_agrees_with_parse_rational(rows):
+    # the reader's integer form holds parse_rational's values, and its
+    # errors are parse_rational's, first entry first, before the shape's
+    def read(text):
+        try:
+            return SquareMatrix.from_json(text).rows
+        except DomainError as e:
+            return str(e)
+
+    def reference():
+        if not rows:
+            return read("[]")
+        try:
+            vals = [[parse_rational(x, "matrix entry") for x in r]
+                    for r in rows]
+        except DomainError as e:
+            return str(e)
+        if any(len(r) != len(vals) for r in vals):
+            return "matrix must be square"
+        return tuple(map(tuple, vals))
+    assert read(json.dumps(rows)) == reference()
+
+
+@pytest.mark.parametrize("entry, expected", [
+    # values and messages of the parser that built Fractions entry by entry
+    ("4/6", Fraction(2, 3)), ("-0/5", Fraction(0)), ("+007/014", Fraction(1, 2)),
+    (" 3 ", Fraction(3)), ("1e2", Fraction(100)), ("1_0", Fraction(10)),
+    ("1.5", Fraction(3, 2)), (2.5, Fraction(5, 2)), (-3, Fraction(-3)),
+    ("1/0", "bad matrix entry: 1/0 has a zero denominator"),
+    ("0/0", "bad matrix entry: 0/0 has a zero denominator"),
+    ("1/00", "bad matrix entry: 1/00 has a zero denominator"),
+    ("abc", "bad matrix entry: abc is not a number"),
+    ("3/-4", "bad matrix entry: 3/-4 is not a number"),
+    (True, "bad matrix entry: true is not a number"),
+    (float("nan"), "bad matrix entry: nan is not a number"),
+    (float("inf"),
+     "bad matrix entry: cannot convert Infinity to integer ratio"),
+    (None, "bad matrix entry: "
+     "argument should be a string or a Rational instance"),
+])
+def test_matrix_reader_keeps_its_values_and_errors(entry, expected):
+    text = json.dumps([[entry]])
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as e:
+            SquareMatrix.from_json(text)
+        assert str(e.value) == expected
+    else:
+        A = SquareMatrix.from_json(text)
+        assert A.rows == ((expected,),)
+        assert A.form == (expected.denominator, ((expected.numerator,),))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -194,6 +287,20 @@ def test_faddeev_leverrier_on_integers_matches_fractions(rows):
     assert (coeffs, Ms) == _fraction_faddeev_leverrier(rows)
     assert all(type(c) is Fraction for c in coeffs)
     assert all(type(x) is Fraction for M in Ms for r in M for x in r)
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_adjugate_corner_is_the_trailing_blocks_polynomial(rows):
+    # M_k[0][0] / D^k of the recursion on B = D A, for any rational A,
+    # are the coefficients of det(sI - A_11), highest degree first
+    A = SquareMatrix(rows)
+    D, B = A.form
+    _, Ms = faddeev_leverrier(B)
+    block = char_poly(SquareMatrix([r[1:] for r in rows[1:]]))
+    assert [Fraction(M[0][0], D ** k) for k, M in enumerate(Ms)] == list(
+        reversed(block.coeffs))
+    assert _char_polys(A) == (char_poly(A), block)
 
 
 def test_integer_recursion_refuses_an_inexact_division():
@@ -601,10 +708,10 @@ def test_gaps_follow_planted_inner_roots(data):
     A = SquareMatrix([[lam[i] if i == j else 0 for j in range(len(lam))]
                       for i in range(len(lam))])
 
-    def planted(M):  # this module's char_poly is the unpatched one
-        return char_poly(M) if M.n == A.n else P.from_roots(mu)
+    def planted(M):  # A's polynomial, and the block's as planted
+        return char_poly(M), P.from_roots(mu)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("secular.matrixcore.char_poly", planted)
+        mp.setattr("secular.matrixcore._char_polys", planted)
         rep = interlacing_check(A)
     gaps = tuple(lam[i] <= m <= lam[i + 1] for i, m in enumerate(mu))
     assert (rep.gap_results, rep.passed) == (gaps, all(gaps))
@@ -638,7 +745,7 @@ class TestInterlacing:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_reads_two_characteristic_polynomials(self, monkeypatch, n):
-        # A's and its trailing block's, not every trailing minor's
+        # A's and its trailing block's, both from one recursion on A
         sizes = []
 
         def counted(rows):
@@ -646,7 +753,7 @@ class TestInterlacing:
             return faddeev_leverrier(rows)
         monkeypatch.setattr("secular.matrixcore.faddeev_leverrier", counted)
         assert interlacing_check(random_symmetric(random.Random(n), n)).passed
-        assert sizes == [n, n - 1]
+        assert sizes == [n]
 
     def test_symmetric_reality(self):
         # Laplace reality: all roots of the secular equation are real
