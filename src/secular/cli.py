@@ -342,11 +342,9 @@ def _cmd_floquet(args, cfg: RunConfig) -> None:
         a_grid, q_grid = np.meshgrid(a_vals, q_vals, indexing="ij")
         family = characteristic_exponents(
             monodromy(hill_system(a_grid, q_grid), cfg.tol), cfg.cluster_tol)
-        rows = []
-        for a, q, exps in zip(a_grid.ravel(), q_grid.ravel(), family):
-            smax = max(abs(s) for s in exps.multipliers)
-            rows.append((float(a), float(q), float(smax),
-                         classify_periodic_stability(exps).tag))
+        rows = [(a, q, max(map(abs, exps.multipliers)),
+                 classify_periodic_stability(exps).tag) for a, q, exps in zip(
+                     a_grid.ravel().tolist(), q_grid.ravel().tolist(), family)]
         _emit_csv(cfg, "a,q,smax,verdict", rows)
     else:
         if args.a is None or args.q is None:

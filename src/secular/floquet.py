@@ -11,23 +11,24 @@ scipy's scalar controller on Python floats and is bit-identical to
 at the times its caller names (``t_eval``): the 7th-order interpolant
 costs three more right-hand-side calls, so only a step that holds a
 sample or the event's root builds it.  A 2-D stack of starts flies in one
-numpy loop: each member keeps its own time, step size and rejections,
-so it takes the steps of its own flight, while one vectorized
-right-hand-side call per stage serves every member, as do three more
-for the interpolants of all members whose roots fall in one pass of
-the loop.  The three-body and surface-of-section modules reuse it, and
-`monodromy` flies a family of periodic systems, such as a Hill grid, as
-one stack.  A time-reversible system, such as Hill's equation, flies
-half a period and `reversed_monodromy` reads M off it, the rule by which
-the three-body corrector reads a symmetric orbit's M off its half-period
-STM.  `characteristic_exponents` reads a family of monodromies in one
-batch.
+numpy loop: each member keeps its own time, step size and rejections, so
+it takes the steps of its own flight and leaves at its own end, while one
+right-hand-side call per stage serves the members in flight (a family of
+systems reads them off `calling.who`), as do three more for the
+interpolants of all members whose roots fall in one pass of the loop.
+The three-body and surface-of-section modules reuse it, and `monodromy`
+flies a family of periodic systems, such as a Hill grid, as one stack.  A
+time-reversible system, such as Hill's equation, flies half a period and
+`reversed_monodromy` reads M off it, the rule by which the three-body
+corrector reads a symmetric orbit's M off its half-period STM.
+`characteristic_exponents` reads a family of monodromies in one batch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,12 +36,16 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, NonConvergenceError, SingularityError
 from .jordan import jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
 DEFAULT_TOL = 1e-10
+MAX_TRIES = 100_000  # a lone flight's step tries, about 30 s at 0.3 ms each
 _EPS = np.finfo(float).eps
+# calling.who: the members, by index in x0, of the stacked call to f in
+# progress; f gets (t, y) alone, so that a (t, y) wrapper of f still works
+calling = threading.local()
 
 # scipy's DOP853: 12 stages a step, the derivative at the step's end as
 # the 13th row of K, three more stages for the dense output
@@ -190,7 +195,8 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     hold the steps.  Only a step that holds a sample or the root builds
     its interpolant.  A step size that underflows, or a step size or
     error estimate that is not finite, ends the flight with a
-    SingularityError.
+    SingularityError; a lone flight ends after MAX_TRIES step tries with a
+    NonConvergenceError that carries its last state.
 
     The start's shape picks the loop, under scipy's step rule.  A 1-D
     start flies on Python floats, with the stage sums and error norms of
@@ -202,17 +208,17 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     own, so it takes the steps of its flight alone, bit for bit if f
     treats its members apart.  f then takes the k members' times, an
     array, and their states as the flattened (n, k) row-major stack, and
-    returns their derivatives likewise.  Without an event every call holds all m members in x0's
-    order, a member at the end standing still, so f may be a family of m
-    systems.  With one, g0 is a float or one per member, and a member
-    leaves the calls at its root or the end of the span.  ``final`` holds
-    each member's last state and ``t`` the start and the latest end; a
-    stack takes no t_eval.  A SingularityError names in ``members`` the
-    members at fault, by their index in x0.  ``relay`` hands a member on
-    at its root: relay(j, t, x) gets its index in x0 and the root's time
-    and state, and returns None, and the member leaves, or (start, g0) of
-    its next leg, which it flies from t0 in its own place in the calls.
-    A relayed member's steps and roots add up over its legs.
+    returns their derivatives likewise.  A member leaves the calls at its
+    own end, its root or the end of the span, and f may be a family of m
+    systems that reads its members off ``calling.who``.  With an event, g0
+    is a float or one per member.  ``final`` holds each member's last
+    state and ``t`` the start and the latest end; a stack takes no
+    t_eval.  A SingularityError names in ``members`` the members at
+    fault, by their index in x0.  ``relay`` hands a member on at its root:
+    relay(j, t, x) gets its index in x0 and the root's time and state, and
+    returns None, and the member leaves, or (start, g0) of its next leg,
+    which it flies from t0 in its own place in the calls.  A relayed
+    member's steps and roots add up over its legs.
     """
     tol = float(tol)
     t0, t_end = map(float, t_span)
@@ -277,7 +283,7 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
     K[:s].T.dot(a) * h (np.dot's routine, without its dispatch) and the
     error norms as scipy's numpy calls take them, the controller on Python
     floats.  Returns the steps (the samples, given t_eval) and the states
-    there, the event's root, and the work done."""
+    there, the event's root, and the work done, within MAX_TRIES tries."""
     n = len(y)
     direction = 1.0 if t_end >= t else -1.0
     toward = direction * math.inf
@@ -334,6 +340,9 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
                                                     y)
 
     while True:
+        if acc + rej == MAX_TRIES:
+            raise NonConvergenceError(f"the flight took {MAX_TRIES} step "
+                                      f"tries by t={t:.6g}", best=y)
         # scipy's step: at least min_step, unless it retries a rejection
         min_step = 10 * abs(math.nextafter(t, toward) - t)
         if not retry:
@@ -400,9 +409,9 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
 def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     """m starts flown in one loop, scipy's controller over the stack in
     numpy, each state, derivative and stage sum held as (n, k) columns of
-    the k members in flight; a member that ``relay`` hands on flies its
-    next leg in its own column.  Returns each member's last time and
-    state, its roots, and the work done."""
+    the k members in flight; each leaves at its root or t_end, unless
+    ``relay`` hands it on to fly its next leg in its own column.  Returns
+    each member's last time and state, its roots, and the work done."""
     n, m = x0.shape
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
@@ -414,6 +423,7 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         """f at times t and (n, k) states y of the members ``who``."""
         nonlocal states
         states += len(who)
+        calling.who = who
         try:
             return np.asarray(f(t, y.ravel()), dtype=float).reshape(n, -1)
         except SingularityError as e:
@@ -444,7 +454,6 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         h_abs = np.where(retry, H, np.maximum(H, min_step))
         ok = h_abs >= min_step  # a member that fails is not flown again
         tn = clip(t + h_abs * direction, t_end)
-        # a length of 0 for a member standing at the end
         return tn, tn - t, np.where(ok, 0, np.where(np.isfinite(h_abs), 1, 2))
 
     def failure(p, reason):
@@ -475,13 +484,12 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     else:
         fy, t_new, hh, fail = launch(cols, y)
     while len(cols):
-        k = len(cols)
         if fail.any():
             p = int(np.flatnonzero(fail)[0])
             raise failure(p, _FAILURES[fail[p]])
         h = hh
         tc = t + _C[:, None] * h  # the stages' times
-        K = np.empty((k, _S + 1, n))  # each member's stage rows
+        K = np.empty((len(cols), _S + 1, n))  # each member's stage rows
         K[:, 0] = fy.T
         for s in range(1, _S):
             dy = _combine(K[:, :s], _A[s, :s]) * h
@@ -512,18 +520,17 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         factor = np.minimum(np.maximum(grow, _MIN_FACTOR),
                             np.where(retry, 1.0, _MAX_FACTOR))
         accept = err < 1
-        acc += accept & (h != 0)
+        acc += accept
         rej += ~accept
         t, retry = np.where(accept, t_new, t), ~accept
         t_new, hh, fail = plan(t, h_abs * factor, retry)
         y, fy = np.where(accept, y_new, y), np.where(accept, f_new, fy)
-        leave = t == t_end if event else np.full(k, (t == t_end).all())
+        leave = t == t_end
         back = []  # the positions of the members handed on
         lands = []  # one array test finds the members whose root is here
         if event:
-            moved = accept & (h_step != 0)
-            g_old, g = g, np.where(moved, y_new[row], g)
-            lands = np.flatnonzero(moved & (sense * g_old <= 0)
+            g_old, g = g, np.where(accept, y_new[row], g)
+            lands = np.flatnonzero(accept & (sense * g_old <= 0)
                                    & (sense * g >= 0)).tolist()
         if lands:  # their interpolants, three rhs calls for them all
             F = _dense_coefficients(
@@ -570,8 +577,8 @@ class PeriodicLinearSystem:
     """x' = A(t) x with A(t + T) = A(t).
 
     With ``members`` = m it is a family of m such systems of one period:
-    A_of_t then maps the members' times, an array of m, to their
-    (m, n, n) matrices.  A ``reversor`` R, an involution with
+    A_of_t(t, who) then maps the times of the members ``who`` to their
+    (len(who), n, n) matrices.  A ``reversor`` R, an involution with
     A(-t) = -R A(t) R, makes the system time-reversible:
     Phi(-t) = R Phi(t) R, so `monodromy` flies half a period.
     """
@@ -600,7 +607,8 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
     (n * n, m) stack."""
     m = sys.members
     with np.errstate(over="ignore", invalid="ignore"):  # integrate reports it
-        n = np.shape(sys.A_of_t(0.0 if m is None else np.zeros(m)))[-1]
+        n = np.shape(sys.A_of_t(0.0) if m is None
+                     else sys.A_of_t(np.zeros(m), np.arange(m)))[-1]
     if m is None:
         def rhs(t, flat):
             X = flat.reshape(n, n)
@@ -608,8 +616,9 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
         x0 = np.eye(n).ravel()
     else:
         def rhs(t, flat):  # member j: A_j X_j, with X_j = X[:, :, j]
-            At = np.asarray(sys.A_of_t(t), dtype=float).transpose(1, 2, 0)
-            X = flat.reshape(n, n, m)
+            At = np.asarray(sys.A_of_t(t, calling.who),
+                            dtype=float).transpose(1, 2, 0)
+            X = flat.reshape(n, n, -1)
             return (At[:, :, None, :] * X[None]).sum(axis=1).ravel()
         x0 = np.tile(np.eye(n).reshape(-1, 1), m)
     return n, integrate(rhs, x0, (0.0, t_end), tol, t_eval=t_eval)
@@ -677,19 +686,20 @@ def characteristic_exponents(
     tol = cluster_tol * np.maximum(np.linalg.norm(Z, 2, axis=(1, 2)), 1.0)
     apart = ~np.eye(Ms.shape[-1], dtype=bool)
     gaps = np.abs(lams[:, :, None] - lams[:, None, :])[:, apart]
-    clustered = (gaps <= tol[:, None]).any(axis=1)
-    out = []
-    for mono, M, s, lam, tied in zip(monos, Ms, mults, lams, clustered):
+    clustered = (gaps <= tol[:, None]).any(axis=1).tolist()
+    out = []  # each member read off plain rows of Python complex numbers
+    for mono, M, s, lam, tied in zip(monos, Ms, mults.astype(complex).tolist(),
+                                     lams.tolist(), clustered):
         T = mono.period
-        s = sorted(map(complex, s), key=_by_re_im)
+        s.sort(key=_by_re_im)
         if tied:
             blocks = jordan_form(SquareMatrix(M, NUMERIC),
                                  cluster_tol=cluster_tol).blocks
         else:
-            blocks = tuple((z, (1,)) for z in sorted(map(complex, lam),
-                                                     key=_by_re_im))
+            lam.sort(key=_by_re_im)
+            blocks = tuple([(z, (1,)) for z in lam])
         # cmath.log gives Im in (-pi, pi], hence Im alpha in (-pi/T, pi/T]
-        out.append(ExponentSet(tuple(s), tuple(cmath.log(z) / T for z in s),
+        out.append(ExponentSet(tuple(s), tuple([cmath.log(z) / T for z in s]),
                                T, blocks))
     return out if family else out[0]
 
@@ -714,10 +724,9 @@ def classify_periodic_stability(exps: ExponentSet, tol=1e-6) -> PeriodicStabilit
     semisimple; any |s| in the +-tol band around 1 is additionally flagged
     marginal rather than silently accepted.
     """
-    marginal = tuple(
-        s for s in exps.multipliers if abs(abs(s) - 1.0) <= tol
-    )
-    above = [s for s in exps.multipliers if abs(s) > 1.0 + tol]
+    mods = [(s, abs(s)) for s in exps.multipliers]
+    marginal = tuple([s for s, r in mods if abs(r - 1.0) <= tol])
+    above = [s for s, r in mods if r > 1.0 + tol]
     if above:
         return PeriodicStabilityVerdict(UNSTABLE, tuple(above), marginal)
     secular_witnesses = []
@@ -783,7 +792,7 @@ def hill_system(a, q) -> PeriodicLinearSystem:
     pi-periodic system, time-reversible under R = diag(1, -1).
 
     Arrays a and q (broadcast together, then flattened) give the family
-    of their members, whose A_of_t takes the members' times.
+    of their members, whose A_of_t(t, who) reads a[who] and q[who].
     """
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise DomainError("a and q must be finite")
@@ -795,9 +804,9 @@ def hill_system(a, q) -> PeriodicLinearSystem:
     a, q = (v.ravel() for v in np.broadcast_arrays(np.asarray(a, float),
                                                    np.asarray(q, float)))
 
-    def A_of_t(t):
-        A = np.zeros((len(a), 2, 2))
+    def A_of_t(t, who):
+        A = np.zeros((len(who), 2, 2))
         A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -(a - 2.0 * q * np.cos(2.0 * t))
+        A[:, 1, 0] = -(a[who] - 2.0 * q[who] * np.cos(2.0 * t))
         return A
     return PeriodicLinearSystem(A_of_t, math.pi, len(a), _HILL_REVERSOR)

@@ -30,6 +30,9 @@ from .errors import DomainError, InternalInconsistencyError
 #: sentinels for unbounded interval endpoints
 NEG_INF = object()
 POS_INF = object()
+#: the largest decimal exponent of an input number (Fraction computes 10**k),
+#: Python's default_max_str_digits
+MAX_EXPONENT = 4300
 
 
 def _to_frac(x) -> Fraction:
@@ -51,8 +54,8 @@ def parse_rational(x, what: str) -> Fraction:
 def _rational_pair(x, what: str) -> tuple[int, int]:
     """One input number, from JSON or text, as its lowest terms (n, d),
     d > 0; `what` names it in the DomainError for a value that is not a
-    number (JSON true and false, text such as "abc", and NaN included) or
-    has a zero denominator.
+    number (JSON true and false, text such as "abc", and NaN included),
+    has a zero denominator or a decimal exponent past MAX_EXPONENT.
 
     Text "p" or "p/q" of ASCII digits, p with an optional sign, is read
     with `int`; anything else (whitespace, `_`, other digits,
@@ -70,6 +73,11 @@ def _rational_pair(x, what: str) -> tuple[int, int]:
                     raise ZeroDivisionError
                 g = math.gcd(n, d)
                 return n // g, d // g
+            head, e, k = x.replace("E", "e").partition("e")
+            if e and k[:1].strip() and abs(int(k)) > MAX_EXPONENT:
+                Fraction(head + "e0")  # a number but for its exponent
+                raise DomainError(f"bad {what}: {x} has an exponent past "
+                                  f"{MAX_EXPONENT}")
         x = Fraction(_json_number(x))
         return x.numerator, x.denominator
     except (TypeError, OverflowError) as e:

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from secular import cli
 from secular.cli import run
 from secular.errors import NonConvergenceError
 from secular.matrixcore import SquareMatrix
-from secular.ratpoly import RationalPolynomial
+from secular.ratpoly import MAX_EXPONENT, RationalPolynomial, parse_rational
 from secular.pcr3bp import _flow_to_crossing
 from secular.section import linearize_map
 
@@ -181,6 +182,19 @@ class TestExitCodes:
                        "not reach 1e-11 in 2 steps "
                        "(best iterate: [0.83, 0.0, 0.0, 0.0125])\n")
 
+    def test_endless_propagate_ends_at_the_step_budget(self, capsys,
+                                                       monkeypatch):
+        # --t 1e300 once had no practical end; the budget, here lowered to
+        # 40 tries, ends it with the flight's last state
+        monkeypatch.setattr("secular.floquet.MAX_TRIES", 40)
+        code, out, err = invoke(capsys, [
+            "--format", "csv", "pcr3bp", "propagate", "--mu", "0.01",
+            "--state=-0.5,0.3,0.2,-0.1", "--t", "1e300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-convergence: the flight took 40 "
+                              "step tries by t=")
+        assert "(best iterate: [" in err and err.count("\n") == 1
+
     def test_internal_error_is_not_input_error(self, capsys, monkeypatch):
         # a gcd that does not divide its polynomial is a bug, not bad input
         monkeypatch.setattr("secular.ratpoly.poly_gcd",
@@ -278,6 +292,28 @@ class TestExitCodes:
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (1, "")
         assert err == f"error: input: {message}: abc is not a number\n"
+
+    @pytest.mark.parametrize("argv, message, text", [
+        (["charpoly", "--matrix", '[["1e1000000000"]]'], "bad matrix entry",
+         "1e1000000000"),
+        (["sturm", "count", "--poly=1e-1000000000,1"],
+         "bad polynomial coefficient", "1e-1000000000"),
+    ], ids=["matrix-entry", "coefficient"])
+    def test_exponent_past_the_bound_is_refused_at_once(self, capsys, argv,
+                                                       message, text):
+        # Fraction would compute 10**k: "1e10000000" alone took 8.2 s
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: input: {message}: {text} has an exponent "
+                       f"past {MAX_EXPONENT}\n")
+
+    def test_exponent_at_the_bound_keeps_its_value(self):
+        start = time.perf_counter()
+        assert parse_rational("1e4300", "x") == Fraction(10) ** MAX_EXPONENT
+        assert parse_rational("-2.5E-4300", "x") == Fraction(-25, 10 ** 4301)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_list_coeffs_is_input_error(self, capsys):
         code, out, err = invoke(capsys, [

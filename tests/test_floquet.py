@@ -16,9 +16,10 @@ from scipy.linalg import expm
 
 from secular import floquet, pcr3bp
 from secular.cli import run
-from secular.errors import DomainError, SingularityError
+from secular.errors import DomainError, NonConvergenceError, SingularityError
 from secular.floquet import (
     BOUNDED,
+    DEFAULT_TOL,
     SECULAR,
     UNSTABLE,
     ExponentSet,
@@ -580,14 +581,18 @@ class TestStepper:
         assert stack.states_evaluated == 2 * ref.nfev
 
     def test_family_members_hold_their_columns(self):
-        # x' = -k_j x for member j: a family whose rhs needs its members'
-        # rates in x0's order throughout, including after early arrivals
+        # x' = -k_j x for member j: a family whose rhs reads the rates of
+        # the members each call serves, which early arrivals leave
         rates = np.array([0.1, 5.0, 30.0])
+        widths = []
 
         def f(t, y):
-            assert len(y) == len(t) == 3
-            return -rates * y
+            who = floquet.calling.who
+            assert len(y) == len(t) == len(who)
+            widths.append(len(who))
+            return -rates[who] * y
         traj = integrate(f, np.ones((1, 3)), (0.0, 1.0), 1e-10)
+        assert min(widths) < 3
         assert np.allclose(traj.final, np.exp(-rates), rtol=1e-8)
         assert len(set(traj.accepted_steps.tolist())) == 3
 
@@ -739,6 +744,50 @@ def test_stacked_interpolants_are_each_members_own(seed, n, L):
     F = F.reshape(-1, n, L)
     for j in range(L):
         assert F[:, :, j].tobytes() == alone[j].tobytes()
+
+
+def test_readme_grid_member_flies_its_own_flight():
+    # each member leaves the calls at its own end: its M is bit for bit
+    # that of a family of one, and the family evaluates no more states
+    # than its members' own flights
+    a_grid, q_grid = np.meshgrid(np.linspace(0.5, 1.5, 21),
+                                 np.linspace(0.0, 0.4, 9), indexing="ij")
+    hill = hill_system(a_grid, q_grid)
+    family = monodromy(hill)
+    for a, q, mono in zip(a_grid.ravel(), q_grid.ravel(), family):
+        (alone,) = monodromy(hill_system(np.array([a]), np.array([q])))
+        assert mono.M.tobytes() == alone.M.tobytes()
+    _, traj = floquet._fundamental_flight(hill, hill.period / 2, DEFAULT_TOL)
+    tries = traj.accepted_steps + traj.rejected_steps
+    assert traj.states_evaluated == int(np.sum(2 + 12 * tries)) == 24114
+
+
+def test_family_flies_under_a_two_argument_wrapper(monkeypatch):
+    # perfbench's tracer hands integrate f wrapped as (t, y): a family
+    # still reads the members of each call off floquet.calling.who
+    hill = hill_system(np.array([0.5, 1.0, 1.5]), np.array([0.0, 0.2, 0.4]))
+    plain = monodromy(hill)
+
+    def wrapped(f, *args, **kwargs):
+        return integrate(lambda t, y: f(t, y), *args, **kwargs)
+    monkeypatch.setattr(floquet, "integrate", wrapped)
+    for mono, alone in zip(monodromy(hill), plain):
+        assert mono.M.tobytes() == alone.M.tobytes()
+
+
+def test_lone_flight_ends_at_its_step_budget(monkeypatch):
+    # past MAX_TRIES tries a lone flight raises with its last state; the
+    # oscillator rejects no step, so that is its state after MAX_TRIES steps
+    f = lambda t, y: np.array([y[1], -y[0]])
+    plain = integrate(f, [1.0, 0.0], (0.0, 100.0), 1e-10)
+    assert plain.rejected_steps[0] == 0 and plain.accepted_steps[0] > 12
+    monkeypatch.setattr(floquet, "MAX_TRIES", 12)
+    with pytest.raises(NonConvergenceError, match="12 step tries") as err:
+        integrate(f, [1.0, 0.0], (0.0, 100.0), 1e-10)
+    assert err.value.best.tobytes() == plain.y[:, 12].tobytes()
+    stack = integrate(_oscillators, np.array([[1.0], [0.0]]), (0.0, 100.0),
+                      1e-10)  # a stack has no budget
+    assert stack.final.tobytes() == plain.final.tobytes()
 
 
 def test_readme_grid_as_one_family_matches_cells_alone():

@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import secular.ratpoly
 from secular.cli import run
 from secular.errors import DomainError, InternalInconsistencyError
 from secular.ratpoly import (
+    MAX_EXPONENT,
     NEG_INF,
     POS_INF,
     RationalPolynomial as P,
@@ -573,10 +575,15 @@ def test_one_pass_variations_match_member_signs(roots, factor, xs):
 
 def _fraction_parse(x, what):
     """`parse_rational` by `Fraction` alone, as (value, None), or (None,
-    the message of its DomainError)."""
+    the message of its DomainError).  A text that Fraction's own grammar
+    reads with a decimal exponent past MAX_EXPONENT is refused instead."""
     try:
         if isinstance(x, bool):
             raise TypeError(f"{json.dumps(x)} is not a number")
+        m = isinstance(x, str) and fractions._RATIONAL_FORMAT.match(x)
+        if m and m["exp"] and abs(int(m["exp"])) > MAX_EXPONENT:
+            return None, (f"bad {what}: {x} has an exponent past "
+                          f"{MAX_EXPONENT}")
         return Fraction(x), None
     except (TypeError, OverflowError) as e:
         return None, f"bad {what}: {e}"
@@ -609,6 +616,11 @@ _texts = st.one_of(
 @example(float("nan"))
 @example(1e400)
 @example(0.1)
+@example("E4301")  # no number before the exponent
+@example("1e4301")
+@example(" -.5E-4_301\t")
+@example("1e 4301")
+@example("1/2e4301")
 @settings(max_examples=500, deadline=None)
 def test_integer_parse_matches_fraction(x):
     try:
