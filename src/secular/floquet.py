@@ -12,9 +12,9 @@ at the times its caller names (``t_eval``): the 7th-order interpolant
 costs three more right-hand-side calls, so only a step that holds a
 sample or the event's root builds it.  A 2-D stack of starts flies in one
 numpy loop: each member keeps its own time, step size and rejections, so
-it takes the steps of its own flight and leaves at its own end, while one
-right-hand-side call per stage serves the members in flight (a family of
-systems reads them off `calling.who`), as do three more for the
+it takes the steps of its own flight and leaves at its end or fault,
+while one right-hand-side call per stage serves the members in flight (a
+family of systems reads them off `calling.who`), as do three more for the
 interpolants of all members whose roots fall in one pass of the loop.
 The three-body and surface-of-section modules reuse it, and `monodromy`
 flies a family of periodic systems, such as a Hill grid, as one stack.  A
@@ -27,6 +27,7 @@ corrector reads a symmetric orbit's M off its half-period STM.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .jordan import jordan_form
 from .matrixcore import NUMERIC, SquareMatrix
 
 DEFAULT_TOL = 1e-10
-MAX_TRIES = 100_000  # a lone flight's step tries, about 30 s at 0.3 ms each
+MAX_TRIES = 100_000  # a flight's step tries, about 30 s at 0.3 ms each
 _EPS = np.finfo(float).eps
 # calling.who: the members, by index in x0, of the stacked call to f in
 # progress; f gets (t, y) alone, so that a (t, y) wrapper of f still works
@@ -135,6 +136,7 @@ class Trajectory:
     accepted_steps: np.ndarray | None = None  # per member
     rejected_steps: np.ndarray | None = None  # per member
     states_evaluated: int = 0
+    faults: dict | None = None  # a stack's: x0 index -> its error
 
     @property
     def final(self) -> np.ndarray:
@@ -193,10 +195,10 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     allowed), ``t`` and ``y`` hold those samples up to the root, each read
     off the interpolant of the step that holds it; without t_eval they
     hold the steps.  Only a step that holds a sample or the root builds
-    its interpolant.  A step size that underflows, or a step size or
-    error estimate that is not finite, ends the flight with a
-    SingularityError; a lone flight ends after MAX_TRIES step tries with a
-    NonConvergenceError that carries its last state.
+    its interpolant.  A fault ends the flight: a SingularityError from f,
+    a step size that underflows, a step size or error estimate that is not
+    finite, or MAX_TRIES step tries, a NonConvergenceError with its last
+    state.  A lone flight raises its fault.
 
     The start's shape picks the loop, under scipy's step rule.  A 1-D
     start flies on Python floats, with the stage sums and error norms of
@@ -209,16 +211,19 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
     treats its members apart.  f then takes the k members' times, an
     array, and their states as the flattened (n, k) row-major stack, and
     returns their derivatives likewise.  A member leaves the calls at its
-    own end, its root or the end of the span, and f may be a family of m
-    systems that reads its members off ``calling.who``.  With an event, g0
-    is a float or one per member.  ``final`` holds each member's last
-    state and ``t`` the start and the latest end; a stack takes no
-    t_eval.  A SingularityError names in ``members`` the members at
-    fault, by their index in x0.  ``relay`` hands a member on at its root:
-    relay(j, t, x) gets its index in x0 and the root's time and state, and
-    returns None, and the member leaves, or (start, g0) of its next leg,
-    which it flies from t0 in its own place in the calls.  A relayed
-    member's steps and roots add up over its legs.
+    own end: its root, the end of the span, or its fault, which ``faults``
+    holds (x0 index: its error, in the order they came).  f's error names
+    its members at fault by their place in the call (one alone in it is at
+    fault), and the call is made again without them; an error that names
+    none of several is raised.  f may be a family of m systems that reads
+    its members off ``calling.who``.  With an event, g0 is a float or one
+    per member.  ``final`` holds each member's last state and ``t`` the
+    start and the latest end; a stack takes no t_eval.  ``relay`` hands a
+    member on at its root: relay(j, t, x) gets its index in x0 and the
+    root's time and state, and returns None, and the member leaves, or
+    (start, g0) of its next leg, which it flies from t0 in its own place
+    in the calls; a SingularityError it raises is the member's fault.  A
+    relayed member's steps and roots add up over its legs.
     """
     tol = float(tol)
     t0, t_end = map(float, t_span)
@@ -263,18 +268,18 @@ def integrate(f: Callable, x0, t_span, tol=DEFAULT_TOL, events=None,
         if stacked:
             T, Y, *out = _fly_stack(f, x0, t0, t_end, rtol, atol, events,
                                     relay)
-            t_out = np.array([t0, T[np.argmax(direction * T)]])
+            t_out = np.r_[t0, T[np.argmax(direction * T)] if len(T) else t0]
             y_out = np.column_stack((x0.ravel(), Y.ravel()))
         else:
             ts, ys, *out = _fly_one(f, x0, t0, t_end, rtol, atol, events,
                                     t_eval)
             t_out, y_out = np.array(ts), np.array(ys).reshape(-1, len(x0)).T
-    t_events, y_events, n_acc, n_rej, states = out
+    t_events, y_events, n_acc, n_rej, states, *faults = out
     return Trajectory(
         t_out, y_out,
         tuple(np.asarray(te) for te in t_events) if events else None,
         tuple(np.asarray(ye) for ye in y_events) if events else None,
-        n_acc, n_rej, states,
+        n_acc, n_rej, states, *faults,
     )
 
 
@@ -294,9 +299,6 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
         states += 1
         try:
             return f(t, y)
-        except SingularityError as e:
-            e.members = e.reasons = ()  # a lone start is no stack's member
-            raise
         except OverflowError:  # a float f's ** where numpy's would be inf
             return np.full(n, math.inf)
 
@@ -409,31 +411,42 @@ def _fly_one(f, y, t, t_end, rtol, atol, event, t_eval):
 def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     """m starts flown in one loop, scipy's controller over the stack in
     numpy, each state, derivative and stage sum held as (n, k) columns of
-    the k members in flight; each leaves at its root or t_end, unless
-    ``relay`` hands it on to fly its next leg in its own column.  Returns
-    each member's last time and state, its roots, and the work done."""
+    the k members in flight.  Each leaves at its root, t_end or fault, or
+    ``relay`` hands it on at its root to a next leg in its own column.
+    Returns each member's last time, state and roots, the work and faults."""
     n, m = x0.shape
     direction = 1.0 if t_end >= t0 else -1.0
     toward = direction * math.inf
     clip = np.minimum if direction > 0 else np.maximum  # no step past t_end
     interval = abs(t_end - t0)
     states = 0
+    faults, fresh = {}, {}  # x0 index: fault, of all and of this pass
+
+    def fault(j, reason, t=None):  # member j's first fault, by x0 index
+        fresh.setdefault(j, SingularityError(reason, t, (j,)))
 
     def rhs(t, y, who):
-        """f at times t and (n, k) states y of the members ``who``."""
+        """f at times t and (n, k) states y of the members ``who``; one at
+        fault gets an infinite derivative, which no step takes."""
         nonlocal states
+        if fresh:
+            live = ~np.isin(who, list(fresh))
+            if not live.all():
+                out = np.full((n, len(who)), math.inf)
+                if live.any():
+                    out[:, live] = rhs(t[live], y[:, live], who[live])
+                return out
         states += len(who)
         calling.who = who
         try:
             return np.asarray(f(t, y.ravel()), dtype=float).reshape(n, -1)
-        except SingularityError as e:
-            # name the members at fault by their index in x0; with one
-            # member in the call, that member is at fault
-            if e.members or len(who) > 1:
-                e.members = tuple(int(who[j]) for j in e.members)
-            else:
-                e.members = (int(who[0]),)
-            raise
+        except SingularityError as e:  # its members leave; call again
+            if not e.members and len(who) > 1:  # none named, of several
+                raise
+            for p, why in zip(e.members or (0,),
+                              e.reasons or [str(e)] * len(who)):
+                fault(int(who[p]), why, e.t)
+        return rhs(t, y, who)
 
     T, Y = np.full(m, t0), x0.copy()  # each member's last
     t_events, y_events = [[] for _ in range(m)], [[] for _ in range(m)]
@@ -446,20 +459,18 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
     cols, g = np.arange(m), np.array(g)
     t, y = np.full(m, t0), x0.copy()
     retry, acc, rej = np.zeros(m, bool), np.zeros(m, int), np.zeros(m, int)
+    leg = np.zeros(m, int)  # the pass at which each member's leg began
+    fy, t_new, hh, fail = (np.empty((n, m)), np.empty(m), np.empty(m),
+                           np.zeros(m, int))
 
     def plan(t, H, retry):
         """Each member's next try from |step| H, as scipy's step starts
         it: its end, its length and its failure."""
         min_step = 10 * np.abs(np.nextafter(t, toward) - t)
         h_abs = np.where(retry, H, np.maximum(H, min_step))
-        ok = h_abs >= min_step  # a member that fails is not flown again
+        ok = h_abs >= min_step
         tn = clip(t + h_abs * direction, t_end)
         return tn, tn - t, np.where(ok, 0, np.where(np.isfinite(h_abs), 1, 2))
-
-    def failure(p, reason):
-        return SingularityError(
-            f"integration failed near t={t[p]:.6g}: {reason}", t=float(t[p]),
-            members=(int(cols[p]),))
 
     def launch(who, y):
         """scipy's initial step of the members ``who`` from their states
@@ -479,14 +490,35 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         fail[h0 == 0] = 1  # d1 overflowed, as scipy's next error estimate will
         return fy, tn, hh, fail
 
-    if t0 == t_end:  # solve_ivp's one empty step
-        cols = cols[:0]
-    else:
-        fy, t_new, hh, fail = launch(cols, y)
-    while len(cols):
-        if fail.any():
-            p = int(np.flatnonzero(fail)[0])
-            raise failure(p, _FAILURES[fail[p]])
+    leave = np.full(m, t0 == t_end)  # solve_ivp's one empty step
+    back = [] if t0 == t_end else list(range(m))  # the members to launch
+    for tries in itertools.count():  # a pass: one try of each in flight
+        if back:  # each from its start at t0
+            fy[:, back], t_new[back], hh[back], fail[back] = launch(
+                cols[back], y[:, back])
+        if tries >= MAX_TRIES:  # the step budget of a leg, as of a flight
+            for p in np.flatnonzero((leg == tries - MAX_TRIES) & ~leave):
+                fresh.setdefault(int(cols[p]), NonConvergenceError(
+                    f"the flight took {MAX_TRIES} step tries by t={t[p]:.6g}",
+                    best=y[:, p].copy()))
+        for p in np.flatnonzero(fail * ~leave).tolist():  # next try fails
+            fault(int(cols[p]), f"integration failed near t={t[p]:.6g}: "
+                  f"{_FAILURES[fail[p]]}", float(t[p]))
+        if fresh:
+            leave |= np.isin(cols, list(fresh))
+            faults.update(fresh)
+            fresh.clear()
+        if leave.any():  # every member's one way out
+            j = cols[leave]
+            T[j], Y[:, j] = t[leave], y[:, leave]
+            n_acc[j], n_rej[j] = acc[leave], rej[leave]
+            stay = ~leave
+            cols = cols[stay]
+            t, retry, acc, rej, t_new, hh, fail, g, leg = (v[stay] for v in (
+                t, retry, acc, rej, t_new, hh, fail, g, leg))
+            y, fy = y[:, stay], fy[:, stay]
+        if not len(cols):
+            return T, Y, t_events, y_events, n_acc, n_rej, states, faults
         h = hh
         tc = t + _C[:, None] * h  # the stages' times
         K = np.empty((len(cols), _S + 1, n))  # each member's stage rows
@@ -512,9 +544,9 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
         e3 = np.array([v ** 2 for v in norm3])
         err = np.where((e5 == 0) & (e3 == 0), 0.0,
                        h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * n))
-        if not np.isfinite(err).all():
-            p = int(np.flatnonzero(~np.isfinite(err))[0])
-            raise failure(p, "the error estimate is not finite")
+        for p in np.flatnonzero(~np.isfinite(err)).tolist():
+            fault(int(cols[p]), f"integration failed near t={t[p]:.6g}: "
+                  "the error estimate is not finite", float(t[p]))
         grow = _SAFETY * np.array([v ** _ERR_EXP if v else math.inf
                                    for v in err.tolist()])
         factor = np.minimum(np.maximum(grow, _MIN_FACTOR),
@@ -534,16 +566,22 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
                                    & (sense * g >= 0)).tolist()
         if lands:  # their interpolants, three rhs calls for them all
             F = _dense_coefficients(
-                lambda tt, yy: rhs(tt, yy, cols[lands]), K[lands],
-                t_old[lands], h_step[lands], y_old[:, lands], y_new[:, lands]
-            ).reshape(-1, n, len(lands))
+                lambda tt, yy: rhs(tt, yy.reshape(n, -1), cols[lands]),
+                K[lands], t_old[lands], h_step[lands], y_old[:, lands],
+                y_new[:, lands]).reshape(-1, n, len(lands))
         for i, p in enumerate(lands):
             j = cols[p]
+            if j in fresh:  # its interpolant's fault
+                continue
             step = t_old[p], h_step[p], y_old[:, p], F[:, :, i]
             te = _root(row, g_old[p], step, t[p])
             t_events[j].append(te)
             y_events[j].append(_interpolate(te, *step))
-            nxt = relay and relay(int(j), te, y_events[j][-1])
+            try:
+                nxt = relay and relay(int(j), te, y_events[j][-1])
+            except SingularityError as e:  # the relay's fault is its own
+                fault(int(j), str(e), e.t)
+                continue
             if nxt is None:  # its flight ends at the root
                 t[p], y[:, p], leave[p] = te, y_events[j][-1], True
                 continue
@@ -554,22 +592,8 @@ def _fly_stack(f, x0, t0, t_end, rtol, atol, event, relay):
             if np.shape(start) != (n,):
                 raise DomainError("a relay returns None or (start, g0), a "
                                   f"start of {n} floats")
-            y[:, p] = start
+            t[p], y[:, p], leave[p], leg[p] = t0, start, False, tries + 1
             back.append(p)
-        if back:
-            fy[:, back], t_new[back], hh[back], fail[back] = launch(
-                cols[back], y[:, back])
-            t[back], leave[back] = t0, False  # an accepted try: no retry
-        if leave.any():
-            j = cols[leave]
-            T[j], Y[:, j] = t[leave], y[:, leave]
-            n_acc[j], n_rej[j] = acc[leave], rej[leave]
-            stay = ~leave
-            cols = cols[stay]
-            t, retry, acc, rej, t_new, hh, fail, g = (
-                v[stay] for v in (t, retry, acc, rej, t_new, hh, fail, g))
-            y, fy = y[:, stay], fy[:, stay]
-    return T, Y, t_events, y_events, n_acc, n_rej, states
 
 
 @dataclass(frozen=True)
@@ -636,12 +660,15 @@ def monodromy(sys: PeriodicLinearSystem,
     """Fundamental solution at one period with identity initial condition.
 
     A family gives a list of one Monodromy per member, from one stacked
-    flight in which each member takes the steps of its own.  A system with
-    a reversor R flies [0, T/2] only, and M is `reversed_monodromy`.
+    flight in which each member takes the steps of its own, or raises its
+    members' first fault.  A system with a reversor R flies [0, T/2] only,
+    and M is `reversed_monodromy`.
     """
     R = sys.reversor
     t_end = sys.period if R is None else sys.period / 2
     n, traj = _fundamental_flight(sys, t_end, tol)
+    if traj.faults:  # a family's first fault ends it
+        raise next(iter(traj.faults.values()))
     # (m, n, n), each member's matrix laid out as a solo flight's
     Phi = np.ascontiguousarray(
         traj.final.reshape(n, n, -1).transpose(2, 0, 1))

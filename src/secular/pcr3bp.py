@@ -348,18 +348,17 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
 
     z0 is one start of n floats (the state, then anything flown with it,
     such as an STM), which `integrate` flies alone, or a stack of m starts
-    with shape (n, m), which it flies in one loop, each member with the
-    steps of its own flight, leaving the stack at its own crossing.  One
-    start returns (t, z) or raises; a stack returns, per member, (t, z) or
-    the error that ended its flight.  A member that the RHS finds in
-    collision, or whose step fails, leaves with its own SingularityError
-    and the rest fly again without it, each from its start; one that has
-    not crossed by t_end gets a NonConvergenceError.  A SingularityError
-    that names no member propagates (every RHS here names the members at
-    fault).  ``relay`` flies a stack's members on from crossing to
-    crossing: relay(i, (t, z)) gets member i's crossing as it lands and
-    returns its next start, which flies at once in its place, or None;
-    member i's outcome is then that of its last flight.
+    with shape (n, m), which one `integrate` call flies, each member with
+    the steps of its own flight.  One start returns (t, z) or raises; a
+    stack returns, per member, (t, z) or the error that ended its flight:
+    a NonConvergenceError at t_end, or its fault in `integrate` (a step
+    that fails, its step budget, a collision that the RHS names, or a
+    SingularityError in its landing step or ``relay``).  A multi-member
+    RHS call's SingularityError that names none of them propagates (every
+    RHS here names them).  ``relay`` flies a stack's members on
+    from crossing to crossing: relay(i, (t, z)) gets member i's crossing
+    as it lands and returns its next start, which flies at once in its
+    place, or None; member i's outcome is then that of its last flight.
 
     The crossing is `integrate`'s one event (1, direction, g0), with
     ``direction`` the sign of dy/dt times the sign of t_end.  A start on
@@ -396,35 +395,20 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
         if not len(traj.t_events[0]):
             raise NonConvergenceError(missed, best=traj.final)
         return landing(traj.t_events[0][0], traj.y_events[0][0])
-    Z = z0.copy()  # each member's current start
-    out = [None] * Z.shape[1]  # None while a member flies
-    todo = list(range(Z.shape[1]))
+    out = [None] * z0.shape[1]  # None while a member flies
 
-    def relayed(j, t, z):
-        i = todo[j]
+    def relayed(i, t, z):  # a collision in the landing is i's fault
         out[i] = landing(t, z)
         nxt = relay and relay(i, out[i])
         if nxt is not None:
-            Z[:, i], out[i] = nxt, None
+            out[i] = None
             return nxt, g0(nxt)
 
-    while todo:
-        try:
-            traj = integrate(rhs, Z[:, todo], (0.0, t_end), tol, events=(
-                1, direction, [g0(Z[:, i]) for i in todo]), relay=relayed)
-        except SingularityError as e:
-            if not e.members:
-                raise
-            reasons = e.reasons or (str(e),) * len(e.members)
-            for j, reason in zip(e.members, reasons):
-                out[todo[j]] = SingularityError(reason, e.t, (todo[j],))
-        else:
-            final = traj.final.reshape(Z.shape[0], -1)
-            for j, i in enumerate(todo):
-                if out[i] is None:  # not landed in flight
-                    out[i] = NonConvergenceError(missed, best=final[:, j])
-        todo = [i for i in todo if out[i] is None]
-    return out
+    traj = integrate(rhs, z0, (0.0, t_end), tol, events=(
+        1, direction, [g0(z) for z in z0.T]), relay=relayed)
+    final = traj.final.reshape(len(z0), -1)
+    return [traj.faults.get(i) or out[i] or NonConvergenceError(
+        missed, best=final[:, i]) for i in range(len(out))]
 
 
 def variational_flow(state0, mu, T, tol=1e-12):

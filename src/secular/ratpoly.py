@@ -126,11 +126,6 @@ class RationalPolynomial:
         return cls([parse_rational(c, "polynomial coefficient")
                     for c in coeffs])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs]}
-        )
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -231,12 +226,6 @@ class RationalPolynomial:
 
     def eval_frac(self, x) -> Fraction:
         return Fraction(*self._eval_ratio(x))
-
-    def eval_float(self, x) -> float:
-        """float(p(x)): int true division rounds N / D correctly, as
-        float(Fraction) does."""
-        n, d = self._eval_ratio(x)
-        return n / d
 
     def sign_at(self, x) -> int:
         """Sign of p at a rational point or at NEG_INF / POS_INF."""

@@ -123,6 +123,59 @@ class TestMonodromy:
         with pytest.raises(DomainError):
             PeriodicLinearSystem(lambda t: np.eye(2), 0.0)
 
+    @staticmethod
+    def _failing_hill(a, q, ends):
+        """A Hill family whose member j's A(t) is nan past t = ends[j]."""
+        hill = hill_system(np.array(a), np.array(q))
+        ends = np.array(ends)
+
+        def A_of_t(t, who):
+            A = hill.A_of_t(t, who)
+            A[t > ends[who]] = math.nan
+            return A
+        return dataclasses.replace(hill, A_of_t=A_of_t)
+
+    def test_family_raises_its_first_fault(self):
+        # members 1 and 2 fault at different tries, 2 first: the family
+        # raises 2's fault, as 2 alone raises it
+        family = self._failing_hill([1.0, 1.2, 1.4], [0.1, 0.2, 0.3],
+                                    [math.inf, 0.9, 0.4])
+        _, traj = floquet._fundamental_flight(family, math.pi / 2, 1e-10)
+        assert list(traj.faults) == [2, 1]
+        with pytest.raises(SingularityError) as err:
+            monodromy(family)
+        with pytest.raises(SingularityError) as alone:
+            monodromy(self._failing_hill([1.4], [0.3], [0.4]))
+        assert str(err.value) == str(alone.value)
+        assert str(err.value).endswith("the error estimate is not finite")
+        assert err.value.t == alone.value.t < 0.4
+        assert err.value.members == (2,)
+
+    def test_overflowing_grid_exits_with_its_first_fault(self, capsys):
+        argv = ["--format", "csv", "floquet", "--system", "hill", "--grid",
+                "1e300:2e300:3,0:1e300:2"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: non-convergence: integration failed near t=0: Required "
+            "step size is less than spacing between numbers.\n")
+
+    def test_grid_member_without_end_leaves_at_its_budget(self, capsys,
+                                                          monkeypatch):
+        # the a = 1e300 member faults in its launch and the a = 1e100 one,
+        # which has no practical end, at its step budget, here 40 tries:
+        # the grid exits 2 with the first fault's line
+        monkeypatch.setattr(floquet, "MAX_TRIES", 40)
+        hill = hill_system(np.array([1e100, 1e300]), np.zeros(2))
+        _, traj = floquet._fundamental_flight(hill, hill.period / 2, 1e-10)
+        assert list(traj.faults) == [1, 0]
+        assert str(traj.faults[0]).startswith("the flight took 40 step tries")
+        argv = ["--format", "csv", "floquet", "--system", "hill", "--grid",
+                "1e100:1e300:2,0:0:1"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "error: non-convergence: integration failed near t=0: Required "
+            "step size is less than spacing between numbers.\n"))
+
 
 class TestExponents:
     def test_constant_system_exponents_are_eigenvalues(self):
@@ -399,19 +452,58 @@ class TestFlightOfOne:
             assert np.array_equal(mine, theirs)
 
     def test_stack_of_one_names_its_member(self):
-        # x' = -x, which fails once x < 1/2: a stack of one names member
-        # 0, a lone start no member
+        # x' = -x, which fails once x < 1/2: a lone start raises, naming no
+        # member, and a stack of one's member 0 leaves with the fault
         def rhs(t, y):
             if y[0] < 0.5:
                 raise SingularityError("fell below 1/2")
             return -y
-        for x0, members in (([1.0], ()), ([[1.0]], (0,))):
-            with pytest.raises(SingularityError, match="below") as err:
-                integrate(rhs, x0, (0.0, 1.0))
-            assert err.value.members == members
+        with pytest.raises(SingularityError, match="below") as err:
+            integrate(rhs, [1.0], (0.0, 1.0))
+        assert err.value.members == ()
+        faults = integrate(rhs, [[1.0]], (0.0, 1.0)).faults
+        assert list(faults) == [0]
+        assert isinstance(faults[0], SingularityError)
+        assert str(faults[0]) == "fell below 1/2"
+        assert faults[0].members == (0,)
 
 
 class TestStackedIntegrate:
+    def test_member_faulting_in_its_first_step_probe_leaves(self):
+        # x' = 0, so d1 = 0; member 1 faults in the call that probes its
+        # first step, and leaves at t = 0 while member 0 flies on
+        def f(t, y):
+            bad = (floquet.calling.who == 1) & (t > 0.0)
+            if bad.any():
+                raise SingularityError("probe", members=tuple(
+                    np.flatnonzero(bad).tolist()))
+            return np.zeros_like(y)
+        traj = integrate(f, np.ones((1, 2)), (0.0, 1.0))
+        assert list(traj.faults) == [1] and str(traj.faults[1]) == "probe"
+        assert traj.final.tolist() == [1.0, 1.0] and traj.t[-1] == 1.0
+        assert traj.accepted_steps.tolist()[1] == 0
+
+    def test_member_faulting_in_its_interpolant_finds_no_root(self):
+        # x' = 1: member 1 crosses zero at t = 1/2, and faults in the calls
+        # for its interpolant, the only ones without member 0
+        def f(t, y):
+            if floquet.calling.who.tolist() == [1]:
+                raise SingularityError("interpolant")
+            return np.ones_like(y)
+        traj = integrate(f, [[-10.0, -0.5]], (0.0, 1.0), events=(0, 1.0))
+        assert list(traj.faults) == [1]
+        assert str(traj.faults[1]) == "interpolant"
+        assert [len(te) for te in traj.t_events] == [0, 0]
+        assert abs(traj.final[0] + 9.0) < 1e-12 and traj.final[1] > 0.0
+
+    def test_stack_of_no_members_calls_no_f(self):
+        # a manifold whose seeds all fail to lift flies such a stack
+        def f(t, y):
+            raise AssertionError("f was called")
+        traj = integrate(f, np.empty((4, 0)), (0.0, 2.0), events=(1, 1.0))
+        assert traj.faults == {} and traj.t_events == ()
+        assert traj.t.tolist() == [0.0, 0.0] and traj.final.shape == (0,)
+
     def test_members_leave_at_their_terminal_event(self):
         # x = cos(t + phi) crosses zero upwards at t = 3 pi / 2 - phi, mod 2 pi
         phis = np.array([0.3, 1.1, -2.0])
@@ -522,11 +614,15 @@ class TestStepper:
         # once instead of stepping forever
         with pytest.raises(SingularityError, match="not finite"):
             integrate(lambda t, y: y * math.nan, [1.0], (0.0, 1.0))
+        # member 1 of a stack leaves with that fault, and the rest fly on
         stack = np.ones((1, 3))
-        with pytest.raises(SingularityError) as err:
-            integrate(lambda t, y: y * np.array([1.0, math.nan, 1.0]),
-                      stack, (0.0, 1.0))
-        assert err.value.members == (1,)
+        traj = integrate(lambda t, y: y * np.where(
+            floquet.calling.who == 1, math.nan, 1.0), stack, (0.0, 1.0))
+        assert list(traj.faults) == [1]
+        assert isinstance(traj.faults[1], SingularityError)
+        assert "not finite" in str(traj.faults[1])
+        assert traj.faults[1].members == (1,)
+        assert np.allclose(traj.final[[0, 2]], math.e, rtol=1e-8)
 
     def test_overflowing_first_step_fails_as_solve_ivp_does(self):
         # at tol = 1e-300 (atol 1e-302) the initial-step rule's d1
@@ -785,9 +881,62 @@ def test_lone_flight_ends_at_its_step_budget(monkeypatch):
     with pytest.raises(NonConvergenceError, match="12 step tries") as err:
         integrate(f, [1.0, 0.0], (0.0, 100.0), 1e-10)
     assert err.value.best.tobytes() == plain.y[:, 12].tobytes()
-    stack = integrate(_oscillators, np.array([[1.0], [0.0]]), (0.0, 100.0),
-                      1e-10)  # a stack has no budget
-    assert stack.final.tobytes() == plain.final.tobytes()
+
+
+def test_stacked_member_ends_at_its_step_budget(monkeypatch):
+    # a stacked member's budget is its own fault: with MAX_TRIES the tries
+    # of member 0's flight, member 0 still lands its root, as alone, and
+    # member 1 leaves with the error and last state it raises alone
+    f = lambda t, y: np.array([y[1], -y[0]])
+    starts = np.array([[1.0, -1.0], [0.0, 0.0]])  # roots at pi/2, 3 pi/2
+
+    def fly(x0):
+        return integrate(f if x0.ndim == 1 else _oscillators, x0,
+                         (0.0, 10.0), 1e-10, events=(0, -1))
+    plain = fly(starts)
+    tries = (plain.accepted_steps + plain.rejected_steps).tolist()
+    assert tries[0] < tries[1]
+    monkeypatch.setattr(floquet, "MAX_TRIES", tries[0])
+    stack = fly(starts)
+    assert fly(starts[:, 0]).t_events[0].tobytes() == \
+        stack.t_events[0].tobytes() == plain.t_events[0].tobytes()
+    with pytest.raises(NonConvergenceError, match="step tries") as alone:
+        fly(starts[:, 1])
+    assert list(stack.faults) == [1]
+    assert str(stack.faults[1]) == str(alone.value)
+    assert stack.faults[1].best.tobytes() == alone.value.best.tobytes()
+    assert stack.accepted_steps[1] + stack.rejected_steps[1] == tries[0]
+
+
+def test_relayed_member_has_the_budget_of_each_leg(monkeypatch):
+    # each leg is a flight of its own: three legs of k tries fly under
+    # MAX_TRIES = k, and under k - 1 the first leg faults as it does alone
+    f = lambda t, y: np.array([y[1], -y[0]])
+    start = np.array([1.0, 0.0])  # its root at pi/2
+
+    def fly():
+        legs = []
+
+        def relay(j, t, x):
+            legs.append(t)
+            return (start, 1.0) if len(legs) < 3 else None
+        return integrate(_oscillators, start[:, None], (0.0, 10.0), 1e-10,
+                         events=(0, -1), relay=relay)
+    lone = integrate(f, start, (0.0, 10.0), 1e-10, events=(0, -1))
+    k = int(lone.accepted_steps[0] + lone.rejected_steps[0])
+    plain = fly()
+    assert plain.accepted_steps[0] + plain.rejected_steps[0] == 3 * k
+    monkeypatch.setattr(floquet, "MAX_TRIES", k)
+    traj = fly()
+    assert not traj.faults
+    assert traj.t_events[0].tobytes() == plain.t_events[0].tobytes()
+    monkeypatch.setattr(floquet, "MAX_TRIES", k - 1)
+    traj = fly()
+    with pytest.raises(NonConvergenceError, match="step tries") as alone:
+        integrate(f, start, (0.0, 10.0), 1e-10, events=(0, -1))
+    assert list(traj.faults) == [0] and not len(traj.t_events[0])
+    assert str(traj.faults[0]) == str(alone.value)
+    assert traj.faults[0].best.tobytes() == alone.value.best.tobytes()
 
 
 def test_readme_grid_as_one_family_matches_cells_alone():

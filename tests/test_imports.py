@@ -141,7 +141,6 @@ def test_finds_an_unread_method():
 # methods that only tests call, and argparse's hook, which it calls
 TEST_ONLY_METHODS = ["cli._Parser.error",
                      "linode.LinearSolution.has_secular_terms",
-                     "ratpoly.RationalPolynomial.eval_float",
                      "ratpoly.RationalPolynomial.eval_frac",
                      "ratpoly.RationalPolynomial.from_roots",
                      "ratpoly.SturmChain.polys"]

@@ -646,10 +646,69 @@ class TestStackedLocator:
         # no member; the stacked flight names it
         early = self._section_starts()[0]
         early[1] = -1e-4
-        with pytest.raises(SingularityError) as err:
-            integrate(_flow_rhs(MU_EM), np.array([early, self._moon_fall()]).T,
-                      (0.0, 4.0), 1e-10, events=(1, 1.0))
-        assert err.value.members == (1,)
+        traj = integrate(_flow_rhs(MU_EM),
+                         np.array([early, self._moon_fall()]).T, (0.0, 4.0),
+                         1e-10, events=(1, 1.0))
+        assert list(traj.faults) == [1]
+        assert isinstance(traj.faults[1], SingularityError)
+        assert traj.faults[1].members == (1,)
+
+    def test_collision_mid_leg_leaves_the_rest_in_flight(self, monkeypatch):
+        # a relayed stack, three crossings a member, in which a member
+        # collides while member 0 flies its third leg: one integrate call,
+        # and every survivor's crossings are bit for bit those of the
+        # stack flown without the collider
+        flights = []
+
+        def counted(*args, **kwargs):
+            flights.append(args[1].shape)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr("secular.pcr3bp.integrate", counted)
+        rhs, starts = _flow_rhs(MU_EM), self._section_starts()
+
+        def fly(stack):
+            seen = [[] for _ in stack]
+
+            def relay(i, landed):
+                seen[i].append(landed)
+                return landed[1].copy() if len(seen[i]) < 3 else None
+            out = _flow_to_crossing(rhs, np.array(stack).T, 12.0, 1e-10,
+                                    1.0, relay)
+            return out, seen
+        out, seen = fly(starts[:2] + [self._moon_fall()] + starts[2:])
+        assert flights == [(4, 4)]
+        assert isinstance(out[2], SingularityError)
+        assert out[2].members == (2,) and "collision" in str(out[2])
+        assert seen[2] == []
+        ref, ref_seen = fly(starts)
+        for mine, theirs in zip(seen[:2] + seen[3:], ref_seen):
+            assert len(mine) == len(theirs) == 3
+            for (t, z), (t_ref, z_ref) in zip(mine, theirs):
+                assert t == t_ref and z.tobytes() == z_ref.tobytes()
+        for mine, theirs in zip(out[:2] + out[3:], ref):
+            assert mine[0] == theirs[0]
+            assert mine[1].tobytes() == theirs[1].tobytes()
+
+    def test_landing_fault_is_its_members_own(self, monkeypatch):
+        # every landing takes its first-order step, and member 2's, the one
+        # at the largest x, collides in its RHS call (a float t): member 2
+        # leaves with that fault, named, and the rest land as before
+        monkeypatch.setattr(pcr3bp, "CROSSING_Y_TOL", -1.0)
+        flow = _flow_rhs(MU_EM)
+        Z = np.array(self._section_starts()).T
+        Z[1] = -1e-4  # off the axis, whatever the tolerance
+
+        def rhs(t, z):
+            if isinstance(t, float) and z[0] > (Z[0, 1] + Z[0, 2]) / 2:
+                raise SingularityError("landing", members=(0,))
+            return flow(t, z)
+        ref = _flow_to_crossing(flow, Z, 4.0, 1e-10, 1.0)
+        out = _flow_to_crossing(rhs, Z, 4.0, 1e-10, 1.0, lambda i, c: None)
+        assert isinstance(out[2], SingularityError)
+        assert out[2].members == (2,) and str(out[2]) == "landing"
+        for j in (0, 1):
+            assert out[j][0] == ref[j][0]
+            assert out[j][1].tobytes() == ref[j][1].tobytes()
 
     def test_stacked_failure_naming_no_member_propagates(self):
         # every RHS in the package names the members at fault; a failure

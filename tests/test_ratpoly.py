@@ -51,10 +51,6 @@ class TestArithmetic:
     def test_from_roots(self):
         assert P.from_roots([1, 2, 3]) == poly(-6, 11, -6, 1)
 
-    def test_json_roundtrip(self):
-        p = poly(Fraction(-6), Fraction(11), Fraction(-6), Fraction(1))
-        assert P.from_json(p.to_json()) == p
-
 
 class TestSquareFree:
     def test_double_root_collapses(self):
@@ -349,7 +345,6 @@ def test_integer_evaluation_matches_fraction_horner(coeffs, x):
     ref = _fraction_horner(p.coeffs, x)
     assert p.eval_frac(x) == ref and type(p.eval_frac(x)) is Fraction
     assert p.sign_at(x) == (ref > 0) - (ref < 0)
-    assert float(p.eval_frac(x)) == p.eval_float(x) == float(ref)
 
 
 def _fraction_divmod(a, b):
