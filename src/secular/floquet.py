@@ -624,11 +624,10 @@ class Monodromy:
     tol: float
 
 
-def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
-                        t_eval=None) -> tuple[int, Trajectory]:
-    """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major and
-    sampled at t_eval if given; a family's m members fly as one
-    (n * n, m) stack."""
+def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float,
+                        tol: float) -> tuple[int, Trajectory]:
+    """X' = A(t) X from X(0) = I over [0, t_end], flattened row-major; a
+    family's m members fly as one (n * n, m) stack."""
     m = sys.members
     with np.errstate(over="ignore", invalid="ignore"):  # integrate reports it
         n = np.shape(sys.A_of_t(0.0) if m is None
@@ -645,7 +644,7 @@ def _fundamental_flight(sys: PeriodicLinearSystem, t_end: float, tol: float,
             X = flat.reshape(n, n, -1)
             return (At[:, :, None, :] * X[None]).sum(axis=1).ravel()
         x0 = np.tile(np.eye(n).reshape(-1, 1), m)
-    return n, integrate(rhs, x0, (0.0, t_end), tol, t_eval=t_eval)
+    return n, integrate(rhs, x0, (0.0, t_end), tol)
 
 
 def reversed_monodromy(R: np.ndarray, Phi: np.ndarray) -> np.ndarray:
@@ -763,51 +762,6 @@ def classify_periodic_stability(exps: ExponentSet, tol=1e-6) -> PeriodicStabilit
     if secular_witnesses:
         return PeriodicStabilityVerdict(SECULAR, tuple(secular_witnesses), marginal)
     return PeriodicStabilityVerdict(BOUNDED, tuple(exps.multipliers), marginal)
-
-
-@dataclass(frozen=True)
-class FloquetFactorization:
-    sample_times: np.ndarray
-    periodic_factors: np.ndarray  # shape (n_modes, dim, n_samples)
-    exponents: tuple[complex, ...]
-    amplitudes: tuple[complex, ...]  # components of x0 along the eigen-solutions
-    periodicity_residual: float
-
-
-def floquet_solution(sys: PeriodicLinearSystem, x0, exps: ExponentSet,
-                     n_periods=2, n_samples=64, tol=DEFAULT_TOL) -> FloquetFactorization:
-    """Verify the Floquet factorization x = sum_j k_j e^{a_j t} p_j(t).
-
-    Requires distinct multipliers in exps.blocks.  One flight, sampled at
-    the times it needs, gives M = Phi(T), the periodic factors
-    p_j(t) = e^{-a_j t} Phi(t) v_j at n_samples times over one period, and
-    the worst periodicity residual |p_j(t + T) - p_j(t)| at 8 times t in
-    [0, n_periods T].
-    """
-    if any(sum(sizes) > 1 for _, sizes in exps.blocks):
-        raise DomainError(
-            "clustered multipliers: factorization with multiple multipliers "
-            "is unsupported; inspect the exponent block report instead"
-        )
-    T = sys.period
-    ts = np.linspace(0.0, T, n_samples, endpoint=False)
-    checks = np.linspace(0.0, n_periods * T, 8)
-    times = np.concatenate((ts, checks, checks + T, [T]))
-    order = np.argsort(times, kind="stable")
-    n, traj = _fundamental_flight(sys, times.max(), tol, times[order])
-    Phi = np.empty((len(times), n, n))
-    Phi[order] = traj.y.T.reshape(-1, n, n)
-    mults, vecs = np.linalg.eig(Phi[-1])
-    alphas = np.array([cmath.log(complex(s)) / T for s in mults])
-    # column j of modes[i] is p_j(times[i])
-    modes = Phi @ vecs * np.exp(-np.outer(times, alphas))[:, None, :]
-    at_t, at_tT = modes[n_samples:n_samples + 8], modes[n_samples + 8:-1]
-    amps = np.linalg.solve(vecs, np.asarray(x0, dtype=complex))
-    return FloquetFactorization(
-        ts, modes[:n_samples].transpose(2, 1, 0),
-        tuple(complex(a) for a in alphas), tuple(complex(a) for a in amps),
-        float(np.max(np.abs(at_tT - at_t))),
-    )
 
 
 # x -> x, x' -> -x' under t -> -t: Hill's equation is even in t

@@ -58,13 +58,6 @@ class LinearSolution:
                 tk *= t
         return out
 
-    @property
-    def max_degree(self) -> int:
-        return max((t.degree for t in self.terms), default=0)
-
-    def has_secular_terms(self) -> bool:
-        return self.max_degree >= 1
-
 
 def _canonical_terms(raw, dim, drop_tol) -> LinearSolution:
     """Merge per-eigenvalue contributions, drop negligible coefficients,

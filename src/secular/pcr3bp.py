@@ -250,10 +250,6 @@ class LibrationStability:
     verdict: str
 
     @property
-    def stable(self) -> bool:
-        return self.verdict == STABLE
-
-    @property
     def center_frequency(self) -> float:
         """Largest oscillation frequency among purely imaginary roots."""
         freqs = [s.imag for s in self.roots
@@ -409,13 +405,6 @@ def _flow_to_crossing(rhs, z0, t_end, tol, direction, relay=None):
     final = traj.final.reshape(len(z0), -1)
     return [traj.faults.get(i) or out[i] or NonConvergenceError(
         missed, best=final[:, i]) for i in range(len(out))]
-
-
-def variational_flow(state0, mu, T, tol=1e-12):
-    """Integrate state and state-transition matrix over [0, T]."""
-    mu = _check_mu(mu)
-    zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), tol).final
-    return zf[:4], zf[4:].reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ their square-free part before a Sturm chain is built.
 
 Evaluation and long division run on the integer coefficients over their
 lcm denominator, and return the values the rational loops would.  One
-integer division loop serves divmod, square-free parts, gcds, which run
+integer division loop serves square-free parts and gcds, which run
 Euclid on primitive integer remainders and are made monic at the end,
 and Sturm chains, held as each member's sign and primitive integer part
 (Collins's primitive remainder sequence): their sign variations are read
@@ -155,15 +155,6 @@ class RationalPolynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPolynomial([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if self.is_zero or other.is_zero:
             return RationalPolynomial.zero()
@@ -178,21 +169,6 @@ class RationalPolynomial:
     def scale(self, k) -> "RationalPolynomial":
         k = _to_frac(k)
         return RationalPolynomial([k * c for c in self.coeffs])
-
-    def __divmod__(self, other: "RationalPolynomial"):
-        """Long division, run on the cleared integer coefficients by
-        `_int_divmod`, with Fractions built once, at the end: the quotient
-        and remainder of A = C_A / L_A by B = C_B / L_B are those of C_A by
-        C_B times L_B / L_A and 1 / L_A."""
-        La, A = self._clear()
-        Lb, B = other._clear()
-        quo, rem, s = _int_divmod(A, B)
-        if not quo:
-            return RationalPolynomial.zero(), self
-        return (RationalPolynomial([Fraction(v * Lb, w * La)
-                                    for v, w in reversed(quo)]),
-                RationalPolynomial([Fraction(r, s * La)
-                                    for r in reversed(rem)]))
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(
@@ -223,9 +199,6 @@ class RationalPolynomial:
             dk *= d
             acc = acc * n + c * dk
         return acc, L * dk
-
-    def eval_frac(self, x) -> Fraction:
-        return Fraction(*self._eval_ratio(x))
 
     def sign_at(self, x) -> int:
         """Sign of p at a rational point or at NEG_INF / POS_INF."""

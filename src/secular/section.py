@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, SingularityError
+from .errors import DomainError, SingularityError
 from .pcr3bp import (
     _check_mu,
     _flow_rhs,
@@ -119,19 +119,18 @@ class MapLinearization:
     eigenvalues: tuple[complex, complex]
     tag: str
 
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.jacobian))
 
-
-def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
-                  tol: float) -> tuple[SectionPoint, np.ndarray]:
-    """The return map's image of p and its Jacobian there, from the STM.
+def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
+                  tol: float = 1e-12) -> MapLinearization:
+    """2x2 Jacobian of the return map, from the state-transition matrix,
+    which stays accurate at strongly hyperbolic points.
 
     Lift tangent vectors of the section through the energy constraint
     (delta vy = (Omega_x dx - vx dvx) / vy at y = 0), propagate with the
     STM over one return, and project back along the flow (crossing-time
-    correction dt = -dy / vy).
+    correction dt = -dy / vy).  Classification by the trace of the
+    (unit-determinant) Jacobian: |tr| < 2 elliptic, |tr| > 2 hyperbolic,
+    |tr| = 2 within 1e-6 parabolic.
     """
     z0 = lift(p, mu, sd)
     _, zc = _flow_to_crossing(_var_rhs(mu), _with_stm(z0), RETURN_TIME, tol,
@@ -151,18 +150,7 @@ def _stm_jacobian(p: SectionPoint, mu: float, sd: SectionDef,
         [1.0, -fc[0] / zc[3], 0.0, 0.0],
         [0.0, -fc[2] / zc[3], 1.0, 0.0],
     ])
-    return SectionPoint(float(zc[0]), float(zc[2])), proj @ V
-
-
-def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
-                  tol: float = 1e-12) -> MapLinearization:
-    """2x2 Jacobian of the return map, from the state-transition matrix
-    (`_stm_jacobian`), which stays accurate at strongly hyperbolic points.
-
-    Classification by the trace of the (unit-determinant) Jacobian:
-    |tr| < 2 elliptic, |tr| > 2 hyperbolic, |tr| = 2 within 1e-6 parabolic.
-    """
-    _, J = _stm_jacobian(p, mu, sd, tol)
+    J = proj @ V
     eigs = np.linalg.eigvals(J)
     tr = float(np.trace(J))
     if abs(abs(tr) - 2.0) <= 1e-6:
@@ -172,29 +160,6 @@ def linearize_map(p: SectionPoint, mu: float, sd: SectionDef,
     else:
         tag = HYPERBOLIC
     return MapLinearization(J, (complex(eigs[0]), complex(eigs[1])), tag)
-
-
-def fixed_point(guess: SectionPoint, mu: float, sd: SectionDef,
-                tol: float = 1e-10, max_iter: int = 20) -> SectionPoint:
-    """Newton on return_map(p) - p, one STM flight (`_stm_jacobian`) a step."""
-    p = guess
-    best, best_resid = p, math.inf
-    for _ in range(max_iter):
-        fp, J = _stm_jacobian(p, mu, sd, 1e-12)
-        r = fp.as_array() - p.as_array()
-        resid = float(np.max(np.abs(r)))
-        if resid < best_resid:
-            best, best_resid = p, resid
-        if resid <= tol:
-            return p
-        A = J - np.eye(2)
-        if abs(np.linalg.det(A)) < 1e-12:
-            raise DomainError("degenerate fixed-point Jacobian (J - I singular)")
-        p = SectionPoint(*(p.as_array() - np.linalg.solve(A, r)))
-    raise NonConvergenceError(
-        f"fixed-point Newton did not reach {tol} in {max_iter} iterations",
-        best=best,
-    )
 
 
 @dataclass(frozen=True)

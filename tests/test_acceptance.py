@@ -24,14 +24,16 @@ from secular.matrixcore import (
     interlacing_check,
 )
 from secular.pcr3bp import (
+    STABLE,
     LibrationPoint,
+    _var_rhs,
+    _with_stm,
     correct_periodic,
     jacobi_constant,
     libration_points,
     libration_stability,
     lyapunov_seed,
     orbit_exponents,
-    variational_flow,
 )
 from secular.ratpoly import RationalPolynomial, count_real_roots
 from secular.section import (
@@ -162,7 +164,7 @@ def test_acceptance_04_weierstrass_jordan_refinement():
         rep = symmetric_diagonalizability_check(A)
         assert rep.passed, i
         sol = solve_constant(A, [Fraction(1)] * A.n)
-        assert not sol.has_secular_terms(), i
+        assert all(t.degree == 0 for t in sol.terms), i
     print("ACCEPTANCE 4: PASS - 200 symmetric matrices (50 with repeated "
           "eigenvalues) semisimple, no secular terms")
 
@@ -250,7 +252,8 @@ def test_acceptance_07_jacobi_conservation(l1_orbit):
         worst = max(worst, drift)
         assert drift <= 1e-9, drift
         checked += 1
-    _, Phi = variational_flow(l1_orbit.initial_state, MU_EM, T, tol=1e-12)
+    Phi = integrate(_var_rhs(MU_EM), _with_stm(l1_orbit.initial_state),
+                    (0.0, T), 1e-12).final[4:].reshape(4, 4)
     det_err = abs(np.linalg.det(Phi) - 1.0)
     assert det_err <= 1e-6
     print(f"ACCEPTANCE 7: PASS - Jacobi drift <= {worst:.2e} relative over "
@@ -279,7 +282,7 @@ def test_acceptance_09_l4_threshold():
     """L4 verdict flips at the root of 27 mu (1 - mu) = 1."""
     def stable(mu):
         l4 = LibrationPoint("L4", (0.5 - mu, math.sqrt(3.0) / 2.0))
-        return libration_stability(mu, l4).stable
+        return libration_stability(mu, l4).verdict == STABLE
 
     lo, hi = 0.03, 0.05
     assert stable(lo) and not stable(hi)
@@ -302,7 +305,7 @@ def test_acceptance_10_section_duality(l1_orbit):
     pstar = SectionPoint(float(l1_orbit.initial_state[0]),
                          float(l1_orbit.initial_state[2]))
     lin = linearize_map(pstar, MU_EM, sd)
-    det_err = abs(lin.det - 1.0)
+    det_err = abs(np.linalg.det(lin.jacobian) - 1.0)
     assert det_err <= 1e-6
     nontrivial = sorted((abs(s) for s in l1_orbit.multipliers),
                         key=lambda a: abs(a - 1.0))[2:]

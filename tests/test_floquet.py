@@ -27,7 +27,6 @@ from secular.floquet import (
     PeriodicLinearSystem,
     characteristic_exponents,
     classify_periodic_stability,
-    floquet_solution,
     hill_system,
     integrate,
     monodromy,
@@ -198,6 +197,14 @@ class TestExponents:
         with pytest.raises(DomainError):
             characteristic_exponents(M)
 
+    def test_cluster_tol_joins_distinct_multipliers(self):
+        # at cluster_tol = 10 the report clusters the two distinct
+        # multipliers of a = 1, q = 0.2 into one
+        sys = hill_system(a=1.0, q=0.2)
+        exps = characteristic_exponents(monodromy(sys, tol=1e-12),
+                                        cluster_tol=10.0)
+        assert [sum(sizes) for _, sizes in exps.blocks] == [2]
+
 
 class TestClassification:
     def test_unforced_oscillator_bounded(self):
@@ -238,61 +245,35 @@ class TestClassification:
         assert verdict.tag == SECULAR
 
 
-class TestFactorization:
-    def test_constant_system_factors_are_constant(self):
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        sys = PeriodicLinearSystem(lambda t: A, 1.0)
-        exps = characteristic_exponents(monodromy(sys, tol=1e-12))
-        fac = floquet_solution(sys, [1.0, 1.0], exps, tol=1e-12)
-        assert fac.periodicity_residual < 1e-7
-        # periodic factor of a constant system is a constant eigenvector
-        for j in range(2):
-            spread = np.max(np.abs(fac.periodic_factors[j]
-                                   - fac.periodic_factors[j][:, :1]))
-            assert spread < 1e-7
+def _hill_determinant_trace(a, q, N=3000):
+    """tr M of x'' + (a - 2 q cos 2t) x = 0 by Hill's infinite determinant
+    (Hill, *Acta Math.* 8, 1886; Magnus and Winkler, *Hill's Equation*,
+    ch. 2), an oracle that flies nothing: tr M = 2 - 4 D sin^2(pi sqrt(a)/2),
+    D the determinant of the (2N + 1)-row tridiagonal matrix with 1 on the
+    diagonal and -q / (a - 4 n^2) beside it in row n, |n| <= N, taken by
+    its three-term recurrence."""
+    off = [-q / (a - 4.0 * n * n) for n in range(-N, N + 1)]
+    before, D = 1.0, 1.0
+    for k in range(1, len(off)):
+        before, D = D, D - off[k - 1] * off[k] * before
+    return 2.0 - 4.0 * D * math.sin(math.pi * math.sqrt(a) / 2.0) ** 2
 
-    def test_hill_factors_periodic(self):
-        sys = hill_system(a=0.5, q=0.1)
-        exps = characteristic_exponents(monodromy(sys, tol=1e-12))
-        fac = floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
-        assert fac.periodicity_residual < 1e-6
 
-    def test_repeated_multipliers_rejected(self):
-        # a = 4, q = 0 gives monodromy I: both multipliers equal 1
-        sys = hill_system(a=4.0, q=0.0)
-        exps = characteristic_exponents(monodromy(sys, tol=1e-12))
-        with pytest.raises(DomainError):
-            floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
+class TestHillDeterminant:
+    @given(st.floats(0.5, 1.5), st.floats(0.0, 0.4))
+    @settings(max_examples=20, deadline=None)
+    def test_lone_flight_trace(self, a, q):
+        M = monodromy(hill_system(a, q), tol=1e-12).M
+        assert abs(np.trace(M) - _hill_determinant_trace(a, q)) <= 1e-9
 
-    def test_clusters_read_from_the_exponent_report(self):
-        # at cluster_tol = 10 the report clusters the two distinct
-        # multipliers of a = 1, q = 0.2 into one
-        sys = hill_system(a=1.0, q=0.2)
-        exps = characteristic_exponents(monodromy(sys, tol=1e-12),
-                                        cluster_tol=10.0)
-        assert [sum(sizes) for _, sizes in exps.blocks] == [2]
-        with pytest.raises(DomainError):
-            floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
-
-    def test_one_sampled_flight(self, monkeypatch):
-        # M, the factors and the periodicity check come off one flight,
-        # and a rejected call makes none
-        flights = []
-
-        def counted(*args, **kwargs):
-            flights.append(len(kwargs["t_eval"]))
-            return integrate(*args, **kwargs)
-        sys = hill_system(a=1.0, q=0.2)
-        exps = characteristic_exponents(monodromy(sys, tol=1e-12))
-        clustered = characteristic_exponents(monodromy(sys, tol=1e-12),
-                                             cluster_tol=10.0)
-        monkeypatch.setattr("secular.floquet.integrate", counted)
-        fac = floquet_solution(sys, [1.0, 0.0], exps, tol=1e-12)
-        assert flights == [64 + 8 + 8 + 1]
-        assert fac.periodicity_residual < 1e-6
-        with pytest.raises(DomainError):
-            floquet_solution(sys, [1.0, 0.0], clustered, tol=1e-12)
-        assert len(flights) == 1
+    def test_readme_grid_traces(self):
+        # the README grid 0.5:1.5:21,0:0.4:9 as one family, at the CLI's tol
+        a_grid, q_grid = np.meshgrid(np.linspace(0.5, 1.5, 21),
+                                     np.linspace(0.0, 0.4, 9), indexing="ij")
+        family = monodromy(hill_system(a_grid, q_grid), DEFAULT_TOL)
+        for a, q, mono in zip(a_grid.ravel(), q_grid.ravel(), family):
+            oracle = _hill_determinant_trace(float(a), float(q))
+            assert abs(np.trace(mono.M) - oracle) <= 1e-9, (a, q)
 
 
 def _oscillators(t, z):

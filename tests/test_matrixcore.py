@@ -188,7 +188,7 @@ def exact_matrices(draw):
 @given(exact_matrices())
 @settings(max_examples=80, deadline=None)
 def test_char_poly_constant_term_is_signed_det(A):
-    assert char_poly(A).eval_frac(0) == (-1) ** A.n * A.det()
+    assert char_poly(A).coeffs[0] == (-1) ** A.n * A.det()
 
 
 @given(exact_matrices(), st.fractions(-10, 10, max_denominator=7))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -33,7 +34,6 @@ from secular.pcr3bp import (
     libration_stability,
     lyapunov_seed,
     orbit_exponents,
-    variational_flow,
 )
 from secular.ratpoly import RationalPolynomial, isolate_real_roots, refine_root
 
@@ -47,15 +47,18 @@ def _quintic_root(mu, label):
     to 1e-40 and rounded."""
     mu = Fraction(mu)
     X = RationalPolynomial((Fraction(0), Fraction(1)))
-    a = X + RationalPolynomial((mu,))
-    b = X + RationalPolynomial((mu - 1,))
+    a = RationalPolynomial((mu, Fraction(1)))
+    b = RationalPolynomial((mu - 1, Fraction(1)))
     lead = X * a * a * b * b
-    t1, t2 = (b * b).scale(1 - mu), (a * a).scale(mu)
-    p, lo, hi = {  # the signs of a and b fixed on each segment
-        "L1": (lead - t1 + t2, -mu, 1 - mu),
-        "L2": (lead - t1 - t2, 1 - mu, 3),
-        "L3": (lead + t1 + t2, -3, -mu),
+    s1, s2, lo, hi = {  # the signs of a and b fixed on each segment
+        "L1": (-1, 1, -mu, 1 - mu),
+        "L2": (-1, -1, 1 - mu, 3),
+        "L3": (1, 1, -3, -mu),
     }[label]
+    # lead + s1 (1 - mu) b^2 + s2 mu a^2, summed by numpy on the Fractions
+    p = RationalPolynomial(npp.polyadd(lead.coeffs, npp.polyadd(
+        (b * b).scale(s1 * (1 - mu)).coeffs,
+        (a * a).scale(s2 * mu).coeffs)).tolist())
     roots = [r for iv in isolate_real_roots(p)
              for r in [refine_root(p, iv, Fraction(1, 10 ** 40))]
              if lo < r < hi]
@@ -341,24 +344,30 @@ class TestStability:
                 assert verdict == SADDLE_CENTER
 
 
+def _variational_flight(state0, mu, T):
+    """The state and STM at T of one flight from state0."""
+    zf = integrate(_var_rhs(mu), _with_stm(state0), (0.0, T), 1e-12).final
+    return zf[:4], zf[4:].reshape(4, 4)
+
+
 class TestVariationalFlow:
     def test_zero_time_identity(self):
-        _, Phi = variational_flow([0.5, 0.2, 0.0, 0.1], MU_EM, 0.0)
+        _, Phi = _variational_flight([0.5, 0.2, 0.0, 0.1], MU_EM, 0.0)
         assert np.array_equal(Phi, np.eye(4))
 
     def test_unit_determinant(self):
-        _, Phi = variational_flow([0.5, 0.3, 0.2, -0.1], MU_EM, 3.0, tol=1e-12)
+        _, Phi = _variational_flight([0.5, 0.3, 0.2, -0.1], MU_EM, 3.0)
         assert abs(np.linalg.det(Phi) - 1.0) < 1e-6
 
     def test_finite_difference_column(self):
         state0 = np.array([0.5, 0.3, 0.2, -0.1])
         T, h = 2.0, 1e-7
-        _, Phi = variational_flow(state0, MU_EM, T, tol=1e-12)
+        _, Phi = _variational_flight(state0, MU_EM, T)
         for j in range(4):
             bumped = state0.copy()
             bumped[j] += h
-            fp, _ = variational_flow(bumped, MU_EM, T, tol=1e-12)
-            fm, _ = variational_flow(state0, MU_EM, T, tol=1e-12)
+            fp, _ = _variational_flight(bumped, MU_EM, T)
+            fm, _ = _variational_flight(state0, MU_EM, T)
             assert np.allclose((fp - fm) / h, Phi[:, j], atol=1e-4)
 
 
@@ -389,8 +398,8 @@ class TestCorrection:
         l1 = libration_points(MU_EM)[0]
         seed, t_half = lyapunov_seed(MU_EM, l1, 1e-3)
         orbit = correct_periodic(seed, t_half, MU_EM)
-        final, _ = variational_flow(orbit.initial_state, MU_EM, orbit.period,
-                                    tol=1e-12)
+        final, _ = _variational_flight(orbit.initial_state, MU_EM,
+                                       orbit.period)
         assert np.max(np.abs(final - orbit.initial_state)) < 1e-9
 
     def test_non_perpendicular_guess_rejected(self):
@@ -779,7 +788,7 @@ class TestMirroredMonodromy:
                                      math.exp(log_amp))
         orbit = correct_periodic(seed, t_half, mu, integrator_tol=1e-12)
         M = orbit.monodromy
-        _, Phi = variational_flow(orbit.initial_state, mu, orbit.period)
+        _, Phi = _variational_flight(orbit.initial_state, mu, orbit.period)
         assert np.linalg.norm(M - Phi, 2) <= 1e-8 * np.linalg.norm(Phi, 2)
         # a mirrored monodromy is reversible: R M R = M^-1
         R = pcr3bp.MIRROR

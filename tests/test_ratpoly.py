@@ -37,16 +37,10 @@ def poly(*coeffs):
 
 
 class TestArithmetic:
-    def test_divmod_roundtrip(self):
-        a = poly(1, 2, 0, 3)
-        b = poly(-1, 1)
-        q, r = divmod(a, b)
-        assert q * b + r == a
-
     def test_eval_horner(self):
         p = poly(-6, 11, -6, 1)  # (x-1)(x-2)(x-3)
-        assert p.eval_frac(1) == 0
-        assert p.eval_frac(4) == 6
+        assert p._eval_ratio(1) == (0, 1)
+        assert p._eval_ratio(4) == (6, 1)
 
     def test_from_roots(self):
         assert P.from_roots([1, 2, 3]) == poly(-6, 11, -6, 1)
@@ -156,7 +150,7 @@ class TestIsolation:
             if count_real_roots(f, a, b) < 2:
                 return 0
             m = (a + b) / 2
-            if f.eval_frac(m) == 0:
+            if f._eval_ratio(m)[0] == 0:
                 m += root_separation_lower_bound(f) / 2
             return 1 + splits(a, m) + splits(m, b)
         expected = 2 + splits(-B, B)
@@ -343,7 +337,8 @@ _points = st.one_of(
 def test_integer_evaluation_matches_fraction_horner(coeffs, x):
     p = P(coeffs)
     ref = _fraction_horner(p.coeffs, x)
-    assert p.eval_frac(x) == ref and type(p.eval_frac(x)) is Fraction
+    N, D = p._eval_ratio(x)
+    assert D > 0 and Fraction(N, D) == ref
     assert p.sign_at(x) == (ref > 0) - (ref < 0)
 
 
@@ -409,9 +404,13 @@ def _polys(draw, min_degree=0, max_degree=12):
 @example(P([Fraction(1, 3)] * 13), P([Fraction(-7, 12)]))
 @settings(max_examples=300, deadline=None)
 def test_integer_long_division_matches_fractions(a, b):
-    q, r = divmod(a, b)
-    assert (q.coeffs, r.coeffs) == _fraction_divmod(a.coeffs, b.coeffs)
-    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+    # the quotient's terms v / w and the remainder over s, of the cleared
+    # integer coefficients, are those of long division in Fractions
+    A, B = a._clear()[1], b._clear()[1]
+    quo, rem, s = secular.ratpoly._int_divmod(A, B)
+    assert (P([Fraction(v, w) for v, w in reversed(quo)]).coeffs,
+            P([Fraction(r, s) for r in reversed(rem)]).coeffs) == \
+        _fraction_divmod(P(A[::-1]).coeffs, P(B[::-1]).coeffs)
 
 
 @given(st.one_of(_polys(1, 12),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import secular.section
-from secular.errors import DomainError, NonConvergenceError, SingularityError
+from secular.errors import DomainError, SingularityError
 from secular.pcr3bp import (
     _flow_rhs,
     _flow_to_crossing,
@@ -24,7 +24,6 @@ from secular.section import (
     MapLinearization,
     SectionDef,
     SectionPoint,
-    fixed_point,
     homoclinic_intersection,
     lift,
     linearize_map,
@@ -123,7 +122,7 @@ class TestLinearization:
     def test_stm_matches_orbit_multipliers(self, orbit, pstar, sd):
         lin = linearize_map(pstar, MU_EM, sd)
         assert lin.tag == HYPERBOLIC
-        assert abs(lin.det - 1.0) < 1e-6
+        assert abs(np.linalg.det(lin.jacobian) - 1.0) < 1e-6
         nontrivial = sorted(orbit.multipliers, key=lambda s: abs(s - 1.0))[2:]
         lam_orbit = max(abs(s) for s in nontrivial)
         lam_map = max(abs(e) for e in lin.eigenvalues)
@@ -135,36 +134,7 @@ class TestLinearization:
         fd = _fd_jacobian(p, MU_EM, sd)
         stm = linearize_map(p, MU_EM, sd)
         assert np.allclose(fd, stm.jacobian, rtol=1e-4, atol=1e-5)
-        assert abs(stm.det - 1.0) < 1e-6
-
-
-class TestFixedPoint:
-    def test_recovers_orbit_point(self, pstar, sd):
-        guess = SectionPoint(pstar.x + 1e-6, pstar.vx)
-        fp = fixed_point(guess, MU_EM, sd, tol=1e-10)
-        assert abs(fp.x - pstar.x) < 1e-8
-        assert abs(fp.vx - pstar.vx) < 1e-8
-
-    def test_non_convergent_guess(self, sd):
-        with pytest.raises((NonConvergenceError, DomainError)):
-            fixed_point(SectionPoint(0.3, 0.3), MU_EM, sd,
-                        tol=1e-12, max_iter=3)
-
-
-def test_fixed_point_flies_once_per_newton_step(pstar, sd, monkeypatch):
-    flights = []
-
-    def counted(rhs, z0, *args):
-        flights.append(np.shape(z0))
-        return _flow_to_crossing(rhs, z0, *args)
-    monkeypatch.setattr("secular.section._flow_to_crossing", counted)
-    guess = SectionPoint(pstar.x + 1e-6, pstar.vx)
-    fixed_point(guess, MU_EM, sd, tol=1e-10)
-    # every flight carries the STM, for both the image and the Jacobian
-    assert flights and all(shape == (20,) for shape in flights)
-    # and each is one Newton step: with one step fewer there is no answer
-    with pytest.raises(NonConvergenceError):
-        fixed_point(guess, MU_EM, sd, tol=1e-10, max_iter=len(flights) - 1)
+        assert abs(np.linalg.det(stm.jacobian) - 1.0) < 1e-6
 
 
 class TestAreaPreservation:
