@@ -38,10 +38,6 @@ class SolutionTerm:
     lam: complex
     coeffs: tuple[tuple[complex, ...], ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class LinearSolution:

@@ -194,13 +194,6 @@ class SquareMatrix:
         k = _to_frac(k)
         return SquareMatrix([[k * x for x in r] for r in self.rows])
 
-    def transpose(self) -> "SquareMatrix":
-        if self.flavor == EXACT:
-            return SquareMatrix(
-                [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-            )
-        return SquareMatrix(self.rows.T, NUMERIC)
-
     def shift(self, lam) -> "SquareMatrix":
         """A - lam*I (exact flavor)."""
         self._require_exact()

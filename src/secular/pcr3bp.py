@@ -18,9 +18,14 @@ the differential corrector here and by the return maps and manifolds in
 `secular.section`.  The crossing is `integrate`'s one event, y crossing
 zero in the section's sense, with the value at t = 0 set past the axis
 for a start on it; a 1-D start flies alone and a 2-D stack in one loop,
-each member relayed from crossing to crossing if asked.  A corrected
-orbit's monodromy is read off its half-period STM through the mirror, by
-the rule Hill's equation uses.
+each member relayed from crossing to crossing if asked.  The corrector
+flies each Newton step only as accurately as that step can use: the first
+flight at max(integrator_tol, 1e-8), each later one at the tighter of the
+last flight's tolerance and its residual squared, never below
+integrator_tol, and only a flight at integrator_tol ends it; once the
+residual falls tenfold, a two-point step on the last two flights stands in
+for Newton's.  A corrected orbit's monodromy is read off its half-period
+STM through the mirror, by the rule Hill's equation uses.
 """
 
 from __future__ import annotations
@@ -445,6 +450,24 @@ def lyapunov_seed(mu: float, point: LibrationPoint, amplitude: float):
     return state, math.pi / w
 
 
+def _two_point_step(prev, cur):
+    """Traub's two-point step from cur, each of prev and cur a flight's
+    (vy0, vx, dvx/dvy0): of the real roots of the cubic Hermite
+    interpolant through both, the one nearest cur's Newton iterate, as an
+    offset from cur's vy0, if it lies within one Newton step of that
+    iterate; else the Newton step."""
+    (v0, f0, d0), (v1, f1, d1) = prev, cur
+    h, newton = v1 - v0, -f1 / d1
+    if not h:  # the last step was too small to move vy0
+        return newton
+    a = (f0 - f1 + d1 * h) / (h * h)  # p(u) = f1 + d1 u + c2 u^2 + c3 u^3
+    b = (d0 - d1) / h
+    roots = np.roots([(b + 2.0 * a) / h, 3.0 * a + b, d1, f1])
+    u = min((r.real for r in roots if r.imag == 0.0),
+            key=lambda r: abs(r - newton), default=newton)
+    return u if abs(u - newton) <= abs(newton) else newton
+
+
 def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
                      integrator_tol=1e-12) -> OrbitRecord:
     """Differential correction of a symmetric periodic orbit.
@@ -453,6 +476,26 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
     on vy0 drives vx to zero at the next perpendicular crossing, using
     the state-transition matrix (mirror-theorem single shooting).  That
     flight's STM also gives the monodromy M = R Phi^-1 R Phi, R = MIRROR.
+
+    Each flight is flown only as accurately as its Newton step can use
+    (inexact Newton, Dembo, Eisenstat and Steihaug 1982): the first at
+    max(integrator_tol, 1e-8), each later one at max(integrator_tol,
+    min(the last flight's tol, vx^2)), vx that flight's residual.  A first
+    flight at 1e-6 sent the (mu 0.1, L1, 3e-2) start to another orbit
+    (vy0 -1.912 against 0.346).  Only a flight at integrator_tol ends the
+    correction: a loose flight that meets ``tol`` is flown once more from
+    the same start at integrator_tol, and that flight gives the orbit, its
+    period, monodromy and residual; ``max_iter`` counts that flight as an
+    iteration of its own.  A loose flight that fails is flown again at
+    once at integrator_tol, so a fault raised is a full-tolerance flight's.
+
+    Once |vx| is at most a tenth of the last flight's from another start,
+    the step is Traub's two-point one (1964): vy0 moves to the root of the
+    cubic Hermite interpolant through the two flights' (vy0, vx,
+    dvx/dvy0) nearest the Newton iterate, if it lies within one Newton
+    step of it; otherwise the Newton step is taken.  Without the tenfold
+    guard the README's --seed-amplitude 2e-2 start reached another orbit
+    (vy0 -1.947 against 0.507).
     """
     mu = _check_mu(mu)
     state = np.asarray(state0, dtype=float).copy()
@@ -464,13 +507,21 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
     rhs = _var_rhs(mu)
     best = state.copy()
     best_resid = math.inf
+    ftol = max(integrator_tol, 1e-8)
+    prev = None  # (vy0, vx, dvx/dvy0) of the last flight from another start
+
+    def fly(rtol):  # the return crossing runs against the start's vy
+        return _flow_to_crossing(rhs, _with_stm(state), 4.0 * half_period,
+                                 rtol, -1.0 if state[3] >= 0 else 1.0)
     for _ in range(max_iter):
-        # the return crossing runs against the current start's vy
-        direction = -1.0 if state[3] >= 0 else 1.0
         try:
-            t_half, zc = _flow_to_crossing(rhs, _with_stm(state),
-                                           4.0 * half_period, integrator_tol,
-                                           direction)
+            try:
+                t_half, zc = fly(ftol)
+            except (NonConvergenceError, SingularityError):
+                if ftol == integrator_tol:
+                    raise
+                ftol = integrator_tol
+                t_half, zc = fly(ftol)
         except NonConvergenceError as e:
             raise NonConvergenceError(str(e), best=best) from e
         vx, vy = zc[2], zc[3]
@@ -478,6 +529,9 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
         if abs(vx) < best_resid:
             best_resid, best = abs(vx), state.copy()
         if abs(vx) <= tol:
+            if ftol > integrator_tol:  # fly the start again at full tolerance
+                ftol = integrator_tol
+                continue
             T, M = 2.0 * t_half, reversed_monodromy(MIRROR, Phi)
             mults = tuple(sorted((complex(s) for s in np.linalg.eigvals(M)),
                                  key=lambda z: (abs(z), z.real, z.imag)))
@@ -494,7 +548,10 @@ def correct_periodic(state0, half_period, mu, tol=1e-11, max_iter=25,
             raise DomainError(
                 "degenerate correction Jacobian: orbit family bifurcation"
             )
-        state[3] -= vx / denom
+        cur = (float(state[3]), vx, denom)
+        two_point = prev is not None and abs(vx) <= 0.1 * abs(prev[1])
+        state[3] += _two_point_step(prev, cur) if two_point else -vx / denom
+        prev, ftol = cur, max(integrator_tol, min(ftol, vx * vx))
     raise NonConvergenceError(
         f"differential correction did not reach {tol} in {max_iter} steps "
         f"(best residual {best_resid:.3g})",

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from secular import cli
 from secular.cli import run
 from secular.errors import NonConvergenceError
+from secular.floquet import integrate
 from secular.matrixcore import SquareMatrix
 from secular.ratpoly import MAX_EXPONENT, RationalPolynomial, parse_rational
 from secular.pcr3bp import _flow_to_crossing
@@ -496,6 +497,27 @@ class TestJsonOutputs:
             outs.append(json.loads(out)["terms"])
         for ta, tb in zip(outs[0], outs[1]):
             assert ta["lambda"] == pytest.approx(tb["lambda"], abs=1e-12)
+
+    def test_linsolve_second_form_prints_frozen_bytes(self, capsys):
+        # x'' = A x for A = [[2, -1], [-1, 2]]: modes of alpha 1 and 3,
+        # so exponents +-1 and +-sqrt(3), from x0 = (1, 0) at rest
+        assert invoke(capsys, [
+            "linsolve", "--matrix", '[["2","-1"],["-1","2"]]', "--x0", "1,0",
+            "--form", "second", "--v0", "0,0"]) == (0, (
+                '{"config": {"cluster_tol": 1e-08, "integrator_tol": 1e-10, '
+                '"version": "0.1.0"}, "modes": [{"alpha": 1.0, "rate": 1.0, '
+                '"vector": [-0.7071067811865475, -0.7071067811865475]}, '
+                '{"alpha": 3.0, "rate": 1.7320508075688772, "vector": '
+                '[-0.7071067811865475, 0.7071067811865475]}], '
+                '"strict_lagrange": false, "terms": [{"lambda": '
+                '[-1.7320508075688772, 0.0], "poly": [[[0.24999999999999994, '
+                '0.0], [-0.24999999999999994, 0.0]]]}, {"lambda": [-1.0, '
+                '0.0], "poly": [[[0.24999999999999994, 0.0], '
+                '[0.24999999999999994, 0.0]]]}, {"lambda": [1.0, 0.0], '
+                '"poly": [[[0.24999999999999994, 0.0], [0.24999999999999994, '
+                '0.0]]]}, {"lambda": [1.7320508075688772, 0.0], "poly": '
+                '[[[0.24999999999999994, 0.0], [-0.24999999999999994, '
+                '0.0]]]}], "verdict": "exponentially_unstable"}\n'), "")
 
     def test_pcr3bp_stability_verdict(self, capsys):
         code, out, _ = invoke(capsys, [
@@ -1050,6 +1072,25 @@ def test_readme_manifolds_fly_one_stack(capsys, monkeypatch, vx, width):
     assert code == 0
     # the fixed point's STM linearization, then the one stacked flight
     assert flights == [(20,), (4, width)]
+
+
+def test_readme_orbit_flies_loose_then_full(capsys, monkeypatch):
+    # the corrector's flights for the README orbit: loose at 1e-8 first,
+    # the last at the CLI's integrator_tol, 49 step tries in all (four
+    # flights at 1e-10 made 64)
+    flights = []
+
+    def counted(f, x0, t_span, tol, **kwargs):
+        traj = integrate(f, x0, t_span, tol, **kwargs)
+        flights.append((tol, int(traj.accepted_steps.sum()
+                                 + traj.rejected_steps.sum())))
+        return traj
+    monkeypatch.setattr("secular.pcr3bp.integrate", counted)
+    line, = (line for line in _readme_cli_lines() if " orbit " in line)
+    code, _, _ = invoke(capsys, shlex.split(line)[1:])
+    assert code == 0
+    assert flights[0][0] == 1e-8 and flights[-1][0] == 1e-10
+    assert sum(tries for _, tries in flights) == 49
 
 
 def test_readme_names_every_global_flag():

@@ -141,9 +141,8 @@ def unread_methods(sources: dict[str, str]) -> list[str]:
 
     A bare name (a local `rank`) and a module's attribute (`np.linalg.det`)
     do not count.  The rule still misses a method that shares its name with
-    an attribute read elsewhere: `SquareMatrix.transpose` hides behind
-    numpy's `.transpose(...)` and `SolutionTerm.degree` behind
-    `RationalPolynomial.degree`; operator dunders are not checked.
+    an attribute read elsewhere, as a `transpose` would hide behind numpy's
+    `.transpose(...)`; operator dunders are not checked.
     """
     defined, _ = _module_names(sources)
     read = _attributes_read(sources)

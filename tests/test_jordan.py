@@ -339,7 +339,7 @@ def random_symmetric_with_planted_spectrum(rng, n):
     D = SquareMatrix(
         [[eigs[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
-    return Q.transpose().matmul(D).matmul(Q), eigs
+    return Q.matmul(D).matmul(Q), eigs  # Q^t = Q: a reflection
 
 
 class TestSymmetricDiagonalizability:

@@ -205,6 +205,11 @@ def test_faddeev_leverrier_adjugate_inverts_resolvent(A, s):
     assert adj.matmul(resolvent) == SquareMatrix.identity(n).scale(det)
 
 
+def _transpose(M):
+    """An exact matrix's transpose."""
+    return SquareMatrix(list(zip(*M.rows)))
+
+
 def _fraction_faddeev_leverrier(rows):
     """The recursion in Fractions throughout: the reference for the
     integer recursion faddeev_leverrier runs on exact rows."""
@@ -331,11 +336,11 @@ def test_inertia_invariant_under_congruence(data):
     D = SquareMatrix([[d[i] if i == j else 0 for j in range(n)]
                       for i in range(n)])
     T, S = (data.draw(invertible_rational(n)) for _ in range(2))
-    G = T.transpose().matmul(D).matmul(T)
+    G = _transpose(T).matmul(D).matmul(T)
     planted = Inertia(sum(x > 0 for x in d), sum(x < 0 for x in d),
                       sum(x == 0 for x in d))
     assert inertia(QuadraticForm(G)) == planted
-    assert inertia(QuadraticForm(S.transpose().matmul(G).matmul(S))) == planted
+    assert inertia(QuadraticForm(_transpose(S).matmul(G).matmul(S))) == planted
 
 
 @st.composite
@@ -412,7 +417,7 @@ class TestQuadraticForms:
     def test_reduction_is_congruence(self):
         q = self.paper_form()
         coeffs, T = reduce_to_squares(q)
-        D = T.transpose().matmul(q.gram).matmul(T)
+        D = _transpose(T).matmul(q.gram).matmul(T)
         for i in range(3):
             for j in range(3):
                 expect = coeffs[i] if i == j else 0
@@ -444,7 +449,7 @@ class TestQuadraticForms:
             G = random_symmetric(rng, n)
             q = QuadraticForm(G)
             T = random_invertible(rng, n)
-            q2 = QuadraticForm(T.transpose().matmul(G).matmul(T))
+            q2 = QuadraticForm(_transpose(T).matmul(G).matmul(T))
             assert inertia(q) == inertia(q2)
 
 
@@ -528,7 +533,7 @@ def test_fraction_free_squares_match_the_fraction_steps(rows):
     coeffs, T = reduce_to_squares(QuadraticForm(G))
     n = G.n
     assert all(type(c) is Fraction for c in coeffs)
-    assert T.transpose().matmul(G).matmul(T).rows == tuple(
+    assert _transpose(T).matmul(G).matmul(T).rows == tuple(
         tuple(coeffs[i] if i == j else 0 for j in range(n)) for i in range(n))
     assert T.det() != 0
     reference = _fraction_reduce_to_squares(rows)

@@ -1,7 +1,9 @@
 """Tests for the planar circular restricted three-body module."""
 
+import cmath
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -451,6 +453,103 @@ class TestCorrection:
         pair = sorted(mults, key=lambda s: abs(s - 1.0))[2:]
         assert (max(abs(s) for s in pair) > 1.0 + 1e-6) == (
             verdict == "unstable")
+
+
+def _full_tolerance_corrector(state0, half_period, mu, tol=1e-11,
+                              max_iter=25, integrator_tol=1e-12):
+    """The oracle: `correct_periodic` as it was before its flights were
+    loosened, every Newton flight at integrator_tol and Newton steps only;
+    its checks of the start left out."""
+    state = np.asarray(state0, dtype=float).copy()
+    rhs = _var_rhs(mu)
+    for _ in range(max_iter):
+        direction = -1.0 if state[3] >= 0 else 1.0
+        t_half, zc = _flow_to_crossing(rhs, _with_stm(state),
+                                       4.0 * half_period, integrator_tol,
+                                       direction)
+        vx, vy = zc[2], zc[3]
+        Phi = zc[4:].reshape(4, 4)
+        if abs(vx) <= tol:
+            T, M = 2.0 * t_half, floquet.reversed_monodromy(pcr3bp.MIRROR,
+                                                            Phi)
+            mults = tuple(sorted((complex(s) for s in np.linalg.eigvals(M)),
+                                 key=lambda z: (abs(z), z.real, z.imag)))
+            exps = tuple(cmath.log(s) / T if abs(s) > 1e-300
+                         else complex(-math.inf, 0.0) for s in mults)
+            return pcr3bp.OrbitRecord(state.copy(), T, M, mults, exps,
+                                      jacobi_constant(state, mu), abs(vx))
+        ax = float(eom(zc[:4], mu)[2])
+        if abs(vy) < 1e-12:
+            raise DomainError("degenerate correction: tangential crossing")
+        denom = Phi[2, 3] - ax * Phi[1, 3] / vy
+        if abs(denom) < 1e-12:
+            raise DomainError(
+                "degenerate correction Jacobian: orbit family bifurcation")
+        state[3] -= vx / denom
+    raise NonConvergenceError(f"no convergence in {max_iter} steps")
+
+
+def _corrected(corrector, mu, label, amplitude, integrator_tol):
+    """(vy0, unstable) of the orbit corrected from the Lyapunov seed, the
+    verdict read as `pcr3bp orbit` reads it; the error's type if the
+    correction fails; None if the seed is refused."""
+    try:
+        seed, t_half = lyapunov_seed(mu, libration_point(mu, label),
+                                     amplitude)
+    except DomainError:
+        return None
+    try:
+        orbit = corrector(seed, t_half, mu, integrator_tol=integrator_tol)
+    except (DomainError, NonConvergenceError, SingularityError) as e:
+        return type(e)
+    rep = orbit_exponents(orbit)
+    return (orbit.initial_state[3],
+            any(abs(s) > 1.0 + 1e-6 for s in rep.nontrivial))
+
+
+def _oracle_grid_starts(mu):
+    """Four amplitudes log-uniform in [1e-6, 3e-2] per collinear point,
+    one in each quarter of the decades, at both integrator_tols in use."""
+    rng = random.Random(f"{mu!r}")
+    return [(label, 1e-6 * 3e4 ** ((k + rng.random()) / 4),
+             (1e-10, 1e-12)[k % 2])
+            for label in ("L1", "L2", "L3") for k in range(4)]
+
+
+# the mass ratios from tiny to equal masses, and two of the lyapunov_orbit
+# workload's range (0.005, 0.05)
+ORACLE_MUS = [1e-6, 1e-3, 0.0121, 0.1, 0.3, 0.5, 0.0137, 0.0411]
+
+
+@pytest.mark.parametrize("mu", ORACLE_MUS)
+def test_loose_flights_reach_the_full_tolerance_orbit(mu):
+    # the same orbit as with every flight at integrator_tol: |dvy0| within
+    # 1e-8 |vy0|, the same verdict, or the same error
+    starts = _oracle_grid_starts(mu)
+    if mu == 0.1:  # a 1e-6 first flight reached another orbit from here
+        starts.append(("L1", 3e-2, 1e-12))
+    for label, amplitude, itol in starts:
+        want = _corrected(_full_tolerance_corrector, mu, label, amplitude,
+                          itol)
+        got = _corrected(correct_periodic, mu, label, amplitude, itol)
+        case = (label, amplitude, itol)
+        if want is None or isinstance(want, type):
+            assert got == want, case
+            continue
+        assert abs(got[0] - want[0]) <= 1e-8 * abs(want[0]), case
+        assert got[1] == want[1], case
+
+
+def test_two_point_step_is_exact_on_a_cubic():
+    # the Hermite cubic through two points of v^3 - 2 is v^3 - 2 itself:
+    # its root, within one Newton step of the iterate, is the step's end
+    f = lambda v: (v, v ** 3 - 2.0, 3.0 * v * v)  # noqa: E731
+    assert 1.25 + pcr3bp._two_point_step(f(1.2), f(1.25)) == \
+        pytest.approx(2.0 ** (1 / 3), rel=1e-15)
+    # v^3 - 3 v + 3 has its one real root near -2.1, more than one Newton
+    # step from 2's Newton iterate 1.44: the step is Newton's
+    g = lambda v: (v, v ** 3 - 3.0 * v + 3.0, 3.0 * v * v - 3.0)  # noqa: E731
+    assert pcr3bp._two_point_step(g(1.9), g(2.0)) == -5.0 / 9.0
 
 
 def _crossing_flight(case):
