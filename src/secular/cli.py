@@ -46,7 +46,6 @@ from .linode import (
     classify_stability,
     solve_constant,
     solve_lagrange_oscillation,
-    solve_residue,
 )
 from .matrixcore import (
     EXACT,
@@ -299,7 +298,7 @@ def _cmd_linsolve(args, cfg: RunConfig) -> None:
         if len(v0) != A.n:
             raise DomainError(f"--v0 needs {A.n} values, got {len(v0)}")
         sol, modes, verdict = solve_lagrange_oscillation(
-            SecondOrderSystem(A), x0, v0)
+            SecondOrderSystem(A), x0, v0, _jordan_data(A, cfg.cluster_tol))
         payload = {
             "verdict": verdict.tag,
             "strict_lagrange": verdict.strict_lagrange,
@@ -307,9 +306,8 @@ def _cmd_linsolve(args, cfg: RunConfig) -> None:
                        "vector": list(m.vector)} for m in modes],
         }
     else:
-        dec = _jordan_data(A)
-        solver = solve_residue if args.method == "residue" else solve_constant
-        sol = solver(A, x0, dec)
+        dec = _jordan_data(A, cfg.cluster_tol)
+        sol = solve_constant(A, x0, dec)
         verdict = classify_stability(A, FIRST_ORDER, dec=dec)
         payload = {"verdict": verdict.tag,
                    "strict_lagrange": verdict.strict_lagrange}
@@ -515,7 +513,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help=matrix_help)
     p.add_argument("--x0", required=True, help="initial state, CSV rationals")
     p.add_argument("--v0", default=None, help="initial velocity (second form)")
-    p.add_argument("--method", choices=("jordan", "residue"), default="jordan")
     p.add_argument("--form", choices=("first", "second"), default="first")
     p.set_defaults(fn=_cmd_linsolve)
 

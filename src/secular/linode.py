@@ -1,15 +1,14 @@
 """Closed-form solutions and stability of constant-coefficient linear systems.
 
-Two independent solvers are provided: `solve_constant` goes through the
-Jordan decomposition, `solve_residue` through the residues of the resolvent
-adj(sI - A)/det(sI - A).  Both emit a `LinearSolution`, a sum of terms
+One solver, `solve_constant`, reads the solution of x' = Ax off the Jordan
+decomposition of A.  It emits a `LinearSolution`, a sum of terms
 poly(t) * exp(lam*t), with secular (polynomial) factors explicit.
 
-Each solver is one algebra over either scalar type: a matrix whose
+The solver is one algebra over either scalar type: a matrix whose
 eigenvalues are all rational runs it in Fractions, so its coefficients are
 exact until the final conversion; any other runs it in complex floats on
 the numeric Jordan data.  One place, `_jordan_data`, makes that choice
-for both solvers and the stability verdict.
+for the solver and the stability verdict.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedFlavorError
-from .jordan import JordanDecomposition, jordan_form
-from .matrixcore import EXACT, NUMERIC, SquareMatrix, faddeev_leverrier
-from .ratpoly import _to_frac
+from .jordan import DEFAULT_CLUSTER_TOL, JordanDecomposition, jordan_form
+from .matrixcore import EXACT, NUMERIC, SquareMatrix
 
 _ZERO_TOL = 1e-12
 
@@ -83,18 +81,19 @@ def _canonical_terms(raw, dim, drop_tol) -> LinearSolution:
     return LinearSolution(tuple(terms), dim)
 
 
-def _jordan_data(A: SquareMatrix) -> JordanDecomposition:
+def _jordan_data(A: SquareMatrix,
+                 cluster_tol=DEFAULT_CLUSTER_TOL) -> JordanDecomposition:
     """The exact Jordan form of A when every eigenvalue is rational, else
-    the numeric one."""
+    the numeric one, its eigenvalues clustered at ``cluster_tol``."""
     if A.flavor == EXACT:
         try:
             return jordan_form(A)
         except UnsupportedFlavorError:
             pass
-    return jordan_form(SquareMatrix(A.to_numpy(), NUMERIC))
+    return jordan_form(SquareMatrix(A.to_numpy(), NUMERIC), cluster_tol)
 
 
-# -- Jordan route ---------------------------------------------------------------
+# -- closed form ----------------------------------------------------------------
 
 
 def solve_constant(A: SquareMatrix, x0, dec=None) -> LinearSolution:
@@ -127,80 +126,6 @@ def solve_constant(A: SquareMatrix, x0, dec=None) -> LinearSolution:
             ]
             raw.append((complex(lam), coeffs))
             pos += s
-    return _canonical_terms(raw, n, drop_tol)
-
-
-# -- residue route ----------------------------------------------------------------
-
-
-def _series_inverse(coeffs, order):
-    """1 / (c0 + c1 u + ...) as a power series to given order; c0 != 0."""
-    inv = [1 / coeffs[0]]
-    for k in range(1, order + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            ci = coeffs[i] if i < len(coeffs) else 0
-            acc += ci * inv[k - i]
-        inv.append(-acc / coeffs[0])
-    return inv
-
-
-def _poly_shift(coeffs, lam):
-    """Coefficients of p(u + lam) given coefficients of p (lowest first)."""
-    res = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        # res = res * (u + lam) + c
-        new = [0] * (len(res) + 1)
-        for k, r in enumerate(res):
-            new[k + 1] += r
-            new[k] += r * lam
-        new[0] += c
-        res = new
-    return res
-
-
-def solve_residue(A: SquareMatrix, x0, dec=None) -> LinearSolution:
-    """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t).
-
-    The poles are the Jordan eigenvalues, each of order the sum of its
-    block sizes: exact-rational spectra take the residues in Fractions,
-    anything else in complex floats.  ``dec`` is as in `solve_constant`.
-    """
-    n = A.n
-    dec = _jordan_data(A) if dec is None else dec
-    poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
-    if dec.P.flavor == EXACT:
-        rows, x = A.rows, [_to_frac(v) for v in x0]
-        drop_tol = 0.0
-    else:
-        rows, x = A.to_numpy().tolist(), [complex(v) for v in x0]
-        drop_tol = _ZERO_TOL
-    _, Ms = faddeev_leverrier(rows)
-    # numerator N(s) = adj(sI - A) x0: numer[r] holds N_r, lowest degree first
-    numer = [
-        [sum(Ms[n - 1 - d][r][j] * x[j] for j in range(n)) for d in range(n)]
-        for r in range(n)
-    ]
-    raw = []
-    for lam, m in poles:
-        # det(sI - A) = (s - lam)^m q(s); q(lam + u) is the product of
-        # (u + lam - mu)^k over the other poles, built from their distances
-        qs = [lam ** 0]  # 1 in the scalar type of lam
-        for mu, k in poles:
-            if mu != lam:
-                for _ in range(k):
-                    qs = [a + (lam - mu) * b
-                          for a, b in zip([0] + qs, qs + [0])]
-        inv = _series_inverse(qs, m - 1)
-        coeffs = [[0] * n for _ in range(m)]
-        for r in range(n):
-            ns = _poly_shift(numer[r], lam)
-            # Taylor coefficients of N_r(s)/q(s) around lam, to order m-1;
-            # d_i contributes d_i * t^{m-1-i} / (m-1-i)! to the residue
-            for i in range(m):
-                d = sum(ns[a] * inv[i - a] for a in range(i + 1))
-                coeffs[m - 1 - i][r] = d / math.factorial(m - 1 - i)
-        raw.append((complex(lam), [[complex(v) for v in vec] for vec in coeffs]))
     return _canonical_terms(raw, n, drop_tol)
 
 
@@ -302,12 +227,13 @@ class OscillationMode:
     vector: tuple[float, ...]
 
 
-def solve_lagrange_oscillation(sys: SecondOrderSystem, x0, v0):
+def solve_lagrange_oscillation(sys: SecondOrderSystem, x0, v0, dec=None):
     """Modal solution of xi'' = A xi for symmetric A.
 
     Returns (LinearSolution, modes, verdict).  Negative eigenvalues yield
     trigonometric modes at frequency sqrt(-alpha); positive ones real
-    exponentials; zero eigenvalues linear drift.
+    exponentials; zero eigenvalues linear drift.  ``dec`` is as in
+    `solve_constant`; only the verdict reads it.
     """
     A = sys.A
     M = A.to_numpy().real
@@ -338,5 +264,5 @@ def solve_lagrange_oscillation(sys: SecondOrderSystem, x0, v0):
             raw.append((complex(r), [cpos * u.astype(complex)]))
             raw.append((complex(-r), [cneg * u.astype(complex)]))
     sol = _canonical_terms(raw, n, drop_tol=0.0)
-    verdict = classify_stability(A, SECOND_ORDER)
+    verdict = classify_stability(A, SECOND_ORDER, dec=dec)
     return sol, modes, verdict

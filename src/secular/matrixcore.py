@@ -317,33 +317,24 @@ def _over_powers(cs, D) -> list[Fraction]:
 def faddeev_leverrier(rows):
     """det(sI - A) and adj(sI - A) by the Faddeev-LeVerrier recursion.
 
-    `rows` is a list of rows of integer, Fraction or complex entries.
-    Returns (coeffs, Ms): the monic coefficients of det(sI - A), lowest
-    degree first, and the matrices M_0..M_{n-1} (lists of rows) with
-    adj(sI - A) = sum_k M_k s^{n-1-k}, all in the scalar type of `rows`.
-    M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1})/k, M_k = A M_{k-1} + c_{n-k} I.
+    `rows` is a list of rows of integers.  Returns (coeffs, Ms): the monic
+    coefficients of det(sI - A), lowest degree first, and the matrices
+    M_0..M_{n-1} (lists of integer rows) with adj(sI - A) =
+    sum_k M_k s^{n-1-k}.  M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1})/k,
+    M_k = A M_{k-1} + c_{n-k} I, each / k exact.
 
-    Integer rows run in integers, each / k exact.  Fraction rows run on
-    the integer form (D, B) of their matrix: c_{n-k}(A) = c_{n-k}(B)/D^k
-    and M_k(A) = M_k(B)/D^k.
+    A rational matrix runs on its integer form (D, B), B = D A:
+    c_{n-k}(A) = c_{n-k}(B)/D^k and M_k(A) = M_k(B)/D^k.
     """
     n = len(rows)
-    if any(type(x) is Fraction for r in rows for x in r):
-        D, B = SquareMatrix(rows).form
-        coeffs, Ms = faddeev_leverrier(B)
-        return _over_powers(coeffs, D), [[[Fraction(x, D ** k) for x in r]
-                                          for r in M] for k, M in enumerate(Ms)]
-    exact = all(type(x) is int for r in rows for x in r)
-    one = rows[0][0] ** 0 if n else 1  # 1 in the scalar type of the entries
-    coeffs = [one] * (n + 1)
-    M = [[one * (i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1] * (n + 1)
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
     Ms = []
     for k in range(1, n + 1):
         Ms.append(M)
         cols = list(zip(*M))
         diag = [sum(map(mul, r, col)) for r, col in zip(rows, cols)]
-        t = -sum(diag)
-        c = _exact_quotient(t, k) if exact else t / k
+        c = _exact_quotient(-sum(diag), k)
         coeffs[n - k] = c
         if k < n:  # M_n = 0 (Cayley-Hamilton): the last pass reads a trace
             M = [[diag[i] + c if i == j else sum(map(mul, r, col))

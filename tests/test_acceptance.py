@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 from secular.floquet import PeriodicLinearSystem, integrate, monodromy
 from secular.jordan import symmetric_diagonalizability_check
-from secular.linode import solve_constant, solve_residue
+from secular.linode import solve_constant
 from secular.matrixcore import (
     QuadraticForm,
     SquareMatrix,
@@ -44,6 +44,7 @@ from secular.section import (
     manifold_segments,
     return_map,
 )
+from test_linode import solve_residue
 
 MU_EM = 0.012150585
 

@@ -354,13 +354,25 @@ class TestExitCodes:
         '[["1","2"],["3","4"]]',
         '{"flavor":"numeric","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}'])
     @pytest.mark.parametrize("x0", ["1", "1,2,3"])
-    @pytest.mark.parametrize("method", ["jordan", "residue"])
+    @pytest.mark.parametrize("form", [[], ["--form", "second"]],
+                             ids=["jordan", "second"])
     def test_linsolve_x0_of_wrong_length_is_input_error(
-            self, capsys, matrix, x0, method):
+            self, capsys, matrix, x0, form):
         code, out, err = invoke(capsys, [
-            "linsolve", "--matrix", matrix, "--x0", x0, "--method", method])
+            "linsolve", "--matrix", matrix, "--x0", x0, *form])
         assert (code, out) == (1, "")
         assert err.startswith("error: input: --x0 needs 2 values")
+
+    @pytest.mark.parametrize("method", ["residue", "jordan"])
+    def test_linsolve_has_no_method_flag(self, method):
+        # x' = Ax has one solver, the Jordan route
+        res = subprocess.run(
+            [sys.executable, "-m", "secular.cli", "linsolve", "--matrix",
+             '[["0","1"],["-1","0"]]', "--x0", "1,0", "--method", method],
+            capture_output=True, text=True, timeout=60)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == ("error: input: usage: unrecognized arguments: "
+                              f"--method {method}\n")
 
     @pytest.mark.parametrize("v0", ["1", "1,2,3"])
     def test_linsolve_v0_of_wrong_length_is_input_error(self, capsys, v0):
@@ -373,25 +385,17 @@ class TestExitCodes:
 
     # exact entries with no float image, which the solvers take as floats
     @pytest.mark.parametrize("argv, what", [
-        (["--x0", "1e400,0", "--method", "jordan"], "--x0"),
-        (["--x0", "1e400,0", "--method", "residue"], "--x0"),
+        (["--x0", "1e400,0"], "--x0"),
         (["--matrix", '[["1","0"],["0","2"]]', "--form", "second",
           "--x0", "1e400,0", "--v0", "0,0"], "--x0"),
         (["--matrix", '[["1","0"],["0","2"]]', "--form", "second",
           "--x0", "1,0", "--v0", "1e400,0"], "--v0"),
-        (["--matrix", '[["1e400","0"],["0","1"]]', "--x0", "1,0",
-          "--method", "jordan"], "matrix"),
-        (["--matrix", '[["1e400","0"],["0","1"]]', "--x0", "1,0",
-          "--method", "residue"], "matrix"),
-        (["--matrix", '[["0","1e400"],["-1","0"]]', "--x0", "1,0",
-          "--method", "jordan"], "matrix"),
-        (["--matrix", '[["0","1e400"],["-1","0"]]', "--x0", "1,0",
-          "--method", "residue"], "matrix"),
+        (["--matrix", '[["1e400","0"],["0","1"]]', "--x0", "1,0"], "matrix"),
+        (["--matrix", '[["0","1e400"],["-1","0"]]', "--x0", "1,0"], "matrix"),
         (["--form", "second", "--matrix", '[["1e400","0"],["0","2"]]',
           "--x0", "1,0"], "matrix"),
-    ], ids=["jordan", "residue", "second-x0", "second-v0", "matrix-jordan",
-            "matrix-residue", "off-diagonal-jordan", "off-diagonal-residue",
-            "second-matrix"])
+    ], ids=["jordan", "second-x0", "second-v0", "matrix-jordan",
+            "off-diagonal-jordan", "second-matrix"])
     def test_linsolve_entry_past_the_floats_is_input_error(self, capsys,
                                                           argv, what):
         matrix = [] if "--matrix" in argv else [
@@ -485,18 +489,6 @@ class TestJsonOutputs:
         code, out, _ = invoke(capsys, ["interlace", "--matrix", worked_matrix])
         assert code == 0
         assert json.loads(out)["passed"] is True
-
-    def test_linsolve_both_methods_agree(self, capsys, worked_matrix):
-        outs = []
-        for method in ("jordan", "residue"):
-            code, out, _ = invoke(capsys, [
-                "linsolve", "--matrix", worked_matrix,
-                "--x0", "1,0,0", "--method", method,
-            ])
-            assert code == 0
-            outs.append(json.loads(out)["terms"])
-        for ta, tb in zip(outs[0], outs[1]):
-            assert ta["lambda"] == pytest.approx(tb["lambda"], abs=1e-12)
 
     def test_linsolve_second_form_prints_frozen_bytes(self, capsys):
         # x'' = A x for A = [[2, -1], [-1, 2]]: modes of alpha 1 and 3,
@@ -858,22 +850,23 @@ X4_PLUS_1 = '[["0","1","0","0"],["0","0","1","0"],["0","0","0","1"],' \
 
 
 class TestOneJordanForm:
-    @pytest.mark.parametrize("method", ["jordan", "residue"])
-    @pytest.mark.parametrize("matrix, flavors", [
-        (X4_PLUS_1, ["exact", "numeric"]),
-        ('[["0","1"],["0","0"]]', ["exact"]),
-        ('{"flavor":"numeric","rows":[[[0,0],[1,0]],[[-1,0],[0,0]]]}',
+    @pytest.mark.parametrize("matrix, form, flavors", [
+        (X4_PLUS_1, [], ["exact", "numeric"]),
+        ('[["0","1"],["0","0"]]', [], ["exact"]),
+        ('{"flavor":"numeric","rows":[[[0,0],[1,0]],[[-1,0],[0,0]]]}', [],
          ["numeric"]),
-    ], ids=["x4+1", "jordan-block", "numeric"])
-    def test_linsolve_builds_it_once(self, capsys, monkeypatch, method,
-                                     matrix, flavors):
+        ('[["2","-1"],["-1","2"]]', ["--form", "second"], ["exact"]),
+    ], ids=["x4+1-jordan", "jordan-block-jordan", "numeric-jordan",
+            "symmetric-second"])
+    def test_linsolve_builds_it_once(self, capsys, monkeypatch, matrix, form,
+                                     flavors):
         # the solver and the stability verdict read one decomposition:
         # one exact attempt, and a numeric one only if that fails
         calls = _counted(monkeypatch, "jordan_form", ["secular.linode"])
         n = json.loads(matrix)["rows"] if matrix.startswith("{") else \
             json.loads(matrix)
         code, _, err = invoke(capsys, [
-            "linsolve", "--matrix", matrix, "--method", method,
+            "linsolve", "--matrix", matrix, *form,
             "--x0", ",".join(["1"] * len(n))])
         assert (code, err) == (0, "")
         assert calls == flavors
@@ -906,6 +899,33 @@ class TestOneJordanForm:
         else:  # one 2-block: x(t) = e^{lam t} (x0 + t N x0)
             assert [(t["lambda"], len(t["poly"])) for t in out["terms"]] \
                 == [([float(big), 0.0], 2)]
+
+    def test_linsolve_clusters_at_the_cluster_tol(self, capsys):
+        # at --cluster-tol 1e-3 the eigenvalues 1 and 1 + 1e-6 are one
+        # 2-block, as jordan prints it, so the solution is one term whose
+        # poly has a t^1 coefficient
+        M = '{"flavor":"numeric","rows":[[[1,0],[1,0]],[[0,0],[1.000001,0]]]}'
+        _, out, _ = invoke(capsys, [
+            "--cluster-tol", "1e-3", "jordan", "--matrix", M])
+        lams = [b["lambda"] for b in json.loads(out)["blocks"]]
+        code, out, err = invoke(capsys, [
+            "--cluster-tol", "1e-3", "linsolve", "--matrix", M, "--x0", "0,1"])
+        assert (code, err) == (0, "")
+        terms = json.loads(out)["terms"]
+        assert [t["lambda"] for t in terms] == lams
+        assert [len(t["poly"]) for t in terms] == [2]
+
+    @pytest.mark.parametrize("tol, strict", [("1e-8", True), ("1e-3", False)])
+    def test_linsolve_second_form_clusters_at_the_cluster_tol(
+            self, capsys, tol, strict):
+        # alpha = -1 and -1 - 1e-6 are distinct at 1e-8, one double
+        # eigenvalue at 1e-3: Lagrange's criterion needs them distinct
+        code, out, err = invoke(capsys, [
+            "--cluster-tol", tol, "linsolve", "--form", "second", "--matrix",
+            '{"flavor":"numeric","rows":[[[-1,0],[0,0]],[[0,0],[-1.000001,0]]]}',
+            "--x0", "1,0"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["strict_lagrange"] is strict
 
     def test_classify3_tag_reads_the_printed_blocks(self, capsys):
         # at --cluster-tol 1e-4 the eigenvalues 1 and 1 + 1e-6 are one

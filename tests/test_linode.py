@@ -13,14 +13,18 @@ from secular.linode import (
     SECOND_ORDER,
     SECULAR,
     UNSTABLE,
+    _ZERO_TOL,
     SecondOrderSystem,
+    _canonical_terms,
+    _jordan_data,
     classify_stability,
     solve_constant,
     solve_lagrange_oscillation,
-    solve_residue,
 )
-from secular.matrixcore import SquareMatrix
+from secular.matrixcore import EXACT, SquareMatrix
+from secular.ratpoly import _to_frac
 from test_jordan import blocks_beside_an_eigenvalue
+from test_matrixcore import _full_faddeev_leverrier
 
 
 def integrate_oracle(A_np, x0, t=1.0):
@@ -29,6 +33,80 @@ def integrate_oracle(A_np, x0, t=1.0):
         rtol=1e-12, atol=1e-14, method="DOP853",
     )
     return sol.y[:, -1]
+
+
+# -- the residue route: the oracle the Jordan route is checked against ------------
+
+
+def _series_inverse(coeffs, order):
+    """1 / (c0 + c1 u + ...) as a power series to given order; c0 != 0."""
+    inv = [1 / coeffs[0]]
+    for k in range(1, order + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            ci = coeffs[i] if i < len(coeffs) else 0
+            acc += ci * inv[k - i]
+        inv.append(-acc / coeffs[0])
+    return inv
+
+
+def _poly_shift(coeffs, lam):
+    """Coefficients of p(u + lam) given coefficients of p (lowest first)."""
+    res = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        # res = res * (u + lam) + c
+        new = [0] * (len(res) + 1)
+        for k, r in enumerate(res):
+            new[k + 1] += r
+            new[k] += r * lam
+        new[0] += c
+        res = new
+    return res
+
+
+def solve_residue(A: SquareMatrix, x0, dec=None):
+    """Closed form via residues of adj(sI-A) x0 / det(sI-A) * exp(s t).
+
+    The poles are the Jordan eigenvalues, each of order the sum of its
+    block sizes: exact-rational spectra take the residues in Fractions,
+    anything else in complex floats.  ``dec`` is as in `solve_constant`.
+    """
+    n = A.n
+    dec = _jordan_data(A) if dec is None else dec
+    poles = [(lam, sum(sizes)) for lam, sizes in dec.blocks]
+    if dec.P.flavor == EXACT:
+        rows, x = A.rows, [_to_frac(v) for v in x0]
+        drop_tol = 0.0
+    else:
+        rows, x = A.to_numpy().tolist(), [complex(v) for v in x0]
+        drop_tol = _ZERO_TOL
+    _, Ms, _ = _full_faddeev_leverrier(rows)
+    # numerator N(s) = adj(sI - A) x0: numer[r] holds N_r, lowest degree first
+    numer = [
+        [sum(Ms[n - 1 - d][r][j] * x[j] for j in range(n)) for d in range(n)]
+        for r in range(n)
+    ]
+    raw = []
+    for lam, m in poles:
+        # det(sI - A) = (s - lam)^m q(s); q(lam + u) is the product of
+        # (u + lam - mu)^k over the other poles, built from their distances
+        qs = [lam ** 0]  # 1 in the scalar type of lam
+        for mu, k in poles:
+            if mu != lam:
+                for _ in range(k):
+                    qs = [a + (lam - mu) * b
+                          for a, b in zip([0] + qs, qs + [0])]
+        inv = _series_inverse(qs, m - 1)
+        coeffs = [[0] * n for _ in range(m)]
+        for r in range(n):
+            ns = _poly_shift(numer[r], lam)
+            # Taylor coefficients of N_r(s)/q(s) around lam, to order m-1;
+            # d_i contributes d_i * t^{m-1-i} / (m-1-i)! to the residue
+            for i in range(m):
+                d = sum(ns[a] * inv[i - a] for a in range(i + 1))
+                coeffs[m - 1 - i][r] = d / math.factorial(m - 1 - i)
+        raw.append((complex(lam), [[complex(v) for v in vec] for vec in coeffs]))
+    return _canonical_terms(raw, n, drop_tol)
 
 
 class TestSolveConstant:

@@ -194,10 +194,15 @@ def test_char_poly_constant_term_is_signed_det(A):
 @given(exact_matrices(), st.fractions(-10, 10, max_denominator=7))
 @settings(max_examples=80, deadline=None)
 def test_faddeev_leverrier_adjugate_inverts_resolvent(A, s):
-    """adj(sI - A) = sum_k M_k s^{n-1-k} times (sI - A) is det(sI - A) I."""
+    """adj(sI - A) = sum_k M_k s^{n-1-k} times (sI - A) is det(sI - A) I,
+    with c_{n-k} = c_{n-k}(B)/D^k and M_k = M_k(B)/D^k read off the
+    recursion on A's integer form (D, B)."""
     n = A.n
-    coeffs, Ms = faddeev_leverrier(A.rows)
-    adj = SquareMatrix([[sum(Ms[k][i][j] * s ** (n - 1 - k) for k in range(n))
+    D, B = A.form
+    cs, Ms = faddeev_leverrier(B)
+    coeffs = [Fraction(c, D ** (n - j)) for j, c in enumerate(cs)]
+    adj = SquareMatrix([[sum(Fraction(Ms[k][i][j], D ** k) * s ** (n - 1 - k)
+                             for k in range(n))
                          for j in range(n)] for i in range(n)])
     resolvent = A.shift(s).scale(-1)  # sI - A
     det = resolvent.det()
@@ -230,8 +235,10 @@ def _fraction_faddeev_leverrier(rows):
 
 def _full_faddeev_leverrier(rows):
     """The recursion with every pass's whole product A M_{k-1} and M_k,
-    M_n included, in faddeev_leverrier's order of operations: the
-    reference for its last pass, which takes only the trace."""
+    M_n included, in faddeev_leverrier's order of operations, in the
+    scalar type of `rows` (Fraction or complex): the reference for its
+    last pass, which takes only the trace, and the residue oracle's
+    adjugate in tests/test_linode.py."""
     n = len(rows)
     one = rows[0][0] ** 0
     coeffs = [one] * (n + 1)
@@ -247,22 +254,6 @@ def _full_faddeev_leverrier(rows):
         M = [[AM[i][j] + c if i == j else AM[i][j] for j in range(n)]
              for i in range(n)]
     return coeffs, Ms, M
-
-
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
-                                allow_infinity=False),
-             min_size=n, max_size=n), min_size=n, max_size=n)))
-@example([[1j, 2.5], [-0.1, 3 - 1e-3j]])
-@settings(max_examples=100, deadline=None)
-def test_complex_recursion_keeps_the_full_recursions_bits(rows):
-    # the last pass sums the trace's n dot products in the order the whole
-    # product A M_{n-1} would, so every coefficient keeps its bits
-    coeffs, Ms = faddeev_leverrier(rows)
-    ref_coeffs, ref_Ms, _ = _full_faddeev_leverrier(rows)
-    assert [(c.real, c.imag) for c in coeffs] == [
-        (c.real, c.imag) for c in ref_coeffs]
-    assert Ms == ref_Ms
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -288,10 +279,15 @@ def rational_matrices(draw):
 @given(rational_matrices())
 @settings(max_examples=100, deadline=None)
 def test_faddeev_leverrier_on_integers_matches_fractions(rows):
-    coeffs, Ms = faddeev_leverrier(rows)
-    assert (coeffs, Ms) == _fraction_faddeev_leverrier(rows)
-    assert all(type(c) is Fraction for c in coeffs)
-    assert all(type(x) is Fraction for M in Ms for r in M for x in r)
+    # the recursion on B = D A, scaled by D^k, is the recursion on A
+    D, B = SquareMatrix(rows).form
+    cs, Ms = faddeev_leverrier(B)
+    assert all(type(c) is int for c in cs)
+    assert all(type(x) is int for M in Ms for r in M for x in r)
+    n = len(rows)
+    assert ([Fraction(c, D ** (n - j)) for j, c in enumerate(cs)],
+            [[[Fraction(x, D ** k) for x in r] for r in M]
+             for k, M in enumerate(Ms)]) == _fraction_faddeev_leverrier(rows)
 
 
 @given(rational_matrices())

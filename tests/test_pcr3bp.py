@@ -552,6 +552,32 @@ def test_two_point_step_is_exact_on_a_cubic():
     assert pcr3bp._two_point_step(g(1.9), g(2.0)) == -5.0 / 9.0
 
 
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.0121, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("label", ["L1", "L2", "L3"])
+def test_small_orbits_tend_to_the_linearization(mu, label):
+    """As the amplitude A goes to 0, a Lyapunov orbit's period tends to
+    T0 = 2 pi / omega and its largest multiplier to exp(2 pi sigma / omega),
+    +-sigma and +-i omega the roots of the point's quartic, with O(A^2)
+    corrections (Lindstedt-Poincare; Richardson, Celest. Mech. 22, 1980).
+    The orbits corrected at A and 2A, A = 1e-4 of the point's distance to
+    the nearer primary, extrapolate to A = 0 as (4 f(A) - f(2A)) / 3.  The
+    worst case, mu 1e-6 at L1, reads 8.8e-8 in T and 6.7e-7 in the
+    multiplier."""
+    point = libration_point(mu, label)
+    roots = libration_stability(mu, point).roots
+    sigma, omega = max(s.real for s in roots), max(s.imag for s in roots)
+    T0, lam0 = 2 * math.pi / omega, math.exp(2 * math.pi * sigma / omega)
+
+    def at(A):  # (T, largest |multiplier|) of the orbit at amplitude A
+        orbit = correct_periodic(*lyapunov_seed(mu, point, A), mu)
+        return np.array([orbit.period,
+                         max(abs(s) for s in orbit.multipliers)])
+    a = 1e-4 * pcr3bp._nearer_primary(point, mu)[1]
+    T, lam = (4 * at(a) - at(2 * a)) / 3
+    assert abs(T - T0) <= 2e-6 * T0
+    assert abs(lam - lam0) <= 2e-6 * lam0
+
+
 def _crossing_flight(case):
     """(rhs, z0, t_end, direction, terminal) of one y = 0 crossing flight
     from the L1 Lyapunov seed, which starts on the axis."""
